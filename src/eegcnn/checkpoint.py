@@ -14,7 +14,7 @@ Byte layout (documented so other implementations can read these files):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +55,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad JSON header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format_version {header.get('format_version')}"
         )
-    cfg = ModelConfig(**header["config"])
+    cfg, seed = _header_config(path, header), _header_int(path, header, "seed")
     shapes = {
         "conv_weight": (cfg.out_channels, cfg.in_channels, cfg.kernel),
         "conv_bias": (cfg.out_channels,),
@@ -78,4 +80,28 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
             shapes[name]
         ).astype(np.float64)
         offset += 8 * n
-    return ModelParams(**arrays), int(header["seed"])
+    return ModelParams(**arrays), seed
+
+
+def _header_config(path: Path, header: dict) -> ModelConfig:
+    """The header's model config, which must hold exactly the ModelConfig fields."""
+    if not isinstance(header.get("config"), dict):
+        raise CheckpointError(f"{path}: header key 'config' is missing or not an object")
+    config = header["config"]
+    names = [f.name for f in fields(ModelConfig)]
+    for key in config:
+        if key not in names:
+            raise CheckpointError(f"{path}: unknown header key 'config.{key}'")
+    kwargs = {key: _header_int(path, config, key, "config.") for key in names}
+    try:
+        return ModelConfig(**kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad header config ({exc})") from exc
+
+
+def _header_int(path: Path, obj: dict, key: str, prefix: str = "") -> int:
+    value = obj.get(key)
+    if type(value) is not int:
+        what = "is missing" if key not in obj else f"must be an integer, got {value!r}"
+        raise CheckpointError(f"{path}: header key '{prefix}{key}' {what}")
+    return value

@@ -37,10 +37,16 @@ EXIT_NUMERIC = 4
 
 _MODEL_KEYS = ("in_channels", "out_channels", "kernel", "classes")
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+_PARTITIONS = ("train", "validation", "test")
+_EPOCH_KEYS = ("subject_id", "epoch_index", "label")
 
 
 class ConfigError(ValueError):
     pass
+
+
+class SplitError(ValueError):
+    """Malformed or inconsistent split directory (exit 3)."""
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -94,11 +100,11 @@ def _write_split(out_dir: Path, split: dat.DatasetSplit, fs: float) -> None:
                 {"subject_id": ep.subject_id, "epoch_index": ep.epoch_index, "label": ep.label}
                 for ep in split.partition(name)
             ]
-            for name in ("train", "validation", "test")
+            for name in _PARTITIONS
         },
     }
     (out_dir / "split.json").write_text(json.dumps(index, indent=2, sort_keys=True))
-    for name in ("train", "validation", "test"):
+    for name in _PARTITIONS:
         eps = split.partition(name)
         stack = np.stack([ep.data for ep in eps]) if eps else np.zeros((0, 0, 0))
         np.save(out_dir / f"{name}_data.npy", stack)
@@ -109,13 +115,20 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
     index_path = split_dir / "split.json"
     if not index_path.exists():
         raise FileNotFoundError(f"split index not found: {index_path}")
-    index = json.loads(index_path.read_text())
+    try:
+        index = json.loads(index_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SplitError(f"{index_path}: invalid JSON ({exc})") from exc
+    _require_keys(index_path, index, "", ("seed", "fs", "subject_assignment", "partitions"))
+    _require_keys(index_path, index["partitions"], "partitions.", _PARTITIONS)
     parts = {}
-    for name in ("train", "validation", "test"):
+    for name in _PARTITIONS:
         stack = np.load(split_dir / f"{name}_data.npy")
         entries = index["partitions"][name]
-        if len(entries) != stack.shape[0]:
-            raise ConfigError(f"{split_dir}: {name} index/data length mismatch")
+        if not isinstance(entries, list) or len(entries) != stack.shape[0]:
+            raise SplitError(f"{split_dir}: {name} index/data length mismatch")
+        for i, e in enumerate(entries):
+            _require_keys(index_path, e, f"partitions.{name}[{i}].", _EPOCH_KEYS)
         parts[name] = [
             dat.Epoch(
                 data=stack[i],
@@ -133,6 +146,14 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
         subject_assignment=index["subject_assignment"],
     )
     return split, float(index["fs"])
+
+
+def _require_keys(path: Path, obj, prefix: str, keys: tuple[str, ...]) -> None:
+    if not isinstance(obj, dict):
+        raise SplitError(f"{path}: '{prefix.rstrip('.') or 'split index'}' is not an object")
+    for key in keys:
+        if key not in obj:
+            raise SplitError(f"{path}: missing key '{prefix}{key}'")
 
 
 def cmd_prepare(args, cfg) -> int:
@@ -155,7 +176,7 @@ def cmd_prepare(args, cfg) -> int:
     _write_split(out_dir, split, manifest.fs)
     counts = {
         name: sum(1 for v in split.subject_assignment.values() if v == name)
-        for name in ("train", "validation", "test")
+        for name in _PARTITIONS
     }
     print(f"prepared split: subjects {counts}, epochs "
           f"{ {n: len(split.partition(n)) for n in counts} }")
@@ -337,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, dat.CsvFormatError, ckpt.CheckpointError) as exc:
+    except (OSError, dat.CsvFormatError, ckpt.CheckpointError, SplitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, dat.ManifestError, ValueError) as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,7 +119,14 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def load_subject_csv(path: str | Path, entry: ManifestEntry, manifest: Manifest) -> SubjectRecording:
-    """Load one subject CSV (header row of channel names, one row per time sample)."""
+    """Load one subject CSV (header row of channel names, one row per time sample).
+
+    The data rows go through numpy's C reader when its result is the one the
+    row-by-row ``float()`` scan gives: one row per line and no byte the two
+    parsers read differently. Anything else (blank lines, ragged rows, bad or
+    underscored cells, quoted line breaks) takes the scan, which names the
+    offending row, column and channel.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"subject file not found: {path}")
@@ -134,29 +142,85 @@ def load_subject_csv(path: str | Path, entry: ManifestEntry, manifest: Manifest)
                 f"{path}: {n_channels} channels in header, manifest declares "
                 f"{len(manifest.channel_names)}"
             )
-        rows = []
-        for row_idx, row in enumerate(reader, start=1):
-            if len(row) != n_channels:
-                raise CsvFormatError(
-                    f"{path}: row {row_idx} has {len(row)} cells, expected {n_channels}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                for col_idx, cell in enumerate(row):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise CsvFormatError(
-                            f"{path}: non-numeric cell {cell!r} at row {row_idx}, "
-                            f"column {col_idx} ({header[col_idx]})"
-                        ) from None
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    samples = np.asarray(rows, dtype=np.float64).T  # [channels, time]
+        samples = _loadtxt_body(path, n_channels) if reader.line_num == 1 else None
+        if samples is None:
+            samples = _scan_body(path, reader, header)
     return SubjectRecording(
         subject_id=entry.subject_id, label=entry.label, fs=manifest.fs, samples=samples
     )
+
+
+# numpy's float parser strips these as whitespace around a number (they are
+# str.isspace()), Python's float() rejects them.
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_CHUNK_BYTES = 1 << 20
+
+
+def _count_body_lines(path: Path) -> int | None:
+    """Lines after the header line, ended by \\n, \\r\\n or a lone \\r as
+    ``csv.reader`` splits them; None if the file holds a byte of
+    ``_LOADTXT_ONLY_SPACE``. Reads the file in chunks, so it holds no copy of it."""
+    lines, last = 0, b""
+    with path.open("rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            if any(b in chunk for b in _LOADTXT_ONLY_SPACE):
+                return None
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                lines -= 1  # a \r\n split between two chunks
+            last = chunk[-1:]
+    if last not in (b"\n", b"\r"):
+        lines += 1  # last line without a line end
+    return lines - 1
+
+
+def _loadtxt_body(path: Path, n_channels: int) -> np.ndarray | None:
+    """Data rows as [channels, time] from ``np.loadtxt``, or None unless it
+    returned exactly one row of ``n_channels`` values per line. ``loadtxt``
+    skips blank lines, which the scan rejects, so rows are counted against the
+    file's lines. Both parsers round correctly, so the values are the scan's."""
+    n_lines = _count_body_lines(path)
+    if not n_lines:
+        return None
+    try:
+        with path.open() as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(
+                fh, delimiter=",", skiprows=1, comments=None, quotechar='"',
+                dtype=np.float64, ndmin=2,
+            )
+    except ValueError:
+        return None
+    if values.shape != (n_lines, n_channels):
+        return None
+    return values.T
+
+
+def _scan_body(path: Path, reader, header: list[str]) -> np.ndarray:
+    """Data rows as [channels, time], parsed cell by cell with ``float()``."""
+    n_channels = len(header)
+    rows = []
+    for row_idx, row in enumerate(reader, start=1):
+        if len(row) != n_channels:
+            raise CsvFormatError(
+                f"{path}: row {row_idx} has {len(row)} cells, expected {n_channels}"
+            )
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            for col_idx, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: non-numeric cell {cell!r} at row {row_idx}, "
+                        f"column {col_idx} ({header[col_idx]})"
+                    ) from None
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64).T  # [channels, time]
 
 
 def write_subject_csv(path: str | Path, rec: SubjectRecording, channel_names: list[str]) -> None:
@@ -200,14 +264,12 @@ def split_dataset(
 
     Subjects are sorted by id before the seeded shuffle so the split does not
     depend on manifest order. Train and validation sizes use round(); the
-    remainder goes to test.
+    remainder goes to test. A split that leaves a partition empty is rejected.
     """
     if any(r <= 0 for r in ratios):
         raise ValueError(f"all split ratios must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
-    if len(subjects) < 3:
-        raise ValueError(f"need at least 3 subjects to form 3 partitions, got {len(subjects)}")
 
     ordered = sorted(subjects, key=lambda s: s.subject_id)
     rng = np.random.default_rng(seed)
@@ -222,6 +284,12 @@ def split_dataset(
         "validation": shuffled[n_train : n_train + n_val],
         "test": shuffled[n_train + n_val :],
     }
+    if not all(groups.values()):
+        sizes = "/".join(str(len(subs)) for subs in groups.values())
+        raise ValueError(
+            f"split of {n} subjects leaves a partition empty: "
+            f"train/validation/test = {sizes} subjects"
+        )
     assignment = {}
     parts: dict[str, list[Epoch]] = {}
     for name, subs in groups.items():

@@ -115,7 +115,7 @@ class GroupPsd:
         header = "freq," + ",".join(f"mean_{lb},sem_{lb}" for lb in labels)
         with Path(path).open("w") as fh:
             fh.write(header + "\n")
-            for i, f in enumerate(self.freqs):
+            for i, f in enumerate(self.freqs.tolist()):
                 cells = []
                 for lb in labels:
                     cells += [repr(float(self.mean[lb][i])), repr(float(self.sem[lb][i]))]

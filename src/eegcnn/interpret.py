@@ -79,7 +79,7 @@ class FilterResponseMap:
             p = out_dir / f"{prefix}_ch{ch:02d}.csv"
             with p.open("w") as fh:
                 fh.write("freq,power\n")
-                for f, v in zip(self.freqs, row):
+                for f, v in zip(self.freqs.tolist(), row.tolist()):
                     fh.write(f"{f!r},{v!r}\n")
             paths.append(p)
         return paths

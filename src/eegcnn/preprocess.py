@@ -45,7 +45,7 @@ class PsdEstimate:
     def to_csv(self, path: str | Path) -> None:
         with Path(path).open("w") as fh:
             fh.write("freq,power\n")
-            for f, p in zip(self.freqs, self.power):
+            for f, p in zip(self.freqs.tolist(), self.power.tolist()):
                 fh.write(f"{f!r},{p!r}\n")
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ class TestPrepare:
                    "--out", str(tmp_path / "out"), "--seed", "0"])
         assert rc == EXIT_CONFIG
 
+    def test_empty_partition_rejected(self, dataset_dir, tmp_path, capsys):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        manifest["subjects"] = manifest["subjects"][:3]
+        (dataset_dir / "three.json").write_text(json.dumps(manifest))
+        rc = main(["prepare", "--manifest", str(dataset_dir / "three.json"),
+                   "--out", str(tmp_path / "out"), "--seed", "0"])
+        assert rc == EXIT_CONFIG
+        assert "train/validation/test = 2/1/0" in capsys.readouterr().err
+
     def test_missing_manifest(self, tmp_path):
         rc = main(["prepare", "--manifest", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "out")])
@@ -114,6 +124,24 @@ class TestTrain:
     def test_missing_split(self, tmp_path):
         rc = main(["train", "--split", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("key", [
+        "partitions", "seed", "fs", "subject_assignment", "partitions.validation",
+        "partitions.train[0].label", "partitions.test[0].subject_id",
+    ])
+    def test_split_index_missing_key(self, prepared, tmp_path, capsys, key):
+        split_dir = tmp_path / "split"
+        shutil.copytree(prepared, split_dir)
+        index = json.loads((split_dir / "split.json").read_text())
+        *parents, leaf = key.replace("[0]", ".0").split(".")
+        obj = index
+        for part in parents:
+            obj = obj[int(part)] if part.isdigit() else obj[part]
+        del obj[leaf]
+        (split_dir / "split.json").write_text(json.dumps(index))
+        rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_IO
+        assert f"missing key '{key}'" in capsys.readouterr().err
 
     def test_config_file_and_flag_precedence(self, prepared, tmp_path):
         cfg = {"split": str(prepared), "out": str(tmp_path / "cfg_out"),
@@ -144,6 +172,29 @@ class TestEvaluate:
                    "--split", str(prepared), "--out", str(tmp_path / "o")])
         assert rc == EXIT_IO
         assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "probe"])
+@pytest.mark.parametrize("key", ["config", "seed", "config.extra", "config.kernel"])
+def test_bad_checkpoint_header(prepared, trained, tmp_path, capsys, command, key):
+    """A header missing `key` (or, for config.extra, holding it) exits 3."""
+    blob = (trained / "checkpoint.bin").read_bytes()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    if key == "config.extra":
+        header["config"]["extra"] = 1
+    elif key.startswith("config."):
+        del header["config"][key.removeprefix("config.")]
+    else:
+        del header[key]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(header).encode() + blob[nl:])
+    argv = [command, "--checkpoint", str(bad), "--out", str(tmp_path / "o")]
+    argv += ["--split", str(prepared)] if command == "evaluate" else ["--fs", str(FS)]
+    rc = main(argv)
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"'{key}'" in err
 
 
 class TestProbe:

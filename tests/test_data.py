@@ -1,9 +1,15 @@
+import csv
+import io
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import eegcnn.data
 
 from eegcnn.data import (
     CsvFormatError,
@@ -87,6 +93,151 @@ class TestLoadSubjectCsv:
         man = Manifest(entries=[ManifestEntry("S000", "rt.csv", 0)], fs=500.0, channel_names=names)
         loaded = load_subject_csv(path, man.entries[0], man)
         np.testing.assert_array_equal(loaded.samples, rec.samples)
+
+
+def reference_load_subject_csv(path, entry, manifest):
+    """The row-by-row csv.reader + float() loader that load_subject_csv used
+    before it parsed with np.loadtxt, kept as its oracle: every file must load
+    to the same bits or fail with the same error under both."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"subject file not found: {path}")
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: empty file") from None
+        n_channels = len(header)
+        if n_channels != len(manifest.channel_names):
+            raise CsvFormatError(
+                f"{path}: {n_channels} channels in header, manifest declares "
+                f"{len(manifest.channel_names)}"
+            )
+        rows = []
+        for row_idx, row in enumerate(reader, start=1):
+            if len(row) != n_channels:
+                raise CsvFormatError(
+                    f"{path}: row {row_idx} has {len(row)} cells, expected {n_channels}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                for col_idx, cell in enumerate(row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise CsvFormatError(
+                            f"{path}: non-numeric cell {cell!r} at row {row_idx}, "
+                            f"column {col_idx} ({header[col_idx]})"
+                        ) from None
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    samples = np.asarray(rows, dtype=np.float64).T  # [channels, time]
+    return SubjectRecording(
+        subject_id=entry.subject_id, label=entry.label, fs=manifest.fs, samples=samples
+    )
+
+
+_SPELLINGS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.6E}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(0, 10**6).map(lambda i: f"{i:_}"),
+    st.sampled_from([
+        "inf", "-Infinity", "+inf", "nan", "NaN", "-nan", "1e5", "1E-5", ".5", "5.", "-0",
+        "1_0", "1__0", "_1", "1_", "1_0.5e1_0", "0x10", "1d5", "1e", "e1", "", "--1", "1.2.3",
+        "abc", "\u0661\u0662", "1\x00",
+    ]),
+)
+_PADDING = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003"])
+
+
+@st.composite
+def _cells(draw):
+    cell = draw(_PADDING) + draw(_SPELLINGS) + draw(_PADDING)
+    quoting = draw(st.sampled_from(["none", "none", "none", "quoted", "quote-then-text",
+                                    "space-then-quoted", "line-break"]))
+    if quoting == "quoted":
+        return '"' + cell.replace('"', '""') + '"'
+    if quoting == "quote-then-text":
+        return f'"{cell}"5'
+    if quoting == "space-then-quoted":
+        return f' "{cell}"'
+    if quoting == "line-break":
+        return f'"{cell}\n"'
+    return cell
+
+
+@st.composite
+def _csv_files(draw):
+    """(channel count, file text) covering the cases that separate the readers."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(_cells(), min_size=n, max_size=n).map(",".join)
+    ragged = st.lists(_cells(), min_size=0, max_size=n + 1).map(",".join)
+    blank = st.just("")
+    header = draw(st.one_of(st.just(",".join(f"c{i}" for i in range(n))), row))
+    lines = [header] + draw(st.lists(st.one_of(row, row, row, ragged, blank), max_size=6))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    tail = draw(st.sampled_from(["keep", "keep", "drop-last-end", "blank-line", "empty-file"]))
+    if tail == "drop-last-end":
+        text = text[: -len(ends[-1])]
+    elif tail == "blank-line":
+        text += ends[-1]
+    elif tail == "empty-file":
+        text = ""
+    return n, text
+
+
+class TestLoadSubjectCsvMatchesReference:
+    @given(case=_csv_files())
+    @example(case=(2, "a,b\n1_000,2\n3,4\n"))
+    @example(case=(2, "a,b\n1,2\n\n3,4\n"))
+    @example(case=(2, "a,b\n1,2\n3,4\n\n"))
+    @example(case=(2, "a,b\r\n1,2\r\n"))
+    @example(case=(2, "a,b\n\x1c1,2\n"))
+    @example(case=(2, 'a,b\n"1\n",2\n'))
+    @example(case=(2, '"x\n"1","2"\n3,4\n'))  # header over two lines
+    @example(case=(2, "a,b\n"))
+    @example(case=(2, ""))
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_or_same_error(self, tmp_path_factory, case):
+        n, text = case
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        man = _manifest(n)
+
+        def outcome(reader):
+            try:
+                rec = reader(path, man.entries[0], man)
+            except Exception as exc:  # the error is part of the result compared
+                return type(exc), str(exc)
+            return rec.samples.shape, rec.samples.strides, rec.samples.tobytes()
+
+        expected = outcome(reference_load_subject_csv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(load_subject_csv) == expected
+
+    def test_line_count_across_chunk_boundaries(self, tmp_path, monkeypatch):
+        text = "h\r\n1\r2\n\r\n3\r\r\n\n4"
+        path = tmp_path / "lines.csv"
+        path.write_bytes(text.encode())
+        expected = sum(1 for _ in io.StringIO(text, newline="")) - 1  # csv.reader's lines
+        for size in range(1, len(text) + 1):
+            monkeypatch.setattr(eegcnn.data, "_CHUNK_BYTES", size)
+            assert eegcnn.data._count_body_lines(path) == expected
+
+    def test_well_formed_file_skips_row_scan(self, tmp_path, monkeypatch):
+        rec = make_recording(channels=4, n_samples=50, seed=1)
+        path = tmp_path / "s0.csv"
+        write_subject_csv(path, rec, [f"ch{i}" for i in range(4)])
+        monkeypatch.setattr(eegcnn.data, "_scan_body", None)
+        man = _manifest(4)
+        loaded = load_subject_csv(path, man.entries[0], man)
+        assert loaded.samples.tobytes() == rec.samples.tobytes()
 
 
 class TestManifest:
@@ -200,7 +351,11 @@ class TestSplitDataset:
         with pytest.raises(ValueError):
             split_dataset(_subjects(2))
 
-    @given(n=st.integers(min_value=3, max_value=30), seed=st.integers(0, 1000))
+    def test_empty_test_partition_rejected(self):
+        with pytest.raises(ValueError, match="train/validation/test = 2/1/0"):
+            split_dataset(_subjects(3))
+
+    @given(n=st.integers(min_value=4, max_value=30), seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_subject_exclusivity_and_epoch_conservation(self, n, seed):
         subs = _subjects(n)

@@ -175,3 +175,6 @@ class TestGroupPsd:
         lines = path.read_text().splitlines()
         assert lines[0] == "freq,mean_0,sem_0,mean_1,sem_1"
         assert len(lines) == gp.freqs.size + 1
+        cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        expected = np.stack([gp.freqs, gp.mean[0], gp.sem[0], gp.mean[1], gp.sem[1]], axis=1)
+        assert cells.tobytes() == expected.tobytes()

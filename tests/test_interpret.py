@@ -231,3 +231,9 @@ class TestConvFilterResponse:
         paths = resp.to_csv_dir(tmp_path)
         assert len(paths) == 2
         assert all(p.exists() for p in paths)
+        for ch, p in enumerate(paths):
+            lines = p.read_text().splitlines()
+            assert lines[0] == "freq,power"
+            cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+            expected = np.stack([resp.freqs, resp.power[ch]], axis=1)
+            assert cells.tobytes() == expected.tobytes()

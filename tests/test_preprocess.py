@@ -139,3 +139,5 @@ class TestWelchPsd:
         lines = path.read_text().splitlines()
         assert lines[0] == "freq,power"
         assert len(lines) == est.freqs.size + 1
+        cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        assert cells.tobytes() == np.stack([est.freqs, est.power], axis=1).tobytes()
