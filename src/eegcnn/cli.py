@@ -1,17 +1,11 @@
 """Command-line surface: prepare, train, evaluate, probe, sweep, psd.
 
 Exit codes: 0 success, 2 config/parse error, 3 I/O error, 4 numeric divergence.
-Set EEGCNN_THREADS to cap BLAS thread counts (honored when this module is the
-first entry point, before numpy is loaded).
+Set EEGCNN_THREADS to cap BLAS thread counts; the package applies it when it
+is imported, which the entry point does before numpy is loaded.
 """
 
 from __future__ import annotations
-
-import os
-
-if "EEGCNN_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["EEGCNN_THREADS"])
 
 import argparse
 import json
@@ -39,6 +33,23 @@ _MODEL_KEYS = ("in_channels", "out_channels", "kernel", "classes")
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 _PARTITIONS = ("train", "validation", "test")
 _EPOCH_KEYS = ("subject_id", "epoch_index", "label")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_positive(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < float("inf")
+
+
+# split.json values: key -> (test, what the value must be)
+_INDEX_VALUES = {"seed": (_is_int, "an integer"), "fs": (_is_positive, "a positive number")}
+_EPOCH_VALUES = {
+    "subject_id": (lambda v: isinstance(v, str), "a string"),
+    "epoch_index": (_is_int, "an integer"),
+    "label": (lambda v: _is_int(v) and v in (0, 1), "0 or 1"),
+}
 
 
 class ConfigError(ValueError):
@@ -120,15 +131,17 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
     except json.JSONDecodeError as exc:
         raise SplitError(f"{index_path}: invalid JSON ({exc})") from exc
     _require_keys(index_path, index, "", ("seed", "fs", "subject_assignment", "partitions"))
+    _require_values(index_path, index, "", _INDEX_VALUES)
     _require_keys(index_path, index["partitions"], "partitions.", _PARTITIONS)
     parts = {}
     for name in _PARTITIONS:
-        stack = np.load(split_dir / f"{name}_data.npy")
+        stack = _load_stack(split_dir / f"{name}_data.npy")
         entries = index["partitions"][name]
         if not isinstance(entries, list) or len(entries) != stack.shape[0]:
             raise SplitError(f"{split_dir}: {name} index/data length mismatch")
         for i, e in enumerate(entries):
             _require_keys(index_path, e, f"partitions.{name}[{i}].", _EPOCH_KEYS)
+            _require_values(index_path, e, f"partitions.{name}[{i}].", _EPOCH_VALUES)
         parts[name] = [
             dat.Epoch(
                 data=stack[i],
@@ -154,6 +167,25 @@ def _require_keys(path: Path, obj, prefix: str, keys: tuple[str, ...]) -> None:
     for key in keys:
         if key not in obj:
             raise SplitError(f"{path}: missing key '{prefix}{key}'")
+
+
+def _require_values(path: Path, obj: dict, prefix: str, checks: dict) -> None:
+    for key, (ok, what) in checks.items():
+        if not ok(obj[key]):
+            raise SplitError(f"{path}: '{prefix}{key}' must be {what}, got {obj[key]!r}")
+
+
+def _load_stack(path: Path) -> np.ndarray:
+    """One partition's [epochs, channels, samples] float64 stack."""
+    try:
+        stack = np.load(path)
+    except (ValueError, EOFError) as exc:  # truncated, corrupt or pickled
+        raise SplitError(f"{path}: unreadable array ({exc})") from None
+    if stack.ndim != 3 or stack.dtype != np.float64:
+        raise SplitError(
+            f"{path}: expected a 3-D float64 array, got {stack.ndim}-D {stack.dtype}"
+        )
+    return stack
 
 
 def cmd_prepare(args, cfg) -> int:
@@ -183,18 +215,21 @@ def cmd_prepare(args, cfg) -> int:
     return EXIT_OK
 
 
+def _print_epoch(i: int, row: dict) -> None:
+    print(
+        f"epoch,{i},train_loss,{row['train_loss']:.6f},"
+        f"val_loss,{row['val_loss']:.6f},val_acc,{row['val_accuracy']:.6f}",
+        flush=True,
+    )
+
+
 def cmd_train(args, cfg) -> int:
     split, _ = _read_split(_require(args, cfg, "split"))
     out_dir = Path(_require(args, cfg, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     train_config = _train_config(args, cfg)
     model_config = _model_config(args, cfg)
-    history = run_training(split, train_config, model_config)
-    for i, row in enumerate(history.epochs):
-        print(
-            f"epoch,{i},train_loss,{row['train_loss']:.6f},"
-            f"val_loss,{row['val_loss']:.6f},val_acc,{row['val_accuracy']:.6f}"
-        )
+    history = run_training(split, train_config, model_config, on_epoch=_print_epoch)
     ckpt.save_checkpoint(out_dir / "checkpoint.bin", history.best_checkpoint, train_config.seed)
     history.save(out_dir / "history.json")
     print(f"best epoch {history.best_epoch}; wrote {out_dir / 'checkpoint.bin'}")

@@ -136,6 +136,8 @@ def load_subject_csv(path: str | Path, entry: ManifestEntry, manifest: Manifest)
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file") from None
+        except csv.Error as exc:  # a cell over the field size limit, say
+            raise CsvFormatError(f"{path}: header row: {exc}") from None
         n_channels = len(header)
         if n_channels != len(manifest.channel_names):
             raise CsvFormatError(
@@ -202,22 +204,25 @@ def _scan_body(path: Path, reader, header: list[str]) -> np.ndarray:
     """Data rows as [channels, time], parsed cell by cell with ``float()``."""
     n_channels = len(header)
     rows = []
-    for row_idx, row in enumerate(reader, start=1):
-        if len(row) != n_channels:
-            raise CsvFormatError(
-                f"{path}: row {row_idx} has {len(row)} cells, expected {n_channels}"
-            )
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError:
-            for col_idx, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric cell {cell!r} at row {row_idx}, "
-                        f"column {col_idx} ({header[col_idx]})"
-                    ) from None
+    try:
+        for row_idx, row in enumerate(reader, start=1):
+            if len(row) != n_channels:
+                raise CsvFormatError(
+                    f"{path}: row {row_idx} has {len(row)} cells, expected {n_channels}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                for col_idx, cell in enumerate(row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise CsvFormatError(
+                            f"{path}: non-numeric cell {cell!r} at row {row_idx}, "
+                            f"column {col_idx} ({header[col_idx]})"
+                        ) from None
+    except csv.Error as exc:  # a cell over the field size limit, say
+        raise CsvFormatError(f"{path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64).T  # [channels, time]

@@ -143,9 +143,9 @@ def evaluate(checkpoint: ModelParams, epochs: list[Epoch]) -> MetricsReport:
         raise ValueError("need at least one epoch to evaluate")
     preds, labels, scores = [], [], []
     for ep in epochs:
-        cache = forward(checkpoint, ep.data, mode="eval")
-        preds.append(int(np.argmax(cache.probs)))  # tie goes to class 0
-        scores.append(float(cache.probs[1]))
+        probs = forward(checkpoint, ep.data, mode="eval").probs
+        preds.append(int(np.argmax(probs)))  # tie goes to class 0
+        scores.append(float(probs[1]))
         labels.append(ep.label)
     cm = confusion(preds, labels)
     scalars = scalar_metrics(cm)

@@ -78,7 +78,17 @@ class Gradients:
 
 @dataclass(frozen=True)
 class ForwardCache:
+    """What ``backward`` needs from one ``forward``.
+
+    ``unrolled`` is the [in*K, T] im2col matrix of the padded input that the
+    conv GEMM multiplied; ``backward`` reuses it for the weight gradient
+    instead of unrolling the input again. It is the cache's largest array
+    (8 bytes * in * K * T), so callers drop the cache once they are done
+    with it, before the next ``forward``.
+    """
+
     input: np.ndarray
+    unrolled: np.ndarray  # [in * K, T]
     conv_pre_act: np.ndarray
     relu_mask: np.ndarray
     dropout_mask: np.ndarray  # inverted-dropout scaling baked in; all-ones in eval
@@ -110,25 +120,29 @@ def param_count(params: ModelParams) -> dict[str, int]:
     }
 
 
-def _padded_windows(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Zero-pad (kernel-1)/2 per side and return sliding windows [in, T, K]."""
-    pad = (kernel - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad)))
-    return sliding_window_view(xp, kernel, axis=1)
-
-
-def conv1d_same(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Cross-correlation with stride 1 and symmetric zero padding; output [out, T]."""
+def _conv_unrolled(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``conv1d_same`` output and the im2col matrix [in*K, T] it multiplied."""
     x = np.asarray(x, dtype=np.float64)
     out_c, in_c, kernel = params.conv_weight.shape
     if x.ndim != 2 or x.shape[0] != in_c:
         raise ValueError(f"input must be [in_channels={in_c}, T], got shape {x.shape}")
-    windows = _padded_windows(x, kernel)  # [in, T, K]
     t = x.shape[1]
-    # single GEMM: [out, in*K] @ [in*K, T]
+    pad = (kernel - 1) // 2
+    # xp stays referenced until the GEMM output is allocated; freeing it first
+    # let that output reuse its block, which raised the `probe` workload's
+    # peak RSS by about 10 MB (glibc heap layout)
+    xp = np.zeros((in_c, t + 2 * pad))
+    xp[:, pad : pad + t] = x
+    windows = sliding_window_view(xp, kernel, axis=1)  # [in, T, K]
     xm = windows.transpose(0, 2, 1).reshape(in_c * kernel, t)
+    # single GEMM: [out, in*K] @ [in*K, T]
     y = params.conv_weight.reshape(out_c, in_c * kernel) @ xm
-    return y + params.conv_bias[:, None]
+    return y + params.conv_bias[:, None], xm
+
+
+def conv1d_same(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Cross-correlation with stride 1 and symmetric zero padding; output [out, T]."""
+    return _conv_unrolled(params, x)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -148,7 +162,7 @@ def forward(
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite values in model input")
-    pre = conv1d_same(params, x)
+    pre, unrolled = _conv_unrolled(params, x)
     relu_mask = pre > 0
     h = pre * relu_mask
     if mode == "train" and dropout_rate > 0:
@@ -156,13 +170,15 @@ def forward(
             raise ValueError("train-mode forward needs an RNG for dropout")
         keep = rng.random(h.shape) >= dropout_rate
         dropout_mask = keep / (1.0 - dropout_rate)
+        h = h * dropout_mask
     else:
-        dropout_mask = np.ones_like(h)
-    h = h * dropout_mask
+        # multiplying by ones would change no bit, so it is skipped
+        dropout_mask = np.broadcast_to(1.0, h.shape)
     pooled = h.mean(axis=1)
     logits = params.fc_weight @ pooled + params.fc_bias
     return ForwardCache(
         input=x,
+        unrolled=unrolled,
         conv_pre_act=pre,
         relu_mask=relu_mask,
         dropout_mask=dropout_mask,
@@ -176,10 +192,11 @@ def forward(
 def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> Gradients:
     """Exact parameter gradients of the logit-weighted loss for one input."""
     out_c, in_c, kernel = params.conv_weight.shape
-    if cache.conv_pre_act.shape[0] != out_c or cache.input.shape[0] != in_c:
+    if (cache.conv_pre_act.shape[0] != out_c or cache.input.shape[0] != in_c
+            or cache.unrolled.shape[0] != in_c * kernel):
         raise ValueError("forward cache does not match these parameters")
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    t = cache.input.shape[1]
+    t = cache.unrolled.shape[1]
 
     d_fc_weight = np.outer(grad_logits, cache.pooled)
     d_fc_bias = grad_logits.copy()
@@ -189,9 +206,7 @@ def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) 
     d_pre = (d_pooled[:, None] / t) * cache.dropout_mask * cache.relu_mask
 
     d_conv_bias = d_pre.sum(axis=1)
-    windows = _padded_windows(cache.input, kernel)  # [in, T, K]
-    xm = windows.transpose(0, 2, 1).reshape(in_c * kernel, t)
-    d_conv_weight = (d_pre @ xm.T).reshape(out_c, in_c, kernel)
+    d_conv_weight = (d_pre @ cache.unrolled.T).reshape(out_c, in_c, kernel)
 
     return Gradients(
         conv_weight=d_conv_weight,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -107,21 +108,25 @@ def _eval_pass(params: ModelParams, epochs: list[Epoch]) -> tuple[float, float]:
     """Mean cross-entropy and accuracy in eval mode (argmax ties go to class 0)."""
     losses, correct = [], 0
     for ep in epochs:
-        cache = forward(params, ep.data, mode="eval")
-        loss, _ = cross_entropy(cache.probs, ep.label)
+        probs = forward(params, ep.data, mode="eval").probs
+        loss, _ = cross_entropy(probs, ep.label)
         losses.append(loss)
-        if int(np.argmax(cache.probs)) == ep.label:
+        if int(np.argmax(probs)) == ep.label:
             correct += 1
     return float(np.mean(losses)), correct / len(epochs)
 
 
 def train(
-    data: DatasetSplit, config: TrainConfig, model_config: ModelConfig = ModelConfig()
+    data: DatasetSplit,
+    config: TrainConfig,
+    model_config: ModelConfig = ModelConfig(),
+    on_epoch: Callable[[int, dict], None] | None = None,
 ) -> TrainHistory:
     """Mini-batch Adam training with validation-accuracy checkpoint selection.
 
     Deterministic given (data, config, model_config): all shuffling, dropout
-    and initialization derive from config.seed.
+    and initialization derive from config.seed. ``on_epoch(index, row)``, if
+    given, is called as each epoch ends with the row ``history.epochs`` keeps.
     """
     if not data.train or not data.validation:
         raise ValueError("train and validation partitions must be non-empty")
@@ -147,6 +152,7 @@ def train(
                     )
                 epoch_losses.append(loss)
                 g = backward(cache, params, grad_logits)
+                del cache  # frees the unrolled input before the next forward
                 if grad_sum is None:
                     grad_sum = {k: v.copy() for k, v in g.arrays().items()}
                 else:
@@ -155,13 +161,14 @@ def train(
             grads = Gradients(**{k: v / len(batch) for k, v in grad_sum.items()})
             state, params = adam_step(state, params, grads, config)
         val_loss, val_acc = _eval_pass(params, data.validation)
-        history.append(
-            {
-                "train_loss": float(np.mean(epoch_losses)),
-                "val_loss": val_loss,
-                "val_accuracy": val_acc,
-            }
-        )
+        row = {
+            "train_loss": float(np.mean(epoch_losses)),
+            "val_loss": val_loss,
+            "val_accuracy": val_acc,
+        }
+        history.append(row)
+        if on_epoch is not None:
+            on_epoch(epoch_idx, row)
         key = (val_acc, -val_loss, -epoch_idx)
         if best is None or key > best[0]:
             best = (key, epoch_idx, params)

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +107,21 @@ class TestPrepare:
         assert rc == EXIT_IO
 
 
+def _train_on_edited_index(prepared, tmp_path, key, edit):
+    """Run train on a copy of the split whose split.json had ``edit(parent,
+    leaf)`` applied at ``key`` (dotted, ``[0]`` for a list index)."""
+    split_dir = tmp_path / "split"
+    shutil.copytree(prepared, split_dir)
+    index = json.loads((split_dir / "split.json").read_text())
+    *parents, leaf = key.replace("[0]", ".0").split(".")
+    obj = index
+    for part in parents:
+        obj = obj[int(part)] if part.isdigit() else obj[part]
+    edit(obj, leaf)
+    (split_dir / "split.json").write_text(json.dumps(index))
+    return main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o")])
+
+
 class TestTrain:
     def test_outputs_written(self, trained):
         assert (trained / "checkpoint.bin").exists()
@@ -130,18 +148,47 @@ class TestTrain:
         "partitions.train[0].label", "partitions.test[0].subject_id",
     ])
     def test_split_index_missing_key(self, prepared, tmp_path, capsys, key):
-        split_dir = tmp_path / "split"
-        shutil.copytree(prepared, split_dir)
-        index = json.loads((split_dir / "split.json").read_text())
-        *parents, leaf = key.replace("[0]", ".0").split(".")
-        obj = index
-        for part in parents:
-            obj = obj[int(part)] if part.isdigit() else obj[part]
-        del obj[leaf]
-        (split_dir / "split.json").write_text(json.dumps(index))
-        rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o")])
+        rc = _train_on_edited_index(prepared, tmp_path, key, lambda obj, leaf: obj.pop(leaf))
         assert rc == EXIT_IO
         assert f"missing key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("fs", "x"), ("fs", 0), ("fs", -500.0), ("fs", True),
+        ("seed", 1.5), ("seed", "7"),
+        ("partitions.validation[0].label", "PD"), ("partitions.train[0].label", 2),
+        ("partitions.train[0].label", True), ("partitions.test[0].epoch_index", "0"),
+        ("partitions.train[0].subject_id", 3),
+    ])
+    def test_split_index_wrong_value_type(self, prepared, tmp_path, capsys, key, value):
+        rc = _train_on_edited_index(prepared, tmp_path, key,
+                                    lambda obj, leaf: obj.__setitem__(leaf, value))
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(tmp_path / "split" / "split.json") in err and f"'{key}' must be" in err
+
+    @pytest.mark.parametrize("name, damage", [
+        ("train", "truncate"), ("validation", "garbage"), ("test", "empty"),
+        ("train", "2-D"), ("validation", "float32"),
+    ])
+    def test_bad_data_array(self, prepared, tmp_path, capsys, name, damage):
+        split_dir = tmp_path / "split"
+        shutil.copytree(prepared, split_dir)
+        path = split_dir / f"{name}_data.npy"
+        blob = path.read_bytes()
+        stack = np.load(path)
+        if damage == "truncate":
+            path.write_bytes(blob[: len(blob) - 100])
+        elif damage == "garbage":
+            path.write_bytes(b"not an array" * 20)
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "2-D":
+            np.save(path, stack.reshape(stack.shape[0], -1))
+        else:
+            np.save(path, stack.astype(np.float32))
+        rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_IO
+        assert str(path) in capsys.readouterr().err
 
     def test_config_file_and_flag_precedence(self, prepared, tmp_path):
         cfg = {"split": str(prepared), "out": str(tmp_path / "cfg_out"),
@@ -235,3 +282,25 @@ class TestPsd:
         assert rc == EXIT_OK
         lines = (out / "group_psd.csv").read_text().splitlines()
         assert lines[0] == "freq,mean_0,sem_0,mean_1,sem_1"
+
+
+def test_threads_env_set_before_numpy_loads():
+    # BLAS reads its thread count when numpy loads, so EEGCNN_THREADS must be
+    # in the environment by then: record it at the moment numpy is imported
+    code = (
+        "import importlib.abc, os, sys\n"
+        "seen = []\n"
+        "class Spy(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import eegcnn.cli\n"
+        "print(seen)\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(EEGCNN_THREADS="1", PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "['1']"

@@ -85,6 +85,26 @@ class TestLoadSubjectCsv:
         with pytest.raises(CsvFormatError, match="channels"):
             load_subject_csv(path, man.entries[0], man)
 
+    @pytest.mark.parametrize("big_row", [0, 2])
+    def test_cell_over_field_limit_names_row(self, tmp_path, big_row):
+        # a blank line sends the file past the loadtxt path to the row scan,
+        # where csv.reader refuses a cell over its 131072-byte field limit
+        rows = ["1,2", "3,4", "5,6"]
+        rows[big_row] = "0." + "0" * 200_000 + ",1"
+        path = tmp_path / "s0.csv"
+        path.write_text("a,b\n" + "\n".join(rows) + "\n\n7,8\n")
+        man = _manifest(2)
+        with pytest.raises(CsvFormatError, match=f"row {big_row + 1}: field larger") as exc:
+            load_subject_csv(path, man.entries[0], man)
+        assert str(path) in str(exc.value)
+
+    def test_header_cell_over_field_limit(self, tmp_path):
+        path = tmp_path / "s0.csv"
+        path.write_text("a," + "b" * 200_000 + "\n1,2\n")
+        man = _manifest(2)
+        with pytest.raises(CsvFormatError, match="header row: field larger"):
+            load_subject_csv(path, man.entries[0], man)
+
     def test_round_trip_exact(self, tmp_path):
         rec = make_recording(channels=4, n_samples=100, seed=3)
         path = tmp_path / "rt.csv"

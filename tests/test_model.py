@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from eegcnn.model import (
     param_count,
     softmax,
 )
+
+from conftest import reference_backward, reference_forward, reference_unroll
 
 
 def identity_params(channels=2, kernel=3, classes=2):
@@ -212,6 +216,27 @@ class TestBackward:
         g2 = backward(cache, p, 2.0 * gl)
         for k, v in g1.arrays().items():
             np.testing.assert_array_equal(2.0 * v, g2.arrays()[k])
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_cached_unroll_matches_fresh_unroll(self, mode, kernel):
+        # backward reuses the matrix forward multiplied; over consecutive
+        # examples it must give the bits of a backward that unrolls the
+        # example's own input again
+        p = init_params(4, ModelConfig(3, 4, kernel, 2))
+        data = np.random.default_rng(kernel)
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(3):
+            x = data.standard_normal((3, 25))
+            cache = forward(p, x, mode=mode, rng=rng)
+            ref = reference_forward(p, x, mode=mode, rng=ref_rng)
+            np.testing.assert_array_equal(cache.unrolled, reference_unroll(x, kernel))
+            for name in vars(ref):
+                np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name))
+            gl = data.standard_normal(2)
+            got, want = backward(cache, p, gl), reference_backward(ref, p, gl)
+            for f in fields(want):
+                np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
 
     def test_cache_params_mismatch_rejected(self, rng):
         p = init_params(0, ModelConfig(2, 2, 3, 2))

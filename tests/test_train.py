@@ -1,7 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from eegcnn.data import split_dataset
+from eegcnn.data import DatasetSplit, split_dataset
 from eegcnn.checkpoint import load_checkpoint, save_checkpoint
 from eegcnn.metrics import evaluate
 from eegcnn.model import ModelConfig, init_params
@@ -16,7 +18,10 @@ from eegcnn.train import (
     train,
 )
 
-from conftest import make_epoch
+from conftest import make_epoch, reference_backward, reference_forward
+
+# the package binds the name ``train`` to the function, so fetch the module
+train_module = importlib.import_module("eegcnn.train")
 
 
 class TestCrossEntropy:
@@ -169,6 +174,72 @@ class TestTrain:
         assert before.accuracy == after.accuracy
         for k, v in hist.best_checkpoint.arrays().items():
             np.testing.assert_array_equal(v, loaded.arrays()[k])
+
+
+def labelled_split(n_train, n_val, channels=3, epoch_len=40, seed=0):
+    epochs = [
+        make_epoch(channels, epoch_len, label=i % 2, seed=seed + i, subject_id=f"S{i:03d}")
+        for i in range(n_train + n_val)
+    ]
+    return DatasetSplit(train=epochs[:n_train], validation=epochs[n_train:], test=[], seed=seed)
+
+
+class TestTrainMatchesReference:
+    """``train`` gives the bits it gave with the per-example forward and
+    backward it was first written with, which unroll the input twice."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_same_checkpoint_and_history(self, monkeypatch, kernel, batch_size):
+        split = labelled_split(n_train=7, n_val=3)  # last batch ragged for 2 and 3
+        cfg = TrainConfig(batch_size=batch_size, learning_rate=3e-3, epochs=3, seed=kernel)
+        mcfg = ModelConfig(3, 4, kernel, 2)
+        got = train(split, cfg, mcfg)
+        monkeypatch.setattr(train_module, "forward", reference_forward)
+        monkeypatch.setattr(train_module, "backward", reference_backward)
+        want = train(split, cfg, mcfg)
+        assert got.to_json() == want.to_json()
+        for k, v in want.best_checkpoint.arrays().items():
+            np.testing.assert_array_equal(got.best_checkpoint.arrays()[k], v)
+
+    def test_dropout_is_on(self, monkeypatch):
+        # the comparison above covers train-mode forwards that draw a mask
+        masks, real_forward = [], train_module.forward
+
+        def spy(*args, **kwargs):
+            cache = real_forward(*args, **kwargs)
+            masks.append(cache.dropout_mask)
+            return cache
+
+        monkeypatch.setattr(train_module, "forward", spy)
+        train(labelled_split(7, 3), TrainConfig(epochs=1), ModelConfig(3, 4, 3, 2))
+        assert any(np.any(m == 0) for m in masks[:7])
+
+
+class TestOnEpoch:
+    def test_called_once_per_epoch_in_order(self):
+        calls = []
+        hist = train(labelled_split(5, 2), TrainConfig(epochs=4, seed=1),
+                     ModelConfig(3, 2, 3, 2), on_epoch=lambda i, row: calls.append((i, row)))
+        assert [i for i, _ in calls] == [0, 1, 2, 3]
+        assert [row for _, row in calls] == hist.epochs
+
+    def test_called_before_training_ends(self):
+        # the callback sees each row as its epoch ends, not after the last one
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def stop_after_two(i, row):
+            seen.append(i)
+            if i == 1:
+                raise Stop
+
+        with pytest.raises(Stop):
+            train(labelled_split(5, 2), TrainConfig(epochs=5), ModelConfig(3, 2, 3, 2),
+                  on_epoch=stop_after_two)
+        assert seen == [0, 1]
 
 
 class TestFiniteDiffCheck:
