@@ -6,14 +6,19 @@ Byte layout (documented so other implementations can read these files):
      {"format_version": 1,
       "config": {"in_channels", "out_channels", "kernel", "classes"},
       "seed": <int>}
-  2. Raw little-endian float64 arrays, C order, no separators, in this order:
+  2. Raw little-endian float64 arrays, C order, no separators, in
+     ``ModelConfig.param_shapes()`` order:
      conv_weight [out, in, kernel], conv_bias [out],
      fc_weight [classes, out], fc_bias [classes].
+
+This is the order format_version 1 has always used, so files written by
+earlier versions load and re-save to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -22,7 +27,6 @@ import numpy as np
 from .model import ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
-_FIELD_ORDER = ("conv_weight", "conv_bias", "fc_weight", "fc_bias")
 
 
 class CheckpointError(ValueError):
@@ -35,12 +39,11 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
         "config": asdict(params.config),
         "seed": seed,
     }
-    arrays = params.arrays()
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for name in _FIELD_ORDER:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        for name in params.config.param_shapes():
+            fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
@@ -62,24 +65,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
             f"{path}: unsupported format_version {header.get('format_version')}"
         )
     cfg, seed = _header_config(path, header), _header_int(path, header, "seed")
-    shapes = {
-        "conv_weight": (cfg.out_channels, cfg.in_channels, cfg.kernel),
-        "conv_bias": (cfg.out_channels,),
-        "fc_weight": (cfg.classes, cfg.out_channels),
-        "fc_bias": (cfg.classes,),
-    }
+    shapes = cfg.param_shapes()
+    sizes = [math.prod(shape) for shape in shapes.values()]
     body = blob[nl + 1 :]
-    expected = 8 * sum(int(np.prod(s)) for s in shapes.values())
-    if len(body) != expected:
-        raise CheckpointError(f"{path}: payload is {len(body)} bytes, expected {expected}")
-    arrays = {}
-    offset = 0
-    for name in _FIELD_ORDER:
-        n = int(np.prod(shapes[name]))
-        arrays[name] = np.frombuffer(body, dtype="<f8", count=n, offset=offset).reshape(
-            shapes[name]
-        ).astype(np.float64)
-        offset += 8 * n
+    if len(body) != 8 * sum(sizes):
+        raise CheckpointError(f"{path}: payload is {len(body)} bytes, expected {8 * sum(sizes)}")
+    blocks = np.split(np.frombuffer(body, dtype="<f8").astype(np.float64), np.cumsum(sizes)[:-1])
+    arrays = {name: b.reshape(shape) for (name, shape), b in zip(shapes.items(), blocks)}
     return ModelParams(**arrays), seed
 
 

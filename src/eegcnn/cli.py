@@ -29,7 +29,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-_MODEL_KEYS = ("in_channels", "out_channels", "kernel", "classes")
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 _PARTITIONS = ("train", "validation", "test")
 _EPOCH_KEYS = ("subject_id", "epoch_index", "label")
@@ -223,12 +223,24 @@ def _print_epoch(i: int, row: dict) -> None:
     )
 
 
+def _check_channels(split_dir, split: dat.DatasetSplit, model_config: ModelConfig) -> None:
+    """Every epoch of the split must have in_channels channels (exit 2)."""
+    counts = sorted({ep.data.shape[0] for ep in split.train + split.validation + split.test})
+    if counts != [model_config.in_channels]:
+        raise ConfigError(
+            f"in_channels is {model_config.in_channels}, but the split in {split_dir} has "
+            f"{'/'.join(map(str, counts))} channels"
+        )
+
+
 def cmd_train(args, cfg) -> int:
-    split, _ = _read_split(_require(args, cfg, "split"))
-    out_dir = Path(_require(args, cfg, "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    split_dir = _require(args, cfg, "split")
+    split, _ = _read_split(split_dir)
     train_config = _train_config(args, cfg)
     model_config = _model_config(args, cfg)
+    _check_channels(split_dir, split, model_config)
+    out_dir = Path(_require(args, cfg, "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     history = run_training(split, train_config, model_config, on_epoch=_print_epoch)
     ckpt.save_checkpoint(out_dir / "checkpoint.bin", history.best_checkpoint, train_config.seed)
     history.save(out_dir / "history.json")
@@ -275,9 +287,8 @@ def cmd_probe(args, cfg) -> int:
 
 
 def cmd_sweep(args, cfg) -> int:
-    split, _ = _read_split(_require(args, cfg, "split"))
-    out_dir = Path(_require(args, cfg, "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    split_dir = _require(args, cfg, "split")
+    split, _ = _read_split(split_dir)
     parameter = str(_require(args, cfg, "sweep_parameter"))
     values = _setting(args, cfg, "sweep_values", None)
     if values is None:
@@ -291,11 +302,17 @@ def cmd_sweep(args, cfg) -> int:
         base_model_config=_model_config(args, cfg),
         seed_policy=str(_setting(args, cfg, "seed_policy", "fixed")),
     )
+    _check_channels(split_dir, split, sweep.base_model_config)
+    out_dir = Path(_require(args, cfg, "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = exp.run_sweep(sweep, split)
     report.to_csv(out_dir / "ablation.csv")
     for value, err in sorted(report.errors.items()):
         print(f"sweep value {value} failed: {err}", file=sys.stderr)
     print(f"wrote {out_dir / 'ablation.csv'} ({len(report.reports)} points)")
+    if not report.reports:
+        print("error: no sweep point succeeded", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -15,15 +15,6 @@ import numpy as np
 from .model import ModelParams, conv1d_same, forward
 from .preprocess import welch_psd_batch
 
-# Conventional EEG band boundaries (Hz), for plot annotation only.
-FREQ_BANDS = {
-    "delta": (0.1, 4.0),
-    "theta": (4.0, 8.0),
-    "alpha": (8.0, 13.0),
-    "beta": (13.0, 30.0),
-    "gamma": (30.0, None),
-}
-
 
 @dataclass(frozen=True)
 class ProbeSpec:

@@ -6,7 +6,7 @@ All math is float64. The backward pass is hand-derived; there is no autodiff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,24 +27,39 @@ class ModelConfig:
         if min(self.in_channels, self.out_channels, self.kernel, self.classes) < 1:
             raise ValueError(f"all model dimensions must be positive: {self}")
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of each ModelParams block, in field order."""
+        return {
+            "conv_weight": (self.out_channels, self.in_channels, self.kernel),
+            "conv_bias": (self.out_channels,),
+            "fc_weight": (self.classes, self.out_channels),
+            "fc_bias": (self.classes,),
+        }
+
 
 @dataclass(frozen=True)
 class ModelParams:
-    conv_weight: np.ndarray  # [out_channels, in_channels, kernel]
-    conv_bias: np.ndarray  # [out_channels]
-    fc_weight: np.ndarray  # [classes, out_channels]
-    fc_bias: np.ndarray  # [classes]
+    """One value per parameter block: the weights, or their gradients, or an
+    Adam moment of them. Each block has its ``ModelConfig.param_shapes()``
+    shape for the config that conv_weight and fc_weight give."""
+
+    conv_weight: np.ndarray
+    conv_bias: np.ndarray
+    fc_weight: np.ndarray
+    fc_bias: np.ndarray
 
     def __post_init__(self):
-        out_c, in_c, kernel = self.conv_weight.shape
-        if kernel % 2 == 0:
-            raise ValueError(f"kernel must be odd, got {kernel}")
-        if self.conv_bias.shape != (out_c,):
-            raise ValueError("conv_bias shape does not match conv_weight")
-        if self.fc_weight.shape[1] != out_c:
-            raise ValueError("fc_weight input size does not match conv output channels")
-        if self.fc_bias.shape != (self.fc_weight.shape[0],):
-            raise ValueError("fc_bias shape does not match fc_weight")
+        try:
+            config = self.config
+        except (ValueError, IndexError) as exc:  # wrong ndim, even kernel or a zero size
+            raise ValueError(
+                f"conv_weight {self.conv_weight.shape} and fc_weight {self.fc_weight.shape} "
+                f"give no model config ({exc})"
+            ) from None
+        for name, shape in config.param_shapes().items():
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape} for {config}")
 
     @property
     def config(self) -> ModelConfig:
@@ -52,28 +67,7 @@ class ModelParams:
         return ModelConfig(in_c, out_c, kernel, self.fc_weight.shape[0])
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "conv_weight": self.conv_weight,
-            "conv_bias": self.conv_bias,
-            "fc_weight": self.fc_weight,
-            "fc_bias": self.fc_bias,
-        }
-
-
-@dataclass(frozen=True)
-class Gradients:
-    conv_weight: np.ndarray
-    conv_bias: np.ndarray
-    fc_weight: np.ndarray
-    fc_bias: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "conv_weight": self.conv_weight,
-            "conv_bias": self.conv_bias,
-            "fc_weight": self.fc_weight,
-            "fc_bias": self.fc_bias,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -101,15 +95,14 @@ class ForwardCache:
 def init_params(seed: int, config: ModelConfig = ModelConfig()) -> ModelParams:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases."""
     rng = np.random.default_rng(seed)
+    shapes = config.param_shapes()
     s_conv = 1.0 / np.sqrt(config.in_channels * config.kernel)
     s_fc = 1.0 / np.sqrt(config.out_channels)
     return ModelParams(
-        conv_weight=rng.uniform(
-            -s_conv, s_conv, size=(config.out_channels, config.in_channels, config.kernel)
-        ),
-        conv_bias=np.zeros(config.out_channels),
-        fc_weight=rng.uniform(-s_fc, s_fc, size=(config.classes, config.out_channels)),
-        fc_bias=np.zeros(config.classes),
+        conv_weight=rng.uniform(-s_conv, s_conv, size=shapes["conv_weight"]),
+        conv_bias=np.zeros(shapes["conv_bias"]),
+        fc_weight=rng.uniform(-s_fc, s_fc, size=shapes["fc_weight"]),
+        fc_bias=np.zeros(shapes["fc_bias"]),
     )
 
 
@@ -189,7 +182,7 @@ def forward(
     )
 
 
-def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> Gradients:
+def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> ModelParams:
     """Exact parameter gradients of the logit-weighted loss for one input."""
     out_c, in_c, kernel = params.conv_weight.shape
     if (cache.conv_pre_act.shape[0] != out_c or cache.input.shape[0] != in_c
@@ -208,7 +201,7 @@ def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) 
     d_conv_bias = d_pre.sum(axis=1)
     d_conv_weight = (d_pre @ cache.unrolled.T).reshape(out_c, in_c, kernel)
 
-    return Gradients(
+    return ModelParams(
         conv_weight=d_conv_weight,
         conv_bias=d_conv_bias,
         fc_weight=d_fc_weight,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy import signal as sps
@@ -25,28 +24,6 @@ class FilterCoeffs:
         poles = np.roots(self.a)
         if poles.size and np.max(np.abs(poles)) >= 1.0:
             raise ValueError("unstable filter: pole on or outside the unit circle")
-
-
-@dataclass(frozen=True)
-class PsdEstimate:
-    freqs: np.ndarray  # Hz, 0..fs/2
-    power: np.ndarray  # amplitude^2 / Hz, one-sided density
-    window_len: int
-    overlap: float
-
-    def __post_init__(self):
-        if self.freqs.shape != self.power.shape:
-            raise ValueError("freqs and power must have equal length")
-        if np.any(np.diff(self.freqs) <= 0):
-            raise ValueError("frequency axis must be strictly increasing")
-        if np.any(self.power < 0):
-            raise ValueError("PSD power must be non-negative")
-
-    def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w") as fh:
-            fh.write("freq,power\n")
-            for f, p in zip(self.freqs.tolist(), self.power.tolist()):
-                fh.write(f"{f!r},{p!r}\n")
 
 
 def design_highpass(cutoff_hz: float, order: int, fs: float) -> FilterCoeffs:
@@ -88,33 +65,18 @@ def filter_recording(coeffs: FilterCoeffs, rec: SubjectRecording) -> SubjectReco
     return replace(rec, samples=apply_zero_phase(coeffs, rec.samples))
 
 
-def welch_psd(
-    x: np.ndarray,
-    fs: float,
-    window_len: int | None = None,
-    overlap: float = 0.5,
-) -> PsdEstimate:
-    """Hann-windowed averaged periodogram, one-sided density normalization.
-
-    Default window is 1 s (fs samples) with 50% overlap, so the frequency grid
-    has 1 Hz spacing at integer sampling rates.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"welch_psd expects a 1D signal, got ndim={x.ndim}")
-    freqs, power = welch_psd_batch(x, fs, window_len, overlap)
-    if window_len is None:
-        window_len = int(round(fs))
-    return PsdEstimate(freqs=freqs, power=power, window_len=window_len, overlap=overlap)
-
-
 def welch_psd_batch(
     x: np.ndarray,
     fs: float,
     window_len: int | None = None,
     overlap: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """welch_psd over the last axis of an N-D array; returns (freqs, power)."""
+    """Hann-windowed averaged periodogram over the last axis, one-sided
+    density normalization; returns (freqs, power).
+
+    Default window is 1 s (fs samples) with 50% overlap, so the frequency grid
+    has 1 Hz spacing at integer sampling rates.
+    """
     x = np.asarray(x, dtype=np.float64)
     if window_len is None:
         window_len = int(round(fs))

@@ -1,4 +1,4 @@
-"""Cross-entropy loss, Adam, the training loop and a finite-difference oracle."""
+"""Cross-entropy loss, Adam and the training loop."""
 
 from __future__ import annotations
 
@@ -10,14 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .data import DatasetSplit, Epoch
-from .model import (
-    Gradients,
-    ModelConfig,
-    ModelParams,
-    backward,
-    forward,
-    init_params,
-)
+from .model import ModelConfig, ModelParams, backward, forward, init_params
 
 
 class TrainingDivergedError(RuntimeError):
@@ -45,8 +38,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: Gradients
-    v: Gradients
+    m: ModelParams
+    v: ModelParams
     t: int = 0
 
 
@@ -75,12 +68,14 @@ def cross_entropy(probs: np.ndarray, label: int) -> tuple[float, np.ndarray]:
 
 
 def init_adam(params: ModelParams) -> AdamState:
-    zeros = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-    return AdamState(m=Gradients(**zeros), v=Gradients(**{k: v.copy() for k, v in zeros.items()}))
+    def zeros() -> ModelParams:
+        return ModelParams(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
+
+    return AdamState(m=zeros(), v=zeros())
 
 
 def adam_step(
-    state: AdamState, params: ModelParams, grads: Gradients, config: TrainConfig
+    state: AdamState, params: ModelParams, grads: ModelParams, config: TrainConfig
 ) -> tuple[AdamState, ModelParams]:
     """One Adam update with bias correction; returns fresh state and params."""
     for name, g in grads.arrays().items():
@@ -101,7 +96,7 @@ def adam_step(
         new_p[name] = p_arrays[name] - config.learning_rate * m_hat / (
             np.sqrt(v_hat) + config.adam_eps
         )
-    return AdamState(m=Gradients(**new_m), v=Gradients(**new_v), t=t), ModelParams(**new_p)
+    return AdamState(m=ModelParams(**new_m), v=ModelParams(**new_v), t=t), ModelParams(**new_p)
 
 
 def _eval_pass(params: ModelParams, epochs: list[Epoch]) -> tuple[float, float]:
@@ -151,14 +146,10 @@ def train(
                         f"non-finite loss at epoch {epoch_idx}, batch {start // config.batch_size}"
                     )
                 epoch_losses.append(loss)
-                g = backward(cache, params, grad_logits)
+                g = backward(cache, params, grad_logits).arrays()
                 del cache  # frees the unrolled input before the next forward
-                if grad_sum is None:
-                    grad_sum = {k: v.copy() for k, v in g.arrays().items()}
-                else:
-                    for k, v in g.arrays().items():
-                        grad_sum[k] += v
-            grads = Gradients(**{k: v / len(batch) for k, v in grad_sum.items()})
+                grad_sum = g if grad_sum is None else {k: grad_sum[k] + v for k, v in g.items()}
+            grads = ModelParams(**{k: v / len(batch) for k, v in grad_sum.items()})
             state, params = adam_step(state, params, grads, config)
         val_loss, val_acc = _eval_pass(params, data.validation)
         row = {
@@ -173,47 +164,3 @@ def train(
         if best is None or key > best[0]:
             best = (key, epoch_idx, params)
     return TrainHistory(epochs=history, best_epoch=best[1], best_checkpoint=best[2])
-
-
-def finite_diff_check(params: ModelParams, epoch: Epoch, eps: float = 1e-5) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    Dropout is disabled (eval-mode gradients) so the loss is deterministic.
-    Intended for small models only.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    total = sum(a.size for a in params.arrays().values())
-    if total > 10_000:
-        raise ValueError(f"model too large for finite differences ({total} parameters)")
-
-    cache = forward(params, epoch.data, mode="eval")
-    _, grad_logits = cross_entropy(cache.probs, epoch.label)
-    analytic = backward(cache, params, grad_logits)
-
-    def probe(p: ModelParams) -> tuple[float, np.ndarray]:
-        c = forward(p, epoch.data, mode="eval")
-        return cross_entropy(c.probs, epoch.label)[0], c.relu_mask
-
-    worst = 0.0
-    arrays = {k: v.copy() for k, v in params.arrays().items()}
-    for name, arr in arrays.items():
-        a_grad = analytic.arrays()[name]
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp, mask_p = probe(ModelParams(**arrays))
-            flat[i] = orig - eps
-            lm, mask_m = probe(ModelParams(**arrays))
-            flat[i] = orig
-            if not np.array_equal(mask_p, mask_m):
-                # perturbation crosses a ReLU kink; the loss is not
-                # differentiable there, so central differences are meaningless
-                continue
-            numeric = (lp - lm) / (2 * eps)
-            a = a_grad.reshape(-1)[i]
-            scale = max(abs(a), abs(numeric))
-            err = abs(a - numeric) if scale < 1e-10 else abs(a - numeric) / scale
-            worst = max(worst, err)
-    return worst

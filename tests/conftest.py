@@ -5,7 +5,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from eegcnn.data import Epoch, SubjectRecording
-from eegcnn.model import DROPOUT_RATE, Gradients, softmax
+from eegcnn.model import DROPOUT_RATE, ModelParams, backward, forward, softmax
+from eegcnn.train import cross_entropy
 
 
 @pytest.fixture
@@ -71,9 +72,54 @@ def reference_backward(cache, params, grad_logits):
     d_pooled = params.fc_weight.T @ grad_logits
     d_pre = (d_pooled[:, None] / t) * cache.dropout_mask * cache.relu_mask
     xm = reference_unroll(cache.input, kernel)
-    return Gradients(
+    return ModelParams(
         conv_weight=(d_pre @ xm.T).reshape(out_c, in_c, kernel),
         conv_bias=d_pre.sum(axis=1),
         fc_weight=np.outer(grad_logits, cache.pooled),
         fc_bias=grad_logits.copy(),
     )
+
+
+def finite_diff_check(params: ModelParams, epoch: Epoch, eps: float = 1e-5) -> float:
+    """Worst relative error between analytic and central-difference gradients.
+
+    Dropout is disabled (eval-mode gradients) so the loss is deterministic.
+    Intended for small models only. The independent gradient oracle of the
+    model tests and the acceptance suite.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    total = sum(a.size for a in params.arrays().values())
+    if total > 10_000:
+        raise ValueError(f"model too large for finite differences ({total} parameters)")
+
+    cache = forward(params, epoch.data, mode="eval")
+    _, grad_logits = cross_entropy(cache.probs, epoch.label)
+    analytic = backward(cache, params, grad_logits)
+
+    def probe(p: ModelParams) -> tuple[float, np.ndarray]:
+        c = forward(p, epoch.data, mode="eval")
+        return cross_entropy(c.probs, epoch.label)[0], c.relu_mask
+
+    worst = 0.0
+    arrays = {k: v.copy() for k, v in params.arrays().items()}
+    for name, arr in arrays.items():
+        a_grad = analytic.arrays()[name]
+        flat = arr.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            lp, mask_p = probe(ModelParams(**arrays))
+            flat[i] = orig - eps
+            lm, mask_m = probe(ModelParams(**arrays))
+            flat[i] = orig
+            if not np.array_equal(mask_p, mask_m):
+                # perturbation crosses a ReLU kink; the loss is not
+                # differentiable there, so central differences are meaningless
+                continue
+            numeric = (lp - lm) / (2 * eps)
+            a = a_grad.reshape(-1)[i]
+            scale = max(abs(a), abs(numeric))
+            err = abs(a - numeric) if scale < 1e-10 else abs(a - numeric) / scale
+            worst = max(worst, err)
+    return worst

@@ -19,8 +19,9 @@ from eegcnn.metrics import evaluate, roc_auc
 from eegcnn.model import ModelConfig, ModelParams, forward, init_params, param_count
 from eegcnn.preprocess import design_highpass, gain_db
 from eegcnn.synth import synthetic_dataset
-from eegcnn.train import TrainConfig, finite_diff_check, train
+from eegcnn.train import TrainConfig, train
 
+from conftest import finite_diff_check
 from test_metrics import pair_counting_auc
 
 

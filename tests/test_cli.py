@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from eegcnn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from eegcnn.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from eegcnn.data import write_subject_csv
 from eegcnn.synth import synthetic_dataset
 
@@ -269,10 +269,51 @@ class TestSweep:
         lines = (out / "ablation.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_point_succeeded(self, prepared, tmp_path, capsys):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({"learning_rate": 1e300}))  # every point diverges
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(cfg), "--split", str(prepared), "--out", str(out),
+                   "--sweep-parameter", "kernel_size", "--sweep-values", "3,5",
+                   "--epochs", "2", "--in-channels", str(CHANNELS), "--out-channels", "2"])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        for value in (3, 5):
+            assert f"sweep value {value} failed: TrainingDivergedError" in err
+        assert "no sweep point succeeded" in err
+        assert len((out / "ablation.csv").read_text().splitlines()) == 1
+
     def test_missing_values_rejected(self, prepared, tmp_path):
         rc = main(["sweep", "--split", str(prepared), "--out", str(tmp_path / "o"),
                    "--sweep-parameter", "kernel_size"])
         assert rc == EXIT_CONFIG
+
+
+class TestChannelCount:
+    """train and sweep check the split's channel count against in_channels
+    before any training."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_mismatch_rejected(self, prepared, tmp_path, capsys, command):
+        argv = [command, "--split", str(prepared), "--out", str(tmp_path / "o"), "--epochs", "1"]
+        if command == "sweep":
+            argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3,5"]
+        rc = main(argv)  # in_channels keeps its default of 59
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"in_channels is 59, but the split in {prepared} has {CHANNELS} channels" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_partitions_disagree(self, prepared, tmp_path, capsys):
+        split_dir = tmp_path / "split"
+        shutil.copytree(prepared, split_dir)
+        stack = np.load(split_dir / "test_data.npy")
+        np.save(split_dir / "test_data.npy", stack[:, : CHANNELS - 1])
+        rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o"),
+                   "--epochs", "1", "--in-channels", str(CHANNELS)])
+        assert rc == EXIT_CONFIG
+        assert f"has {CHANNELS - 1}/{CHANNELS} channels" in capsys.readouterr().err
 
 
 class TestPsd:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from eegcnn.interpret import (
-    FREQ_BANDS,
     ProbeSpec,
     conv_filter_response,
     fir_power_response,
@@ -57,9 +56,6 @@ class TestProbeSpec:
     def test_zero_repeats_rejected(self):
         with pytest.raises(ValueError):
             ProbeSpec(repeats_sine=0)
-
-    def test_band_constants(self):
-        assert FREQ_BANDS["beta"] == (13.0, 30.0)
 
 
 class TestGenSinusoidProbe:

@@ -62,6 +62,34 @@ class TestInitParams:
         assert np.all(p.conv_bias == 0) and np.all(p.fc_bias == 0)
 
 
+class TestModelParams:
+    CONFIG = ModelConfig(in_channels=2, out_channels=4, kernel=3, classes=3)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("conv_weight", (4, 2)),  # not 3-D
+        ("conv_weight", (4, 2, 4)),  # even kernel
+        ("conv_bias", (5,)),
+        ("conv_bias", (4, 1)),
+        ("fc_weight", (3, 5)),
+        ("fc_weight", (3,)),
+        ("fc_bias", (2,)),
+        ("fc_bias", ()),
+    ])
+    def test_wrong_block_shape_names_block(self, name, shape):
+        arrays = init_params(0, self.CONFIG).arrays()
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ValueError) as exc:
+            ModelParams(**arrays)
+        message = str(exc.value)
+        assert message.startswith(f"{name} ") and str(shape) in message
+
+    def test_arrays_in_param_shapes_order(self):
+        p = init_params(0, self.CONFIG)
+        assert p.config == self.CONFIG
+        assert list(p.arrays()) == list(self.CONFIG.param_shapes())
+        assert {k: v.shape for k, v in p.arrays().items()} == self.CONFIG.param_shapes()
+
+
 class TestParamCount:
     def test_custom_config(self):
         p = init_params(0, ModelConfig(20, 20, 11, 2))
@@ -246,10 +274,11 @@ class TestBackward:
             backward(cache, other, np.ones(2))
 
     def test_finite_difference_tiny_model(self):
-        # independent oracle lives in train.finite_diff_check; exercised here
-        # on one fixed instance and heavily in the acceptance suite
+        # independent oracle lives in conftest.finite_diff_check; exercised
+        # here on one fixed instance and heavily in the acceptance suite
         from eegcnn.data import Epoch
-        from eegcnn.train import finite_diff_check
+
+        from conftest import finite_diff_check
 
         p = init_params(7, ModelConfig(2, 2, 3, 2))
         ep = Epoch(

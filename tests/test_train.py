@@ -6,19 +6,18 @@ import pytest
 from eegcnn.data import DatasetSplit, split_dataset
 from eegcnn.checkpoint import load_checkpoint, save_checkpoint
 from eegcnn.metrics import evaluate
-from eegcnn.model import ModelConfig, init_params
+from eegcnn.model import ModelConfig, ModelParams, init_params
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import (
     TrainConfig,
     TrainingDivergedError,
     adam_step,
     cross_entropy,
-    finite_diff_check,
     init_adam,
     train,
 )
 
-from conftest import make_epoch, reference_backward, reference_forward
+from conftest import finite_diff_check, make_epoch, reference_backward, reference_forward
 
 # the package binds the name ``train`` to the function, so fetch the module
 train_module = importlib.import_module("eegcnn.train")
@@ -58,9 +57,7 @@ class TestAdamStep:
         return init_adam(params), params, TrainConfig(learning_rate=lr)
 
     def _grads_like(self, params, value):
-        from eegcnn.model import Gradients
-
-        return Gradients(**{k: np.full_like(v, value) for k, v in params.arrays().items()})
+        return ModelParams(**{k: np.full_like(v, value) for k, v in params.arrays().items()})
 
     def test_first_step_magnitude_is_lr(self):
         state, params, cfg = self._setup(lr=1e-3)
@@ -88,13 +85,11 @@ class TestAdamStep:
 
     def test_scale_invariant_update_signs(self):
         state, params, cfg = self._setup()
-        from eegcnn.model import Gradients
-
         rng = np.random.default_rng(4)
         g = {k: rng.standard_normal(v.shape) for k, v in params.arrays().items()}
-        _, p1 = adam_step(state, params, Gradients(**g), cfg)
+        _, p1 = adam_step(state, params, ModelParams(**g), cfg)
         state2, _, _ = self._setup()
-        _, p2 = adam_step(state2, params, Gradients(**{k: 100 * v for k, v in g.items()}), cfg)
+        _, p2 = adam_step(state2, params, ModelParams(**{k: 100 * v for k, v in g.items()}), cfg)
         for k in params.arrays():
             d1 = np.sign(p1.arrays()[k] - params.arrays()[k])
             d2 = np.sign(p2.arrays()[k] - params.arrays()[k])
@@ -105,10 +100,8 @@ class TestAdamStep:
         grads = self._grads_like(params, 1.0)
         bad = grads.arrays()
         bad["fc_weight"] = np.full_like(bad["fc_weight"], np.nan)
-        from eegcnn.model import Gradients
-
         with pytest.raises(TrainingDivergedError, match="fc_weight"):
-            adam_step(state, params, Gradients(**bad), cfg)
+            adam_step(state, params, ModelParams(**bad), cfg)
 
 
 def quick_split(seed=3, channels=4, fs=100.0, n_subjects=8, n_epochs=4, snr_db=10.0):
@@ -201,6 +194,37 @@ class TestTrainMatchesReference:
         assert got.to_json() == want.to_json()
         for k, v in want.best_checkpoint.arrays().items():
             np.testing.assert_array_equal(got.best_checkpoint.arrays()[k], v)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_batch_gradient_is_mean_of_examples(self, monkeypatch, batch_size):
+        # each Adam step gets (g1 + g2 + ...) / B of its batch's gradients,
+        # summed left to right
+        examples, steps = [], []
+        real_backward, real_adam_step = train_module.backward, train_module.adam_step
+
+        def backward_spy(*args):
+            examples.append(real_backward(*args))
+            return examples[-1]
+
+        def adam_step_spy(state, params, grads, config):
+            steps.append(grads)
+            return real_adam_step(state, params, grads, config)
+
+        monkeypatch.setattr(train_module, "backward", backward_spy)
+        monkeypatch.setattr(train_module, "adam_step", adam_step_spy)
+        train(labelled_split(7, 3), TrainConfig(batch_size=batch_size, epochs=2),
+              ModelConfig(3, 4, 3, 2))
+        sizes = [min(batch_size, 7 - start) for start in range(0, 7, batch_size)] * 2
+        assert len(steps) == len(sizes) and len(examples) == 14
+        first = 0
+        for grads, size in zip(steps, sizes):
+            batch = examples[first : first + size]
+            first += size
+            for name, got in grads.arrays().items():
+                want = getattr(batch[0], name)
+                for g in batch[1:]:
+                    want = want + getattr(g, name)
+                np.testing.assert_array_equal(got, want / size)
 
     def test_dropout_is_on(self, monkeypatch):
         # the comparison above covers train-mode forwards that draw a mask
