@@ -56,7 +56,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
         raise CheckpointError(f"{path}: missing header terminator")
     try:
         header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad JSON header ({exc})") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")

@@ -1,5 +1,9 @@
 """Command-line surface: prepare, train, evaluate, probe, sweep, psd.
 
+Each subcommand's settings are declared once, in ``SETTINGS``. A setting
+``a_b`` is the flag ``--a-b`` and the key ``a_b`` of a flat JSON ``--config``
+file; a flag beats the file, and the file beats the default.
+
 Exit codes: 0 success, 2 config/parse error, 3 I/O error, 4 numeric divergence.
 Set EEGCNN_THREADS to cap BLAS thread counts; the package applies it when it
 is imported, which the entry point does before numpy is loaded.
@@ -29,27 +33,73 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
-_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 _PARTITIONS = ("train", "validation", "test")
-_EPOCH_KEYS = ("subject_id", "epoch_index", "label")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_positive(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < float("inf")
 
 
 # split.json values: key -> (test, what the value must be)
-_INDEX_VALUES = {"seed": (_is_int, "an integer"), "fs": (_is_positive, "a positive number")}
-_EPOCH_VALUES = {
-    "subject_id": (lambda v: isinstance(v, str), "a string"),
-    "epoch_index": (_is_int, "an integer"),
-    "label": (lambda v: _is_int(v) and v in (0, 1), "0 or 1"),
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_INDEX_VALUES = {
+    "seed": (dat.is_int, "an integer"),
+    "fs": (dat.is_positive, "a positive number"),
+    "subject_assignment": _OBJECT,
+    "partitions": _OBJECT,
 }
+_PARTITION_VALUES = {name: (lambda v: isinstance(v, list), "a list") for name in _PARTITIONS}
+_EPOCH_VALUES = {
+    "subject_id": (dat.is_str, "a string"),
+    "epoch_index": (dat.is_int, "an integer"),
+    "label": (lambda v: dat.is_int(v) and v in (0, 1), "0 or 1"),
+}
+
+
+def _int_list(v) -> tuple[int, ...] | None:
+    """A list of integers, or a comma-separated string of them; None otherwise."""
+    if isinstance(v, str):
+        try:
+            return tuple(int(s) for s in v.split(","))
+        except ValueError:
+            return None
+    if isinstance(v, list) and all(map(dat.is_int, v)):
+        return tuple(v)
+    return None
+
+
+# setting type -> (flag parser, value -> setting or None if rejected, what it must be)
+_TYPES = {
+    int: (int, lambda v: v if dat.is_int(v) else None, "an integer"),
+    float: (float, lambda v: float(v) if dat.is_number(v) else None, "a finite number"),
+    str: (str, lambda v: v if dat.is_str(v) else None, "a string"),
+    tuple: (str, _int_list, "comma-separated integers or a list of them"),
+}
+
+
+def _fields(cls, skip: tuple[str, ...] = ()) -> dict:
+    return {f.name: (type(f.default), f.default) for f in fields(cls) if f.name not in skip}
+
+
+_PATH = (str, None)
+_MODEL = _fields(ModelConfig)
+_TRAIN = _fields(TrainConfig)
+
+# command -> setting -> (type, default); a None default marks a required setting
+SETTINGS = {
+    "prepare": {
+        "manifest": _PATH, "out": _PATH, "seed": (int, 0),
+        "cutoff_hz": (float, 1.0), "filter_order": (int, 4), "epoch_seconds": (float, 5.0),
+    },
+    "train": {"split": _PATH, "out": _PATH, **_TRAIN, **_MODEL},
+    "evaluate": {"checkpoint": _PATH, "split": _PATH, "out": _PATH},
+    "probe": {
+        "checkpoint": _PATH, "out": _PATH,
+        **_fields(itp.ProbeSpec, skip=("channels", "frequencies")),
+    },
+    "sweep": {
+        "split": _PATH, "out": _PATH, "sweep_parameter": (str, None),
+        "sweep_values": (tuple, None), "seed_policy": (str, "fixed"), **_TRAIN, **_MODEL,
+    },
+    "psd": {"split": _PATH, "out": _PATH},
+}
+_KNOWN = set().union(*SETTINGS.values())
 
 
 class ConfigError(ValueError):
@@ -68,36 +118,40 @@ def _load_config_file(path: str | None) -> dict:
         raise FileNotFoundError(f"config file not found: {p}")
     try:
         cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: config must be a flat JSON object")
+    unknown = sorted(cfg.keys() - _KNOWN)
+    if unknown:
+        raise ConfigError(f"{p}: unknown setting(s) {', '.join(map(repr, unknown))}")
     return cfg
 
 
-def _setting(args: argparse.Namespace, cfg: dict, key: str, default):
-    """Precedence: command-line flag > config file > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+def resolve_settings(args: argparse.Namespace) -> dict:
+    """Each setting of ``args.command``: flag > config file > default. Flag
+    and file values must have the setting's type (ConfigError otherwise)."""
+    cfg = _load_config_file(args.config)
+    settings = {}
+    for key, (kind, default) in SETTINGS[args.command].items():
+        flag = getattr(args, key)
+        if flag is None and key not in cfg:
+            if default is None:
+                raise ConfigError(f"missing required setting '{key}' (flag or config file)")
+            settings[key] = default
+            continue
+        raw = flag if flag is not None else cfg[key]
+        _, parse, what = _TYPES[kind]
+        settings[key] = parse(raw)
+        if settings[key] is None:
+            source = f"--{key.replace('_', '-')}" if flag is not None else args.config
+            raise ConfigError(f"{source}: '{key}' must be {what}, got {json.dumps(raw)}")
+    return settings
 
 
-def _model_config(args, cfg) -> ModelConfig:
-    defaults = ModelConfig()
-    kwargs = {k: int(_setting(args, cfg, k, getattr(defaults, k))) for k in _MODEL_KEYS}
-    return ModelConfig(**kwargs)
-
-
-def _train_config(args, cfg) -> TrainConfig:
-    defaults = TrainConfig()
-    kwargs = {}
-    for k in _TRAIN_KEYS:
-        v = _setting(args, cfg, k, getattr(defaults, k))
-        kwargs[k] = type(getattr(defaults, k))(v)
-    return TrainConfig(**kwargs)
+def _build(cls, settings: dict, **extra):
+    """``cls`` built from the settings named after its fields."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings}, **extra)
 
 
 def _write_split(out_dir: Path, split: dat.DatasetSplit, fs: float) -> None:
@@ -128,20 +182,18 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
         raise FileNotFoundError(f"split index not found: {index_path}")
     try:
         index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SplitError(f"{index_path}: invalid JSON ({exc})") from exc
-    _require_keys(index_path, index, "", ("seed", "fs", "subject_assignment", "partitions"))
-    _require_values(index_path, index, "", _INDEX_VALUES)
-    _require_keys(index_path, index["partitions"], "partitions.", _PARTITIONS)
+    dat.check_object(index_path, index, "", _INDEX_VALUES, SplitError)
+    dat.check_object(index_path, index["partitions"], "partitions.", _PARTITION_VALUES, SplitError)
     parts = {}
     for name in _PARTITIONS:
         stack = _load_stack(split_dir / f"{name}_data.npy")
         entries = index["partitions"][name]
-        if not isinstance(entries, list) or len(entries) != stack.shape[0]:
+        if len(entries) != stack.shape[0]:
             raise SplitError(f"{split_dir}: {name} index/data length mismatch")
         for i, e in enumerate(entries):
-            _require_keys(index_path, e, f"partitions.{name}[{i}].", _EPOCH_KEYS)
-            _require_values(index_path, e, f"partitions.{name}[{i}].", _EPOCH_VALUES)
+            dat.check_object(index_path, e, f"partitions.{name}[{i}].", _EPOCH_VALUES, SplitError)
         parts[name] = [
             dat.Epoch(
                 data=stack[i],
@@ -161,20 +213,6 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
     return split, float(index["fs"])
 
 
-def _require_keys(path: Path, obj, prefix: str, keys: tuple[str, ...]) -> None:
-    if not isinstance(obj, dict):
-        raise SplitError(f"{path}: '{prefix.rstrip('.') or 'split index'}' is not an object")
-    for key in keys:
-        if key not in obj:
-            raise SplitError(f"{path}: missing key '{prefix}{key}'")
-
-
-def _require_values(path: Path, obj: dict, prefix: str, checks: dict) -> None:
-    for key, (ok, what) in checks.items():
-        if not ok(obj[key]):
-            raise SplitError(f"{path}: '{prefix}{key}' must be {what}, got {obj[key]!r}")
-
-
 def _load_stack(path: Path) -> np.ndarray:
     """One partition's [epochs, channels, samples] float64 stack."""
     try:
@@ -188,24 +226,11 @@ def _load_stack(path: Path) -> np.ndarray:
     return stack
 
 
-def cmd_prepare(args, cfg) -> int:
-    manifest = dat.load_manifest(_require(args, cfg, "manifest"))
-    out_dir = Path(_require(args, cfg, "out"))
-    seed = int(_setting(args, cfg, "seed", 0))
-    cutoff = float(_setting(args, cfg, "cutoff_hz", 1.0))
-    order = int(_setting(args, cfg, "filter_order", 4))
-    epoch_seconds = float(_setting(args, cfg, "epoch_seconds", 5.0))
-    coeffs = pre.design_highpass(cutoff, order, manifest.fs)
-    base = Path(_require(args, cfg, "manifest")).parent
-    subjects = []
-    for entry in manifest.entries:
-        path = Path(entry.file)
-        if not path.is_absolute():
-            path = base / path
-        rec = dat.load_subject_csv(path, entry, manifest)
-        subjects.append(pre.filter_recording(coeffs, rec))
-    split = dat.split_dataset(subjects, seed=seed, epoch_seconds=epoch_seconds)
-    _write_split(out_dir, split, manifest.fs)
+def cmd_prepare(s: dict) -> int:
+    manifest = dat.load_manifest(s["manifest"])
+    subjects = pre.load_filtered(manifest, s["cutoff_hz"], s["filter_order"])
+    split = dat.split_dataset(subjects, seed=s["seed"], epoch_seconds=s["epoch_seconds"])
+    _write_split(Path(s["out"]), split, manifest.fs)
     counts = {
         name: sum(1 for v in split.subject_assignment.values() if v == name)
         for name in _PARTITIONS
@@ -233,13 +258,12 @@ def _check_channels(split_dir, split: dat.DatasetSplit, model_config: ModelConfi
         )
 
 
-def cmd_train(args, cfg) -> int:
-    split_dir = _require(args, cfg, "split")
-    split, _ = _read_split(split_dir)
-    train_config = _train_config(args, cfg)
-    model_config = _model_config(args, cfg)
-    _check_channels(split_dir, split, model_config)
-    out_dir = Path(_require(args, cfg, "out"))
+def cmd_train(s: dict) -> int:
+    split, _ = _read_split(s["split"])
+    train_config = _build(TrainConfig, s)
+    model_config = _build(ModelConfig, s)
+    _check_channels(s["split"], split, model_config)
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     history = run_training(split, train_config, model_config, on_epoch=_print_epoch)
     ckpt.save_checkpoint(out_dir / "checkpoint.bin", history.best_checkpoint, train_config.seed)
@@ -248,10 +272,10 @@ def cmd_train(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args, cfg) -> int:
-    params, _ = ckpt.load_checkpoint(_require(args, cfg, "checkpoint"))
-    split, _ = _read_split(_require(args, cfg, "split"))
-    out_dir = Path(_require(args, cfg, "out"))
+def cmd_evaluate(s: dict) -> int:
+    params, _ = ckpt.load_checkpoint(s["checkpoint"])
+    split, _ = _read_split(s["split"])
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = met.evaluate(params, split.test)
     report.save(out_dir / "metrics.json", out_dir / "metrics.csv")
@@ -259,24 +283,11 @@ def cmd_evaluate(args, cfg) -> int:
     return EXIT_OK
 
 
-def _probe_spec(args, cfg, model_config_hint: int) -> itp.ProbeSpec:
-    defaults = itp.ProbeSpec()
-    return itp.ProbeSpec(
-        fs=float(_setting(args, cfg, "fs", defaults.fs)),
-        epoch_len=int(_setting(args, cfg, "epoch_len", defaults.epoch_len)),
-        channels=model_config_hint,
-        amplitude=float(_setting(args, cfg, "amplitude", defaults.amplitude)),
-        repeats_sine=int(_setting(args, cfg, "repeats_sine", defaults.repeats_sine)),
-        repeats_noise=int(_setting(args, cfg, "repeats_noise", defaults.repeats_noise)),
-        seed=int(_setting(args, cfg, "seed", defaults.seed)),
-    )
-
-
-def cmd_probe(args, cfg) -> int:
-    params, _ = ckpt.load_checkpoint(_require(args, cfg, "checkpoint"))
-    out_dir = Path(_require(args, cfg, "out"))
+def cmd_probe(s: dict) -> int:
+    params, _ = ckpt.load_checkpoint(s["checkpoint"])
+    spec = _build(itp.ProbeSpec, s, channels=params.config.in_channels)
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = _probe_spec(args, cfg, params.config.in_channels)
     sens = itp.pooling_sensitivity(params, spec)
     sens.to_csv(out_dir / "sensitivity.csv")
     resp = itp.conv_filter_response(params, spec)
@@ -286,24 +297,17 @@ def cmd_probe(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, cfg) -> int:
-    split_dir = _require(args, cfg, "split")
-    split, _ = _read_split(split_dir)
-    parameter = str(_require(args, cfg, "sweep_parameter"))
-    values = _setting(args, cfg, "sweep_values", None)
-    if values is None:
-        raise ConfigError("sweep requires sweep_values")
-    if isinstance(values, str):
-        values = [int(v) for v in values.split(",")]
+def cmd_sweep(s: dict) -> int:
+    split, _ = _read_split(s["split"])
     sweep = exp.SweepConfig(
-        parameter=parameter,
-        values=tuple(int(v) for v in values),
-        base_train_config=_train_config(args, cfg),
-        base_model_config=_model_config(args, cfg),
-        seed_policy=str(_setting(args, cfg, "seed_policy", "fixed")),
+        parameter=s["sweep_parameter"],
+        values=s["sweep_values"],
+        base_train_config=_build(TrainConfig, s),
+        base_model_config=_build(ModelConfig, s),
+        seed_policy=s["seed_policy"],
     )
-    _check_channels(split_dir, split, sweep.base_model_config)
-    out_dir = Path(_require(args, cfg, "out"))
+    _check_channels(s["split"], split, sweep.base_model_config)
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = exp.run_sweep(sweep, split)
     report.to_csv(out_dir / "ablation.csv")
@@ -316,9 +320,9 @@ def cmd_sweep(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_psd(args, cfg) -> int:
-    split, fs = _read_split(_require(args, cfg, "split"))
-    out_dir = Path(_require(args, cfg, "out"))
+def cmd_psd(s: dict) -> int:
+    split, fs = _read_split(s["split"])
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     epochs = split.train + split.validation + split.test
     gp = exp.group_psd(epochs, fs)
@@ -327,11 +331,15 @@ def cmd_psd(args, cfg) -> int:
     return EXIT_OK
 
 
-def _require(args, cfg, key: str):
-    value = _setting(args, cfg, key, None)
-    if value is None:
-        raise ConfigError(f"missing required setting '{key}' (flag or config file)")
-    return value
+# command -> (function, help)
+_COMMANDS = {
+    "prepare": (cmd_prepare, "load, filter, epoch and split a dataset"),
+    "train": (cmd_train, "train a model on a prepared split"),
+    "evaluate": (cmd_evaluate, "evaluate a checkpoint on the test partition"),
+    "probe": (cmd_probe, "frequency probes of a trained checkpoint"),
+    "sweep": (cmd_sweep, "ablation sweep over kernel size or channels"),
+    "psd": (cmd_psd, "group-wise PSD comparison CSV"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,74 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eegcnn", description="EEG epoch classifier pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("prepare", help="load, filter, epoch and split a dataset")
-    common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--cutoff-hz", dest="cutoff_hz", type=float)
-    p.add_argument("--filter-order", dest="filter_order", type=int)
-    p.add_argument("--epoch-seconds", dest="epoch_seconds", type=float)
-
-    p = sub.add_parser("train", help="train a model on a prepared split")
-    common(p)
-    p.add_argument("--split", help="directory written by prepare")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    for key in _MODEL_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on the test partition")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--split")
-
-    p = sub.add_parser("probe", help="frequency probes of a trained checkpoint")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--repeats-sine", dest="repeats_sine", type=int)
-    p.add_argument("--repeats-noise", dest="repeats_noise", type=int)
-    p.add_argument("--fs", type=float)
-    p.add_argument("--epoch-len", dest="epoch_len", type=int)
-
-    p = sub.add_parser("sweep", help="ablation sweep over kernel size or channels")
-    common(p)
-    p.add_argument("--split")
-    p.add_argument("--sweep-parameter", dest="sweep_parameter",
-                   choices=sorted(("kernel_size", "out_channels")))
-    p.add_argument("--sweep-values", dest="sweep_values",
-                   help="comma-separated integers")
-    p.add_argument("--epochs", type=int)
-    for key in _MODEL_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-
-    p = sub.add_parser("psd", help="group-wise PSD comparison CSV")
-    common(p)
-    p.add_argument("--split")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="flat JSON file of settings, keyed by setting name")
+        for key, (kind, default) in SETTINGS[command].items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_TYPES[kind][0],
+                           help="required" if default is None else f"default {default}")
     return parser
 
 
-_COMMANDS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "probe": cmd_probe,
-    "sweep": cmd_sweep,
-    "psd": cmd_psd,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config_file(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](resolve_settings(args))
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,27 +96,66 @@ class DatasetSplit:
         return {"train": self.train, "validation": self.validation, "test": self.test}[name]
 
 
+def is_int(v) -> bool:
+    """An int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """A finite int or float that is not a bool."""
+    return (is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def is_positive(v) -> bool:
+    return is_number(v) and v > 0
+
+
+def is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def check_object(path, obj, prefix: str, checks: dict, error: type[Exception]) -> None:
+    """Raise ``error``, naming ``path`` and the key, unless ``obj`` is a dict
+    that holds each key of ``checks`` (key -> (test, what the value must be))
+    with a value its test accepts."""
+    if not isinstance(obj, dict):
+        raise error(f"{path}: '{prefix.rstrip('.') or 'top level'}' is not an object")
+    for key in checks:
+        if key not in obj:
+            raise error(f"{path}: missing key '{prefix}{key}'")
+    for key, (ok, what) in checks.items():
+        if not ok(obj[key]):
+            raise error(f"{path}: '{prefix}{key}' must be {what}, got {obj[key]!r}")
+
+
+_MANIFEST_VALUES = {
+    "fs": (is_positive, "a finite positive number"),
+    "channels": (lambda v: isinstance(v, list) and all(map(is_str, v)), "a list of strings"),
+    "subjects": (lambda v: isinstance(v, list), "a list of objects"),
+}
+_SUBJECT_VALUES = {
+    "id": (is_str, "a string"),
+    "file": (is_str, "a string"),
+    "label": (lambda v: is_str(v) and v in LABEL_CODES, f"one of {sorted(LABEL_CODES)}"),
+}
+
+
 def load_manifest(path: str | Path) -> Manifest:
+    """Read a manifest; each entry's ``file`` is resolved against the
+    manifest's directory (an absolute ``file`` stays as it is)."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
-    for key in ("fs", "channels", "subjects"):
-        if key not in raw:
-            raise ManifestError(f"{path}: missing manifest key '{key}'")
-    entries = []
+    check_object(path, raw, "", _MANIFEST_VALUES, ManifestError)
     for i, sub in enumerate(raw["subjects"]):
-        for key in ("id", "file", "label"):
-            if key not in sub:
-                raise ManifestError(f"{path}: subject #{i} missing '{key}'")
-        if sub["label"] not in LABEL_CODES:
-            raise ManifestError(
-                f"{path}: subject {sub['id']} has unknown label {sub['label']!r}; "
-                f"expected one of {sorted(LABEL_CODES)}"
-            )
-        entries.append(ManifestEntry(str(sub["id"]), str(sub["file"]), LABEL_CODES[sub["label"]]))
-    return Manifest(entries=entries, fs=float(raw["fs"]), channel_names=list(raw["channels"]))
+        check_object(path, sub, f"subjects[{i}].", _SUBJECT_VALUES, ManifestError)
+    entries = [
+        ManifestEntry(sub["id"], str(path.parent / sub["file"]), LABEL_CODES[sub["label"]])
+        for sub in raw["subjects"]
+    ]
+    return Manifest(entries=entries, fs=float(raw["fs"]), channel_names=raw["channels"])
 
 
 def load_subject_csv(path: str | Path, entry: ManifestEntry, manifest: Manifest) -> SubjectRecording:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import signal as sps
 
-from .data import SubjectRecording
+from .data import Manifest, SubjectRecording, load_subject_csv
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,15 @@ def apply_zero_phase(coeffs: FilterCoeffs, x: np.ndarray) -> np.ndarray:
     return sps.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
 
 
-def filter_recording(coeffs: FilterCoeffs, rec: SubjectRecording) -> SubjectRecording:
-    """Zero-phase filter every channel of a recording."""
-    return replace(rec, samples=apply_zero_phase(coeffs, rec.samples))
+def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[SubjectRecording]:
+    """Every subject the manifest lists, loaded and zero-phase high-pass
+    filtered channel by channel."""
+    coeffs = design_highpass(cutoff_hz, order, manifest.fs)
+    subjects = []
+    for entry in manifest.entries:
+        rec = load_subject_csv(entry.file, entry, manifest)
+        subjects.append(replace(rec, samples=apply_zero_phase(coeffs, rec.samples)))
+    return subjects
 
 
 def welch_psd_batch(

@@ -198,22 +198,12 @@ class TestAcceptance:
         reason="real dataset not available; set EEGCNN_DATA_MANIFEST to run",
     )
     def test_real_data_replication(self, tmp_path):
-        from eegcnn.data import load_manifest, load_subject_csv
-        from eegcnn.preprocess import design_highpass as dh, filter_recording
+        from eegcnn.data import load_manifest
+        from eegcnn.preprocess import load_filtered
 
         t0 = time.time()
-        manifest_path = os.environ["EEGCNN_DATA_MANIFEST"]
-        manifest = load_manifest(manifest_path)
-        coeffs = dh(1.0, 4, manifest.fs)
-        from pathlib import Path
-
-        base = Path(manifest_path).parent
-        subjects = []
-        for entry in manifest.entries:
-            p = Path(entry.file)
-            rec = load_subject_csv(p if p.is_absolute() else base / p, entry, manifest)
-            subjects.append(filter_recording(coeffs, rec))
-        split = split_dataset(subjects, seed=0)
+        manifest = load_manifest(os.environ["EEGCNN_DATA_MANIFEST"])
+        split = split_dataset(load_filtered(manifest, 1.0, 4), seed=0)
         history = train(split, TrainConfig(), ModelConfig())
         rep = evaluate(history.best_checkpoint, split.test)
         elapsed = time.time() - t0

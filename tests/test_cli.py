@@ -7,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from eegcnn.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from eegcnn.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    SETTINGS,
+    build_parser,
+    main,
+    resolve_settings,
+)
 from eegcnn.data import write_subject_csv
 from eegcnn.synth import synthetic_dataset
 
@@ -105,6 +114,32 @@ class TestPrepare:
         rc = main(["prepare", "--manifest", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("key, value", [
+        ("top level", []), ("fs", None), ("fs", "nan"), ("fs", "500"), ("fs", True),
+        ("fs", 0), ("fs", float("inf")), ("fs", 10**400),
+        ("channels", "ch0"), ("channels", [0, 1, 2]), ("subjects", {}), ("subjects[0]", ["x"]),
+        ("subjects[0].id", 3), ("subjects[0].file", ["x"]), ("subjects[0].label", ["PD"]),
+        ("subjects[0].label", "Sick"),
+    ])
+    def test_bad_manifest_value(self, dataset_dir, tmp_path, capsys, key, value):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        if key == "top level":
+            manifest = value
+        elif key.startswith("subjects[0]"):
+            leaf = key.removeprefix("subjects[0]").lstrip(".")
+            if leaf:
+                manifest["subjects"][0][leaf] = value
+            else:
+                manifest["subjects"][0] = value
+        else:
+            manifest[key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["prepare", "--manifest", str(tmp_path / "manifest.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def _train_on_edited_index(prepared, tmp_path, key, edit):
@@ -244,6 +279,27 @@ def test_bad_checkpoint_header(prepared, trained, tmp_path, capsys, command, key
     assert str(bad) in err and f"'{key}'" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "\udcff"])
+@pytest.mark.parametrize("reader", ["split", "checkpoint"])
+def test_unparsable_json_exits_3(prepared, trained, tmp_path, capsys, reader, text):
+    """A split index or checkpoint header too deeply nested or not UTF-8."""
+    raw = text.encode("utf-8", "surrogateescape")
+    split_dir, ckpt_path = prepared, trained / "checkpoint.bin"
+    if reader == "split":
+        split_dir = tmp_path / "split"
+        shutil.copytree(prepared, split_dir)
+        bad = split_dir / "split.json"
+        bad.write_bytes(raw)
+    else:
+        bad = ckpt_path = tmp_path / "bad.bin"
+        blob = (trained / "checkpoint.bin").read_bytes()
+        bad.write_bytes(raw + blob[blob.index(b"\n"):])
+    rc = main(["evaluate", "--checkpoint", str(ckpt_path), "--split", str(split_dir),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_IO
+    assert str(bad) in capsys.readouterr().err
+
+
 class TestProbe:
     def test_outputs(self, trained, tmp_path):
         out = tmp_path / "probe"
@@ -289,6 +345,13 @@ class TestSweep:
                    "--sweep-parameter", "kernel_size"])
         assert rc == EXIT_CONFIG
 
+    def test_bad_parameter_rejected(self, prepared, tmp_path, capsys):
+        rc = main(["sweep", "--split", str(prepared), "--out", str(tmp_path / "o"),
+                   "--sweep-parameter", "kernel", "--sweep-values", "3,5"])
+        assert rc == EXIT_CONFIG
+        assert "unknown sweep parameter 'kernel'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestChannelCount:
     """train and sweep check the split's channel count against in_channels
@@ -314,6 +377,136 @@ class TestChannelCount:
                    "--epochs", "1", "--in-channels", str(CHANNELS)])
         assert rc == EXIT_CONFIG
         assert f"has {CHANNELS - 1}/{CHANNELS} channels" in capsys.readouterr().err
+
+
+_PATH = (str, None)
+_TRAIN = {
+    "batch_size": (int, 2), "learning_rate": (float, 1e-4), "epochs": (int, 80),
+    "adam_beta1": (float, 0.9), "adam_beta2": (float, 0.999), "adam_eps": (float, 1e-8),
+    "seed": (int, 0),
+}
+_MODEL = {"in_channels": (int, 59), "out_channels": (int, 59), "kernel": (int, 11),
+          "classes": (int, 2)}
+# command -> setting -> (type, default), None marking a required setting
+EXPECTED_SETTINGS = {
+    "prepare": {"manifest": _PATH, "out": _PATH, "seed": (int, 0), "cutoff_hz": (float, 1.0),
+                "filter_order": (int, 4), "epoch_seconds": (float, 5.0)},
+    "train": {"split": _PATH, "out": _PATH, **_TRAIN, **_MODEL},
+    "evaluate": {"checkpoint": _PATH, "split": _PATH, "out": _PATH},
+    "probe": {"checkpoint": _PATH, "out": _PATH, "fs": (float, 500.0), "epoch_len": (int, 2500),
+              "amplitude": (float, 1.0), "repeats_sine": (int, 100),
+              "repeats_noise": (int, 300), "seed": (int, 0)},
+    "sweep": {"split": _PATH, "out": _PATH, "sweep_parameter": _PATH,
+              "sweep_values": (tuple, None), "seed_policy": (str, "fixed"), **_TRAIN, **_MODEL},
+    "psd": {"split": _PATH, "out": _PATH},
+}
+PAIRS = [(c, k) for c, table in EXPECTED_SETTINGS.items() for k in table]
+# type -> (file value, its setting, flag text, its setting)
+GOOD = {
+    int: (3, 3, "5", 5),
+    float: (2, 2.0, "0.25", 0.25),  # an integer in the file is passed on as a float
+    str: ("a", "a", "b", "b"),
+    tuple: ([3, 5], (3, 5), "7,9", (7, 9)),
+}
+BAD = {
+    int: [None, True, [1], {}, 1.9, "x", "3"],
+    float: [None, True, [1], {}, "x", float("nan")],
+    str: [None, True, [1], {}, 1.9, 3],
+    tuple: [None, True, {}, 1.9, "x", 5, [3.9, 5], [True], "3,x", ""],
+}
+
+
+class TestSettings:
+    """Every (command, setting) pair: flag > config file > default, and each
+    config-file value of the wrong type exits 2 before any output exists."""
+
+    @staticmethod
+    def _required(command, tmp_path):
+        cfg = {k: GOOD[t][0] for k, (t, d) in EXPECTED_SETTINGS[command].items() if d is None}
+        return {**cfg, "out": str(tmp_path / "o")}
+
+    @staticmethod
+    def _write(tmp_path, cfg):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def _resolve(self, tmp_path, command, cfg, *flags):
+        argv = [command, "--config", self._write(tmp_path, cfg), *flags]
+        return resolve_settings(build_parser().parse_args(argv))
+
+    def test_table(self):
+        assert SETTINGS == EXPECTED_SETTINGS
+
+    @pytest.mark.parametrize("command, key", PAIRS)
+    def test_flag_beats_file_beats_default(self, tmp_path, command, key):
+        kind, default = EXPECTED_SETTINGS[command][key]
+        file_value, from_file, flag_text, from_flag = GOOD[kind]
+        cfg = self._required(command, tmp_path)
+        if default is not None:
+            assert self._resolve(tmp_path, command, cfg)[key] == default
+        cfg[key] = file_value
+        got = self._resolve(tmp_path, command, cfg)[key]
+        assert got == from_file and type(got) is type(from_file)
+        flag = f"--{key.replace('_', '-')}"
+        assert self._resolve(tmp_path, command, cfg, flag, flag_text)[key] == from_flag
+
+    @pytest.mark.parametrize("command, key, value", [
+        (c, k, v) for c, k in PAIRS for v in BAD[EXPECTED_SETTINGS[c][k][0]]
+    ])
+    def test_bad_file_value_rejected(self, tmp_path, capsys, command, key, value):
+        cfg = {**self._required(command, tmp_path), key: value}
+        rc = main([command, "--config", self._write(tmp_path, cfg)])
+        assert rc == EXIT_CONFIG
+        assert f"'{key}' must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        (c, k) for c, k in PAIRS if EXPECTED_SETTINGS[c][k][1] is None
+    ])
+    def test_missing_required_rejected(self, tmp_path, capsys, command, key):
+        cfg = self._required(command, tmp_path)
+        del cfg[key]
+        rc = main([command, "--config", self._write(tmp_path, cfg)])
+        assert rc == EXIT_CONFIG
+        assert f"missing required setting '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", EXPECTED_SETTINGS)
+    def test_unknown_key_rejected(self, tmp_path, capsys, command):
+        cfg = {**self._required(command, tmp_path), "learning_rat": 0.1}
+        rc = main([command, "--config", self._write(tmp_path, cfg)])
+        assert rc == EXIT_CONFIG
+        assert "unknown setting(s) 'learning_rat'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "{", "\udcff", "[1]"])
+    def test_unparsable_file_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "settings.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        rc = main(["psd", "--config", str(path), "--split", "s", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+    def test_key_of_another_command_ignored(self, tmp_path):
+        cfg = {"split": "s", "out": "o", "epochs": 3, "manifest": "m", "sweep_values": "x"}
+        assert self._resolve(tmp_path, "psd", cfg) == {"split": "s", "out": "o"}
+
+    @pytest.mark.parametrize("value", [[3, 5], "3,5"])
+    def test_sweep_values_list_or_string(self, tmp_path, value):
+        cfg = {**self._required("sweep", tmp_path), "sweep_values": value}
+        assert self._resolve(tmp_path, "sweep", cfg)["sweep_values"] == (3, 5)
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("sweep", "--sweep-values", "3,x"), ("train", "--learning-rate", "nan"),
+        ("probe", "--fs", "inf"),
+    ])
+    def test_bad_flag_value_rejected(self, tmp_path, capsys, command, flag, text):
+        cfg = self._required(command, tmp_path)
+        rc = main([command, "--config", self._write(tmp_path, cfg), flag, text])
+        assert rc == EXIT_CONFIG
+        assert f"{flag}: '{flag[2:].replace('-', '_')}' must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPsd:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eegcnn.data
@@ -260,6 +260,33 @@ class TestLoadSubjectCsvMatchesReference:
         assert loaded.samples.tobytes() == rec.samples.tobytes()
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(valid):
+    """``valid`` three times in four, else any JSON value."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else _JSON)
+
+
+# manifests with mostly valid values, so the checks past the top level are
+# reached; _JSON covers missing keys and other documents
+_SUBJECT_LIKE = st.fixed_dictionaries({
+    "id": _mostly(st.text(max_size=2)),
+    "file": _mostly(st.text(max_size=4)),
+    "label": _mostly(st.sampled_from(["PD", "Control"])),
+})
+_MANIFEST_LIKE = st.fixed_dictionaries({
+    "fs": _mostly(st.floats(min_value=1e-3, max_value=1e4)),
+    "channels": _mostly(st.lists(st.text(max_size=3), max_size=3)),
+    "subjects": _mostly(st.lists(_mostly(_SUBJECT_LIKE), max_size=4)),
+})
+
+
 class TestManifest:
     def test_load(self, tmp_path):
         doc = {
@@ -297,6 +324,42 @@ class TestManifest:
         p.write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match="label"):
             load_manifest(p)
+
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "{", "\udcff"])
+    def test_unparsable_rejected(self, tmp_path, text):
+        p = tmp_path / "manifest.json"
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ManifestError, match="invalid JSON"):
+            load_manifest(p)
+
+    def test_file_resolved_against_manifest_dir(self, tmp_path):
+        absolute = str(tmp_path / "elsewhere" / "c.csv")
+        doc = {"fs": 500, "channels": ["c0"], "subjects": [
+            {"id": "A", "file": "a.csv", "label": "PD"},
+            {"id": "B", "file": "sub/b.csv", "label": "Control"},
+            {"id": "C", "file": absolute, "label": "PD"},
+        ]}
+        (tmp_path / "m").mkdir()
+        p = tmp_path / "m" / "manifest.json"
+        p.write_text(json.dumps(doc))
+        files = [e.file for e in load_manifest(p).entries]
+        assert files == [str(tmp_path / "m" / "a.csv"), str(tmp_path / "m" / "sub" / "b.csv"),
+                         absolute]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_mostly(_MANIFEST_LIKE))
+    @example(doc={"fs": 10**400, "channels": [], "subjects": []})
+    @example(doc={"fs": 1, "channels": [], "subjects": [{"id": "A", "file": "", "label": "PD"}]})
+    def test_any_json_gives_manifest_or_manifest_error(self, tmp_path, doc):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps(doc))
+        try:
+            manifest = load_manifest(p)
+        except ManifestError:
+            return
+        assert len(manifest.entries) == len(doc["subjects"])
 
 
 class TestEpochRecording:
