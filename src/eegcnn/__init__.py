@@ -30,7 +30,6 @@ from .interpret import (
     ProbeSpec,
     SensitivityMap,
     conv_filter_response,
-    gen_sinusoid_probe,
     gen_white_noise,
     pooling_sensitivity,
 )

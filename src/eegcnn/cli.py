@@ -4,7 +4,8 @@ Each subcommand's settings are declared once, in ``SETTINGS``. A setting
 ``a_b`` is the flag ``--a-b`` and the key ``a_b`` of a flat JSON ``--config``
 file; a flag beats the file, and the file beats the default.
 
-Exit codes: 0 success, 2 config/parse error, 3 I/O error, 4 numeric divergence.
+Exit codes: 0 success, 2 config/parse error, 3 I/O error, 4 numeric divergence
+(or a probe map with a non-finite cell).
 Set EEGCNN_THREADS to cap BLAS thread counts; the package applies it when it
 is imported, which the entry point does before numpy is loaded.
 """
@@ -286,11 +287,21 @@ def cmd_evaluate(s: dict) -> int:
 def cmd_probe(s: dict) -> int:
     params, _ = ckpt.load_checkpoint(s["checkpoint"])
     spec = _build(itp.ProbeSpec, s, channels=params.config.in_channels)
+    # Both maps are computed before anything is written, so a failed probe
+    # leaves no partial output. The noise response goes first: its Welch check
+    # rejects an epoch shorter than one window before the sweep runs.
+    resp = itp.conv_filter_response(params, spec)
+    sens = itp.pooling_sensitivity(params, spec)
+    for name, freqs, values in (("sensitivity map", sens.freqs, sens.activation),
+                                ("filter response", resp.freqs, resp.power)):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            print(f"error: {name} has {bad.sum()} non-finite cells, the first at "
+                  f"{freqs[bad.any(axis=0)][0]:g} Hz", file=sys.stderr)
+            return EXIT_NUMERIC
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    sens = itp.pooling_sensitivity(params, spec)
     sens.to_csv(out_dir / "sensitivity.csv")
-    resp = itp.conv_filter_response(params, spec)
     resp.to_csv_dir(out_dir)
     print(f"wrote sensitivity map ({sens.activation.shape[0]} outputs x "
           f"{sens.freqs.size} frequencies) and {resp.power.shape[0]} filter responses")

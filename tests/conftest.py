@@ -80,6 +80,35 @@ def reference_backward(cache, params, grad_logits):
     )
 
 
+# The sinusoid sweep as first written: one probe signal and one forward per
+# frequency per repeat. interpret.pooling_sensitivity works the same sweep out
+# in closed form and must agree with this up to rounding.
+
+
+def gen_sinusoid_probe(f, spec, rng):
+    """Unit-tone probe: channel n gets A*sin(2*pi*f*t + phi_n), phi_n ~ U[0, 2pi)."""
+    if not 0 <= f <= spec.fs / 2:
+        raise ValueError(f"probe frequency {f} outside [0, Nyquist={spec.fs / 2}]")
+    t = np.arange(spec.epoch_len) / spec.fs
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=spec.channels)
+    return spec.amplitude * np.sin(2.0 * np.pi * f * t[None, :] + phases[:, None])
+
+
+def reference_pooling_sensitivity(params, spec):
+    """[out, n_freqs] mean pooled activation, one forward per probe."""
+    rng = np.random.default_rng(spec.seed)
+    freqs = spec.freq_grid
+    out_c = params.conv_weight.shape[0]
+    activation = np.zeros((out_c, freqs.size))
+    for j, f in enumerate(freqs):
+        acc = np.zeros(out_c)
+        for _ in range(spec.repeats_sine):
+            probe = gen_sinusoid_probe(float(f), spec, rng)
+            acc += reference_forward(params, probe, mode="eval").pooled
+        activation[:, j] = acc / spec.repeats_sine
+    return activation
+
+
 def finite_diff_check(params: ModelParams, epoch: Epoch, eps: float = 1e-5) -> float:
     """Worst relative error between analytic and central-difference gradients.
 

@@ -313,6 +313,32 @@ class TestProbe:
         responses = sorted(out.glob("filter_response_ch*.csv"))
         assert len(responses) == CHANNELS
 
+    @pytest.mark.parametrize("extra", [
+        ["--epoch-len", "50"],  # shorter than one 1 s Welch window
+        ["--fs", "-100"],
+        ["--fs", "0"],
+        ["--epoch-len", "0"],
+    ])
+    def test_bad_spec_writes_nothing(self, trained, tmp_path, capsys, extra):
+        out = tmp_path / "probe"
+        rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
+                   "--out", str(out), "--repeats-sine", "1", "--repeats-noise", "2",
+                   "--fs", str(FS), "--epoch-len", "500", *extra])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_map_exits_4(self, trained, tmp_path, capsys):
+        out = tmp_path / "probe"
+        rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
+                   "--out", str(out), "--repeats-sine", "1", "--repeats-noise", "2",
+                   "--fs", str(FS), "--epoch-len", "500", "--amplitude", "1e308"])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "error: sensitivity map has" in err and "non-finite cells, the first at" in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_ablation_csv(self, prepared, tmp_path):

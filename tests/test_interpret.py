@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import gen_sinusoid_probe, reference_pooling_sensitivity
 from eegcnn.interpret import (
     ProbeSpec,
     conv_filter_response,
     fir_power_response,
-    gen_sinusoid_probe,
     gen_white_noise,
     pooling_sensitivity,
 )
@@ -57,6 +59,24 @@ class TestProbeSpec:
         with pytest.raises(ValueError):
             ProbeSpec(repeats_sine=0)
 
+    @pytest.mark.parametrize("fs", [0.0, -100.0, float("nan"), float("inf")])
+    def test_bad_fs_rejected(self, fs):
+        with pytest.raises(ValueError, match="fs must be a finite positive number"):
+            ProbeSpec(fs=fs)
+
+    def test_empty_epoch_rejected(self):
+        with pytest.raises(ValueError, match="epoch_len must be >= 1"):
+            ProbeSpec(epoch_len=0)
+
+    def test_empty_frequencies_rejected(self):
+        with pytest.raises(ValueError, match="no probe frequencies"):
+            ProbeSpec(frequencies=np.array([]))
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_negative_frequency_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            ProbeSpec(frequencies=np.array([10.0, bad]))
+
 
 class TestGenSinusoidProbe:
     def test_zero_frequency_constant_channels(self, rng):
@@ -101,7 +121,56 @@ class TestGenWhiteNoise:
         assert np.all(np.abs(off_diag) < 0.1)
 
 
+def test_one_phase_draw_equals_sequential_draws():
+    """pooling_sensitivity draws a frequency's R phase vectors in one call;
+    the per-repeat oracle draws them one repeat at a time."""
+    for repeats, channels in [(1, 1), (5, 3), (100, 59)]:
+        at_once = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(repeats, channels))
+        gen = np.random.default_rng(7)
+        one_by_one = [gen.uniform(0.0, 2.0 * np.pi, size=channels) for _ in range(repeats)]
+        np.testing.assert_array_equal(at_once, np.stack(one_by_one))
+
+
 class TestPoolingSensitivity:
+    @given(
+        in_c=st.integers(1, 4),
+        out_c=st.integers(1, 4),
+        kernel=st.sampled_from([1, 3, 5, 7, 9, 15]),
+        t=st.integers(1, 40),  # includes epochs no longer than 2 * pad
+        fs=st.floats(1.0, 1000.0),
+        amplitude=st.floats(0.1, 10.0),
+        # fractions of Nyquist, so 0 Hz and fs/2 come up often
+        nyquist_fractions=st.lists(
+            st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=1, max_size=3,
+        ),
+        bias_sign=st.sampled_from([-1.0, 1.0]),
+        repeats=st.integers(1, 4),
+        seed=st.integers(0, 1000),
+    )
+    # the paper and acceptance shapes, whose R * out rows span several row
+    # chunks, the last one partial
+    @example(in_c=59, out_c=59, kernel=11, t=2500, fs=FS, amplitude=1.0,
+             nyquist_fractions=[0.0, 0.0548, 0.4, 1.0], bias_sign=1.0, repeats=2, seed=5)
+    @example(in_c=8, out_c=8, kernel=51, t=600, fs=FS, amplitude=1.0,
+             nyquist_fractions=[0.0, 0.0548, 0.4, 1.0], bias_sign=-1.0, repeats=9, seed=5)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_repeat_forward(self, in_c, out_c, kernel, t, fs, amplitude,
+                                        nyquist_fractions, bias_sign, repeats, seed):
+        gen = np.random.default_rng(seed)
+        model = ModelParams(
+            conv_weight=gen.standard_normal((out_c, in_c, kernel)),
+            conv_bias=bias_sign * gen.uniform(0.0, 2.0, size=out_c),
+            fc_weight=np.ones((2, out_c)),
+            fc_bias=np.zeros(2),
+        )
+        spec = ProbeSpec(fs=fs, epoch_len=t, channels=in_c, amplitude=amplitude,
+                         frequencies=np.array(nyquist_fractions) * (fs / 2),
+                         repeats_sine=repeats, seed=seed)
+        got = pooling_sensitivity(model, spec).activation
+        want = reference_pooling_sensitivity(model, spec)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
     def test_identity_kernel_rectified_mean(self):
         model = identity_model(channels=3)
         spec = small_spec(channels=3, frequencies=np.arange(5.0, 246.0, 20.0))
