@@ -24,9 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import check_object, is_int, parse_json
 from .model import ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
+
+# header values: key -> (test, what the value must be)
+_HEADER_VALUES = {
+    "format_version": (lambda v: is_int(v) and v == FORMAT_VERSION, "the integer 1"),
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "seed": (is_int, "an integer"),
+}
+_CONFIG_VALUES = {f.name: (is_int, "an integer") for f in fields(ModelConfig)}
 
 
 class CheckpointError(ValueError):
@@ -48,23 +57,20 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"checkpoint file not found: {path}")
     blob = path.read_bytes()
     nl = blob.find(b"\n")
     if nl < 0:
         raise CheckpointError(f"{path}: missing header terminator")
+    header = parse_json(path, blob[:nl], CheckpointError)
+    check_object(path, header, "", _HEADER_VALUES, CheckpointError)
+    check_object(path, header["config"], "config.", _CONFIG_VALUES, CheckpointError)
+    unknown = sorted(header["config"].keys() - _CONFIG_VALUES.keys())
+    if unknown:
+        raise CheckpointError(f"{path}: unknown header key 'config.{unknown[0]}'")
     try:
-        header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise CheckpointError(f"{path}: bad JSON header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format_version {header.get('format_version')}"
-        )
-    cfg, seed = _header_config(path, header), _header_int(path, header, "seed")
+        cfg = ModelConfig(**header["config"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad header config ({exc})") from exc
     shapes = cfg.param_shapes()
     sizes = [math.prod(shape) for shape in shapes.values()]
     body = blob[nl + 1 :]
@@ -72,28 +78,4 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
         raise CheckpointError(f"{path}: payload is {len(body)} bytes, expected {8 * sum(sizes)}")
     blocks = np.split(np.frombuffer(body, dtype="<f8").astype(np.float64), np.cumsum(sizes)[:-1])
     arrays = {name: b.reshape(shape) for (name, shape), b in zip(shapes.items(), blocks)}
-    return ModelParams(**arrays), seed
-
-
-def _header_config(path: Path, header: dict) -> ModelConfig:
-    """The header's model config, which must hold exactly the ModelConfig fields."""
-    if not isinstance(header.get("config"), dict):
-        raise CheckpointError(f"{path}: header key 'config' is missing or not an object")
-    config = header["config"]
-    names = [f.name for f in fields(ModelConfig)]
-    for key in config:
-        if key not in names:
-            raise CheckpointError(f"{path}: unknown header key 'config.{key}'")
-    kwargs = {key: _header_int(path, config, key, "config.") for key in names}
-    try:
-        return ModelConfig(**kwargs)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: bad header config ({exc})") from exc
-
-
-def _header_int(path: Path, obj: dict, key: str, prefix: str = "") -> int:
-    value = obj.get(key)
-    if type(value) is not int:
-        what = "is missing" if key not in obj else f"must be an integer, got {value!r}"
-        raise CheckpointError(f"{path}: header key '{prefix}{key}' {what}")
-    return value
+    return ModelParams(**arrays), header["seed"]

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import tokenize
 from dataclasses import fields
 from pathlib import Path
 
@@ -115,12 +117,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file not found: {p}")
-    try:
-        cfg = json.loads(p.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
+    cfg = dat.parse_json(p, p.read_bytes(), ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: config must be a flat JSON object")
     unknown = sorted(cfg.keys() - _KNOWN)
@@ -179,31 +176,30 @@ def _write_split(out_dir: Path, split: dat.DatasetSplit, fs: float) -> None:
 def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
     split_dir = Path(split_dir)
     index_path = split_dir / "split.json"
-    if not index_path.exists():
-        raise FileNotFoundError(f"split index not found: {index_path}")
-    try:
-        index = json.loads(index_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise SplitError(f"{index_path}: invalid JSON ({exc})") from exc
+    index = dat.parse_json(index_path, index_path.read_bytes(), SplitError)
     dat.check_object(index_path, index, "", _INDEX_VALUES, SplitError)
     dat.check_object(index_path, index["partitions"], "partitions.", _PARTITION_VALUES, SplitError)
     parts = {}
     for name in _PARTITIONS:
-        stack = _load_stack(split_dir / f"{name}_data.npy")
+        data_path = split_dir / f"{name}_data.npy"
+        stack = _load_stack(data_path)
         entries = index["partitions"][name]
         if len(entries) != stack.shape[0]:
             raise SplitError(f"{split_dir}: {name} index/data length mismatch")
         for i, e in enumerate(entries):
             dat.check_object(index_path, e, f"partitions.{name}[{i}].", _EPOCH_VALUES, SplitError)
-        parts[name] = [
-            dat.Epoch(
-                data=stack[i],
-                label=e["label"],
-                subject_id=e["subject_id"],
-                epoch_index=e["epoch_index"],
-            )
-            for i, e in enumerate(entries)
-        ]
+        try:
+            parts[name] = [
+                dat.Epoch(
+                    data=stack[i],
+                    label=e["label"],
+                    subject_id=e["subject_id"],
+                    epoch_index=e["epoch_index"],
+                )
+                for i, e in enumerate(entries)
+            ]
+        except ValueError as exc:  # a non-finite sample
+            raise SplitError(f"{data_path}: {exc}") from None
     split = dat.DatasetSplit(
         train=parts["train"],
         validation=parts["validation"],
@@ -215,16 +211,26 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
 
 
 def _load_stack(path: Path) -> np.ndarray:
-    """One partition's [epochs, channels, samples] float64 stack."""
+    """One partition's [epochs, channels, samples] float64 stack. The .npy
+    header is checked against the file size first, so numpy never allocates
+    for more data than the file holds."""
+    fmt = np.lib.format
     try:
-        stack = np.load(path)
-    except (ValueError, EOFError) as exc:  # truncated, corrupt or pickled
-        raise SplitError(f"{path}: unreadable array ({exc})") from None
-    if stack.ndim != 3 or stack.dtype != np.float64:
-        raise SplitError(
-            f"{path}: expected a 3-D float64 array, got {stack.ndim}-D {stack.dtype}"
-        )
-    return stack
+        with path.open("rb") as fh:
+            version = fmt.read_magic(fh)
+            read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                           else fmt.read_array_header_2_0)
+            shape, _, dtype = read_header(fh)
+            data_bytes = path.stat().st_size - fh.tell()
+        if len(shape) != 3 or dtype != np.float64:
+            raise ValueError(f"got a {len(shape)}-D {dtype} array")
+        if data_bytes != 8 * math.prod(shape):
+            raise ValueError(f"shape {shape} needs {8 * math.prod(shape)} bytes of data, "
+                             f"the file holds {data_bytes}")
+        return np.load(path)
+    # numpy's .npy header parser raises any of these on a damaged header
+    except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
+        raise SplitError(f"{path}: not a readable 3-D float64 array ({exc})") from None
 
 
 def cmd_prepare(s: dict) -> int:
@@ -379,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except (ConfigError, dat.ManifestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -128,6 +128,16 @@ def check_object(path, obj, prefix: str, checks: dict, error: type[Exception]) -
             raise error(f"{path}: '{prefix}{key}' must be {what}, got {obj[key]!r}")
 
 
+def parse_json(path, blob: bytes, error: type[Exception]):
+    """``blob`` decoded as UTF-8 and parsed as JSON. Any failure raises
+    ``error`` naming ``path``: bad UTF-8, bad JSON, nesting too deep for the
+    parser, or an integer longer than Python converts (4300 digits)."""
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
 _MANIFEST_VALUES = {
     "fs": (is_positive, "a finite positive number"),
     "channels": (lambda v: isinstance(v, list) and all(map(is_str, v)), "a list of strings"),
@@ -144,10 +154,7 @@ def load_manifest(path: str | Path) -> Manifest:
     """Read a manifest; each entry's ``file`` is resolved against the
     manifest's directory (an absolute ``file`` stays as it is)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+    raw = parse_json(path, path.read_bytes(), ManifestError)
     check_object(path, raw, "", _MANIFEST_VALUES, ManifestError)
     for i, sub in enumerate(raw["subjects"]):
         check_object(path, sub, f"subjects[{i}].", _SUBJECT_VALUES, ManifestError)
@@ -168,8 +175,6 @@ def load_subject_csv(path: str | Path, entry: ManifestEntry, manifest: Manifest)
     offending row, column and channel.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"subject file not found: {path}")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -300,30 +305,22 @@ def epoch_recording(rec: SubjectRecording, epoch_seconds: float = 5.0) -> list[E
 
 
 def split_dataset(
-    subjects: list[SubjectRecording],
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
-    epoch_seconds: float = 5.0,
+    subjects: list[SubjectRecording], seed: int = 0, epoch_seconds: float = 5.0
 ) -> DatasetSplit:
-    """Subject-level train/validation/test split.
+    """Subject-level 60/20/20 train/validation/test split.
 
     Subjects are sorted by id before the seeded shuffle so the split does not
     depend on manifest order. Train and validation sizes use round(); the
     remainder goes to test. A split that leaves a partition empty is rejected.
     """
-    if any(r <= 0 for r in ratios):
-        raise ValueError(f"all split ratios must be positive, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
-
     ordered = sorted(subjects, key=lambda s: s.subject_id)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))
     shuffled = [ordered[i] for i in perm]
 
     n = len(shuffled)
-    n_train = int(round(ratios[0] * n))
-    n_val = int(round(ratios[1] * n))
+    n_train = round(0.6 * n)
+    n_val = round(0.2 * n)
     groups = {
         "train": shuffled[:n_train],
         "validation": shuffled[n_train : n_train + n_val],

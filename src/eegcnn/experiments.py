@@ -122,9 +122,7 @@ class GroupPsd:
                 fh.write(f"{f!r}," + ",".join(cells) + "\n")
 
 
-def group_psd(
-    epochs: list[Epoch], fs: float, window_len: int | None = None, overlap: float = 0.5
-) -> GroupPsd:
+def group_psd(epochs: list[Epoch], fs: float) -> GroupPsd:
     """Channel-average each epoch, Welch PSD per epoch, then mean +- SEM per label."""
     labels = sorted({ep.label for ep in epochs})
     if len(labels) < 2:
@@ -133,7 +131,7 @@ def group_psd(
     mean, sem = {}, {}
     for lb in labels:
         stack = np.stack([ep.data.mean(axis=0) for ep in epochs if ep.label == lb])
-        freqs, power = welch_psd_batch(stack, fs, window_len=window_len, overlap=overlap)
+        freqs, power = welch_psd_batch(stack, fs)
         mean[lb] = power.mean(axis=0)
         n = power.shape[0]
         sem[lb] = power.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(power.shape[1])

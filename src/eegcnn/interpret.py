@@ -71,13 +71,13 @@ class FilterResponseMap:
     freqs: np.ndarray
     power: np.ndarray  # [out_channels, n_freqs], repeat-averaged one-sided PSD
 
-    def to_csv_dir(self, out_dir: str | Path, prefix: str = "filter_response") -> list[Path]:
+    def to_csv_dir(self, out_dir: str | Path) -> list[Path]:
         """One (freq, power) CSV per convolutional output channel."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = []
         for ch, row in enumerate(self.power):
-            p = out_dir / f"{prefix}_ch{ch:02d}.csv"
+            p = out_dir / f"filter_response_ch{ch:02d}.csv"
             with p.open("w") as fh:
                 fh.write("freq,power\n")
                 for f, v in zip(self.freqs.tolist(), row.tolist()):
@@ -156,12 +156,7 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
     return SensitivityMap(freqs=freqs, activation=activation)
 
 
-def conv_filter_response(
-    checkpoint: ModelParams,
-    spec: ProbeSpec,
-    window_len: int | None = None,
-    overlap: float = 0.5,
-) -> FilterResponseMap:
+def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResponseMap:
     """Repeat-averaged Welch PSD of the conv layer's pre-ReLU outputs under
     white-noise input; estimates each output channel's filtering profile."""
     rng = np.random.default_rng(spec.seed)
@@ -170,7 +165,7 @@ def conv_filter_response(
     for _ in range(spec.repeats_noise):
         noise = gen_white_noise(spec, rng)
         pre = conv1d_same(checkpoint, noise)
-        f, p = welch_psd_batch(pre, spec.fs, window_len=window_len, overlap=overlap)
+        f, p = welch_psd_batch(pre, spec.fs)
         if power is None:
             freqs, power = f, p
         else:

@@ -52,12 +52,9 @@ class MetricsReport:
         auc = "" if self.auc is None else f"{self.auc!r}"
         return f"{self.precision!r},{self.recall!r},{self.f1!r},{auc},{self.accuracy!r}"
 
-    def save(self, json_path: str | Path, csv_path: str | Path | None = None) -> None:
+    def save(self, json_path: str | Path, csv_path: str | Path) -> None:
         Path(json_path).write_text(self.to_json())
-        if csv_path is not None:
-            Path(csv_path).write_text(
-                "precision,recall,f1,auc,accuracy\n" + self.to_csv_row() + "\n"
-            )
+        Path(csv_path).write_text("precision,recall,f1,auc,accuracy\n" + self.to_csv_row() + "\n")
 
 
 def confusion(predictions: list[int], labels: list[int]) -> ConfusionMatrix:

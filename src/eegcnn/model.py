@@ -81,7 +81,6 @@ class ForwardCache:
     with it, before the next ``forward``.
     """
 
-    input: np.ndarray
     unrolled: np.ndarray  # [in * K, T]
     conv_pre_act: np.ndarray
     relu_mask: np.ndarray
@@ -148,7 +147,6 @@ def forward(
     x: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    dropout_rate: float = DROPOUT_RATE,
 ) -> ForwardCache:
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -158,11 +156,11 @@ def forward(
     pre, unrolled = _conv_unrolled(params, x)
     relu_mask = pre > 0
     h = pre * relu_mask
-    if mode == "train" and dropout_rate > 0:
+    if mode == "train":
         if rng is None:
             raise ValueError("train-mode forward needs an RNG for dropout")
-        keep = rng.random(h.shape) >= dropout_rate
-        dropout_mask = keep / (1.0 - dropout_rate)
+        keep = rng.random(h.shape) >= DROPOUT_RATE
+        dropout_mask = keep / (1.0 - DROPOUT_RATE)
         h = h * dropout_mask
     else:
         # multiplying by ones would change no bit, so it is skipped
@@ -170,7 +168,6 @@ def forward(
     pooled = h.mean(axis=1)
     logits = params.fc_weight @ pooled + params.fc_bias
     return ForwardCache(
-        input=x,
         unrolled=unrolled,
         conv_pre_act=pre,
         relu_mask=relu_mask,
@@ -185,8 +182,7 @@ def forward(
 def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> ModelParams:
     """Exact parameter gradients of the logit-weighted loss for one input."""
     out_c, in_c, kernel = params.conv_weight.shape
-    if (cache.conv_pre_act.shape[0] != out_c or cache.input.shape[0] != in_c
-            or cache.unrolled.shape[0] != in_c * kernel):
+    if cache.conv_pre_act.shape[0] != out_c or cache.unrolled.shape[0] != in_c * kernel:
         raise ValueError("forward cache does not match these parameters")
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     t = cache.unrolled.shape[1]

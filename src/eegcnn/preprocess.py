@@ -39,14 +39,6 @@ def design_highpass(cutoff_hz: float, order: int, fs: float) -> FilterCoeffs:
     return FilterCoeffs(b=b, a=a, cutoff_hz=cutoff_hz, order=order, fs=fs)
 
 
-def gain_db(coeffs: FilterCoeffs, freq_hz: float, zero_phase: bool = False) -> float:
-    """Magnitude response in dB at one frequency; doubled for forward-backward use."""
-    _, h = sps.freqz(coeffs.b, coeffs.a, worN=[freq_hz], fs=coeffs.fs)
-    mag = abs(h[0])
-    db = 20.0 * np.log10(mag) if mag > 0 else -np.inf
-    return 2.0 * db if zero_phase else db
-
-
 def apply_zero_phase(coeffs: FilterCoeffs, x: np.ndarray) -> np.ndarray:
     """Forward-backward filtering with reflective edge padding; zero net phase."""
     x = np.asarray(x, dtype=np.float64)
@@ -71,31 +63,25 @@ def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[Subj
     return subjects
 
 
-def welch_psd_batch(
-    x: np.ndarray,
-    fs: float,
-    window_len: int | None = None,
-    overlap: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
+def welch_psd_batch(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed averaged periodogram over the last axis, one-sided
     density normalization; returns (freqs, power).
 
-    Default window is 1 s (fs samples) with 50% overlap, so the frequency grid
-    has 1 Hz spacing at integer sampling rates.
+    The window is 1 s (round(fs) samples) with 50% overlap, so the frequency
+    grid has 1 Hz spacing at integer sampling rates.
     """
     x = np.asarray(x, dtype=np.float64)
-    if window_len is None:
-        window_len = int(round(fs))
+    window_len = int(round(fs))
+    if window_len < 1:
+        raise ValueError(f"fs {fs} Hz gives a 1 s Welch window of 0 samples")
     if window_len > x.shape[-1]:
         raise ValueError(f"window_len {window_len} exceeds signal length {x.shape[-1]}")
-    if not 0 <= overlap < 1:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     return sps.welch(
         x,
         fs=fs,
         window="hann",
         nperseg=window_len,
-        noverlap=int(overlap * window_len),
+        noverlap=window_len // 2,
         detrend=False,
         scaling="density",
         axis=-1,

@@ -1,8 +1,13 @@
+import copy
+import functools
+import operator
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import signal as sps
 
 from eegcnn.data import Epoch, SubjectRecording
 from eegcnn.model import DROPOUT_RATE, ModelParams, backward, forward, softmax
@@ -24,6 +29,62 @@ def make_recording(subject_id="S000", label=0, fs=500.0, channels=3, n_samples=3
     )
 
 
+# A JSON document holding an integer longer than Python converts (4300 digits)
+OVER_LONG_INT = pytest.param('{"seed": ' + "1" * 5000 + "}", id="5000-digit-int")
+
+# Strategies of the reader fuzz tests.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _json_paths(obj, path=()):
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def edited_json(draw, doc):
+    """A copy of ``doc`` with one value, at any depth, removed or replaced by
+    any JSON value."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    if not path:
+        return draw(JSON_VALUES)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@st.composite
+def mutated_bytes(draw, blob):
+    """``blob`` with one to four bytes replaced, deleted or inserted, or cut short."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        if not out:
+            break
+        i = draw(st.integers(0, len(out) - 1))
+        op = draw(st.sampled_from(["replace", "delete", "insert", "cut"]))
+        if op == "replace":
+            out[i] = draw(st.integers(0, 255))
+        elif op == "delete":
+            del out[i]
+        elif op == "insert":
+            out[i:i] = draw(st.binary(min_size=1, max_size=4))
+        else:
+            del out[i:]
+    return bytes(out)
+
+
 def make_epoch(channels=2, epoch_len=8, label=0, seed=0, subject_id="S000"):
     gen = np.random.default_rng(seed)
     return Epoch(
@@ -32,6 +93,14 @@ def make_epoch(channels=2, epoch_len=8, label=0, seed=0, subject_id="S000"):
         subject_id=subject_id,
         epoch_index=0,
     )
+
+
+def gain_db(coeffs, freq_hz, zero_phase=False):
+    """Magnitude response in dB at one frequency; doubled for forward-backward use."""
+    _, h = sps.freqz(coeffs.b, coeffs.a, worN=[freq_hz], fs=coeffs.fs)
+    mag = abs(h[0])
+    db = 20.0 * np.log10(mag) if mag > 0 else -np.inf
+    return 2.0 * db if zero_phase else db
 
 
 # The per-example forward and backward as first written: forward pads with

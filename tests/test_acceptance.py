@@ -17,11 +17,11 @@ from eegcnn.data import Epoch, split_dataset
 from eegcnn.interpret import ProbeSpec, conv_filter_response, fir_power_response, pooling_sensitivity
 from eegcnn.metrics import evaluate, roc_auc
 from eegcnn.model import ModelConfig, ModelParams, forward, init_params, param_count
-from eegcnn.preprocess import design_highpass, gain_db
+from eegcnn.preprocess import design_highpass
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainConfig, train
 
-from conftest import finite_diff_check
+from conftest import finite_diff_check, gain_db
 from test_metrics import pair_counting_auc
 
 

@@ -1,12 +1,17 @@
 """The checkpoint byte layout, built by hand from the eegcnn.checkpoint docstring."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from eegcnn.checkpoint import load_checkpoint, save_checkpoint
+from eegcnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from eegcnn.model import ModelParams
+
+from conftest import edited_json, mutated_bytes
 
 # in_channels, out_channels, kernel, classes: in, out and classes differ, so a
 # swapped dimension or block changes the bytes
@@ -50,3 +55,30 @@ def test_save_writes_documented_layout(tmp_path, layout):
     save_checkpoint(path, ModelParams(**blocks), seed=7)
     assert path.read_bytes() == blob
 
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_damaged_checkpoint_loads_or_raises_checkpoint_error(tmp_path, data):
+    """The header edited, or the bytes of the header, the payload or the
+    whole file damaged: the checkpoint loads, or the reader raises
+    CheckpointError (exit 3), never another error."""
+    _, blob = by_hand(*LAYOUTS[0], seed=1)
+    nl = blob.index(b"\n")
+    header, payload = blob[:nl], blob[nl:]
+    part = data.draw(st.sampled_from(["header json", "header", "payload", "file"]))
+    if part == "header json":
+        blob = json.dumps(data.draw(edited_json(json.loads(header)))).encode() + payload
+    elif part == "header":
+        blob = data.draw(mutated_bytes(header)) + payload
+    elif part == "payload":
+        blob = header + data.draw(mutated_bytes(payload))
+    else:
+        blob = data.draw(mutated_bytes(blob))
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(blob)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

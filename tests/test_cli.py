@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -6,19 +7,27 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import eegcnn.interpret
 from eegcnn.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     SETTINGS,
+    SplitError,
+    _read_split,
+    _write_split,
     build_parser,
     main,
     resolve_settings,
 )
-from eegcnn.data import write_subject_csv
+from eegcnn.data import DatasetSplit, write_subject_csv
 from eegcnn.synth import synthetic_dataset
+
+from conftest import OVER_LONG_INT, edited_json, make_epoch, mutated_bytes
 
 FS = 100.0
 CHANNELS = 3
@@ -203,7 +212,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("name, damage", [
         ("train", "truncate"), ("validation", "garbage"), ("test", "empty"),
-        ("train", "2-D"), ("validation", "float32"),
+        ("train", "2-D"), ("validation", "float32"), ("test", "huge shape"), ("train", "nan"),
     ])
     def test_bad_data_array(self, prepared, tmp_path, capsys, name, damage):
         split_dir = tmp_path / "split"
@@ -219,6 +228,14 @@ class TestTrain:
             path.write_bytes(b"")
         elif damage == "2-D":
             np.save(path, stack.reshape(stack.shape[0], -1))
+        elif damage == "huge shape":  # a header that declares far more data than memory holds
+            header = np.lib.format.header_data_from_array_1_0(stack)
+            buf = io.BytesIO()
+            np.lib.format.write_array_header_1_0(buf, {**header, "shape": (10**6,) * 3})
+            path.write_bytes(buf.getvalue() + stack.tobytes())
+        elif damage == "nan":
+            stack[-1, 0, 0] = np.nan
+            np.save(path, stack)
         else:
             np.save(path, stack.astype(np.float32))
         rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o")])
@@ -279,10 +296,35 @@ def test_bad_checkpoint_header(prepared, trained, tmp_path, capsys, command, key
     assert str(bad) in err and f"'{key}'" in err
 
 
-@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "\udcff"])
+@pytest.mark.parametrize("key, value", [
+    ("format_version", True), ("format_version", 1.0), ("format_version", 2),
+    ("seed", 1.5), ("config", [1]), ("config.kernel", 3.0), ("config.classes", "2"),
+])
+def test_bad_checkpoint_header_value(prepared, trained, tmp_path, capsys, key, value):
+    """A header value of the wrong type or, for format_version, not the
+    integer 1 exits 3 and names the key."""
+    blob = (trained / "checkpoint.bin").read_bytes()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    if key.startswith("config."):
+        header["config"][key.removeprefix("config.")] = value
+    else:
+        header[key] = value
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(header).encode() + blob[nl:])
+    rc = main(["evaluate", "--checkpoint", str(bad), "--split", str(prepared),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"'{key}' must be" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "\udcff", OVER_LONG_INT])
 @pytest.mark.parametrize("reader", ["split", "checkpoint"])
 def test_unparsable_json_exits_3(prepared, trained, tmp_path, capsys, reader, text):
-    """A split index or checkpoint header too deeply nested or not UTF-8."""
+    """A split index or checkpoint header too deeply nested, not UTF-8, or
+    holding an integer too long to convert."""
     raw = text.encode("utf-8", "surrogateescape")
     split_dir, ckpt_path = prepared, trained / "checkpoint.bin"
     if reader == "split":
@@ -298,6 +340,38 @@ def test_unparsable_json_exits_3(prepared, trained, tmp_path, capsys, reader, te
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_IO
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_split(tmp_path_factory):
+    """Name -> bytes of each file of a valid split of six 2-channel epochs."""
+    epochs = [make_epoch(label=i % 2, seed=i, subject_id=f"S{i}") for i in range(6)]
+    split = DatasetSplit(train=epochs[:2], validation=epochs[2:4], test=epochs[4:], seed=3,
+                         subject_assignment={f"S{i}": "train" for i in range(6)})
+    out = tmp_path_factory.mktemp("tiny_split")
+    _write_split(out, split, FS)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.filterwarnings("ignore:Reading `.npy` or `.npz` file required additional header")
+def test_any_damaged_split_loads_or_raises_split_error(tiny_split, tmp_path, data):
+    """split.json edited, or the bytes of one file damaged: the split loads,
+    or the reader raises SplitError (exit 3), never another error."""
+    files = dict(tiny_split)
+    name = data.draw(st.sampled_from(sorted(files)))
+    if name == "split.json" and data.draw(st.booleans()):
+        files[name] = json.dumps(data.draw(edited_json(json.loads(files[name])))).encode()
+    else:
+        files[name] = data.draw(mutated_bytes(files[name]))
+    for file_name, blob in files.items():
+        (tmp_path / file_name).write_bytes(blob)
+    try:
+        _read_split(tmp_path)
+    except SplitError:
+        pass
 
 
 class TestProbe:
@@ -318,6 +392,7 @@ class TestProbe:
         ["--fs", "-100"],
         ["--fs", "0"],
         ["--epoch-len", "0"],
+        ["--fs", "0.4", "--epoch-len", "10"],  # a 1 s Welch window of 0 samples
     ])
     def test_bad_spec_writes_nothing(self, trained, tmp_path, capsys, extra):
         out = tmp_path / "probe"
@@ -326,6 +401,19 @@ class TestProbe:
                    "--fs", str(FS), "--epoch-len", "500", *extra])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2(self, trained, tmp_path, capsys, monkeypatch):
+        def no_memory(spec, rng):
+            raise MemoryError("Unable to allocate 44.0 GiB")
+
+        monkeypatch.setattr(eegcnn.interpret, "gen_white_noise", no_memory)
+        out = tmp_path / "probe"
+        rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"), "--out", str(out),
+                   "--repeats-sine", "1", "--repeats-noise", "1", "--fs", str(FS)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: out of memory in probe: Unable to allocate 44.0 GiB\n")
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -506,7 +594,9 @@ class TestSettings:
         assert "unknown setting(s) 'learning_rat'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "{", "\udcff", "[1]"])
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000, "{", "\udcff", "[1]", OVER_LONG_INT,
+    ])
     def test_unparsable_file_rejected(self, tmp_path, capsys, text):
         path = tmp_path / "settings.json"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))

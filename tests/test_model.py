@@ -259,7 +259,7 @@ class TestBackward:
             cache = forward(p, x, mode=mode, rng=rng)
             ref = reference_forward(p, x, mode=mode, rng=ref_rng)
             np.testing.assert_array_equal(cache.unrolled, reference_unroll(x, kernel))
-            for name in vars(ref):
+            for name in vars(ref).keys() - {"input"}:  # the cache keeps `unrolled` instead
                 np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name))
             gl = data.standard_normal(2)
             got, want = backward(cache, p, gl), reference_backward(ref, p, gl)

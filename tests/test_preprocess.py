@@ -6,9 +6,10 @@ from eegcnn.preprocess import (
     FilterCoeffs,
     apply_zero_phase,
     design_highpass,
-    gain_db,
     welch_psd_batch,
 )
+
+from conftest import gain_db
 
 FS = 500.0
 
@@ -124,8 +125,9 @@ class TestWelchPsd:
 
     def test_window_longer_than_signal_rejected(self):
         with pytest.raises(ValueError, match="window"):
-            welch_psd_batch(np.zeros(100), FS, window_len=500)
+            welch_psd_batch(np.zeros(int(FS) - 1), FS)
 
-    def test_bad_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            welch_psd_batch(np.zeros(1000), FS, overlap=1.0)
+    @pytest.mark.parametrize("fs", [0.4, 0.5])  # round(0.5) is 0
+    def test_zero_sample_window_rejected(self, fs):
+        with pytest.raises(ValueError, match=f"fs {fs} Hz gives a 1 s Welch window of 0"):
+            welch_psd_batch(np.zeros(10), fs)
