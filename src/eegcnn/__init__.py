@@ -22,7 +22,7 @@ from .data import (
     split_dataset,
 )
 from .model import ModelConfig, ModelParams, forward, backward, init_params, param_count
-from .preprocess import FilterCoeffs, apply_zero_phase, design_highpass, welch_psd_batch
+from .preprocess import apply_zero_phase, design_highpass, welch_psd_batch
 from .train import TrainConfig, TrainHistory, adam_step, cross_entropy, train
 from .metrics import ConfusionMatrix, MetricsReport, confusion, evaluate, roc_auc, scalar_metrics
 from .interpret import (

@@ -81,7 +81,7 @@ def _fields(cls, skip: tuple[str, ...] = ()) -> dict:
 
 
 _PATH = (str, None)
-_MODEL = _fields(ModelConfig)
+_MODEL = _fields(ModelConfig, skip=("classes",))  # the labels are binary
 _TRAIN = _fields(TrainConfig)
 
 # command -> setting -> (type, default); a None default marks a required setting
@@ -255,12 +255,16 @@ def _print_epoch(i: int, row: dict) -> None:
     )
 
 
-def _check_channels(split_dir, split: dat.DatasetSplit, model_config: ModelConfig) -> None:
-    """Every epoch of the split must have in_channels channels (exit 2)."""
+def _check_model(split_dir, split: dat.DatasetSplit, config: ModelConfig, source="") -> None:
+    """The model must be binary and every epoch of the split must have
+    in_channels channels (exit 2). ``source`` prefixes the message."""
     counts = sorted({ep.data.shape[0] for ep in split.train + split.validation + split.test})
-    if counts != [model_config.in_channels]:
+    if config.classes != 2:
+        raise ConfigError(f"{source}classes is {config.classes}, but the split in {split_dir} "
+                          f"has 2 classes (labels 0 and 1)")
+    if counts != [config.in_channels]:
         raise ConfigError(
-            f"in_channels is {model_config.in_channels}, but the split in {split_dir} has "
+            f"{source}in_channels is {config.in_channels}, but the split in {split_dir} has "
             f"{'/'.join(map(str, counts))} channels"
         )
 
@@ -269,7 +273,7 @@ def cmd_train(s: dict) -> int:
     split, _ = _read_split(s["split"])
     train_config = _build(TrainConfig, s)
     model_config = _build(ModelConfig, s)
-    _check_channels(s["split"], split, model_config)
+    _check_model(s["split"], split, model_config)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     history = run_training(split, train_config, model_config, on_epoch=_print_epoch)
@@ -282,6 +286,7 @@ def cmd_train(s: dict) -> int:
 def cmd_evaluate(s: dict) -> int:
     params, _ = ckpt.load_checkpoint(s["checkpoint"])
     split, _ = _read_split(s["split"])
+    _check_model(s["split"], split, params.config, f"checkpoint {s['checkpoint']}: ")
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = met.evaluate(params, split.test)
@@ -323,7 +328,7 @@ def cmd_sweep(s: dict) -> int:
         base_model_config=_build(ModelConfig, s),
         seed_policy=s["seed_policy"],
     )
-    _check_channels(s["split"], split, sweep.base_model_config)
+    _check_model(s["split"], split, sweep.base_model_config)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = exp.run_sweep(sweep, split)

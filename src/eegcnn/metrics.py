@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Epoch
-from .model import ModelParams, forward
+from .model import ModelParams, predict
 
 
 class AucUndefinedError(ValueError):
@@ -63,6 +63,9 @@ def confusion(predictions: list[int], labels: list[int]) -> ConfusionMatrix:
         raise ValueError(f"length mismatch: {len(predictions)} predictions, {len(labels)} labels")
     if not predictions:
         raise ValueError("need at least one prediction")
+    outside = {*predictions, *labels} - {0, 1}
+    if outside:
+        raise ValueError(f"predictions and labels must be 0 or 1, got {sorted(outside)}")
     tp = fp = tn = fn = 0
     for p, y in zip(predictions, labels):
         if y == 1:
@@ -80,7 +83,7 @@ def scalar_metrics(cm: ConfusionMatrix) -> dict:
         raise ValueError("empty confusion matrix")
     degenerate = False
 
-    def ratio(num: int, den: int) -> float:
+    def ratio(num: float, den: float) -> float:
         nonlocal degenerate
         if den == 0:
             degenerate = True
@@ -89,9 +92,7 @@ def scalar_metrics(cm: ConfusionMatrix) -> dict:
 
     precision = ratio(cm.tp, cm.tp + cm.fp)
     recall = ratio(cm.tp, cm.tp + cm.fn)
-    f1 = ratio_f1(precision, recall)
-    if precision + recall == 0:
-        degenerate = True
+    f1 = ratio(2 * precision * recall, precision + recall)
     return {
         "precision": precision,
         "recall": recall,
@@ -99,12 +100,6 @@ def scalar_metrics(cm: ConfusionMatrix) -> dict:
         "accuracy": (cm.tp + cm.tn) / cm.total,
         "degenerate": degenerate,
     }
-
-
-def ratio_f1(precision: float, recall: float) -> float:
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
 
 
 def roc_auc(scores: list[float], labels: list[int]) -> float:
@@ -138,17 +133,13 @@ def evaluate(checkpoint: ModelParams, epochs: list[Epoch]) -> MetricsReport:
     """Eval-mode inference per epoch; each epoch is one classification instance."""
     if not epochs:
         raise ValueError("need at least one epoch to evaluate")
-    preds, labels, scores = [], [], []
-    for ep in epochs:
-        probs = forward(checkpoint, ep.data, mode="eval").probs
-        preds.append(int(np.argmax(probs)))  # tie goes to class 0
-        scores.append(float(probs[1]))
-        labels.append(ep.label)
-    cm = confusion(preds, labels)
+    probs = predict(checkpoint, epochs)
+    labels = [ep.label for ep in epochs]
+    cm = confusion(probs.argmax(axis=1).tolist(), labels)  # a tie goes to class 0
     scalars = scalar_metrics(cm)
     degenerate = scalars.pop("degenerate")
     try:
-        auc = roc_auc(scores, labels)
+        auc = roc_auc(probs[:, 1], labels)
     except AucUndefinedError:
         auc = None
         degenerate = True

@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .data import Epoch
+
 DROPOUT_RATE = 0.1
 
 
@@ -177,6 +179,12 @@ def forward(
         probs=softmax(logits),
         mode=mode,
     )
+
+
+def predict(params: ModelParams, epochs: list[Epoch]) -> np.ndarray:
+    """Eval-mode class probabilities [N, classes], one forward per epoch."""
+    probs = [forward(params, ep.data, mode="eval").probs for ep in epochs]
+    return np.array(probs).reshape(len(epochs), params.fc_bias.size)
 
 
 def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> ModelParams:

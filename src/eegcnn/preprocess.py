@@ -1,8 +1,13 @@
-"""High-pass filtering and Welch PSD estimation."""
+"""High-pass filtering and Welch PSD estimation.
+
+The high-pass is a Butterworth filter designed once as second-order sections
+(SOS) and run forward and backward, so it has zero phase and works at every
+order >= 1; no polynomial (b, a) form is ever built.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy import signal as sps
@@ -10,56 +15,38 @@ from scipy import signal as sps
 from .data import Manifest, SubjectRecording, load_subject_csv
 
 
-@dataclass(frozen=True)
-class FilterCoeffs:
-    b: np.ndarray
-    a: np.ndarray
-    cutoff_hz: float
-    order: int
-    fs: float
-
-    def __post_init__(self):
-        if abs(self.a[0] - 1.0) > 1e-12:
-            raise ValueError("feedback coefficients must be normalized so a[0] = 1")
-        poles = np.roots(self.a)
-        if poles.size and np.max(np.abs(poles)) >= 1.0:
-            raise ValueError("unstable filter: pole on or outside the unit circle")
-
-
-def design_highpass(cutoff_hz: float, order: int, fs: float) -> FilterCoeffs:
-    """Butterworth high-pass with the -3 dB point at cutoff_hz (single pass)."""
+def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
+    """Butterworth high-pass with the -3 dB point at cutoff_hz (single pass),
+    as second-order sections: a [sections, 6] array of biquad coefficients
+    taken straight from the filter's poles and zeros, stable at every order."""
     if order < 1:
         raise ValueError(f"filter order must be >= 1, got {order}")
     if not 0 < cutoff_hz < fs / 2:
         raise ValueError(f"cutoff must lie in (0, fs/2) = (0, {fs / 2}), got {cutoff_hz}")
-    b, a = sps.butter(order, cutoff_hz, btype="highpass", fs=fs)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64) / a[0]
-    a = a / a[0]
-    return FilterCoeffs(b=b, a=a, cutoff_hz=cutoff_hz, order=order, fs=fs)
+    return sps.butter(order, cutoff_hz, btype="highpass", fs=fs, output="sos")
 
 
-def apply_zero_phase(coeffs: FilterCoeffs, x: np.ndarray) -> np.ndarray:
+def apply_zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Forward-backward filtering with reflective edge padding; zero net phase."""
     x = np.asarray(x, dtype=np.float64)
-    padlen = 3 * max(len(coeffs.a), len(coeffs.b))
+    # the pad is 3 * (order + 1) samples; an odd order ends in a first-order
+    # section, the one whose a2 is 0
+    padlen = 3 * (2 * len(sos) + 1 - np.count_nonzero(sos[:, 5] == 0))
     if x.shape[-1] <= padlen:
         raise ValueError(
             f"signal length {x.shape[-1]} too short for edge padding (needs > {padlen})"
         )
-    # second-order sections keep roundoff down with poles near the unit circle
-    sos = sps.tf2sos(coeffs.b, coeffs.a)
     return sps.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
 
 
 def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[SubjectRecording]:
     """Every subject the manifest lists, loaded and zero-phase high-pass
     filtered channel by channel."""
-    coeffs = design_highpass(cutoff_hz, order, manifest.fs)
+    sos = design_highpass(cutoff_hz, order, manifest.fs)
     subjects = []
     for entry in manifest.entries:
         rec = load_subject_csv(entry.file, entry, manifest)
-        subjects.append(replace(rec, samples=apply_zero_phase(coeffs, rec.samples)))
+        subjects.append(replace(rec, samples=apply_zero_phase(sos, rec.samples)))
     return subjects
 
 

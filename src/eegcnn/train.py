@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .data import DatasetSplit, Epoch
-from .model import ModelConfig, ModelParams, backward, forward, init_params
+from .model import ModelConfig, ModelParams, backward, forward, init_params, predict
 
 
 class TrainingDivergedError(RuntimeError):
@@ -101,13 +101,9 @@ def adam_step(
 
 def _eval_pass(params: ModelParams, epochs: list[Epoch]) -> tuple[float, float]:
     """Mean cross-entropy and accuracy in eval mode (argmax ties go to class 0)."""
-    losses, correct = [], 0
-    for ep in epochs:
-        probs = forward(params, ep.data, mode="eval").probs
-        loss, _ = cross_entropy(probs, ep.label)
-        losses.append(loss)
-        if int(np.argmax(probs)) == ep.label:
-            correct += 1
+    probs = predict(params, epochs)
+    losses = [cross_entropy(p, ep.label)[0] for p, ep in zip(probs, epochs)]
+    correct = sum(int(np.argmax(p)) == ep.label for p, ep in zip(probs, epochs))
     return float(np.mean(losses)), correct / len(epochs)
 
 

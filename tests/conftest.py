@@ -95,9 +95,9 @@ def make_epoch(channels=2, epoch_len=8, label=0, seed=0, subject_id="S000"):
     )
 
 
-def gain_db(coeffs, freq_hz, zero_phase=False):
+def gain_db(sos, freq_hz, fs, zero_phase=False):
     """Magnitude response in dB at one frequency; doubled for forward-backward use."""
-    _, h = sps.freqz(coeffs.b, coeffs.a, worN=[freq_hz], fs=coeffs.fs)
+    _, h = sps.sosfreqz(sos, worN=[freq_hz], fs=fs)
     mag = abs(h[0])
     db = 20.0 * np.log10(mag) if mag > 0 else -np.inf
     return 2.0 * db if zero_phase else db

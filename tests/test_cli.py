@@ -24,7 +24,9 @@ from eegcnn.cli import (
     main,
     resolve_settings,
 )
+from eegcnn.checkpoint import save_checkpoint
 from eegcnn.data import DatasetSplit, write_subject_csv
+from eegcnn.model import ModelConfig, init_params
 from eegcnn.synth import synthetic_dataset
 
 from conftest import OVER_LONG_INT, edited_json, make_epoch, mutated_bytes
@@ -118,6 +120,12 @@ class TestPrepare:
                    "--out", str(tmp_path / "out"), "--seed", "0"])
         assert rc == EXIT_CONFIG
         assert "train/validation/test = 2/1/0" in capsys.readouterr().err
+
+    def test_high_filter_order(self, dataset_dir, tmp_path):
+        # the polynomial form of this filter had a pole outside the unit circle
+        rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
+                   "--out", str(tmp_path / "out"), "--cutoff-hz", "0.5", "--filter-order", "10"])
+        assert rc == EXIT_OK
 
     def test_missing_manifest(self, tmp_path):
         rc = main(["prepare", "--manifest", str(tmp_path / "none.json"),
@@ -264,6 +272,21 @@ class TestEvaluate:
         assert report["n_epochs"] == len(index["partitions"]["test"])
         csv_lines = (out / "metrics.csv").read_text().splitlines()
         assert csv_lines[0] == "precision,recall,f1,auc,accuracy"
+
+    @pytest.mark.parametrize("config, wrong", [
+        (ModelConfig(CHANNELS, 2, 3, 3), "classes is 3"),
+        (ModelConfig(CHANNELS + 1, 2, 3, 2), f"in_channels is {CHANNELS + 1}"),
+    ])
+    def test_checkpoint_must_fit_split(self, prepared, tmp_path, capsys, config, wrong):
+        # a 3-class model's class-2 predictions used to drop out of the scores
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, init_params(0, config), 0)
+        rc = main(["evaluate", "--checkpoint", str(path), "--split", str(prepared),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert f"checkpoint {path}: {wrong}, but the split in {prepared} has" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint(self, prepared, tmp_path, capsys):
         missing = tmp_path / "none.bin"
@@ -467,6 +490,24 @@ class TestSweep:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_classes_not_settable(prepared, tmp_path, capsys, command):
+    """The labels are binary, so the class count is no setting: neither a
+    flag nor a config-file key."""
+    argv = [command, "--split", str(prepared), "--out", str(tmp_path / "o"), "--epochs", "1",
+            "--in-channels", str(CHANNELS)]
+    if command == "sweep":
+        argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--classes", "3"])
+    assert exc.value.code == EXIT_CONFIG
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"classes": 3}))
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown setting(s) 'classes'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestChannelCount:
     """train and sweep check the split's channel count against in_channels
     before any training."""
@@ -499,8 +540,7 @@ _TRAIN = {
     "adam_beta1": (float, 0.9), "adam_beta2": (float, 0.999), "adam_eps": (float, 1e-8),
     "seed": (int, 0),
 }
-_MODEL = {"in_channels": (int, 59), "out_channels": (int, 59), "kernel": (int, 11),
-          "classes": (int, 2)}
+_MODEL = {"in_channels": (int, 59), "out_channels": (int, 59), "kernel": (int, 11)}
 # command -> setting -> (type, default), None marking a required setting
 EXPECTED_SETTINGS = {
     "prepare": {"manifest": _PATH, "out": _PATH, "seed": (int, 0), "cutoff_hz": (float, 1.0),
@@ -515,6 +555,9 @@ EXPECTED_SETTINGS = {
     "psd": {"split": _PATH, "out": _PATH},
 }
 PAIRS = [(c, k) for c, table in EXPECTED_SETTINGS.items() for k in table]
+# command -> removed setting -> its old type; a config file that still sets it
+# exits 2 as an unknown setting, whatever the value
+REMOVED = {"train": {"classes": int}, "sweep": {"classes": int}}
 # type -> (file value, its setting, flag text, its setting)
 GOOD = {
     int: (3, 3, "5", 5),
@@ -565,14 +608,20 @@ class TestSettings:
         flag = f"--{key.replace('_', '-')}"
         assert self._resolve(tmp_path, command, cfg, flag, flag_text)[key] == from_flag
 
+    # each removed setting keeps its place after the command's settings, so
+    # the generated ids (valueNN) of the cases after it stay as they were
     @pytest.mark.parametrize("command, key, value", [
-        (c, k, v) for c, k in PAIRS for v in BAD[EXPECTED_SETTINGS[c][k][0]]
+        (c, k, v) for c, table in EXPECTED_SETTINGS.items()
+        for k, kind in [*((k, t) for k, (t, _) in table.items()), *REMOVED.get(c, {}).items()]
+        for v in BAD[kind]
     ])
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, key, value):
         cfg = {**self._required(command, tmp_path), key: value}
         rc = main([command, "--config", self._write(tmp_path, cfg)])
         assert rc == EXIT_CONFIG
-        assert f"'{key}' must be" in capsys.readouterr().err
+        removed = key in REMOVED.get(command, {})
+        want = f"unknown setting(s) '{key}'" if removed else f"'{key}' must be"
+        assert want in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, key", [

@@ -52,6 +52,14 @@ class TestConfusion:
     def test_total(self):
         assert confusion([1, 0, 1], [0, 0, 1]).total == 3
 
+    @pytest.mark.parametrize("predictions, labels", [
+        ([1, 2, 0], [1, 0, 0]), ([1, 0, 0], [1, 0, 2]), ([-1, 0], [0, 1]),
+    ])
+    def test_non_binary_rejected(self, predictions, labels):
+        # a 3-class prediction used to drop out of every count
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            confusion(predictions, labels)
+
 
 class TestScalarMetrics:
     def test_headline_f1(self):

@@ -13,10 +13,11 @@ from eegcnn.model import (
     forward,
     init_params,
     param_count,
+    predict,
     softmax,
 )
 
-from conftest import reference_backward, reference_forward, reference_unroll
+from conftest import make_epoch, reference_backward, reference_forward, reference_unroll
 
 
 def identity_params(channels=2, kernel=3, classes=2):
@@ -217,6 +218,17 @@ class TestForward:
         cache = forward(p, rng.standard_normal((2, 17)))
         assert abs(cache.probs.sum() - 1.0) < 1e-12
         assert np.all((cache.probs > 0) & (cache.probs < 1))
+
+
+class TestPredict:
+    def test_rows_are_eval_forward_probs(self):
+        p = init_params(4, ModelConfig(2, 3, 3, 2))
+        epochs = [make_epoch(seed=i) for i in range(3)]
+        probs = predict(p, epochs)
+        assert probs.shape == (3, 2)
+        for row, ep in zip(probs, epochs):
+            np.testing.assert_array_equal(row, forward(p, ep.data, mode="eval").probs)
+        assert predict(p, []).shape == (0, 2)
 
 
 class TestSoftmax:

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
-from eegcnn.preprocess import (
-    FilterCoeffs,
-    apply_zero_phase,
-    design_highpass,
-    welch_psd_batch,
-)
+from eegcnn.preprocess import apply_zero_phase, design_highpass, welch_psd_batch
 
 from conftest import gain_db
 
@@ -16,8 +13,8 @@ FS = 500.0
 
 class TestDesignHighpass:
     def test_minus_3db_at_cutoff(self):
-        coeffs = design_highpass(1.0, 4, FS)
-        assert gain_db(coeffs, 1.0) == pytest.approx(-3.0103, abs=0.1)
+        sos = design_highpass(1.0, 4, FS)
+        assert gain_db(sos, 1.0, FS) == pytest.approx(-3.0103, abs=0.1)
 
     def test_cutoff_at_nyquist_rejected(self):
         with pytest.raises(ValueError):
@@ -28,32 +25,53 @@ class TestDesignHighpass:
             design_highpass(1.0, 0, FS)
 
     def test_dc_killed(self):
-        coeffs = design_highpass(1.0, 4, FS)
+        sos = design_highpass(1.0, 4, FS)
         x = np.ones(10000)
-        y = sps.lfilter(coeffs.b, coeffs.a, x)
+        y = sps.sosfilt(sos, x)
         assert abs(y[-1]) < 1e-6
 
     def test_stability_invariant(self):
         # impulse response tail must have decayed to numerical zero by 10 s
-        coeffs = design_highpass(1.0, 4, FS)
+        sos = design_highpass(1.0, 4, FS)
         impulse = np.zeros(int(12 * FS))
         impulse[0] = 1.0
-        h = sps.lfilter(coeffs.b, coeffs.a, impulse)
+        h = sps.sosfilt(sos, impulse)
         assert np.all(np.abs(h[int(10 * FS):]) < 1e-12)
 
-    def test_unstable_coeffs_rejected(self):
-        with pytest.raises(ValueError, match="unstable"):
-            FilterCoeffs(b=np.array([1.0]), a=np.array([1.0, -1.5]),
-                         cutoff_hz=1.0, order=1, fs=FS)
+    @settings(max_examples=200, deadline=None)
+    @given(fs=st.floats(1.0, 10_000.0), fraction=st.floats(1e-4, 0.49),
+           order=st.integers(1, 20))
+    @example(fs=FS, fraction=1.0 / FS, order=7)
+    @example(fs=FS, fraction=0.5 / FS, order=6)
+    @example(fs=FS, fraction=1.0 / FS, order=8)
+    def test_gain_matches_analytic_butterworth(self, fs, fraction, order):
+        # oracle: the bilinear-transform Butterworth high-pass has
+        # |H(w)| = 1 / sqrt(1 + (tan(wc / 2) / tan(w / 2))^(2n))
+        cutoff = fraction * fs
+        sos = design_highpass(cutoff, order, fs)
+        # from cutoff / 8 up: much closer to DC, sosfreqz's own sum over the
+        # zeros at z = 1 loses digits (relative error about eps / w^2)
+        freqs = np.geomspace(cutoff / 8, 0.499 * fs, 200)
+        _, h = sps.sosfreqz(sos, worN=freqs, fs=fs)
+        ratio = np.tan(np.pi * cutoff / fs) / np.tan(np.pi * freqs / fs)
+        with np.errstate(over="ignore"):
+            want = 1.0 / np.sqrt(1.0 + ratio ** (2 * order))
+        got = np.abs(h)
+        seen = (got > 1e-6) | (want > 1e-6)
+        np.testing.assert_allclose(got[seen], want[seen], rtol=1e-6)
+        # each section's poles on their own: a (b, a) form of the whole filter
+        # is what loses the accuracy at high orders and low cutoffs
+        poles = np.concatenate([np.roots(section[3:]) for section in sos])
+        assert np.all(np.abs(poles) < 1.0)
 
 
 class TestApplyZeroPhase:
     def setup_method(self):
-        self.coeffs = design_highpass(1.0, 4, FS)
+        self.sos = design_highpass(1.0, 4, FS)
 
     def test_constant_rejected(self):
         c = 7.5
-        out = apply_zero_phase(self.coeffs, np.full(5000, c))
+        out = apply_zero_phase(self.sos, np.full(5000, c))
         interior = out[500:-500]
         assert np.max(np.abs(interior)) < 1e-6 * abs(c)
 
@@ -62,7 +80,7 @@ class TestApplyZeroPhase:
         # high-pass is 1/sqrt(1 + (1/10)^8); squared for forward-backward
         t = np.arange(10000) / FS
         x = np.sin(2 * np.pi * 10.0 * t)
-        y = apply_zero_phase(self.coeffs, x)
+        y = apply_zero_phase(self.sos, x)
         interior = slice(2500, -2500)  # outside the 1 Hz filter's edge transient
         amp = np.max(np.abs(y[interior]))
         expected = (1.0 / np.sqrt(1.0 + (1.0 / 10.0) ** 8)) ** 2
@@ -76,17 +94,25 @@ class TestApplyZeroPhase:
     def test_linearity(self, rng):
         x = rng.standard_normal(4000)
         y = rng.standard_normal(4000)
-        lhs = apply_zero_phase(self.coeffs, 2.5 * x - 1.25 * y)
-        rhs = 2.5 * apply_zero_phase(self.coeffs, x) - 1.25 * apply_zero_phase(self.coeffs, y)
+        lhs = apply_zero_phase(self.sos, 2.5 * x - 1.25 * y)
+        rhs = 2.5 * apply_zero_phase(self.sos, x) - 1.25 * apply_zero_phase(self.sos, y)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="too short"):
-            apply_zero_phase(self.coeffs, np.ones(10))
+            apply_zero_phase(self.sos, np.ones(10))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 7])
+    def test_edge_pad_is_three_times_order_plus_one(self, order):
+        sos = design_highpass(1.0, order, FS)
+        pad = 3 * (order + 1)
+        with pytest.raises(ValueError, match=f"needs > {pad}"):
+            apply_zero_phase(sos, np.ones(pad))
+        assert apply_zero_phase(sos, np.ones(pad + 1)).shape == (pad + 1,)
 
     def test_length_preserved(self, rng):
         x = rng.standard_normal(777)
-        assert apply_zero_phase(self.coeffs, x).shape == x.shape
+        assert apply_zero_phase(self.sos, x).shape == x.shape
 
 
 class TestWelchPsd:

@@ -21,6 +21,7 @@ from conftest import finite_diff_check, make_epoch, reference_backward, referenc
 
 # the package binds the name ``train`` to the function, so fetch the module
 train_module = importlib.import_module("eegcnn.train")
+model_module = importlib.import_module("eegcnn.model")
 
 
 class TestCrossEntropy:
@@ -189,6 +190,7 @@ class TestTrainMatchesReference:
         mcfg = ModelConfig(3, 4, kernel, 2)
         got = train(split, cfg, mcfg)
         monkeypatch.setattr(train_module, "forward", reference_forward)
+        monkeypatch.setattr(model_module, "forward", reference_forward)  # predict's
         monkeypatch.setattr(train_module, "backward", reference_backward)
         want = train(split, cfg, mcfg)
         assert got.to_json() == want.to_json()
