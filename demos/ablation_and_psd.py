@@ -8,7 +8,7 @@ epochs) and locates each group's spectral peak.
 import numpy as np
 
 from eegcnn.data import split_dataset
-from eegcnn.experiments import SweepConfig, group_psd, run_sweep
+from eegcnn.experiments import group_psd, run_sweep, sweep_configs
 from eegcnn.model import ModelConfig
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainConfig
@@ -23,16 +23,10 @@ def main():
     )
     split = split_dataset(subjects, seed=3)
 
-    sweep = SweepConfig(
-        parameter="kernel_size",
-        values=(3, 7, 11),
-        base_train_config=TrainConfig(epochs=20, learning_rate=3e-3, seed=0),
-        base_model_config=ModelConfig(4, 4, 7, 2),
-    )
-    report = run_sweep(sweep, split)
+    configs = sweep_configs(ModelConfig(4, 4, 7, 2), "kernel_size", (3, 7, 11))
+    report = run_sweep(split, TrainConfig(epochs=20, learning_rate=3e-3, seed=0), configs)
     print("kernel-size sweep (test partition):")
-    for idx, value in enumerate(sweep.values):
-        rep = report.reports[value]
+    for idx, (value, rep) in enumerate(report.reports.items()):
         norm_acc = report.normalized["accuracy"][idx]
         print(f"  kernel={value:2d}  acc {rep.accuracy:.3f}  "
               f"auc {rep.auc:.3f}  normalized acc {norm_acc:.2f}")

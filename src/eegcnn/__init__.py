@@ -33,7 +33,7 @@ from .interpret import (
     gen_white_noise,
     pooling_sensitivity,
 )
-from .experiments import AblationReport, SweepConfig, group_psd, run_sweep
+from .experiments import AblationReport, group_psd, run_sweep, sweep_configs
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

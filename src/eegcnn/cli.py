@@ -98,7 +98,7 @@ SETTINGS = {
     },
     "sweep": {
         "split": _PATH, "out": _PATH, "sweep_parameter": (str, None),
-        "sweep_values": (tuple, None), "seed_policy": (str, "fixed"), **_TRAIN, **_MODEL,
+        "sweep_values": (tuple, None), **_TRAIN, **_MODEL,
     },
     "psd": {"split": _PATH, "out": _PATH},
 }
@@ -321,17 +321,13 @@ def cmd_probe(s: dict) -> int:
 
 def cmd_sweep(s: dict) -> int:
     split, _ = _read_split(s["split"])
-    sweep = exp.SweepConfig(
-        parameter=s["sweep_parameter"],
-        values=s["sweep_values"],
-        base_train_config=_build(TrainConfig, s),
-        base_model_config=_build(ModelConfig, s),
-        seed_policy=s["seed_policy"],
-    )
-    _check_model(s["split"], split, sweep.base_model_config)
+    train_config = _build(TrainConfig, s)
+    base = _build(ModelConfig, s)
+    model_configs = exp.sweep_configs(base, s["sweep_parameter"], s["sweep_values"])
+    _check_model(s["split"], split, base)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = exp.run_sweep(sweep, split)
+    report = exp.run_sweep(split, train_config, model_configs)
     report.to_csv(out_dir / "ablation.csv")
     for value, err in sorted(report.errors.items()):
         print(f"sweep value {value} failed: {err}", file=sys.stderr)

@@ -13,7 +13,6 @@ import numpy as np
 
 # Positive class is PD throughout the package.
 LABEL_CODES = {"Control": 0, "PD": 1}
-LABEL_NAMES = {v: k for k, v in LABEL_CODES.items()}
 
 
 class ManifestError(ValueError):

@@ -17,50 +17,30 @@ _SWEPT_FIELDS = {"kernel_size": "kernel", "out_channels": "out_channels"}
 _METRIC_NAMES = ("precision", "recall", "f1", "auc", "accuracy")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    parameter: str  # "kernel_size" or "out_channels"
-    values: tuple[int, ...]
-    base_train_config: TrainConfig
-    base_model_config: ModelConfig
-    seed_policy: str = "fixed"  # "fixed" or "per_value"
-
-    def __post_init__(self):
-        if self.parameter not in _SWEPT_FIELDS:
-            raise ValueError(f"unknown sweep parameter {self.parameter!r}")
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
-        if self.parameter == "kernel_size" and any(v % 2 == 0 or v < 3 for v in self.values):
-            raise ValueError(f"kernel values must be odd and >= 3, got {self.values}")
-        if self.parameter == "out_channels" and any(v < 1 for v in self.values):
-            raise ValueError(f"channel values must be >= 1, got {self.values}")
-        if self.seed_policy not in ("fixed", "per_value"):
-            raise ValueError(f"unknown seed_policy {self.seed_policy!r}")
-
-    def model_config_for(self, value: int) -> ModelConfig:
-        return replace(self.base_model_config, **{_SWEPT_FIELDS[self.parameter]: value})
-
-    def train_config_for(self, idx: int) -> TrainConfig:
-        if self.seed_policy == "per_value":
-            return replace(self.base_train_config, seed=self.base_train_config.seed + idx)
-        return self.base_train_config
+def sweep_configs(
+    base: ModelConfig, parameter: str, values: tuple[int, ...]
+) -> dict[int, ModelConfig]:
+    """One model config per sweep value, in sweep order; only ``parameter``
+    ("kernel_size" or "out_channels") differs from ``base``. ModelConfig's own
+    checks reject a bad value."""
+    if parameter not in _SWEPT_FIELDS:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if not values:
+        raise ValueError("sweep needs at least one value")
+    return {v: replace(base, **{_SWEPT_FIELDS[parameter]: v}) for v in values}
 
 
 @dataclass(frozen=True)
 class AblationReport:
-    parameter: str
-    values: tuple[int, ...]
-    reports: dict[int, MetricsReport]  # only values whose training succeeded
+    reports: dict[int, MetricsReport]  # only values whose training succeeded, in sweep order
     errors: dict[int, str]
     normalized: dict[str, np.ndarray]  # per metric, aligned with successful values
 
     def to_csv(self, path: str | Path) -> None:
         cols = [f"{m}" for m in _METRIC_NAMES] + [f"normalized_{m}" for m in _METRIC_NAMES]
-        ok_values = [v for v in self.values if v in self.reports]
         with Path(path).open("w") as fh:
             fh.write("value," + ",".join(cols) + "\n")
-            for i, v in enumerate(ok_values):
-                r = self.reports[v]
+            for i, (v, r) in enumerate(self.reports.items()):
                 raw = [r.precision, r.recall, r.f1, r.auc, r.accuracy]
                 norm = [self.normalized[m][i] for m in _METRIC_NAMES]
                 cells = ["" if x is None else repr(float(x)) for x in raw + norm]
@@ -76,32 +56,28 @@ def normalize_metric(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def run_sweep(config: SweepConfig, data: DatasetSplit) -> AblationReport:
-    """Train/evaluate once per sweep value; only the swept parameter changes."""
+def run_sweep(
+    data: DatasetSplit, train_config: TrainConfig, model_configs: dict[int, ModelConfig]
+) -> AblationReport:
+    """Train/evaluate once per sweep value, in the dict's order, with the same
+    training config (and so the same seed) at every point."""
     if not data.train or not data.validation or not data.test:
         raise ValueError("all three partitions must be non-empty for a sweep")
     reports: dict[int, MetricsReport] = {}
     errors: dict[int, str] = {}
-    for i, value in enumerate(config.values):
+    for value, model_config in model_configs.items():
         try:
-            history = train(data, config.train_config_for(i), config.model_config_for(value))
+            history = train(data, train_config, model_config)
             reports[value] = evaluate(history.best_checkpoint, data.test)
         except Exception as exc:  # record and keep sweeping
             errors[value] = f"{type(exc).__name__}: {exc}"
     normalized = {}
-    ok = [v for v in config.values if v in reports]
     for m in _METRIC_NAMES:
         raw = np.array(
-            [getattr(reports[v], m) if getattr(reports[v], m) is not None else 0.0 for v in ok]
+            [getattr(r, m) if getattr(r, m) is not None else 0.0 for r in reports.values()]
         )
-        normalized[m] = normalize_metric(raw) if ok else np.array([])
-    return AblationReport(
-        parameter=config.parameter,
-        values=config.values,
-        reports=reports,
-        errors=errors,
-        normalized=normalized,
-    )
+        normalized[m] = normalize_metric(raw) if reports else np.array([])
+    return AblationReport(reports=reports, errors=errors, normalized=normalized)
 
 
 @dataclass(frozen=True)

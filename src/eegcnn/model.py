@@ -90,7 +90,6 @@ class ForwardCache:
     pooled: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
-    mode: str
 
 
 def init_params(seed: int, config: ModelConfig = ModelConfig()) -> ModelParams:
@@ -177,7 +176,6 @@ def forward(
         pooled=pooled,
         logits=logits,
         probs=softmax(logits),
-        mode=mode,
     )
 
 

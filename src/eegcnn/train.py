@@ -12,6 +12,11 @@ import numpy as np
 from .data import DatasetSplit, Epoch
 from .model import ModelConfig, ModelParams, backward, forward, init_params, predict
 
+# Adam's decay rates and epsilon, Kingma & Ba's defaults (arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     """Non-finite loss or gradient during training; message names epoch/batch."""
@@ -22,9 +27,6 @@ class TrainConfig:
     batch_size: int = 2
     learning_rate: float = 1e-4
     epochs: int = 80
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -82,19 +84,18 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite gradient in parameter block '{name}'")
     t = state.t + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
     new_m, new_v, new_p = {}, {}, {}
     p_arrays = params.arrays()
     m_arrays, v_arrays = state.m.arrays(), state.v.arrays()
     for name, g in grads.arrays().items():
-        m = b1 * m_arrays[name] + (1 - b1) * g
-        v = b2 * v_arrays[name] + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
+        m = ADAM_BETA1 * m_arrays[name] + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v_arrays[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
         new_m[name] = m
         new_v[name] = v
         new_p[name] = p_arrays[name] - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + config.adam_eps
+            np.sqrt(v_hat) + ADAM_EPS
         )
     return AdamState(m=ModelParams(**new_m), v=ModelParams(**new_v), t=t), ModelParams(**new_p)
 

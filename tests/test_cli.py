@@ -489,23 +489,28 @@ class TestSweep:
         assert "unknown sweep parameter 'kernel'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sweep-parameter", "kernel_size", "--sweep-values", "3,4"], "kernel must be odd"),
+        (["--sweep-parameter", "out_channels", "--sweep-values", "2,0"],
+         "all model dimensions must be positive"),
+        (["--sweep-parameter", "kernel_size", "--sweep-values", "3", "--epochs", "0"],
+         "epochs must be >= 1"),
+    ], ids=["even-kernel", "zero-channels", "zero-epochs"])
+    def test_bad_point_rejected(self, prepared, tmp_path, capsys, flags, message):
+        rc = main(["sweep", "--split", str(prepared), "--out", str(tmp_path / "o"),
+                   "--in-channels", str(CHANNELS), *flags])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
-@pytest.mark.parametrize("command", ["train", "sweep"])
-def test_classes_not_settable(prepared, tmp_path, capsys, command):
-    """The labels are binary, so the class count is no setting: neither a
-    flag nor a config-file key."""
-    argv = [command, "--split", str(prepared), "--out", str(tmp_path / "o"), "--epochs", "1",
-            "--in-channels", str(CHANNELS)]
-    if command == "sweep":
-        argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3"]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--classes", "3"])
-    assert exc.value.code == EXIT_CONFIG
-    cfg = tmp_path / "settings.json"
-    cfg.write_text(json.dumps({"classes": 3}))
-    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
-    assert "unknown setting(s) 'classes'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    def test_kernel_one_and_repeated_value(self, prepared, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--split", str(prepared), "--out", str(out),
+                   "--sweep-parameter", "kernel_size", "--sweep-values", "1,3,1",
+                   "--epochs", "1", "--in-channels", str(CHANNELS), "--out-channels", "2"])
+        assert rc == EXIT_OK
+        rows = (out / "ablation.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["1", "3"]
 
 
 class TestChannelCount:
@@ -536,9 +541,7 @@ class TestChannelCount:
 
 _PATH = (str, None)
 _TRAIN = {
-    "batch_size": (int, 2), "learning_rate": (float, 1e-4), "epochs": (int, 80),
-    "adam_beta1": (float, 0.9), "adam_beta2": (float, 0.999), "adam_eps": (float, 1e-8),
-    "seed": (int, 0),
+    "batch_size": (int, 2), "learning_rate": (float, 1e-4), "epochs": (int, 80), "seed": (int, 0),
 }
 _MODEL = {"in_channels": (int, 59), "out_channels": (int, 59), "kernel": (int, 11)}
 # command -> setting -> (type, default), None marking a required setting
@@ -551,13 +554,24 @@ EXPECTED_SETTINGS = {
               "amplitude": (float, 1.0), "repeats_sine": (int, 100),
               "repeats_noise": (int, 300), "seed": (int, 0)},
     "sweep": {"split": _PATH, "out": _PATH, "sweep_parameter": _PATH,
-              "sweep_values": (tuple, None), "seed_policy": (str, "fixed"), **_TRAIN, **_MODEL},
+              "sweep_values": (tuple, None), **_TRAIN, **_MODEL},
     "psd": {"split": _PATH, "out": _PATH},
 }
 PAIRS = [(c, k) for c, table in EXPECTED_SETTINGS.items() for k in table]
-# command -> removed setting -> its old type; a config file that still sets it
-# exits 2 as an unknown setting, whatever the value
-REMOVED = {"train": {"classes": int}, "sweep": {"classes": int}}
+# removed setting -> (its old type, a value it once took); the labels are
+# binary and Adam's constants are fixed, so none is a flag or a config-file key
+REMOVED = {"classes": (int, 3), "adam_beta1": (float, 0.8), "adam_beta2": (float, 0.99),
+           "adam_eps": (float, 1e-6), "seed_policy": (str, "per_value")}
+# command -> its config-file keys with the removed ones in the places they had,
+# so the generated ids (valueNN) of the bad-value cases stay as they were
+_OLD_TRAIN = ["batch_size", "learning_rate", "epochs", "adam_beta1", "adam_beta2", "adam_eps",
+              "seed", *_MODEL]
+FILE_KEYS = {
+    **{c: list(table) for c, table in EXPECTED_SETTINGS.items()},
+    "train": ["split", "out", *_OLD_TRAIN, "classes"],
+    "sweep": ["split", "out", "sweep_parameter", "sweep_values", "seed_policy", *_OLD_TRAIN,
+              "classes"],
+}
 # type -> (file value, its setting, flag text, its setting)
 GOOD = {
     int: (3, 3, "5", 5),
@@ -594,6 +608,8 @@ class TestSettings:
 
     def test_table(self):
         assert SETTINGS == EXPECTED_SETTINGS
+        live = {c: [k for k in keys if k not in REMOVED] for c, keys in FILE_KEYS.items()}
+        assert live == {c: list(table) for c, table in EXPECTED_SETTINGS.items()}
 
     @pytest.mark.parametrize("command, key", PAIRS)
     def test_flag_beats_file_beats_default(self, tmp_path, command, key):
@@ -608,19 +624,16 @@ class TestSettings:
         flag = f"--{key.replace('_', '-')}"
         assert self._resolve(tmp_path, command, cfg, flag, flag_text)[key] == from_flag
 
-    # each removed setting keeps its place after the command's settings, so
-    # the generated ids (valueNN) of the cases after it stay as they were
+    # a removed setting, whatever the value, exits 2 as an unknown setting
     @pytest.mark.parametrize("command, key, value", [
-        (c, k, v) for c, table in EXPECTED_SETTINGS.items()
-        for k, kind in [*((k, t) for k, (t, _) in table.items()), *REMOVED.get(c, {}).items()]
-        for v in BAD[kind]
+        (c, k, v) for c, keys in FILE_KEYS.items() for k in keys
+        for v in BAD[(REMOVED[k] if k in REMOVED else EXPECTED_SETTINGS[c][k])[0]]
     ])
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, key, value):
         cfg = {**self._required(command, tmp_path), key: value}
         rc = main([command, "--config", self._write(tmp_path, cfg)])
         assert rc == EXIT_CONFIG
-        removed = key in REMOVED.get(command, {})
-        want = f"unknown setting(s) '{key}'" if removed else f"'{key}' must be"
+        want = f"unknown setting(s) '{key}'" if key in REMOVED else f"'{key}' must be"
         assert want in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -672,6 +685,24 @@ class TestSettings:
         assert rc == EXIT_CONFIG
         assert f"{flag}: '{flag[2:].replace('-', '_')}' must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    *(("train", k) for k in REMOVED if k != "seed_policy"), *(("sweep", k) for k in REMOVED)
+])
+def test_removed_setting_rejected(prepared, tmp_path, capsys, command, key):
+    argv = [command, "--split", str(prepared), "--out", str(tmp_path / "o"), "--epochs", "1",
+            "--in-channels", str(CHANNELS)]
+    if command == "sweep":
+        argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--{key.replace('_', '-')}", str(REMOVED[key][1])])
+    assert exc.value.code == EXIT_CONFIG
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({key: REMOVED[key][1]}))
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"unknown setting(s) '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestPsd:

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from eegcnn.data import split_dataset
-from eegcnn.experiments import GroupPsd, SweepConfig, group_psd, normalize_metric, run_sweep
+from eegcnn.experiments import GroupPsd, group_psd, normalize_metric, run_sweep, sweep_configs
 from eegcnn.model import ModelConfig
 from eegcnn.synth import synthetic_dataset, synthetic_subject
 from eegcnn.train import TrainConfig
@@ -16,47 +18,45 @@ def tiny_split(channels=4, fs=100.0, seed=3):
     return split_dataset(subs, seed=seed)
 
 
-def tiny_sweep(parameter, values, channels=4, epochs=3):
-    return SweepConfig(
-        parameter=parameter,
-        values=values,
-        base_train_config=TrainConfig(epochs=epochs, learning_rate=3e-3, seed=0),
-        base_model_config=ModelConfig(channels, channels, 7, 2),
-    )
+TINY_TRAIN = TrainConfig(epochs=3, learning_rate=3e-3, seed=0)
+
+
+def tiny_sweep(parameter, values, channels=4):
+    return sweep_configs(ModelConfig(channels, channels, 7, 2), parameter, values)
 
 
 class TestSweepConfig:
     def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
+        with pytest.raises(ValueError, match="kernel must be odd"):
             tiny_sweep("kernel_size", (4,))
 
+    def test_zero_channels_rejected(self):
+        with pytest.raises(ValueError, match="all model dimensions must be positive"):
+            tiny_sweep("out_channels", (2, 0))
+
+    def test_kernel_one_accepted(self):
+        assert tiny_sweep("kernel_size", (1,))[1].kernel == 1
+
     def test_empty_values_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one value"):
             tiny_sweep("out_channels", ())
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValueError, match="parameter"):
+        with pytest.raises(ValueError, match="unknown sweep parameter 'learning_rate'"):
             tiny_sweep("learning_rate", (1,))
+
+    def test_sweep_order_kept(self):
+        configs = tiny_sweep("out_channels", (6, 2, 4, 2))
+        assert list(configs) == [6, 2, 4]
+        assert [c.out_channels for c in configs.values()] == [6, 2, 4]
 
     def test_sweep_isolation(self):
         # two sweep points differ only in the swept field
-        cfg = tiny_sweep("kernel_size", (5, 7))
-        a, b = cfg.model_config_for(5), cfg.model_config_for(7)
+        configs = tiny_sweep("kernel_size", (5, 7))
+        a, b = configs[5], configs[7]
         assert a.kernel == 5 and b.kernel == 7
         assert (a.in_channels, a.out_channels, a.classes) == (
             b.in_channels, b.out_channels, b.classes)
-        assert cfg.train_config_for(0) == cfg.train_config_for(1)
-
-    def test_per_value_seed_policy(self):
-        cfg = SweepConfig(
-            parameter="out_channels",
-            values=(2, 3),
-            base_train_config=TrainConfig(seed=10),
-            base_model_config=ModelConfig(4, 4, 5, 2),
-            seed_policy="per_value",
-        )
-        assert cfg.train_config_for(0).seed == 10
-        assert cfg.train_config_for(1).seed == 11
 
 
 class TestNormalizeMetric:
@@ -76,21 +76,22 @@ class TestNormalizeMetric:
 class TestRunSweep:
     def test_single_value_normalized_to_one(self):
         split = tiny_split()
-        report = run_sweep(tiny_sweep("kernel_size", (5,)), split)
+        report = run_sweep(split, TINY_TRAIN, tiny_sweep("kernel_size", (5,)))
         for m, arr in report.normalized.items():
             np.testing.assert_array_equal(arr, [1.0])
 
     def test_channel_sweep_stable_on_separable_data(self):
         split = tiny_split()
-        report = run_sweep(tiny_sweep("out_channels", (2, 4, 6), epochs=60), split)
+        train_config = replace(TINY_TRAIN, epochs=60)
+        report = run_sweep(split, train_config, tiny_sweep("out_channels", (2, 4, 6)))
         accs = [report.reports[v].accuracy for v in (2, 4, 6)]
         assert max(accs) - min(accs) < 0.05
 
     def test_reproducible_with_fixed_seed(self):
         split = tiny_split()
-        cfg = tiny_sweep("kernel_size", (3, 5))
-        a = run_sweep(cfg, split)
-        b = run_sweep(cfg, split)
+        configs = tiny_sweep("kernel_size", (3, 5))
+        a = run_sweep(split, TINY_TRAIN, configs)
+        b = run_sweep(split, TINY_TRAIN, configs)
         for v in (3, 5):
             assert a.reports[v] == b.reports[v]
 
@@ -98,19 +99,14 @@ class TestRunSweep:
         split = tiny_split(channels=4)
         # out_channels=1 trains fine; a kernel wider than practical still works,
         # so force failure via an in_channels mismatch in the base config
-        cfg = SweepConfig(
-            parameter="out_channels",
-            values=(2, 4),
-            base_train_config=TrainConfig(epochs=1),
-            base_model_config=ModelConfig(5, 4, 5, 2),  # data has 4 channels
-        )
-        report = run_sweep(cfg, split)
+        configs = sweep_configs(ModelConfig(5, 4, 5, 2), "out_channels", (2, 4))
+        report = run_sweep(split, TrainConfig(epochs=1), configs)  # data has 4 channels
         assert set(report.errors) == {2, 4}
         assert not report.reports
 
     def test_csv_export(self, tmp_path):
         split = tiny_split()
-        report = run_sweep(tiny_sweep("kernel_size", (3, 5)), split)
+        report = run_sweep(split, TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
         path = tmp_path / "ablation.csv"
         report.to_csv(path)
         lines = path.read_text().splitlines()
@@ -123,7 +119,6 @@ class TestGroupPsd:
         rng = np.random.default_rng(0)
         base = synthetic_subject("A", 0, 10.0, rng, channels=3, fs=100.0, n_epochs=3)
         from eegcnn.data import epoch_recording
-        from dataclasses import replace
 
         eps0 = epoch_recording(base)
         eps1 = [replace(e, label=1) for e in eps0]

@@ -271,7 +271,8 @@ class TestBackward:
             cache = forward(p, x, mode=mode, rng=rng)
             ref = reference_forward(p, x, mode=mode, rng=ref_rng)
             np.testing.assert_array_equal(cache.unrolled, reference_unroll(x, kernel))
-            for name in vars(ref).keys() - {"input"}:  # the cache keeps `unrolled` instead
+            # the cache keeps `unrolled` instead of `input`, and no `mode`
+            for name in vars(ref).keys() - {"input", "mode"}:
                 np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name))
             gl = data.standard_normal(2)
             got, want = backward(cache, p, gl), reference_backward(ref, p, gl)

@@ -96,6 +96,26 @@ class TestAdamStep:
             d2 = np.sign(p2.arrays()[k] - params.arrays()[k])
             np.testing.assert_array_equal(d1, d2)
 
+    def test_two_steps_match_textbook_update(self):
+        # Kingma & Ba's update with beta1 0.9, beta2 0.999 and eps 1e-8. The
+        # first step's size is the learning rate whatever the betas, so a
+        # second step with another gradient pins them; gradient entries down
+        # to 1e-8 pin eps.
+        params = init_params(0, ModelConfig(2, 3, 3, 2))
+        rng = np.random.default_rng(5)
+        g1, g2 = ({k: rng.standard_normal(v.shape) * 10.0 ** -rng.integers(0, 9, v.shape)
+                   for k, v in params.arrays().items()} for _ in range(2))
+        cfg = TrainConfig(learning_rate=1e-3)
+        state, p1 = adam_step(init_adam(params), params, ModelParams(**g1), cfg)
+        _, p2 = adam_step(state, p1, ModelParams(**g2), cfg)
+        for k, p0 in params.arrays().items():
+            m1, v1 = 0.1 * g1[k], 0.001 * g1[k] ** 2
+            want1 = p0 - 1e-3 * (m1 / 0.1) / (np.sqrt(v1 / 0.001) + 1e-8)
+            m2, v2 = 0.9 * m1 + 0.1 * g2[k], 0.999 * v1 + 0.001 * g2[k] ** 2
+            want2 = want1 - 1e-3 * (m2 / (1 - 0.9**2)) / (np.sqrt(v2 / (1 - 0.999**2)) + 1e-8)
+            np.testing.assert_allclose(p1.arrays()[k], want1, rtol=1e-12)
+            np.testing.assert_allclose(p2.arrays()[k], want2, rtol=1e-12)
+
     def test_non_finite_gradient_names_block(self):
         state, params, cfg = self._setup()
         grads = self._grads_like(params, 1.0)
