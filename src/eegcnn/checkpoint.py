@@ -12,7 +12,9 @@ Byte layout (documented so other implementations can read these files):
      fc_weight [classes, out], fc_bias [classes].
 
 This is the order format_version 1 has always used, so files written by
-earlier versions load and re-save to the same bytes.
+earlier versions load and re-save to the same bytes. Every value must be
+finite: a NaN or infinite weight is rejected, since every prediction made
+with it would be meaningless.
 """
 
 from __future__ import annotations
@@ -78,4 +80,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
         raise CheckpointError(f"{path}: payload is {len(body)} bytes, expected {8 * sum(sizes)}")
     blocks = np.split(np.frombuffer(body, dtype="<f8").astype(np.float64), np.cumsum(sizes)[:-1])
     arrays = {name: b.reshape(shape) for (name, shape), b in zip(shapes.items(), blocks)}
+    for name, block in arrays.items():
+        if not np.isfinite(block).all():
+            raise CheckpointError(f"{path}: {name} holds non-finite values")
     return ModelParams(**arrays), header["seed"]

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import tokenize
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -387,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, dat.ManifestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError as exc:
+    except (MemoryError, BrokenProcessPool) as exc:
+        # a worker process that dies was most likely killed for lack of memory
         print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,6 +1,7 @@
 import copy
 import functools
 import operator
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
-from eegcnn.data import Epoch, SubjectRecording
+from eegcnn.data import Epoch, SubjectRecording, load_subject_csv
 from eegcnn.model import DROPOUT_RATE, ModelParams, backward, forward, softmax
+from eegcnn.preprocess import apply_zero_phase, design_highpass
 from eegcnn.train import cross_entropy
 
 
@@ -31,6 +33,8 @@ def make_recording(subject_id="S000", label=0, fs=500.0, channels=3, n_samples=3
 
 # A JSON document holding an integer longer than Python converts (4300 digits)
 OVER_LONG_INT = pytest.param('{"seed": ' + "1" * 5000 + "}", id="5000-digit-int")
+# A JSON text nested deeper than Python's parser recurses
+DEEP_NESTING = pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting")
 
 # Strategies of the reader fuzz tests.
 
@@ -93,6 +97,18 @@ def make_epoch(channels=2, epoch_len=8, label=0, seed=0, subject_id="S000"):
         subject_id=subject_id,
         epoch_index=0,
     )
+
+
+def reference_load_filtered(manifest, cutoff_hz, order):
+    """The serial load -> filter loop, one subject after another in this
+    process. preprocess.load_filtered spreads the same work over worker
+    processes and must return the same arrays in the same order."""
+    sos = design_highpass(cutoff_hz, order, manifest.fs)
+    subjects = []
+    for entry in manifest.entries:
+        rec = load_subject_csv(entry.file, entry, manifest)
+        subjects.append(replace(rec, samples=apply_zero_phase(sos, rec.samples)))
+    return subjects
 
 
 def gain_db(sos, freq_hz, fs, zero_phase=False):

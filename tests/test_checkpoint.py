@@ -57,6 +57,16 @@ def test_save_writes_documented_layout(tmp_path, layout):
 
 
 
+def test_first_non_finite_block_named(tmp_path):
+    blocks, _ = by_hand(*LAYOUTS[0], seed=2)
+    blocks["conv_bias"][-1] = np.inf
+    blocks["fc_weight"][0, 0] = np.nan
+    path = tmp_path / "bad.bin"
+    save_checkpoint(path, ModelParams(**blocks), seed=2)
+    with pytest.raises(CheckpointError, match=r"conv_bias holds non-finite values$"):
+        load_checkpoint(path)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eegcnn.interpret
+import eegcnn.preprocess
 from eegcnn.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -29,10 +31,12 @@ from eegcnn.data import DatasetSplit, write_subject_csv
 from eegcnn.model import ModelConfig, init_params
 from eegcnn.synth import synthetic_dataset
 
-from conftest import OVER_LONG_INT, edited_json, make_epoch, mutated_bytes
+from conftest import DEEP_NESTING, OVER_LONG_INT, edited_json, make_epoch, mutated_bytes
 
 FS = 100.0
 CHANNELS = 3
+# CPUs this process may run on, counted as preprocess.load_filtered counts them
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +136,32 @@ class TestPrepare:
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_IO
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods() or CPUS < 2,
+        reason="needs two CPUs, so prepare loads the subjects in worker processes",
+    )
+    def test_dead_worker_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        parent, load = os.getpid(), eegcnn.preprocess.load_subject_csv
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return load(*args)
+
+        monkeypatch.setattr(eegcnn.preprocess, "load_subject_csv", die_in_worker)
+        first = json.loads((dataset_dir / "manifest.json").read_text())["subjects"][0]["file"]
+        out = tmp_path / "out"
+        rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: out of memory in prepare: a worker process died before "
+            f"{dataset_dir / first} was loaded\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("key, value", [
         ("top level", []), ("fs", None), ("fs", "nan"), ("fs", "500"), ("fs", True),
-        ("fs", 0), ("fs", float("inf")), ("fs", 10**400),
+        ("fs", 0), ("fs", float("inf")), pytest.param("fs", 10**400, id="huge-fs"),
         ("channels", "ch0"), ("channels", [0, 1, 2]), ("subjects", {}), ("subjects[0]", ["x"]),
         ("subjects[0].id", 3), ("subjects[0].file", ["x"]), ("subjects[0].label", ["PD"]),
         ("subjects[0].label", "Sick"),
@@ -319,6 +346,23 @@ def test_bad_checkpoint_header(prepared, trained, tmp_path, capsys, command, key
     assert str(bad) in err and f"'{key}'" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "probe"])
+@pytest.mark.parametrize("block, value", [("conv_weight", np.nan), ("fc_bias", -np.inf)])
+def test_non_finite_checkpoint(prepared, tmp_path, capsys, command, block, value):
+    """A NaN or infinite weight exits 3 naming the block; evaluate used to
+    score every epoch as class 0 and exit 0."""
+    params = init_params(0, ModelConfig(CHANNELS, 2, 3))
+    getattr(params, block).flat[-1] = value
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, 0)
+    argv = [command, "--checkpoint", str(path), "--out", str(tmp_path / "o")]
+    argv += ["--split", str(prepared)] if command == "evaluate" else ["--fs", str(FS)]
+    rc = main(argv)
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err == f"error: {path}: {block} holds non-finite values\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("format_version", True), ("format_version", 1.0), ("format_version", 2),
     ("seed", 1.5), ("config", [1]), ("config.kernel", 3.0), ("config.classes", "2"),
@@ -343,7 +387,7 @@ def test_bad_checkpoint_header_value(prepared, trained, tmp_path, capsys, key, v
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "\udcff", OVER_LONG_INT])
+@pytest.mark.parametrize("text", [DEEP_NESTING, "\udcff", OVER_LONG_INT])
 @pytest.mark.parametrize("reader", ["split", "checkpoint"])
 def test_unparsable_json_exits_3(prepared, trained, tmp_path, capsys, reader, text):
     """A split index or checkpoint header too deeply nested, not UTF-8, or
@@ -657,7 +701,7 @@ class TestSettings:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", [
-        "[" * 100_000 + "]" * 100_000, "{", "\udcff", "[1]", OVER_LONG_INT,
+        DEEP_NESTING, "{", "\udcff", "[1]", OVER_LONG_INT,
     ])
     def test_unparsable_file_rejected(self, tmp_path, capsys, text):
         path = tmp_path / "settings.json"

@@ -24,7 +24,7 @@ from eegcnn.data import (
     write_subject_csv,
 )
 
-from conftest import JSON_VALUES, OVER_LONG_INT, make_recording
+from conftest import DEEP_NESTING, JSON_VALUES, OVER_LONG_INT, make_recording
 
 
 def _manifest(channels, fs=500.0):
@@ -318,7 +318,7 @@ class TestManifest:
             load_manifest(p)
 
 
-    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "{", "\udcff", OVER_LONG_INT])
+    @pytest.mark.parametrize("text", [DEEP_NESTING, "{", "\udcff", OVER_LONG_INT])
     def test_unparsable_rejected(self, tmp_path, text):
         p = tmp_path / "manifest.json"
         p.write_bytes(text.encode("utf-8", "surrogateescape"))

@@ -1,12 +1,18 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from eegcnn.preprocess import apply_zero_phase, design_highpass, welch_psd_batch
+import eegcnn.preprocess
+from eegcnn.data import CsvFormatError, Manifest, ManifestEntry, write_subject_csv
+from eegcnn.preprocess import apply_zero_phase, design_highpass, load_filtered, welch_psd_batch
 
-from conftest import gain_db
+from conftest import gain_db, make_recording, reference_load_filtered
 
 FS = 500.0
 
@@ -157,3 +163,80 @@ class TestWelchPsd:
     def test_zero_sample_window_rejected(self, fs):
         with pytest.raises(ValueError, match=f"fs {fs} Hz gives a 1 s Welch window of 0"):
             welch_psd_batch(np.zeros(10), fs)
+
+
+def write_cohort(root, n_subjects, channels=3, n_samples=3000):
+    """A manifest of ``n_subjects`` CSVs of noise written under ``root``."""
+    names = [f"ch{i}" for i in range(channels)]
+    entries = []
+    for i in range(n_subjects):
+        rec = make_recording(f"S{i:03d}", label=i % 2, fs=FS, channels=channels,
+                             n_samples=n_samples, seed=i)
+        path = root / f"{rec.subject_id}.csv"
+        write_subject_csv(path, rec, names)
+        entries.append(ManifestEntry(rec.subject_id, str(path), rec.label))
+    return Manifest(entries=entries, fs=FS, channel_names=names)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs load_filtered sees; returns the worker count of
+    each pool it starts."""
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            pools.append(max_workers)
+
+    def see(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return pools
+
+    monkeypatch.setattr(eegcnn.preprocess, "ProcessPoolExecutor", Pool)
+    return see
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="worker processes are forked")
+
+
+class TestLoadFiltered:
+    @needs_fork
+    def test_pool_matches_serial_loop(self, tmp_path, cpus):
+        pools = cpus(2)
+        manifest = write_cohort(tmp_path, 5)  # more subjects than workers
+        got = load_filtered(manifest, 1.0, 4)
+        assert pools == [2]
+        want = reference_load_filtered(manifest, 1.0, 4)
+        assert [r.subject_id for r in got] == [e.subject_id for e in manifest.entries]
+        for g, w in zip(got, want, strict=True):
+            assert (g.subject_id, g.label, g.fs) == (w.subject_id, w.label, w.fs)
+            assert g.samples.dtype == w.samples.dtype and g.samples.shape == w.samples.shape
+            assert g.samples.tobytes() == w.samples.tobytes()
+
+    def test_one_cpu_runs_in_process(self, tmp_path, cpus):
+        pools = cpus(1)
+        manifest = write_cohort(tmp_path, 3)
+        got = load_filtered(manifest, 1.0, 4)
+        assert pools == []
+        for g, w in zip(got, reference_load_filtered(manifest, 1.0, 4), strict=True):
+            assert g.samples.tobytes() == w.samples.tobytes()
+
+    @needs_fork
+    def test_first_bad_subject_in_manifest_order_raises(self, tmp_path, cpus):
+        """S001 fails late (a bad cell in its last row sends the parse through
+        the row-by-row scan), S003 fails at once (empty file); the error is
+        S001's, as in the serial loop."""
+        cpus(2)
+        manifest = write_cohort(tmp_path, 4, n_samples=20000)
+        with open(manifest.entries[1].file, "a") as fh:
+            fh.write("1.0,x,2.0\n")
+        open(manifest.entries[3].file, "w").close()
+        with pytest.raises(CsvFormatError) as want:
+            reference_load_filtered(manifest, 1.0, 4)
+        with pytest.raises(CsvFormatError) as got:
+            load_filtered(manifest, 1.0, 4)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{manifest.entries[1].file}: non-numeric cell 'x'")
+        assert multiprocessing.active_children() == []
