@@ -310,8 +310,11 @@ def split_dataset(
 
     Subjects are sorted by id before the seeded shuffle so the split does not
     depend on manifest order. Train and validation sizes use round(); the
-    remainder goes to test. A split that leaves a partition empty is rejected.
+    remainder goes to test. A split that leaves a partition without subjects
+    or without epochs is rejected.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ordered = sorted(subjects, key=lambda s: s.subject_id)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))
@@ -338,6 +341,14 @@ def split_dataset(
         for sub in subs:
             assignment[sub.subject_id] = name
             parts[name].extend(epoch_recording(sub, epoch_seconds))
+    empty = [name for name, eps in parts.items() if not eps]
+    if empty:
+        shortest = min(ordered, key=lambda s: s.n_samples)
+        raise ValueError(
+            f"epoch_seconds {epoch_seconds:g} leaves the {'/'.join(empty)} partition(s) "
+            f"without epochs; the shortest recording, {shortest.subject_id}, is "
+            f"{shortest.n_samples / shortest.fs:g} s"
+        )
     return DatasetSplit(
         train=parts["train"],
         validation=parts["validation"],

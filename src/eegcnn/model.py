@@ -81,14 +81,15 @@ class ForwardCache:
     instead of unrolling the input again. It is the cache's largest array
     (8 bytes * in * K * T), so callers drop the cache once they are done
     with it, before the next ``forward``.
+
+    ``grad_mask`` [out, T] is the ReLU mask times the inverted-dropout scale,
+    or the bare boolean ReLU mask in eval mode. The ReLU factor is exactly 0 or
+    1, so the product gives the bits, signed zeros included, of both in turn.
     """
 
     unrolled: np.ndarray  # [in * K, T]
-    conv_pre_act: np.ndarray
-    relu_mask: np.ndarray
-    dropout_mask: np.ndarray  # inverted-dropout scaling baked in; all-ones in eval
+    grad_mask: np.ndarray  # [out, T]
     pooled: np.ndarray
-    logits: np.ndarray
     probs: np.ndarray
 
 
@@ -155,28 +156,14 @@ def forward(
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite values in model input")
     pre, unrolled = _conv_unrolled(params, x)
-    relu_mask = pre > 0
-    h = pre * relu_mask
+    mask = pre > 0
     if mode == "train":
         if rng is None:
             raise ValueError("train-mode forward needs an RNG for dropout")
-        keep = rng.random(h.shape) >= DROPOUT_RATE
-        dropout_mask = keep / (1.0 - DROPOUT_RATE)
-        h = h * dropout_mask
-    else:
-        # multiplying by ones would change no bit, so it is skipped
-        dropout_mask = np.broadcast_to(1.0, h.shape)
-    pooled = h.mean(axis=1)
+        mask = mask * ((rng.random(pre.shape) >= DROPOUT_RATE) / (1.0 - DROPOUT_RATE))
+    pooled = (pre * mask).mean(axis=1)
     logits = params.fc_weight @ pooled + params.fc_bias
-    return ForwardCache(
-        unrolled=unrolled,
-        conv_pre_act=pre,
-        relu_mask=relu_mask,
-        dropout_mask=dropout_mask,
-        pooled=pooled,
-        logits=logits,
-        probs=softmax(logits),
-    )
+    return ForwardCache(unrolled=unrolled, grad_mask=mask, pooled=pooled, probs=softmax(logits))
 
 
 def predict(params: ModelParams, epochs: list[Epoch]) -> np.ndarray:
@@ -188,24 +175,17 @@ def predict(params: ModelParams, epochs: list[Epoch]) -> np.ndarray:
 def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> ModelParams:
     """Exact parameter gradients of the logit-weighted loss for one input."""
     out_c, in_c, kernel = params.conv_weight.shape
-    if cache.conv_pre_act.shape[0] != out_c or cache.unrolled.shape[0] != in_c * kernel:
+    if cache.grad_mask.shape[0] != out_c or cache.unrolled.shape[0] != in_c * kernel:
         raise ValueError("forward cache does not match these parameters")
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     t = cache.unrolled.shape[1]
 
-    d_fc_weight = np.outer(grad_logits, cache.pooled)
-    d_fc_bias = grad_logits.copy()
-
     d_pooled = params.fc_weight.T @ grad_logits  # [out]
     # pool is a mean, so the upstream gradient spreads uniformly over time
-    d_pre = (d_pooled[:, None] / t) * cache.dropout_mask * cache.relu_mask
-
-    d_conv_bias = d_pre.sum(axis=1)
-    d_conv_weight = (d_pre @ cache.unrolled.T).reshape(out_c, in_c, kernel)
-
+    d_pre = (d_pooled[:, None] / t) * cache.grad_mask
     return ModelParams(
-        conv_weight=d_conv_weight,
-        conv_bias=d_conv_bias,
-        fc_weight=d_fc_weight,
-        fc_bias=d_fc_bias,
+        conv_weight=(d_pre @ cache.unrolled.T).reshape(out_c, in_c, kernel),
+        conv_bias=d_pre.sum(axis=1),
+        fc_weight=np.outer(grad_logits, cache.pooled),
+        fc_bias=grad_logits.copy(),
     )

@@ -213,7 +213,7 @@ def finite_diff_check(params: ModelParams, epoch: Epoch, eps: float = 1e-5) -> f
 
     def probe(p: ModelParams) -> tuple[float, np.ndarray]:
         c = forward(p, epoch.data, mode="eval")
-        return cross_entropy(c.probs, epoch.label)[0], c.relu_mask
+        return cross_entropy(c.probs, epoch.label)[0], c.grad_mask  # eval: the ReLU mask
 
     worst = 0.0
     arrays = {k: v.copy() for k, v in params.arrays().items()}

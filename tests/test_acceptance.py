@@ -39,9 +39,9 @@ class TestAcceptance:
         cache = forward(params, x, mode="eval")
         ok = (
             counts == {"conv": 38350, "fc": 120}
-            and cache.conv_pre_act.shape == (59, 2500)
+            and cache.grad_mask.shape == (59, 2500)
             and cache.pooled.shape == (59,)
-            and cache.logits.shape == (2,)
+            and cache.probs.shape == (2,)
         )
         elapsed = time.time() - t0
         report(

@@ -39,11 +39,10 @@ CHANNELS = 3
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-@pytest.fixture(scope="module")
-def dataset_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("dataset")
+def write_cohort(root, n_epochs):
+    """A 6-subject manifest and CSVs of n_epochs * 5 s each; returns root."""
     subjects = synthetic_dataset(
-        n_subjects=6, channels=CHANNELS, fs=FS, n_epochs=4,
+        n_subjects=6, channels=CHANNELS, fs=FS, n_epochs=n_epochs,
         f0=3.0, f1=25.0, snr_db=20.0, seed=1,
     )
     names = [f"ch{i}" for i in range(CHANNELS)]
@@ -59,6 +58,11 @@ def dataset_dir(tmp_path_factory):
     manifest = {"fs": FS, "channels": names, "subjects": entries}
     (root / "manifest.json").write_text(json.dumps(manifest))
     return root
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    return write_cohort(tmp_path_factory.mktemp("dataset"), n_epochs=4)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,18 @@ class TestPrepare:
                    "--out", str(tmp_path / "out"), "--seed", "0"])
         assert rc == EXIT_CONFIG
         assert "train/validation/test = 2/1/0" in capsys.readouterr().err
+
+    def test_no_epochs_rejected(self, tmp_path, capsys):
+        # 10 s recordings give no 20 s epoch, so every partition would be empty
+        cohort = write_cohort(tmp_path, n_epochs=2)
+        out = tmp_path / "out"
+        rc = main(["prepare", "--manifest", str(cohort / "manifest.json"), "--out", str(out),
+                   "--epoch-seconds", "20"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: epoch_seconds 20 leaves the train/validation/test partition(s) without "
+            "epochs; the shortest recording, S000, is 10 s\n")
+        assert not out.exists()
 
     def test_high_filter_order(self, dataset_dir, tmp_path):
         # the polynomial form of this filter had a pole outside the unit circle
@@ -747,6 +763,23 @@ def test_removed_setting_rejected(prepared, tmp_path, capsys, command, key):
     assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
     assert f"unknown setting(s) '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "probe", "sweep"])
+def test_negative_seed_rejected(dataset_dir, prepared, trained, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    inputs = {
+        "prepare": ["--manifest", str(dataset_dir / "manifest.json")],
+        "train": ["--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS)],
+        "probe": ["--checkpoint", str(trained / "checkpoint.bin"), "--fs", str(FS),
+                  "--epoch-len", "500", "--repeats-sine", "1", "--repeats-noise", "1"],
+        "sweep": ["--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS),
+                  "--sweep-parameter", "kernel_size", "--sweep-values", "3"],
+    }
+    rc = main([command, *inputs[command], "--out", str(out), "--seed", "-1"])
+    assert rc == EXIT_CONFIG
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPsd:

@@ -182,7 +182,11 @@ class TestForward:
         a = forward(p, x, mode="eval")
         b = forward(p, x, mode="eval")
         np.testing.assert_array_equal(a.probs, b.probs)
-        np.testing.assert_array_equal(a.dropout_mask, np.ones_like(a.dropout_mask))
+        # no dropout factor: the gradient mask is the bare ReLU mask
+        relu_mask = reference_forward(p, x, mode="eval").relu_mask
+        assert a.grad_mask.dtype == bool
+        np.testing.assert_array_equal(a.grad_mask, relu_mask)
+        np.testing.assert_array_equal(b.grad_mask, relu_mask)
 
     def test_train_mode_needs_rng(self, rng):
         p = init_params(1, ModelConfig(2, 2, 3, 2))
@@ -197,12 +201,14 @@ class TestForward:
             forward(p, x)
 
     def test_dropout_expectation(self, rng):
-        # inverted dropout is mean-preserving: E[mask] = 1
+        # inverted dropout is mean-preserving: E[mask] = 1. Every ReLU is on
+        # here, so the gradient mask is the dropout mask alone.
         p = identity_params(channels=1, kernel=3)
         x = np.ones((1, 100))
+        assert forward(p, x, mode="eval").grad_mask.all()
         total = np.zeros((1, 100))
         for _ in range(10_000):
-            total += forward(p, x, mode="train", rng=rng).dropout_mask
+            total += forward(p, x, mode="train", rng=rng).grad_mask
         np.testing.assert_allclose(total / 10_000, 1.0, atol=0.02)
 
     def test_pool_of_constant_channel_is_exact(self):
@@ -271,9 +277,9 @@ class TestBackward:
             cache = forward(p, x, mode=mode, rng=rng)
             ref = reference_forward(p, x, mode=mode, rng=ref_rng)
             np.testing.assert_array_equal(cache.unrolled, reference_unroll(x, kernel))
-            # the cache keeps `unrolled` instead of `input`, and no `mode`
-            for name in vars(ref).keys() - {"input", "mode"}:
-                np.testing.assert_array_equal(getattr(cache, name), getattr(ref, name))
+            np.testing.assert_array_equal(cache.grad_mask, ref.dropout_mask * ref.relu_mask)
+            np.testing.assert_array_equal(cache.pooled, ref.pooled)
+            np.testing.assert_array_equal(cache.probs, ref.probs)
             gl = data.standard_normal(2)
             got, want = backward(cache, p, gl), reference_backward(ref, p, gl)
             for f in fields(want):

@@ -249,17 +249,19 @@ class TestTrainMatchesReference:
                 np.testing.assert_array_equal(got, want / size)
 
     def test_dropout_is_on(self, monkeypatch):
-        # the comparison above covers train-mode forwards that draw a mask
-        masks, real_forward = [], train_module.forward
+        # the comparison above covers train-mode forwards that draw a mask:
+        # some sample must be dropped (0) whose ReLU is on in eval mode
+        dropped, real_forward = [], train_module.forward
 
-        def spy(*args, **kwargs):
-            cache = real_forward(*args, **kwargs)
-            masks.append(cache.dropout_mask)
+        def spy(params, x, mode, rng):
+            cache = real_forward(params, x, mode, rng)
+            relu_on = real_forward(params, x, "eval", None).grad_mask
+            dropped.append(np.any((cache.grad_mask == 0) & relu_on))
             return cache
 
         monkeypatch.setattr(train_module, "forward", spy)
         train(labelled_split(7, 3), TrainConfig(epochs=1), ModelConfig(3, 4, 3, 2))
-        assert any(np.any(m == 0) for m in masks[:7])
+        assert len(dropped) == 7 and any(dropped)
 
 
 class TestOnEpoch:
