@@ -23,7 +23,7 @@ def main():
     )
     split = split_dataset(subjects, seed=3)
 
-    configs = sweep_configs(ModelConfig(4, 4, 7, 2), "kernel_size", (3, 7, 11))
+    configs = sweep_configs(ModelConfig(4, 4, 7), "kernel_size", (3, 7, 11))
     report = run_sweep(split, TrainConfig(epochs=20, learning_rate=3e-3, seed=0), configs)
     print("kernel-size sweep (test partition):")
     for idx, (value, rep) in enumerate(report.reports.items()):

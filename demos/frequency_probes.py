@@ -31,7 +31,7 @@ def main():
     history = train(
         split,
         TrainConfig(epochs=30, learning_rate=3e-3, seed=0),
-        ModelConfig(in_channels=2, out_channels=2, kernel=9, classes=2),
+        ModelConfig(in_channels=2, out_channels=2, kernel=9),
     )
     model = history.best_checkpoint
 

@@ -22,7 +22,7 @@ def main():
           f"epochs: train={len(split.train)} val={len(split.validation)} "
           f"test={len(split.test)}")
 
-    model_config = ModelConfig(in_channels=4, out_channels=4, kernel=7, classes=2)
+    model_config = ModelConfig(in_channels=4, out_channels=4, kernel=7)
     train_config = TrainConfig(epochs=30, learning_rate=3e-3, seed=0)
     history = train(split, train_config, model_config)
     counts = param_count(history.best_checkpoint)

@@ -4,12 +4,12 @@ Byte layout (documented so other implementations can read these files):
 
   1. UTF-8 JSON header, one line, terminated by a single ``\\n``:
      {"format_version": 1,
-      "config": {"in_channels", "out_channels", "kernel", "classes"},
+      "config": {"in_channels", "out_channels", "kernel", "classes": 2},
       "seed": <int>}
   2. Raw little-endian float64 arrays, C order, no separators, in
      ``ModelConfig.param_shapes()`` order:
      conv_weight [out, in, kernel], conv_bias [out],
-     fc_weight [classes, out], fc_bias [classes].
+     fc_weight [2, out], fc_bias [2].
 
 This is the order format_version 1 has always used, so files written by
 earlier versions load and re-save to the same bytes. Every value must be
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import check_object, is_int, parse_json
-from .model import ModelConfig, ModelParams
+from .model import CLASSES, ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
 
@@ -37,7 +37,10 @@ _HEADER_VALUES = {
     "config": (lambda v: isinstance(v, dict), "an object"),
     "seed": (is_int, "an integer"),
 }
-_CONFIG_VALUES = {f.name: (is_int, "an integer") for f in fields(ModelConfig)}
+_CONFIG_VALUES = {
+    **{f.name: (is_int, "an integer") for f in fields(ModelConfig)},
+    "classes": (lambda v: is_int(v) and v == CLASSES, f"the integer {CLASSES}"),
+}
 
 
 class CheckpointError(ValueError):
@@ -47,7 +50,7 @@ class CheckpointError(ValueError):
 def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
     header = {
         "format_version": FORMAT_VERSION,
-        "config": asdict(params.config),
+        "config": {**asdict(params.config), "classes": CLASSES},
         "seed": seed,
     }
     with Path(path).open("wb") as fh:
@@ -70,7 +73,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
     if unknown:
         raise CheckpointError(f"{path}: unknown header key 'config.{unknown[0]}'")
     try:
-        cfg = ModelConfig(**header["config"])
+        cfg = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad header config ({exc})") from exc
     shapes = cfg.param_shapes()

@@ -82,7 +82,7 @@ def _fields(cls, skip: tuple[str, ...] = ()) -> dict:
 
 
 _PATH = (str, None)
-_MODEL = _fields(ModelConfig, skip=("classes",))  # the labels are binary
+_MODEL = _fields(ModelConfig)
 _TRAIN = _fields(TrainConfig)
 
 # command -> setting -> (type, default); a None default marks a required setting
@@ -180,6 +180,11 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
     index = dat.parse_json(index_path, index_path.read_bytes(), SplitError)
     dat.check_object(index_path, index, "", _INDEX_VALUES, SplitError)
     dat.check_object(index_path, index["partitions"], "partitions.", _PARTITION_VALUES, SplitError)
+    assignment = index["subject_assignment"]
+    for subject, name in assignment.items():
+        if name not in _PARTITIONS:
+            raise SplitError(f"{index_path}: 'subject_assignment.{subject}' must be one of "
+                             f"{', '.join(_PARTITIONS)}, got {name!r}")
     parts = {}
     for name in _PARTITIONS:
         data_path = split_dir / f"{name}_data.npy"
@@ -189,6 +194,10 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
             raise SplitError(f"{split_dir}: {name} index/data length mismatch")
         for i, e in enumerate(entries):
             dat.check_object(index_path, e, f"partitions.{name}[{i}].", _EPOCH_VALUES, SplitError)
+            owner = assignment.get(e["subject_id"])
+            if owner != name:
+                raise SplitError(f"{index_path}: partitions.{name}[{i}].subject_id "
+                                 f"{e['subject_id']!r} is assigned to {owner!r}")
         try:
             parts[name] = [
                 dat.Epoch(
@@ -206,7 +215,7 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
         validation=parts["validation"],
         test=parts["test"],
         seed=index["seed"],
-        subject_assignment=index["subject_assignment"],
+        subject_assignment=assignment,
     )
     return split, float(index["fs"])
 
@@ -236,6 +245,9 @@ def _load_stack(path: Path) -> np.ndarray:
 
 def cmd_prepare(s: dict) -> int:
     manifest = dat.load_manifest(s["manifest"])
+    # the split settings are checked before any CSV is read
+    dat.check_split_seed(s["seed"])
+    dat.epoch_length(s["epoch_seconds"], manifest.fs)
     subjects = pre.load_filtered(manifest, s["cutoff_hz"], s["filter_order"])
     split = dat.split_dataset(subjects, seed=s["seed"], epoch_seconds=s["epoch_seconds"])
     _write_split(Path(s["out"]), split, manifest.fs)
@@ -257,12 +269,9 @@ def _print_epoch(i: int, row: dict) -> None:
 
 
 def _check_model(split_dir, split: dat.DatasetSplit, config: ModelConfig, source="") -> None:
-    """The model must be binary and every epoch of the split must have
-    in_channels channels (exit 2). ``source`` prefixes the message."""
+    """Every epoch of the split must have in_channels channels (exit 2).
+    ``source`` prefixes the message."""
     counts = sorted({ep.data.shape[0] for ep in split.train + split.validation + split.test})
-    if config.classes != 2:
-        raise ConfigError(f"{source}classes is {config.classes}, but the split in {split_dir} "
-                          f"has 2 classes (labels 0 and 1)")
     if counts != [config.in_channels]:
         raise ConfigError(
             f"{source}in_channels is {config.in_channels}, but the split in {split_dir} has "

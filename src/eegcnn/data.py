@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -283,14 +284,25 @@ def write_subject_csv(path: str | Path, rec: SubjectRecording, channel_names: li
             writer.writerow([repr(v) for v in row.tolist()])
 
 
-def epoch_recording(rec: SubjectRecording, epoch_seconds: float = 5.0) -> list[Epoch]:
-    """Segment a recording into non-overlapping epochs; trailing remainder is dropped."""
-    n_float = epoch_seconds * rec.fs
-    epoch_len = int(round(n_float))
+def epoch_length(epoch_seconds: float, fs: float) -> int:
+    """Samples per epoch; epoch_seconds * fs must be a positive integer."""
+    n_float = epoch_seconds * fs
+    epoch_len = int(round(n_float)) if math.isfinite(n_float) else 0
     if epoch_len <= 0 or abs(n_float - epoch_len) > 1e-9:
         raise ValueError(
-            f"epoch_seconds * fs must be a positive integer, got {epoch_seconds} * {rec.fs}"
+            f"epoch_seconds * fs must be a positive integer, got {epoch_seconds} * {fs}"
         )
+    return epoch_len
+
+
+def check_split_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def epoch_recording(rec: SubjectRecording, epoch_seconds: float = 5.0) -> list[Epoch]:
+    """Segment a recording into non-overlapping epochs; trailing remainder is dropped."""
+    epoch_len = epoch_length(epoch_seconds, rec.fs)
     n_epochs = rec.n_samples // epoch_len
     return [
         Epoch(
@@ -313,8 +325,7 @@ def split_dataset(
     remainder goes to test. A split that leaves a partition without subjects
     or without epochs is rejected.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_split_seed(seed)
     ordered = sorted(subjects, key=lambda s: s.subject_id)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))

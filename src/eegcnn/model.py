@@ -14,6 +14,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import Epoch
 
 DROPOUT_RATE = 0.1
+# The labels are binary, PD vs Control (data.LABEL_CODES), so the fc layer has
+# two outputs.
+CLASSES = 2
 
 
 @dataclass(frozen=True)
@@ -21,12 +24,11 @@ class ModelConfig:
     in_channels: int = 59
     out_channels: int = 59
     kernel: int = 11
-    classes: int = 2
 
     def __post_init__(self):
         if self.kernel % 2 == 0:
             raise ValueError(f"kernel must be odd for symmetric same padding, got {self.kernel}")
-        if min(self.in_channels, self.out_channels, self.kernel, self.classes) < 1:
+        if min(self.in_channels, self.out_channels, self.kernel) < 1:
             raise ValueError(f"all model dimensions must be positive: {self}")
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -34,8 +36,8 @@ class ModelConfig:
         return {
             "conv_weight": (self.out_channels, self.in_channels, self.kernel),
             "conv_bias": (self.out_channels,),
-            "fc_weight": (self.classes, self.out_channels),
-            "fc_bias": (self.classes,),
+            "fc_weight": (CLASSES, self.out_channels),
+            "fc_bias": (CLASSES,),
         }
 
 
@@ -43,7 +45,7 @@ class ModelConfig:
 class ModelParams:
     """One value per parameter block: the weights, or their gradients, or an
     Adam moment of them. Each block has its ``ModelConfig.param_shapes()``
-    shape for the config that conv_weight and fc_weight give."""
+    shape for the config that conv_weight gives."""
 
     conv_weight: np.ndarray
     conv_bias: np.ndarray
@@ -53,11 +55,9 @@ class ModelParams:
     def __post_init__(self):
         try:
             config = self.config
-        except (ValueError, IndexError) as exc:  # wrong ndim, even kernel or a zero size
-            raise ValueError(
-                f"conv_weight {self.conv_weight.shape} and fc_weight {self.fc_weight.shape} "
-                f"give no model config ({exc})"
-            ) from None
+        except ValueError as exc:  # wrong ndim, even kernel or a zero size
+            raise ValueError(f"conv_weight {self.conv_weight.shape} gives no model config "
+                             f"({exc})") from None
         for name, shape in config.param_shapes().items():
             got = getattr(self, name).shape
             if got != shape:
@@ -66,7 +66,7 @@ class ModelParams:
     @property
     def config(self) -> ModelConfig:
         out_c, in_c, kernel = self.conv_weight.shape
-        return ModelConfig(in_c, out_c, kernel, self.fc_weight.shape[0])
+        return ModelConfig(in_c, out_c, kernel)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -167,9 +167,9 @@ def forward(
 
 
 def predict(params: ModelParams, epochs: list[Epoch]) -> np.ndarray:
-    """Eval-mode class probabilities [N, classes], one forward per epoch."""
+    """Eval-mode class probabilities [N, CLASSES], one forward per epoch."""
     probs = [forward(params, ep.data, mode="eval").probs for ep in epochs]
-    return np.array(probs).reshape(len(epochs), params.fc_bias.size)
+    return np.array(probs).reshape(len(epochs), CLASSES)
 
 
 def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> ModelParams:

@@ -71,18 +71,15 @@ def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[Subj
     # fork, not spawn: the workers inherit the imported modules and start in
     # milliseconds instead of importing numpy and scipy again
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(load, entry) for entry in manifest.entries]
         subjects = []
         try:
-            for entry, future in zip(manifest.entries, futures):
-                subjects.append(future.result())
+            # in manifest order; a call that raises cancels those not yet started
+            for subject in pool.map(load, manifest.entries):
+                subjects.append(subject)
         except BrokenProcessPool:
             raise BrokenProcessPool(
-                f"a worker process died before {entry.file} was loaded"
+                f"a worker process died before {manifest.entries[len(subjects)].file} was loaded"
             ) from None
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
     return subjects
 
 

@@ -59,7 +59,7 @@ class TestAcceptance:
             out_c = int(rng.integers(1, 5))
             kernel = int(rng.choice([3, 5]))
             t = int(rng.integers(4, 17))
-            params = init_params(i, ModelConfig(in_c, out_c, kernel, 2))
+            params = init_params(i, ModelConfig(in_c, out_c, kernel))
             ep = Epoch(
                 data=rng.standard_normal((in_c, t)),
                 label=int(rng.integers(0, 2)),
@@ -81,7 +81,7 @@ class TestAcceptance:
             f0=10.0, f1=25.0, snr_db=0.0, seed=7,
         )
         split = split_dataset(subjects, seed=7)
-        history = train(split, TrainConfig(), ModelConfig(8, 8, 51, 2))
+        history = train(split, TrainConfig(), ModelConfig(8, 8, 51))
         rep = evaluate(history.best_checkpoint, split.test)
         elapsed = time.time() - t0
         report(
@@ -180,7 +180,7 @@ class TestAcceptance:
         paths = []
         histories = []
         for run in ("a", "b"):
-            history = train(split, TrainConfig(), ModelConfig(8, 8, 11, 2))
+            history = train(split, TrainConfig(), ModelConfig(8, 8, 11))
             p = tmp_path / f"ckpt_{run}.bin"
             save_checkpoint(p, history.best_checkpoint, seed=0)
             h = tmp_path / f"hist_{run}.json"

@@ -13,9 +13,9 @@ from eegcnn.model import ModelParams
 
 from conftest import edited_json, mutated_bytes
 
-# in_channels, out_channels, kernel, classes: in, out and classes differ, so a
-# swapped dimension or block changes the bytes
-LAYOUTS = [(2, 4, 5, 3), (5, 3, 1, 2), (1, 2, 3, 4)]
+# in_channels, out_channels, kernel, classes: in, out and the 2 classes differ,
+# so a swapped dimension or block changes the bytes
+LAYOUTS = [(3, 4, 5, 2), (5, 3, 1, 2), (1, 4, 3, 2)]
 
 
 def by_hand(in_c, out_c, kernel, classes, seed):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import eegcnn.cli
 import eegcnn.interpret
 import eegcnn.preprocess
 from eegcnn.cli import (
@@ -20,6 +21,7 @@ from eegcnn.cli import (
     EXIT_OK,
     SETTINGS,
     SplitError,
+    _PARTITIONS,
     _read_split,
     _write_split,
     build_parser,
@@ -139,6 +141,26 @@ class TestPrepare:
         assert capsys.readouterr().err == (
             "error: epoch_seconds 20 leaves the train/validation/test partition(s) without "
             "epochs; the shortest recording, S000, is 10 s\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--epoch-seconds", "0.001",
+         "epoch_seconds * fs must be a positive integer, got 0.001 * 100.0"),
+        ("--epoch-seconds", "1e308",
+         "epoch_seconds * fs must be a positive integer, got 1e+308 * 100.0"),
+    ], ids=["seed", "short-epoch", "overflowing-epoch"])
+    def test_bad_split_setting_rejected_before_loading(
+            self, dataset_dir, tmp_path, capsys, monkeypatch, flag, value, message):
+        def no_load(*args):
+            raise AssertionError("prepare loaded the subjects")
+
+        monkeypatch.setattr(eegcnn.cli.pre, "load_filtered", no_load)
+        out = tmp_path / "out"
+        rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
+                   "--out", str(out), flag, value])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_high_filter_order(self, dataset_dir, tmp_path):
@@ -261,6 +283,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(tmp_path / "split" / "split.json") in err and f"'{key}' must be" in err
 
+    def test_split_assignment_value_rejected(self, prepared, tmp_path, capsys):
+        subject = min(json.loads((prepared / "split.json").read_text())["subject_assignment"])
+        rc = _train_on_edited_index(prepared, tmp_path, f"subject_assignment.{subject}",
+                                    lambda obj, leaf: obj.__setitem__(leaf, "banana"))
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'split' / 'split.json'}: 'subject_assignment.{subject}' "
+            f"must be one of train, validation, test, got 'banana'\n")
+
+    @pytest.mark.parametrize("leaked", ["train", "unassigned"])
+    def test_epoch_of_subject_assigned_elsewhere_rejected(self, prepared, tmp_path, capsys,
+                                                          leaked):
+        # evaluate used to score a train subject's epoch listed under test
+        index = json.loads((prepared / "split.json").read_text())
+        subject, owner = (index["partitions"]["train"][0]["subject_id"], "'train'") \
+            if leaked == "train" else ("S999", "None")
+        rc = _train_on_edited_index(prepared, tmp_path, "partitions.test[0].subject_id",
+                                    lambda obj, leaf: obj.__setitem__(leaf, subject))
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'split' / 'split.json'}: partitions.test[0].subject_id "
+            f"'{subject}' is assigned to {owner}\n")
+
     @pytest.mark.parametrize("name, damage", [
         ("train", "truncate"), ("validation", "garbage"), ("test", "empty"),
         ("train", "2-D"), ("validation", "float32"), ("test", "huge shape"), ("train", "nan"),
@@ -316,19 +361,14 @@ class TestEvaluate:
         csv_lines = (out / "metrics.csv").read_text().splitlines()
         assert csv_lines[0] == "precision,recall,f1,auc,accuracy"
 
-    @pytest.mark.parametrize("config, wrong", [
-        (ModelConfig(CHANNELS, 2, 3, 3), "classes is 3"),
-        (ModelConfig(CHANNELS + 1, 2, 3, 2), f"in_channels is {CHANNELS + 1}"),
-    ])
-    def test_checkpoint_must_fit_split(self, prepared, tmp_path, capsys, config, wrong):
-        # a 3-class model's class-2 predictions used to drop out of the scores
+    def test_checkpoint_must_fit_split(self, prepared, tmp_path, capsys):
         path = tmp_path / "model.bin"
-        save_checkpoint(path, init_params(0, config), 0)
+        save_checkpoint(path, init_params(0, ModelConfig(CHANNELS + 1, 2, 3)), 0)
         rc = main(["evaluate", "--checkpoint", str(path), "--split", str(prepared),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
-        assert f"checkpoint {path}: {wrong}, but the split in {prepared} has" in \
-            capsys.readouterr().err
+        assert f"checkpoint {path}: in_channels is {CHANNELS + 1}, but the split in " \
+            f"{prepared} has" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint(self, prepared, tmp_path, capsys):
@@ -339,21 +379,26 @@ class TestEvaluate:
         assert str(missing) in capsys.readouterr().err
 
 
+def _edited_checkpoint(trained, tmp_path, key, edit):
+    """A copy of the trained checkpoint whose header had ``edit(parent,
+    leaf)`` applied at ``key`` (``leaf`` or ``config.leaf``)."""
+    blob = (trained / "checkpoint.bin").read_bytes()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    *parents, leaf = key.split(".")
+    edit(header[parents[0]] if parents else header, leaf)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(header).encode() + blob[nl:])
+    return bad
+
+
 @pytest.mark.parametrize("command", ["evaluate", "probe"])
 @pytest.mark.parametrize("key", ["config", "seed", "config.extra", "config.kernel"])
 def test_bad_checkpoint_header(prepared, trained, tmp_path, capsys, command, key):
     """A header missing `key` (or, for config.extra, holding it) exits 3."""
-    blob = (trained / "checkpoint.bin").read_bytes()
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl])
-    if key == "config.extra":
-        header["config"]["extra"] = 1
-    elif key.startswith("config."):
-        del header["config"][key.removeprefix("config.")]
-    else:
-        del header[key]
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(json.dumps(header).encode() + blob[nl:])
+    edit = (lambda obj, leaf: obj.__setitem__(leaf, 1)) if key == "config.extra" \
+        else (lambda obj, leaf: obj.pop(leaf))
+    bad = _edited_checkpoint(trained, tmp_path, key, edit)
     argv = [command, "--checkpoint", str(bad), "--out", str(tmp_path / "o")]
     argv += ["--split", str(prepared)] if command == "evaluate" else ["--fs", str(FS)]
     rc = main(argv)
@@ -382,24 +427,30 @@ def test_non_finite_checkpoint(prepared, tmp_path, capsys, command, block, value
 @pytest.mark.parametrize("key, value", [
     ("format_version", True), ("format_version", 1.0), ("format_version", 2),
     ("seed", 1.5), ("config", [1]), ("config.kernel", 3.0), ("config.classes", "2"),
+    ("config.classes", 3),
 ])
 def test_bad_checkpoint_header_value(prepared, trained, tmp_path, capsys, key, value):
-    """A header value of the wrong type or, for format_version, not the
-    integer 1 exits 3 and names the key."""
-    blob = (trained / "checkpoint.bin").read_bytes()
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl])
-    if key.startswith("config."):
-        header["config"][key.removeprefix("config.")] = value
-    else:
-        header[key] = value
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(json.dumps(header).encode() + blob[nl:])
+    """A header value of the wrong type, or a format_version other than 1 or
+    a config.classes other than 2, exits 3 and names the key. A 3-class
+    model's class-2 predictions used to drop out of the scores."""
+    bad = _edited_checkpoint(trained, tmp_path, key,
+                             lambda obj, leaf: obj.__setitem__(leaf, value))
     rc = main(["evaluate", "--checkpoint", str(bad), "--split", str(prepared),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_IO
     err = capsys.readouterr().err
     assert str(bad) in err and f"'{key}' must be" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_binary_checkpoint_probe_exits_3(trained, tmp_path, capsys):
+    """probe used to run on a 3-class checkpoint."""
+    bad = _edited_checkpoint(trained, tmp_path, "config.classes",
+                             lambda obj, leaf: obj.__setitem__(leaf, 3))
+    rc = main(["probe", "--checkpoint", str(bad), "--out", str(tmp_path / "o"), "--fs", str(FS)])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err == \
+        f"error: {bad}: 'config.classes' must be the integer 2, got 3\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -430,7 +481,7 @@ def tiny_split(tmp_path_factory):
     """Name -> bytes of each file of a valid split of six 2-channel epochs."""
     epochs = [make_epoch(label=i % 2, seed=i, subject_id=f"S{i}") for i in range(6)]
     split = DatasetSplit(train=epochs[:2], validation=epochs[2:4], test=epochs[4:], seed=3,
-                         subject_assignment={f"S{i}": "train" for i in range(6)})
+                         subject_assignment={f"S{i}": _PARTITIONS[i // 2] for i in range(6)})
     out = tmp_path_factory.mktemp("tiny_split")
     _write_split(out, split, FS)
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}

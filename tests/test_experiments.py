@@ -22,7 +22,7 @@ TINY_TRAIN = TrainConfig(epochs=3, learning_rate=3e-3, seed=0)
 
 
 def tiny_sweep(parameter, values, channels=4):
-    return sweep_configs(ModelConfig(channels, channels, 7, 2), parameter, values)
+    return sweep_configs(ModelConfig(channels, channels, 7), parameter, values)
 
 
 class TestSweepConfig:
@@ -55,8 +55,7 @@ class TestSweepConfig:
         configs = tiny_sweep("kernel_size", (5, 7))
         a, b = configs[5], configs[7]
         assert a.kernel == 5 and b.kernel == 7
-        assert (a.in_channels, a.out_channels, a.classes) == (
-            b.in_channels, b.out_channels, b.classes)
+        assert (a.in_channels, a.out_channels) == (b.in_channels, b.out_channels)
 
 
 class TestNormalizeMetric:
@@ -99,7 +98,7 @@ class TestRunSweep:
         split = tiny_split(channels=4)
         # out_channels=1 trains fine; a kernel wider than practical still works,
         # so force failure via an in_channels mismatch in the base config
-        configs = sweep_configs(ModelConfig(5, 4, 5, 2), "out_channels", (2, 4))
+        configs = sweep_configs(ModelConfig(5, 4, 5), "out_channels", (2, 4))
         report = run_sweep(split, TrainConfig(epochs=1), configs)  # data has 4 channels
         assert set(report.errors) == {2, 4}
         assert not report.reports

@@ -179,11 +179,11 @@ class TestEvaluate:
 
     def test_n_epochs_recorded(self):
         epochs = [make_epoch(label=i % 2, seed=i) for i in range(6)]
-        assert evaluate(init_params(0, ModelConfig(2, 2, 3, 2)), epochs).n_epochs == 6
+        assert evaluate(init_params(0, ModelConfig(2, 2, 3)), epochs).n_epochs == 6
 
     def test_csv_row_order(self):
         epochs = [make_epoch(label=i % 2, seed=i) for i in range(6)]
-        report = evaluate(init_params(0, ModelConfig(2, 2, 3, 2)), epochs)
+        report = evaluate(init_params(0, ModelConfig(2, 2, 3)), epochs)
         row = report.to_csv_row().split(",")
         assert float(row[0]) == report.precision
         assert float(row[1]) == report.recall
@@ -195,7 +195,7 @@ class TestEvaluate:
         import json
 
         epochs = [make_epoch(label=i % 2, seed=i) for i in range(6)]
-        report = evaluate(init_params(0, ModelConfig(2, 2, 3, 2)), epochs)
+        report = evaluate(init_params(0, ModelConfig(2, 2, 3)), epochs)
         report.save(tmp_path / "m.json", tmp_path / "m.csv")
         loaded = json.loads((tmp_path / "m.json").read_text())
         assert loaded["n_epochs"] == 6

@@ -20,7 +20,7 @@ from eegcnn.model import (
 from conftest import make_epoch, reference_backward, reference_forward, reference_unroll
 
 
-def identity_params(channels=2, kernel=3, classes=2):
+def identity_params(channels=2, kernel=3):
     """Conv passes each channel through unchanged; FC sums pooled values."""
     w = np.zeros((channels, channels, kernel))
     for c in range(channels):
@@ -28,8 +28,8 @@ def identity_params(channels=2, kernel=3, classes=2):
     return ModelParams(
         conv_weight=w,
         conv_bias=np.zeros(channels),
-        fc_weight=np.ones((classes, channels)),
-        fc_bias=np.zeros(classes),
+        fc_weight=np.ones((2, channels)),
+        fc_bias=np.zeros(2),
     )
 
 
@@ -64,7 +64,7 @@ class TestInitParams:
 
 
 class TestModelParams:
-    CONFIG = ModelConfig(in_channels=2, out_channels=4, kernel=3, classes=3)
+    CONFIG = ModelConfig(in_channels=2, out_channels=4, kernel=3)
 
     @pytest.mark.parametrize("name, shape", [
         ("conv_weight", (4, 2)),  # not 3-D
@@ -73,8 +73,9 @@ class TestModelParams:
         ("conv_bias", (4, 1)),
         ("fc_weight", (3, 5)),
         ("fc_weight", (3,)),
-        ("fc_bias", (2,)),
+        ("fc_bias", (3,)),
         ("fc_bias", ()),
+        ("fc_weight", (3, 4)),  # three classes
     ])
     def test_wrong_block_shape_names_block(self, name, shape):
         arrays = init_params(0, self.CONFIG).arrays()
@@ -93,11 +94,11 @@ class TestModelParams:
 
 class TestParamCount:
     def test_custom_config(self):
-        p = init_params(0, ModelConfig(20, 20, 11, 2))
+        p = init_params(0, ModelConfig(20, 20, 11))
         assert param_count(p) == {"conv": 20 * 20 * 11 + 20, "fc": 2 * 20 + 2}
 
     def test_minimal_config(self):
-        p = init_params(0, ModelConfig(1, 1, 1, 2))
+        p = init_params(0, ModelConfig(1, 1, 1))
         assert param_count(p) == {"conv": 2, "fc": 4}
 
 
@@ -139,13 +140,13 @@ class TestConv1dSame:
     )
     @settings(max_examples=40, deadline=None)
     def test_same_length_property(self, in_c, out_c, kernel, t, seed):
-        p = init_params(seed, ModelConfig(in_c, out_c, kernel, 2))
+        p = init_params(seed, ModelConfig(in_c, out_c, kernel))
         x = np.random.default_rng(seed).standard_normal((in_c, t))
         assert conv1d_same(p, x).shape == (out_c, t)
 
     def test_matches_naive_convolution(self, rng):
         # brute-force oracle for the GEMM implementation
-        p = init_params(5, ModelConfig(3, 4, 5, 2))
+        p = init_params(5, ModelConfig(3, 4, 5))
         x = rng.standard_normal((3, 12))
         pad = 2
         xp = np.pad(x, ((0, 0), (pad, pad)))
@@ -177,7 +178,7 @@ class TestForward:
         np.testing.assert_allclose(cache.probs, [0.5, 0.5], atol=1e-15)
 
     def test_eval_mode_deterministic(self, rng):
-        p = init_params(1, ModelConfig(3, 3, 3, 2))
+        p = init_params(1, ModelConfig(3, 3, 3))
         x = rng.standard_normal((3, 30))
         a = forward(p, x, mode="eval")
         b = forward(p, x, mode="eval")
@@ -189,7 +190,7 @@ class TestForward:
         np.testing.assert_array_equal(b.grad_mask, relu_mask)
 
     def test_train_mode_needs_rng(self, rng):
-        p = init_params(1, ModelConfig(2, 2, 3, 2))
+        p = init_params(1, ModelConfig(2, 2, 3))
         with pytest.raises(ValueError, match="RNG"):
             forward(p, rng.standard_normal((2, 10)), mode="train")
 
@@ -220,7 +221,7 @@ class TestForward:
         np.testing.assert_array_equal(cache.pooled, [0.7, 0.3])
 
     def test_probs_sum_to_one(self, rng):
-        p = init_params(9, ModelConfig(2, 3, 3, 2))
+        p = init_params(9, ModelConfig(2, 3, 3))
         cache = forward(p, rng.standard_normal((2, 17)))
         assert abs(cache.probs.sum() - 1.0) < 1e-12
         assert np.all((cache.probs > 0) & (cache.probs < 1))
@@ -228,7 +229,7 @@ class TestForward:
 
 class TestPredict:
     def test_rows_are_eval_forward_probs(self):
-        p = init_params(4, ModelConfig(2, 3, 3, 2))
+        p = init_params(4, ModelConfig(2, 3, 3))
         epochs = [make_epoch(seed=i) for i in range(3)]
         probs = predict(p, epochs)
         assert probs.shape == (3, 2)
@@ -249,13 +250,13 @@ class TestSoftmax:
 
 class TestBackward:
     def test_zero_upstream_gradient(self, rng):
-        p = init_params(0, ModelConfig(2, 2, 3, 2))
+        p = init_params(0, ModelConfig(2, 2, 3))
         cache = forward(p, rng.standard_normal((2, 10)))
         g = backward(cache, p, np.zeros(2))
         assert all(np.all(v == 0) for v in g.arrays().values())
 
     def test_linearity_in_upstream_gradient(self, rng):
-        p = init_params(0, ModelConfig(2, 3, 3, 2))
+        p = init_params(0, ModelConfig(2, 3, 3))
         cache = forward(p, rng.standard_normal((2, 12)))
         gl = np.array([0.3, -0.7])
         g1 = backward(cache, p, gl)
@@ -269,7 +270,7 @@ class TestBackward:
         # backward reuses the matrix forward multiplied; over consecutive
         # examples it must give the bits of a backward that unrolls the
         # example's own input again
-        p = init_params(4, ModelConfig(3, 4, kernel, 2))
+        p = init_params(4, ModelConfig(3, 4, kernel))
         data = np.random.default_rng(kernel)
         rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(3):
@@ -286,8 +287,8 @@ class TestBackward:
                 np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
 
     def test_cache_params_mismatch_rejected(self, rng):
-        p = init_params(0, ModelConfig(2, 2, 3, 2))
-        other = init_params(0, ModelConfig(3, 2, 3, 2))
+        p = init_params(0, ModelConfig(2, 2, 3))
+        other = init_params(0, ModelConfig(3, 2, 3))
         cache = forward(p, rng.standard_normal((2, 10)))
         with pytest.raises(ValueError, match="cache"):
             backward(cache, other, np.ones(2))
@@ -299,7 +300,7 @@ class TestBackward:
 
         from conftest import finite_diff_check
 
-        p = init_params(7, ModelConfig(2, 2, 3, 2))
+        p = init_params(7, ModelConfig(2, 2, 3))
         ep = Epoch(
             data=np.random.default_rng(7).standard_normal((2, 8)),
             label=1,

@@ -53,7 +53,7 @@ class TestCrossEntropy:
 
 class TestAdamStep:
     def _setup(self, lr=1e-3):
-        cfg = ModelConfig(1, 1, 1, 2)
+        cfg = ModelConfig(1, 1, 1)
         params = init_params(0, cfg)
         return init_adam(params), params, TrainConfig(learning_rate=lr)
 
@@ -101,7 +101,7 @@ class TestAdamStep:
         # first step's size is the learning rate whatever the betas, so a
         # second step with another gradient pins them; gradient entries down
         # to 1e-8 pin eps.
-        params = init_params(0, ModelConfig(2, 3, 3, 2))
+        params = init_params(0, ModelConfig(2, 3, 3))
         rng = np.random.default_rng(5)
         g1, g2 = ({k: rng.standard_normal(v.shape) * 10.0 ** -rng.integers(0, 9, v.shape)
                    for k, v in params.arrays().items()} for _ in range(2))
@@ -137,7 +137,7 @@ class TestTrain:
     def test_learns_separable_data(self):
         split = quick_split()
         cfg = TrainConfig(epochs=30, learning_rate=1e-3, seed=1)
-        hist = train(split, cfg, ModelConfig(4, 6, 11, 2))
+        hist = train(split, cfg, ModelConfig(4, 6, 11))
         assert hist.epochs[-1]["train_loss"] < np.log(2)
         rep = evaluate(hist.best_checkpoint, split.train)
         assert rep.accuracy == 1.0
@@ -145,7 +145,7 @@ class TestTrain:
     def test_determinism(self):
         split = quick_split()
         cfg = TrainConfig(epochs=3, seed=9)
-        mcfg = ModelConfig(4, 4, 5, 2)
+        mcfg = ModelConfig(4, 4, 5)
         h1 = train(split, cfg, mcfg)
         h2 = train(split, cfg, mcfg)
         assert h1.epochs == h2.epochs
@@ -162,23 +162,23 @@ class TestTrain:
         from dataclasses import replace
 
         with pytest.raises(ValueError, match="non-empty"):
-            train(replace(split, validation=[]), TrainConfig(epochs=1), ModelConfig(4, 4, 5, 2))
+            train(replace(split, validation=[]), TrainConfig(epochs=1), ModelConfig(4, 4, 5))
 
     def test_history_length_matches_epochs(self):
         split = quick_split()
-        hist = train(split, TrainConfig(epochs=4, seed=0), ModelConfig(4, 4, 5, 2))
+        hist = train(split, TrainConfig(epochs=4, seed=0), ModelConfig(4, 4, 5))
         assert len(hist.epochs) == 4
 
     def test_best_epoch_maximizes_val_accuracy(self):
         split = quick_split()
         hist = train(split, TrainConfig(epochs=6, learning_rate=1e-3, seed=2),
-                     ModelConfig(4, 4, 5, 2))
+                     ModelConfig(4, 4, 5))
         best_acc = max(e["val_accuracy"] for e in hist.epochs)
         assert hist.epochs[hist.best_epoch]["val_accuracy"] == best_acc
 
     def test_checkpoint_fidelity(self, tmp_path):
         split = quick_split()
-        hist = train(split, TrainConfig(epochs=2, seed=5), ModelConfig(4, 4, 5, 2))
+        hist = train(split, TrainConfig(epochs=2, seed=5), ModelConfig(4, 4, 5))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, hist.best_checkpoint, seed=5)
         loaded, seed = load_checkpoint(path)
@@ -207,7 +207,7 @@ class TestTrainMatchesReference:
     def test_same_checkpoint_and_history(self, monkeypatch, kernel, batch_size):
         split = labelled_split(n_train=7, n_val=3)  # last batch ragged for 2 and 3
         cfg = TrainConfig(batch_size=batch_size, learning_rate=3e-3, epochs=3, seed=kernel)
-        mcfg = ModelConfig(3, 4, kernel, 2)
+        mcfg = ModelConfig(3, 4, kernel)
         got = train(split, cfg, mcfg)
         monkeypatch.setattr(train_module, "forward", reference_forward)
         monkeypatch.setattr(model_module, "forward", reference_forward)  # predict's
@@ -235,7 +235,7 @@ class TestTrainMatchesReference:
         monkeypatch.setattr(train_module, "backward", backward_spy)
         monkeypatch.setattr(train_module, "adam_step", adam_step_spy)
         train(labelled_split(7, 3), TrainConfig(batch_size=batch_size, epochs=2),
-              ModelConfig(3, 4, 3, 2))
+              ModelConfig(3, 4, 3))
         sizes = [min(batch_size, 7 - start) for start in range(0, 7, batch_size)] * 2
         assert len(steps) == len(sizes) and len(examples) == 14
         first = 0
@@ -260,7 +260,7 @@ class TestTrainMatchesReference:
             return cache
 
         monkeypatch.setattr(train_module, "forward", spy)
-        train(labelled_split(7, 3), TrainConfig(epochs=1), ModelConfig(3, 4, 3, 2))
+        train(labelled_split(7, 3), TrainConfig(epochs=1), ModelConfig(3, 4, 3))
         assert len(dropped) == 7 and any(dropped)
 
 
@@ -268,7 +268,7 @@ class TestOnEpoch:
     def test_called_once_per_epoch_in_order(self):
         calls = []
         hist = train(labelled_split(5, 2), TrainConfig(epochs=4, seed=1),
-                     ModelConfig(3, 2, 3, 2), on_epoch=lambda i, row: calls.append((i, row)))
+                     ModelConfig(3, 2, 3), on_epoch=lambda i, row: calls.append((i, row)))
         assert [i for i, _ in calls] == [0, 1, 2, 3]
         assert [row for _, row in calls] == hist.epochs
 
@@ -285,21 +285,21 @@ class TestOnEpoch:
                 raise Stop
 
         with pytest.raises(Stop):
-            train(labelled_split(5, 2), TrainConfig(epochs=5), ModelConfig(3, 2, 3, 2),
+            train(labelled_split(5, 2), TrainConfig(epochs=5), ModelConfig(3, 2, 3),
                   on_epoch=stop_after_two)
         assert seen == [0, 1]
 
 
 class TestFiniteDiffCheck:
     def test_random_tiny_model(self):
-        p = init_params(11, ModelConfig(2, 2, 3, 2))
+        p = init_params(11, ModelConfig(2, 2, 3))
         ep = make_epoch(channels=2, epoch_len=8, label=1, seed=11)
         assert finite_diff_check(p, ep, eps=1e-5) < 1e-6
 
     def test_zero_input_epoch(self):
         from eegcnn.data import Epoch
 
-        p = init_params(2, ModelConfig(2, 2, 3, 2))
+        p = init_params(2, ModelConfig(2, 2, 3))
         ep = Epoch(data=np.zeros((2, 8)), label=0, subject_id="S", epoch_index=0)
         from eegcnn.model import backward, forward
 
@@ -310,7 +310,7 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(p, ep, eps=1e-5) < 1e-6
 
     def test_zero_eps_rejected(self):
-        p = init_params(0, ModelConfig(2, 2, 3, 2))
+        p = init_params(0, ModelConfig(2, 2, 3))
         with pytest.raises(ValueError, match="eps"):
             finite_diff_check(p, make_epoch(), eps=0.0)
 
