@@ -246,7 +246,7 @@ def _load_stack(path: Path) -> np.ndarray:
 def cmd_prepare(s: dict) -> int:
     manifest = dat.load_manifest(s["manifest"])
     # the split settings are checked before any CSV is read
-    dat.check_split_seed(s["seed"])
+    dat.check_seed(s["seed"])
     dat.epoch_length(s["epoch_seconds"], manifest.fs)
     subjects = pre.load_filtered(manifest, s["cutoff_hz"], s["filter_order"])
     split = dat.split_dataset(subjects, seed=s["seed"], epoch_seconds=s["epoch_seconds"])

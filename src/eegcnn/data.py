@@ -295,7 +295,7 @@ def epoch_length(epoch_seconds: float, fs: float) -> int:
     return epoch_len
 
 
-def check_split_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -325,7 +325,7 @@ def split_dataset(
     remainder goes to test. A split that leaves a partition without subjects
     or without epochs is rejected.
     """
-    check_split_seed(seed)
+    check_seed(seed)
     ordered = sorted(subjects, key=lambda s: s.subject_id)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import check_seed
 from .model import ModelParams, conv1d_same
 from .preprocess import welch_psd_batch
 
@@ -34,8 +35,7 @@ class ProbeSpec:
             raise ValueError(f"fs must be a finite positive number, got {self.fs}")
         if self.epoch_len < 1:
             raise ValueError(f"epoch_len must be >= 1, got {self.epoch_len}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.frequencies is None:
             return
         freqs = np.asarray(self.frequencies, dtype=np.float64)

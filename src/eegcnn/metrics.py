@@ -126,7 +126,8 @@ def roc_auc(scores: list[float], labels: list[int]) -> float:
     fps = np.cumsum(sorted_labels == 0)[distinct]
     tpr = np.r_[0.0, tps / n_pos]
     fpr = np.r_[0.0, fps / n_neg]
-    return float(np.trapezoid(tpr, fpr))
+    # np.trapezoid(tpr, fpr) written out: that function needs numpy >= 2.0
+    return float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
 
 
 def evaluate(checkpoint: ModelParams, epochs: list[Epoch]) -> MetricsReport:

@@ -2,7 +2,8 @@
 
 The high-pass is a Butterworth filter designed once as second-order sections
 (SOS) and run forward and backward, so it has zero phase and works at every
-order >= 1; no polynomial (b, a) form is ever built.
+order >= 1; no polynomial (b, a) form is ever built. The Welch PSD is plain
+numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
-from scipy import signal as sps
 
 from .data import Manifest, ManifestEntry, SubjectRecording, load_subject_csv
 
@@ -28,11 +28,15 @@ def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
         raise ValueError(f"filter order must be >= 1, got {order}")
     if not 0 < cutoff_hz < fs / 2:
         raise ValueError(f"cutoff must lie in (0, fs/2) = (0, {fs / 2}), got {cutoff_hz}")
+    from scipy import signal as sps  # here: a 1.3-1.5 s, 49 MB import only prepare needs
+
     return sps.butter(order, cutoff_hz, btype="highpass", fs=fs, output="sos")
 
 
 def apply_zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Forward-backward filtering with reflective edge padding; zero net phase."""
+    from scipy import signal as sps  # see design_highpass
+
     x = np.asarray(x, dtype=np.float64)
     # the pad is 3 * (order + 1) samples; an odd order ends in a first-order
     # section, the one whose a2 is 0
@@ -88,21 +92,25 @@ def welch_psd_batch(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     density normalization; returns (freqs, power).
 
     The window is 1 s (round(fs) samples) with 50% overlap, so the frequency
-    grid has 1 Hz spacing at integer sampling rates.
+    grid has 1 Hz spacing at integer sampling rates. The steps are those of
+    scipy 1.17's ``scipy.signal.welch(x, fs, window="hann", nperseg=n,
+    noverlap=n // 2, detrend=False)``, in the same order, so the result
+    equals that call's bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    window_len = int(round(fs))
-    if window_len < 1:
+    n = int(round(fs))
+    if n < 1:
         raise ValueError(f"fs {fs} Hz gives a 1 s Welch window of 0 samples")
-    if window_len > x.shape[-1]:
-        raise ValueError(f"window_len {window_len} exceeds signal length {x.shape[-1]}")
-    return sps.welch(
-        x,
-        fs=fs,
-        window="hann",
-        nperseg=window_len,
-        noverlap=window_len // 2,
-        detrend=False,
-        scaling="density",
-        axis=-1,
-    )
+    if n > x.shape[-1]:
+        raise ValueError(f"window_len {n} exceeds signal length {x.shape[-1]}")
+    hop = n - n // 2
+    # periodic Hann window; one sample is [1.0], as in scipy
+    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1]) if n > 1 else np.ones(1)
+    win = w * (1 / np.sqrt(sum(w**2) / (1 / fs)))  # built-in sum: scipy's summation order
+    segments = (x.shape[-1] - n // 2) // hop
+    spec = np.empty(x.shape[:-1] + (n // 2 + 1, segments), dtype=complex)
+    for p in range(segments):
+        spec[..., :, p] = np.fft.rfft(x[..., p * hop : p * hop + n] * win)
+    power = spec.real**2 + spec.imag**2
+    power[..., 1 : -1 if n % 2 == 0 else None, :] *= 2  # one-sided: all but DC and Nyquist
+    return np.fft.rfftfreq(n, 1 / fs), power.mean(axis=-1)

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DatasetSplit, Epoch
+from .data import DatasetSplit, Epoch, check_seed
 from .model import ModelConfig, ModelParams, backward, forward, init_params, predict
 
 # Adam's decay rates and epsilon, Kingma & Ba's defaults (arXiv:1412.6980)
@@ -36,8 +36,7 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -862,3 +862,34 @@ def test_threads_env_set_before_numpy_loads():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "['1']"
+
+
+def test_only_prepare_loads_scipy_signal(dataset_dir, prepared, trained, tmp_path):
+    # in a fresh interpreter, since this one imported scipy.signal in conftest
+    ckpt = str(trained / "checkpoint.bin")
+    runs = [
+        ["train", "--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS)],
+        ["evaluate", "--checkpoint", ckpt, "--split", str(prepared)],
+        ["sweep", "--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS),
+         "--sweep-parameter", "kernel_size", "--sweep-values", "3"],
+        ["psd", "--split", str(prepared)],
+        ["probe", "--checkpoint", ckpt, "--fs", str(FS), "--epoch-len", "500",
+         "--repeats-sine", "1", "--repeats-noise", "1"],
+        ["prepare", "--manifest", str(dataset_dir / "manifest.json")],
+    ]
+    runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+    code = (
+        "import contextlib, io, sys\n"
+        "from eegcnn.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = main(argv)\n"
+        "    print(argv[0], rc, 'scipy.signal' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines() == [
+        "train 0 False", "evaluate 0 False", "sweep 0 False", "psd 0 False", "probe 0 False",
+        "prepare 0 True",
+    ]

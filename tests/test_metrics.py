@@ -32,6 +32,25 @@ def pair_counting_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def trapezoid_auc(scores, labels):
+    """The ROC points found threshold by threshold, integrated by np.trapezoid."""
+    scores, labels = np.asarray(scores), np.asarray(labels)
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    thresholds = np.unique(scores)[::-1]
+    tpr = [0.0] + [np.sum(pos >= t) / pos.size for t in thresholds]
+    fpr = [0.0] + [np.sum(neg >= t) / neg.size for t in thresholds]
+    return float(np.trapezoid(tpr, fpr))
+
+
+def oracle_cases(rng):
+    """Every two-class labeling of tie-heavy score vectors of length 2 to 8."""
+    for n in range(2, 9):
+        scores = rng.integers(0, 4, size=n) / 4.0  # small alphabet forces ties
+        for labels in itertools.product([0, 1], repeat=n):
+            if len(set(labels)) == 2:
+                yield list(scores), list(labels)
+
+
 class TestConfusion:
     def test_perfect_predictions(self):
         cm = confusion([1, 1, 0, 0], [1, 1, 0, 0])
@@ -116,17 +135,17 @@ class TestRocAuc:
             roc_auc([0.1, 0.9], [1, 1])
 
     def test_exhaustive_small_instances(self, rng):
-        # trapezoidal sweep vs pair counting for every labeling of fixed
-        # tie-heavy score vectors up to length 8 (the n=12 exhaustive run
-        # lives in the acceptance suite)
-        for n in range(2, 9):
-            scores = rng.integers(0, 4, size=n) / 4.0  # small alphabet forces ties
-            for labels in itertools.product([0, 1], repeat=n):
-                if len(set(labels)) < 2:
-                    continue
-                assert roc_auc(list(scores), list(labels)) == pytest.approx(
-                    pair_counting_auc(scores, labels), abs=1e-12
-                )
+        # trapezoidal sweep vs pair counting (the n=12 exhaustive run lives in
+        # the acceptance suite)
+        for scores, labels in oracle_cases(rng):
+            assert roc_auc(scores, labels) == pytest.approx(
+                pair_counting_auc(scores, labels), abs=1e-12
+            )
+
+    @pytest.mark.skipif(not hasattr(np, "trapezoid"), reason="np.trapezoid needs numpy >= 2.0")
+    def test_same_bits_as_numpy_trapezoid(self, rng):
+        for scores, labels in oracle_cases(rng):
+            assert roc_auc(scores, labels) == trapezoid_auc(scores, labels)
 
     @given(
         scores=st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=20),
