@@ -6,8 +6,9 @@ Byte layout (documented so other implementations can read these files):
      {"format_version": 1,
       "config": {"in_channels", "out_channels", "kernel", "classes": 2},
       "seed": <int>}
-  2. Raw little-endian float64 arrays, C order, no separators, in
-     ``ModelConfig.param_shapes()`` order:
+  2. ``ModelParams.flat`` as raw little-endian float64 values: the blocks of
+     ``ModelConfig.param_shapes()``, each in C order, one after another with
+     no separators:
      conv_weight [out, in, kernel], conv_bias [out],
      fc_weight [2, out], fc_bias [2].
 
@@ -20,7 +21,6 @@ with it would be meaningless.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -56,8 +56,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for name in params.config.param_shapes():
-            fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
@@ -76,14 +75,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
         cfg = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad header config ({exc})") from exc
-    shapes = cfg.param_shapes()
-    sizes = [math.prod(shape) for shape in shapes.values()]
     body = blob[nl + 1 :]
-    if len(body) != 8 * sum(sizes):
-        raise CheckpointError(f"{path}: payload is {len(body)} bytes, expected {8 * sum(sizes)}")
-    blocks = np.split(np.frombuffer(body, dtype="<f8").astype(np.float64), np.cumsum(sizes)[:-1])
-    arrays = {name: b.reshape(shape) for (name, shape), b in zip(shapes.items(), blocks)}
-    for name, block in arrays.items():
+    if len(body) != 8 * cfg.size:
+        raise CheckpointError(f"{path}: payload is {len(body)} bytes, expected {8 * cfg.size}")
+    params = ModelParams(cfg, np.frombuffer(body, dtype="<f8").astype(np.float64))
+    for name, block in params.arrays().items():
         if not np.isfinite(block).all():
             raise CheckpointError(f"{path}: {name} holds non-finite values")
-    return ModelParams(**arrays), header["seed"]
+    return params, header["seed"]

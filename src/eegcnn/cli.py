@@ -169,9 +169,7 @@ def _write_split(out_dir: Path, split: dat.DatasetSplit, fs: float) -> None:
     }
     (out_dir / "split.json").write_text(json.dumps(index, indent=2, sort_keys=True))
     for name in _PARTITIONS:
-        eps = split.partition(name)
-        stack = np.stack([ep.data for ep in eps]) if eps else np.zeros((0, 0, 0))
-        np.save(out_dir / f"{name}_data.npy", stack)
+        np.save(out_dir / f"{name}_data.npy", np.stack([ep.data for ep in split.partition(name)]))
 
 
 def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
@@ -187,9 +185,11 @@ def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
                              f"{', '.join(_PARTITIONS)}, got {name!r}")
     parts = {}
     for name in _PARTITIONS:
+        entries = index["partitions"][name]
+        if not entries:
+            raise SplitError(f"{index_path}: partition '{name}' holds no epochs")
         data_path = split_dir / f"{name}_data.npy"
         stack = _load_stack(data_path)
-        entries = index["partitions"][name]
         if len(entries) != stack.shape[0]:
             raise SplitError(f"{split_dir}: {name} index/data length mismatch")
         for i, e in enumerate(entries):
@@ -297,9 +297,9 @@ def cmd_evaluate(s: dict) -> int:
     params, _ = ckpt.load_checkpoint(s["checkpoint"])
     split, _ = _read_split(s["split"])
     _check_model(s["split"], split, params.config, f"checkpoint {s['checkpoint']}: ")
+    report = met.evaluate(params, split.test)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = met.evaluate(params, split.test)
     report.save(out_dir / "metrics.json", out_dir / "metrics.csv")
     print(report.to_csv_row())
     return EXIT_OK
@@ -350,10 +350,9 @@ def cmd_sweep(s: dict) -> int:
 
 def cmd_psd(s: dict) -> int:
     split, fs = _read_split(s["split"])
+    gp = exp.group_psd(split.train + split.validation + split.test, fs)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    epochs = split.train + split.validation + split.test
-    gp = exp.group_psd(epochs, fs)
     gp.to_csv(out_dir / "group_psd.csv")
     print(f"wrote {out_dir / 'group_psd.csv'}")
     return EXIT_OK

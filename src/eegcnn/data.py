@@ -184,11 +184,15 @@ def load_subject_csv(path: str | Path, entry: ManifestEntry, manifest: Manifest)
         except csv.Error as exc:  # a cell over the field size limit, say
             raise CsvFormatError(f"{path}: header row: {exc}") from None
         n_channels = len(header)
-        if n_channels != len(manifest.channel_names):
+        names = manifest.channel_names
+        if n_channels != len(names):
             raise CsvFormatError(
-                f"{path}: {n_channels} channels in header, manifest declares "
-                f"{len(manifest.channel_names)}"
+                f"{path}: {n_channels} channels in header, manifest declares {len(names)}"
             )
+        if header != names:
+            col = next(i for i, (got, want) in enumerate(zip(header, names)) if got != want)
+            raise CsvFormatError(f"{path}: header column {col} is {header[col]!r}, "
+                                 f"the manifest's channel {col} is {names[col]!r}")
         samples = _loadtxt_body(path, n_channels) if reader.line_num == 1 else None
         if samples is None:
             samples = _scan_body(path, reader, header)
@@ -273,15 +277,24 @@ def _scan_body(path: Path, reader, header: list[str]) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).T  # [channels, time]
 
 
+def write_csv(path: str | Path, header: list, rows) -> None:
+    """A CSV file of ``header`` and then ``rows``, each line ended by ``\\n``.
+    A float cell, numpy's included, is written as ``repr(float(x))``, which
+    reads back to the same value, and None as an empty cell."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        # csv writes a Python float as its repr, but a numpy scalar's repr is
+        # "np.float64(...)", so numpy scalars become Python ones first
+        writer.writerows([x.item() if isinstance(x, np.generic) else x for x in row]
+                         for row in rows)
+
+
 def write_subject_csv(path: str | Path, rec: SubjectRecording, channel_names: list[str]) -> None:
-    """Inverse of load_subject_csv; uses repr precision so reloads are exact."""
+    """Inverse of load_subject_csv; the values read back exactly."""
     if len(channel_names) != rec.channels:
         raise ValueError(f"{len(channel_names)} channel names for {rec.channels} channels")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(channel_names)
-        for row in rec.samples.T:
-            writer.writerow([repr(v) for v in row.tolist()])
+    write_csv(path, channel_names, rec.samples.T.tolist())
 
 
 def epoch_length(epoch_seconds: float, fs: float) -> int:

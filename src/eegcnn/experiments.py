@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, Epoch
+from .data import DatasetSplit, Epoch, write_csv
 from .metrics import MetricsReport, evaluate
 from .model import ModelConfig
 from .preprocess import welch_psd_batch
@@ -37,14 +37,12 @@ class AblationReport:
     normalized: dict[str, np.ndarray]  # per metric, aligned with successful values
 
     def to_csv(self, path: str | Path) -> None:
-        cols = [f"{m}" for m in _METRIC_NAMES] + [f"normalized_{m}" for m in _METRIC_NAMES]
-        with Path(path).open("w") as fh:
-            fh.write("value," + ",".join(cols) + "\n")
-            for i, (v, r) in enumerate(self.reports.items()):
-                raw = [r.precision, r.recall, r.f1, r.auc, r.accuracy]
-                norm = [self.normalized[m][i] for m in _METRIC_NAMES]
-                cells = ["" if x is None else repr(float(x)) for x in raw + norm]
-                fh.write(f"{v}," + ",".join(cells) + "\n")
+        header = ["value", *_METRIC_NAMES, *(f"normalized_{m}" for m in _METRIC_NAMES)]
+        write_csv(path, header, (
+            [v, r.precision, r.recall, r.f1, r.auc, r.accuracy,
+             *(self.normalized[m][i] for m in _METRIC_NAMES)]
+            for i, (v, r) in enumerate(self.reports.items())
+        ))
 
 
 def normalize_metric(values: np.ndarray) -> np.ndarray:
@@ -88,14 +86,9 @@ class GroupPsd:
 
     def to_csv(self, path: str | Path) -> None:
         labels = sorted(self.mean)
-        header = "freq," + ",".join(f"mean_{lb},sem_{lb}" for lb in labels)
-        with Path(path).open("w") as fh:
-            fh.write(header + "\n")
-            for i, f in enumerate(self.freqs.tolist()):
-                cells = []
-                for lb in labels:
-                    cells += [repr(float(self.mean[lb][i])), repr(float(self.sem[lb][i]))]
-                fh.write(f"{f!r}," + ",".join(cells) + "\n")
+        columns = [self.freqs] + [a for lb in labels for a in (self.mean[lb], self.sem[lb])]
+        header = ["freq", *(f"{stat}_{lb}" for lb in labels for stat in ("mean", "sem"))]
+        write_csv(path, header, np.stack(columns, axis=1).tolist())
 
 
 def group_psd(epochs: list[Epoch], fs: float) -> GroupPsd:

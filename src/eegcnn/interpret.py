@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import check_seed
+from .data import check_seed, write_csv
 from .model import ModelParams, conv1d_same
 from .preprocess import welch_psd_batch
 
@@ -62,10 +62,8 @@ class SensitivityMap:
 
     def to_csv(self, path: str | Path) -> None:
         """Matrix CSV: rows are pool outputs, columns are frequencies."""
-        with Path(path).open("w") as fh:
-            fh.write("pool_output," + ",".join(f"{f:g}" for f in self.freqs) + "\n")
-            for i, row in enumerate(self.activation):
-                fh.write(f"{i}," + ",".join(repr(v) for v in row.tolist()) + "\n")
+        write_csv(path, ["pool_output", *(f"{f:g}" for f in self.freqs)],
+                  ([i, *row] for i, row in enumerate(self.activation.tolist())))
 
 
 @dataclass(frozen=True)
@@ -79,12 +77,8 @@ class FilterResponseMap:
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = []
         for ch, row in enumerate(self.power):
-            p = out_dir / f"filter_response_ch{ch:02d}.csv"
-            with p.open("w") as fh:
-                fh.write("freq,power\n")
-                for f, v in zip(self.freqs.tolist(), row.tolist()):
-                    fh.write(f"{f!r},{v!r}\n")
-            paths.append(p)
+            paths.append(out_dir / f"filter_response_ch{ch:02d}.csv")
+            write_csv(paths[-1], ["freq", "power"], zip(self.freqs.tolist(), row.tolist()))
         return paths
 
 

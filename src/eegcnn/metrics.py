@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Epoch
+from .data import Epoch, write_csv
 from .model import ModelParams, predict
 
 
@@ -54,7 +54,8 @@ class MetricsReport:
 
     def save(self, json_path: str | Path, csv_path: str | Path) -> None:
         Path(json_path).write_text(self.to_json())
-        Path(csv_path).write_text("precision,recall,f1,auc,accuracy\n" + self.to_csv_row() + "\n")
+        write_csv(csv_path, ["precision", "recall", "f1", "auc", "accuracy"],
+                  [[self.precision, self.recall, self.f1, self.auc, self.accuracy]])
 
 
 def confusion(predictions: list[int], labels: list[int]) -> ConfusionMatrix:

@@ -6,7 +6,8 @@ All math is float64. The backward pass is hand-derived; there is no autodiff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,7 +33,7 @@ class ModelConfig:
             raise ValueError(f"all model dimensions must be positive: {self}")
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Name -> shape of each ModelParams block, in field order."""
+        """Name -> shape of each ModelParams block, in ``ModelParams.flat`` order."""
         return {
             "conv_weight": (self.out_channels, self.in_channels, self.kernel),
             "conv_bias": (self.out_channels,),
@@ -40,36 +41,38 @@ class ModelConfig:
             "fc_bias": (CLASSES,),
         }
 
+    @property
+    def size(self) -> int:
+        """Number of parameters: the length of ``ModelParams.flat``."""
+        return sum(map(math.prod, self.param_shapes().values()))
+
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One value per parameter block: the weights, or their gradients, or an
-    Adam moment of them. Each block has its ``ModelConfig.param_shapes()``
-    shape for the config that conv_weight gives."""
+    """One value per parameter: the weights, or their gradients, or an Adam
+    moment of them. ``flat`` holds them all as one float64 vector, the blocks
+    of ``config.param_shapes()`` one after another in C order, which is the
+    checkpoint payload's layout. The four block attributes are views of it."""
 
-    conv_weight: np.ndarray
-    conv_bias: np.ndarray
-    fc_weight: np.ndarray
-    fc_bias: np.ndarray
+    config: ModelConfig
+    flat: np.ndarray
+    conv_weight: np.ndarray = field(init=False, repr=False)
+    conv_bias: np.ndarray = field(init=False, repr=False)
+    fc_weight: np.ndarray = field(init=False, repr=False)
+    fc_bias: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            config = self.config
-        except ValueError as exc:  # wrong ndim, even kernel or a zero size
-            raise ValueError(f"conv_weight {self.conv_weight.shape} gives no model config "
-                             f"({exc})") from None
-        for name, shape in config.param_shapes().items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name} has shape {got}, expected {shape} for {config}")
-
-    @property
-    def config(self) -> ModelConfig:
-        out_c, in_c, kernel = self.conv_weight.shape
-        return ModelConfig(in_c, out_c, kernel)
+        n, flat = self.config.size, self.flat
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == (n,)):
+            raise ValueError(f"{self.config} needs a 1-D float64 flat of {n} values, got "
+                             f"shape {np.shape(flat)} {getattr(flat, 'dtype', type(flat))}")
+        shapes = self.config.param_shapes()
+        blocks = np.split(flat, np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
+        for (name, shape), block in zip(shapes.items(), blocks):
+            object.__setattr__(self, name, block.reshape(shape))
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.config.param_shapes()}
 
 
 @dataclass(frozen=True)
@@ -96,15 +99,12 @@ class ForwardCache:
 def init_params(seed: int, config: ModelConfig = ModelConfig()) -> ModelParams:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases."""
     rng = np.random.default_rng(seed)
-    shapes = config.param_shapes()
     s_conv = 1.0 / np.sqrt(config.in_channels * config.kernel)
     s_fc = 1.0 / np.sqrt(config.out_channels)
-    return ModelParams(
-        conv_weight=rng.uniform(-s_conv, s_conv, size=shapes["conv_weight"]),
-        conv_bias=np.zeros(shapes["conv_bias"]),
-        fc_weight=rng.uniform(-s_fc, s_fc, size=shapes["fc_weight"]),
-        fc_bias=np.zeros(shapes["fc_bias"]),
-    )
+    params = ModelParams(config, np.zeros(config.size))
+    params.conv_weight[...] = rng.uniform(-s_conv, s_conv, size=params.conv_weight.shape)
+    params.fc_weight[...] = rng.uniform(-s_fc, s_fc, size=params.fc_weight.shape)
+    return params
 
 
 def param_count(params: ModelParams) -> dict[str, int]:
@@ -183,9 +183,6 @@ def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) 
     d_pooled = params.fc_weight.T @ grad_logits  # [out]
     # pool is a mean, so the upstream gradient spreads uniformly over time
     d_pre = (d_pooled[:, None] / t) * cache.grad_mask
-    return ModelParams(
-        conv_weight=(d_pre @ cache.unrolled.T).reshape(out_c, in_c, kernel),
-        conv_bias=d_pre.sum(axis=1),
-        fc_weight=np.outer(grad_logits, cache.pooled),
-        fc_bias=grad_logits.copy(),
-    )
+    return ModelParams(params.config, np.concatenate([
+        (d_pre @ cache.unrolled.T).ravel(), d_pre.sum(axis=1),
+        np.outer(grad_logits, cache.pooled).ravel(), grad_logits]))

@@ -41,8 +41,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: ModelParams
-    v: ModelParams
+    m: np.ndarray  # first and second moments, in ModelParams.flat order
+    v: np.ndarray
     t: int = 0
 
 
@@ -71,34 +71,25 @@ def cross_entropy(probs: np.ndarray, label: int) -> tuple[float, np.ndarray]:
 
 
 def init_adam(params: ModelParams) -> AdamState:
-    def zeros() -> ModelParams:
-        return ModelParams(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
-
-    return AdamState(m=zeros(), v=zeros())
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
     state: AdamState, params: ModelParams, grads: ModelParams, config: TrainConfig
 ) -> tuple[AdamState, ModelParams]:
-    """One Adam update with bias correction; returns fresh state and params."""
+    """One Adam update with bias correction; returns fresh state and params
+    (new arrays: the ones passed in are left as they are)."""
     for name, g in grads.arrays().items():
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite gradient in parameter block '{name}'")
     t = state.t + 1
-    new_m, new_v, new_p = {}, {}, {}
-    p_arrays = params.arrays()
-    m_arrays, v_arrays = state.m.arrays(), state.v.arrays()
-    for name, g in grads.arrays().items():
-        m = ADAM_BETA1 * m_arrays[name] + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v_arrays[name] + (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        new_m[name] = m
-        new_v[name] = v
-        new_p[name] = p_arrays[name] - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + ADAM_EPS
-        )
-    return AdamState(m=ModelParams(**new_m), v=ModelParams(**new_v), t=t), ModelParams(**new_p)
+    g = grads.flat
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    flat = params.flat - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(m=m, v=v, t=t), ModelParams(params.config, flat)
 
 
 def _eval_pass(params: ModelParams, epochs: list[Epoch]) -> tuple[float, float]:
@@ -135,7 +126,7 @@ def train(
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = [data.train[i] for i in perm[start : start + config.batch_size]]
-            grad_sum: dict[str, np.ndarray] | None = None
+            grad_sum = None
             for item in batch:
                 cache = forward(params, item.data, mode="train", rng=rng)
                 loss, grad_logits = cross_entropy(cache.probs, item.label)
@@ -144,10 +135,10 @@ def train(
                         f"non-finite loss at epoch {epoch_idx}, batch {start // config.batch_size}"
                     )
                 epoch_losses.append(loss)
-                g = backward(cache, params, grad_logits).arrays()
+                g = backward(cache, params, grad_logits).flat
                 del cache  # frees the unrolled input before the next forward
-                grad_sum = g if grad_sum is None else {k: grad_sum[k] + v for k, v in g.items()}
-            grads = ModelParams(**{k: v / len(batch) for k, v in grad_sum.items()})
+                grad_sum = g if grad_sum is None else grad_sum + g
+            grads = ModelParams(params.config, grad_sum / len(batch))
             state, params = adam_step(state, params, grads, config)
         val_loss, val_acc = _eval_pass(params, data.validation)
         row = {

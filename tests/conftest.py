@@ -11,9 +11,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from eegcnn.data import Epoch, SubjectRecording, load_subject_csv
-from eegcnn.model import DROPOUT_RATE, ModelParams, backward, forward, softmax
+from eegcnn.model import DROPOUT_RATE, ModelConfig, ModelParams, backward, forward, softmax
 from eegcnn.preprocess import apply_zero_phase, design_highpass
-from eegcnn.train import cross_entropy
+from eegcnn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cross_entropy
 
 
 @pytest.fixture
@@ -89,6 +89,16 @@ def mutated_bytes(draw, blob):
     return bytes(out)
 
 
+def make_params(conv_weight, conv_bias, fc_weight, fc_bias):
+    """ModelParams from its four blocks; conv_weight [out, in, kernel] gives
+    the config, and each block must have that config's shape."""
+    out_c, in_c, kernel = np.shape(conv_weight)
+    config = ModelConfig(in_c, out_c, kernel)
+    blocks = [conv_weight, conv_bias, fc_weight, fc_bias]
+    assert [np.shape(b) for b in blocks] == list(config.param_shapes().values())
+    return ModelParams(config, np.concatenate([np.ravel(b) for b in blocks]).astype(np.float64))
+
+
 def make_epoch(channels=2, epoch_len=8, label=0, seed=0, subject_id="S000"):
     gen = np.random.default_rng(seed)
     return Epoch(
@@ -157,12 +167,27 @@ def reference_backward(cache, params, grad_logits):
     d_pooled = params.fc_weight.T @ grad_logits
     d_pre = (d_pooled[:, None] / t) * cache.dropout_mask * cache.relu_mask
     xm = reference_unroll(cache.input, kernel)
-    return ModelParams(
+    return make_params(
         conv_weight=(d_pre @ xm.T).reshape(out_c, in_c, kernel),
         conv_bias=d_pre.sum(axis=1),
         fc_weight=np.outer(grad_logits, cache.pooled),
-        fc_bias=grad_logits.copy(),
+        fc_bias=grad_logits,
     )
+
+
+def reference_adam_step(m, v, t, params, grads, learning_rate):
+    """Adam as first written, block by block over dicts of blocks (name ->
+    array): the new m, v and params dicts. train.adam_step makes the same
+    update on the flat vector and must give the same bits."""
+    t = t + 1
+    new_m, new_v, new_p = {}, {}, {}
+    for name, g in grads.items():
+        new_m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
+        new_v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = new_m[name] / (1 - ADAM_BETA1**t)
+        v_hat = new_v[name] / (1 - ADAM_BETA2**t)
+        new_p[name] = params[name] - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_m, new_v, new_p
 
 
 # The sinusoid sweep as first written: one probe signal and one forward per
@@ -203,37 +228,34 @@ def finite_diff_check(params: ModelParams, epoch: Epoch, eps: float = 1e-5) -> f
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    total = sum(a.size for a in params.arrays().values())
+    total = params.config.size
     if total > 10_000:
         raise ValueError(f"model too large for finite differences ({total} parameters)")
 
     cache = forward(params, epoch.data, mode="eval")
     _, grad_logits = cross_entropy(cache.probs, epoch.label)
-    analytic = backward(cache, params, grad_logits)
+    analytic = backward(cache, params, grad_logits).flat
 
-    def probe(p: ModelParams) -> tuple[float, np.ndarray]:
-        c = forward(p, epoch.data, mode="eval")
+    def probe(flat: np.ndarray) -> tuple[float, np.ndarray]:
+        c = forward(ModelParams(params.config, flat), epoch.data, mode="eval")
         return cross_entropy(c.probs, epoch.label)[0], c.grad_mask  # eval: the ReLU mask
 
     worst = 0.0
-    arrays = {k: v.copy() for k, v in params.arrays().items()}
-    for name, arr in arrays.items():
-        a_grad = analytic.arrays()[name]
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp, mask_p = probe(ModelParams(**arrays))
-            flat[i] = orig - eps
-            lm, mask_m = probe(ModelParams(**arrays))
-            flat[i] = orig
-            if not np.array_equal(mask_p, mask_m):
-                # perturbation crosses a ReLU kink; the loss is not
-                # differentiable there, so central differences are meaningless
-                continue
-            numeric = (lp - lm) / (2 * eps)
-            a = a_grad.reshape(-1)[i]
-            scale = max(abs(a), abs(numeric))
-            err = abs(a - numeric) if scale < 1e-10 else abs(a - numeric) / scale
-            worst = max(worst, err)
+    flat = params.flat.copy()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        lp, mask_p = probe(flat)
+        flat[i] = orig - eps
+        lm, mask_m = probe(flat)
+        flat[i] = orig
+        if not np.array_equal(mask_p, mask_m):
+            # perturbation crosses a ReLU kink; the loss is not
+            # differentiable there, so central differences are meaningless
+            continue
+        numeric = (lp - lm) / (2 * eps)
+        a = analytic[i]
+        scale = max(abs(a), abs(numeric))
+        err = abs(a - numeric) if scale < 1e-10 else abs(a - numeric) / scale
+        worst = max(worst, err)
     return worst

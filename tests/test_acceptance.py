@@ -16,12 +16,12 @@ from eegcnn.checkpoint import save_checkpoint
 from eegcnn.data import Epoch, split_dataset
 from eegcnn.interpret import ProbeSpec, conv_filter_response, fir_power_response, pooling_sensitivity
 from eegcnn.metrics import evaluate, roc_auc
-from eegcnn.model import ModelConfig, ModelParams, forward, init_params, param_count
+from eegcnn.model import ModelConfig, forward, init_params, param_count
 from eegcnn.preprocess import design_highpass
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainConfig, train
 
-from conftest import finite_diff_check, gain_db
+from conftest import finite_diff_check, gain_db, make_params
 from test_metrics import pair_counting_auc
 
 
@@ -105,7 +105,7 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(10):
             kernel = rng.standard_normal(11)
-            model = ModelParams(
+            model = make_params(
                 conv_weight=kernel[None, None, :],
                 conv_bias=np.zeros(1),
                 fc_weight=np.ones((2, 1)),
@@ -132,7 +132,7 @@ class TestAcceptance:
         w = np.zeros((channels, channels, kernel))
         for c in range(channels):
             w[c, c, kernel // 2] = 1.0
-        model = ModelParams(
+        model = make_params(
             conv_weight=w,
             conv_bias=np.zeros(channels),
             fc_weight=np.ones((2, channels)),

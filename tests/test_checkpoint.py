@@ -9,9 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eegcnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from eegcnn.model import ModelParams
-
-from conftest import edited_json, mutated_bytes
+from conftest import edited_json, make_params, mutated_bytes
 
 # in_channels, out_channels, kernel, classes: in, out and the 2 classes differ,
 # so a swapped dimension or block changes the bytes
@@ -52,7 +50,7 @@ def test_load_reads_documented_layout(tmp_path, layout):
 def test_save_writes_documented_layout(tmp_path, layout):
     blocks, blob = by_hand(*layout, seed=7)
     path = tmp_path / "saved.bin"
-    save_checkpoint(path, ModelParams(**blocks), seed=7)
+    save_checkpoint(path, make_params(**blocks), seed=7)
     assert path.read_bytes() == blob
 
 
@@ -62,7 +60,7 @@ def test_first_non_finite_block_named(tmp_path):
     blocks["conv_bias"][-1] = np.inf
     blocks["fc_weight"][0, 0] = np.nan
     path = tmp_path / "bad.bin"
-    save_checkpoint(path, ModelParams(**blocks), seed=2)
+    save_checkpoint(path, make_params(**blocks), seed=2)
     with pytest.raises(CheckpointError, match=r"conv_bias holds non-finite values$"):
         load_checkpoint(path)
 

@@ -143,6 +143,19 @@ class TestPrepare:
             "epochs; the shortest recording, S000, is 10 s\n")
         assert not out.exists()
 
+    def test_header_must_name_manifest_channels_in_order(self, dataset_dir, tmp_path, capsys):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        manifest["channels"] = ["ch1", "ch0", "ch2"]
+        (dataset_dir / "reordered.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        rc = main(["prepare", "--manifest", str(dataset_dir / "reordered.json"),
+                   "--out", str(out)])
+        assert rc == EXIT_IO
+        first = dataset_dir / manifest["subjects"][0]["file"]
+        assert f"{first}: header column 0 is 'ch0', the manifest's channel 0 is 'ch1'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--epoch-seconds", "0.001",
@@ -237,6 +250,36 @@ def _train_on_edited_index(prepared, tmp_path, key, edit):
     edit(obj, leaf)
     (split_dir / "split.json").write_text(json.dumps(index))
     return main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o")])
+
+
+def _split_with_empty_partition(prepared, tmp_path, name):
+    """A copy of the split whose ``name`` partition holds no epochs."""
+    split_dir = tmp_path / "split"
+    shutil.copytree(prepared, split_dir)
+    index = json.loads((split_dir / "split.json").read_text())
+    index["partitions"][name] = []
+    (split_dir / "split.json").write_text(json.dumps(index))
+    np.save(split_dir / f"{name}_data.npy", np.zeros((0, CHANNELS, int(5 * FS))))
+    return split_dir
+
+
+@pytest.mark.parametrize("command, partition", [
+    ("train", "validation"), ("sweep", "test"), ("evaluate", "test"),
+])
+def test_empty_partition_exits_3_and_writes_nothing(prepared, trained, tmp_path, capsys,
+                                                    command, partition):
+    split_dir = _split_with_empty_partition(prepared, tmp_path, partition)
+    out = tmp_path / "o"
+    model = ["--in-channels", str(CHANNELS), "--epochs", "1"]
+    extra = {
+        "train": model,
+        "sweep": [*model, "--sweep-parameter", "kernel_size", "--sweep-values", "3"],
+        "evaluate": ["--checkpoint", str(trained / "checkpoint.bin")],
+    }[command]
+    rc = main([command, "--split", str(split_dir), "--out", str(out), *extra])
+    assert rc == EXIT_IO
+    assert f"partition '{partition}' holds no epochs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTrain:
@@ -840,6 +883,20 @@ class TestPsd:
         assert rc == EXIT_OK
         lines = (out / "group_psd.csv").read_text().splitlines()
         assert lines[0] == "freq,mean_0,sem_0,mean_1,sem_1"
+
+    def test_one_class_split_writes_nothing(self, prepared, tmp_path, capsys):
+        split_dir = tmp_path / "split"
+        shutil.copytree(prepared, split_dir)
+        index = json.loads((split_dir / "split.json").read_text())
+        for entries in index["partitions"].values():
+            for entry in entries:
+                entry["label"] = 0
+        (split_dir / "split.json").write_text(json.dumps(index))
+        out = tmp_path / "psd"
+        rc = main(["psd", "--split", str(split_dir), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "group PSD needs epochs from both classes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_threads_env_set_before_numpy_loads():

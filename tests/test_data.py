@@ -21,14 +21,15 @@ from eegcnn.data import (
     load_manifest,
     load_subject_csv,
     split_dataset,
+    write_csv,
     write_subject_csv,
 )
 
 from conftest import DEEP_NESTING, JSON_VALUES, OVER_LONG_INT, make_recording
 
 
-def _manifest(channels, fs=500.0):
-    names = [f"ch{i}" for i in range(channels)]
+def _manifest(channels, fs=500.0, names=None):
+    names = [f"ch{i}" for i in range(channels)] if names is None else names
     return Manifest(entries=[ManifestEntry("S000", "s0.csv", 0)], fs=fs, channel_names=names)
 
 
@@ -41,8 +42,8 @@ class TestLoadSubjectCsv:
     def test_well_formed_shape(self, tmp_path):
         rows = [[float(r * 10 + c) for c in range(3)] for r in range(10)]
         path = tmp_path / "s0.csv"
-        _write_csv(path, rows, ["a", "b", "c"])
         man = _manifest(3)
+        _write_csv(path, rows, man.channel_names)
         rec = load_subject_csv(path, man.entries[0], man)
         assert rec.samples.shape == (3, 10)
         # columns are channels; transposed into rows
@@ -53,8 +54,8 @@ class TestLoadSubjectCsv:
         rows = [[1.0, 2.0]] * 6
         rows[3] = [1.0, "oops"]  # row 4 counting the header as row 0
         path = tmp_path / "s0.csv"
-        _write_csv(path, rows, ["a", "b"])
         man = _manifest(2)
+        _write_csv(path, rows, man.channel_names)
         with pytest.raises(CsvFormatError, match="row 4"):
             load_subject_csv(path, man.entries[0], man)
 
@@ -73,7 +74,7 @@ class TestLoadSubjectCsv:
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "s0.csv"
-        path.write_text("a,b\n1,2\n3\n")
+        path.write_text("ch0,ch1\n1,2\n3\n")
         man = _manifest(2)
         with pytest.raises(CsvFormatError, match="row 2"):
             load_subject_csv(path, man.entries[0], man)
@@ -85,6 +86,21 @@ class TestLoadSubjectCsv:
         with pytest.raises(CsvFormatError, match="channels"):
             load_subject_csv(path, man.entries[0], man)
 
+    @pytest.mark.parametrize("header, col", [
+        pytest.param(["ch1", "ch0", "ch2"], 0, id="reordered"),
+        pytest.param(["x", "y", "z"], 0, id="other-names"),
+        pytest.param(["ch0", "ch1 ", "ch2"], 1, id="stray-space"),
+        pytest.param(["\ufeffch0", "ch1", "ch2"], 0, id="byte-order-mark"),
+    ])
+    def test_header_must_name_manifest_channels_in_order(self, tmp_path, header, col):
+        path = tmp_path / "s0.csv"
+        _write_csv(path, [[1.0, 2.0, 3.0]], header)
+        man = _manifest(3)
+        with pytest.raises(CsvFormatError) as exc:
+            load_subject_csv(path, man.entries[0], man)
+        assert str(exc.value) == (f"{path}: header column {col} is {header[col]!r}, "
+                                  f"the manifest's channel {col} is {man.channel_names[col]!r}")
+
     @pytest.mark.parametrize("big_row", [0, 2])
     def test_cell_over_field_limit_names_row(self, tmp_path, big_row):
         # a blank line sends the file past the loadtxt path to the row scan,
@@ -92,7 +108,7 @@ class TestLoadSubjectCsv:
         rows = ["1,2", "3,4", "5,6"]
         rows[big_row] = "0." + "0" * 200_000 + ",1"
         path = tmp_path / "s0.csv"
-        path.write_text("a,b\n" + "\n".join(rows) + "\n\n7,8\n")
+        path.write_text("ch0,ch1\n" + "\n".join(rows) + "\n\n7,8\n")
         man = _manifest(2)
         with pytest.raises(CsvFormatError, match=f"row {big_row + 1}: field larger") as exc:
             load_subject_csv(path, man.entries[0], man)
@@ -113,6 +129,13 @@ class TestLoadSubjectCsv:
         man = Manifest(entries=[ManifestEntry("S000", "rt.csv", 0)], fs=500.0, channel_names=names)
         loaded = load_subject_csv(path, man.entries[0], man)
         np.testing.assert_array_equal(loaded.samples, rec.samples)
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["n", "float", "numpy", "none"],
+              [[1, 0.1, np.float64(1e-05), None], [2, 1e16, np.float32(0.5), "x,y"]])
+    assert path.read_bytes() == b'n,float,numpy,none\n1,0.1,1e-05,\n2,1e+16,0.5,"x,y"\n'
 
 
 def reference_load_subject_csv(path, entry, manifest):
@@ -227,7 +250,9 @@ class TestLoadSubjectCsvMatchesReference:
         n, text = case
         path = tmp_path_factory.getbasetemp() / "differential.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        man = _manifest(n)
+        # the manifest names the header's channels, as a consistent cohort's does
+        header = next(csv.reader(io.StringIO(text, newline="")), [])
+        man = _manifest(n, names=header if len(header) == n else None)
 
         def outcome(reader):
             try:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_sinusoid_probe, reference_pooling_sensitivity
+from conftest import gen_sinusoid_probe, make_params, reference_pooling_sensitivity
 from eegcnn.interpret import (
     ProbeSpec,
     conv_filter_response,
@@ -11,7 +11,6 @@ from eegcnn.interpret import (
     gen_white_noise,
     pooling_sensitivity,
 )
-from eegcnn.model import ModelParams
 
 FS = 500.0
 
@@ -19,7 +18,7 @@ FS = 500.0
 def single_filter_model(kernel, bias=0.0):
     """One input channel, one conv output channel holding the given FIR kernel."""
     kernel = np.asarray(kernel, dtype=np.float64)
-    return ModelParams(
+    return make_params(
         conv_weight=kernel[None, None, :],
         conv_bias=np.array([bias]),
         fc_weight=np.ones((2, 1)),
@@ -31,7 +30,7 @@ def identity_model(channels, kernel=3):
     w = np.zeros((channels, channels, kernel))
     for c in range(channels):
         w[c, c, (kernel - 1) // 2] = 1.0
-    return ModelParams(
+    return make_params(
         conv_weight=w,
         conv_bias=np.zeros(channels),
         fc_weight=np.ones((2, channels)),
@@ -157,7 +156,7 @@ class TestPoolingSensitivity:
     def test_matches_per_repeat_forward(self, in_c, out_c, kernel, t, fs, amplitude,
                                         nyquist_fractions, bias_sign, repeats, seed):
         gen = np.random.default_rng(seed)
-        model = ModelParams(
+        model = make_params(
             conv_weight=gen.standard_normal((out_c, in_c, kernel)),
             conv_bias=bias_sign * gen.uniform(0.0, 2.0, size=out_c),
             fc_weight=np.ones((2, out_c)),
@@ -179,7 +178,7 @@ class TestPoolingSensitivity:
 
     def test_bias_only_model(self):
         channels = 2
-        model = ModelParams(
+        model = make_params(
             conv_weight=np.zeros((channels, channels, 3)),
             conv_bias=np.array([0.6, 0.25]),
             fc_weight=np.ones((2, channels)),
@@ -204,7 +203,7 @@ class TestPoolingSensitivity:
 
     def test_zero_model_is_zero_everywhere(self):
         channels = 2
-        model = ModelParams(
+        model = make_params(
             conv_weight=np.zeros((channels, channels, 3)),
             conv_bias=np.zeros(channels),
             fc_weight=np.zeros((2, channels)),
@@ -266,7 +265,7 @@ class TestConvFilterResponse:
         # the per-input |H|^2, each scaled by the flat input density
         k1, k2 = rng.standard_normal(5), rng.standard_normal(5)
         w = np.stack([k1, k2])[None, :, :]  # one output channel
-        model = ModelParams(
+        model = make_params(
             conv_weight=w,
             conv_bias=np.zeros(1),
             fc_weight=np.ones((2, 1)),

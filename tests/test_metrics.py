@@ -13,9 +13,9 @@ from eegcnn.metrics import (
     roc_auc,
     scalar_metrics,
 )
-from eegcnn.model import ModelConfig, ModelParams, init_params
+from eegcnn.model import ModelConfig, init_params
 
-from conftest import make_epoch
+from conftest import make_epoch, make_params
 
 
 def pair_counting_auc(scores, labels):
@@ -171,7 +171,7 @@ class TestRocAuc:
 
 class TestEvaluate:
     def _zero_model(self, channels=2):
-        return ModelParams(
+        return make_params(
             conv_weight=np.zeros((channels, channels, 3)),
             conv_bias=np.zeros(channels),
             fc_weight=np.zeros((2, channels)),

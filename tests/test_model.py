@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,13 @@ from eegcnn.model import (
     softmax,
 )
 
-from conftest import make_epoch, reference_backward, reference_forward, reference_unroll
+from conftest import (
+    make_epoch,
+    make_params,
+    reference_backward,
+    reference_forward,
+    reference_unroll,
+)
 
 
 def identity_params(channels=2, kernel=3):
@@ -25,7 +29,7 @@ def identity_params(channels=2, kernel=3):
     w = np.zeros((channels, channels, kernel))
     for c in range(channels):
         w[c, c, (kernel - 1) // 2] = 1.0
-    return ModelParams(
+    return make_params(
         conv_weight=w,
         conv_bias=np.zeros(channels),
         fc_weight=np.ones((2, channels)),
@@ -47,6 +51,14 @@ class TestInitParams:
         for k, v in a.arrays().items():
             np.testing.assert_array_equal(v, b.arrays()[k])
 
+    def test_uniform_draws_in_block_order(self):
+        rng = np.random.default_rng(8)
+        conv_weight = rng.uniform(-1 / np.sqrt(3 * 5), 1 / np.sqrt(3 * 5), size=(4, 3, 5))
+        fc_weight = rng.uniform(-0.5, 0.5, size=(2, 4))
+        p = init_params(8, ModelConfig(3, 4, 5))
+        assert p.conv_weight.tobytes() == conv_weight.tobytes()
+        assert p.fc_weight.tobytes() == fc_weight.tobytes()
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             ModelConfig(kernel=10)
@@ -64,26 +76,33 @@ class TestInitParams:
 
 
 class TestModelParams:
-    CONFIG = ModelConfig(in_channels=2, out_channels=4, kernel=3)
+    CONFIG = ModelConfig(in_channels=2, out_channels=4, kernel=3)  # 24 + 4 + 8 + 2 values
 
-    @pytest.mark.parametrize("name, shape", [
-        ("conv_weight", (4, 2)),  # not 3-D
-        ("conv_weight", (4, 2, 4)),  # even kernel
-        ("conv_bias", (5,)),
-        ("conv_bias", (4, 1)),
-        ("fc_weight", (3, 5)),
-        ("fc_weight", (3,)),
-        ("fc_bias", (3,)),
-        ("fc_bias", ()),
-        ("fc_weight", (3, 4)),  # three classes
+    @pytest.mark.parametrize("flat", [
+        pytest.param(np.zeros(37), id="short"),
+        pytest.param(np.zeros(39), id="long"),
+        pytest.param(np.zeros((1, 38)), id="2-D"),
+        pytest.param(np.zeros(38, dtype=np.float32), id="float32"),
     ])
-    def test_wrong_block_shape_names_block(self, name, shape):
-        arrays = init_params(0, self.CONFIG).arrays()
-        arrays[name] = np.zeros(shape)
+    def test_bad_flat_rejected(self, flat):
         with pytest.raises(ValueError) as exc:
-            ModelParams(**arrays)
+            ModelParams(self.CONFIG, flat)
         message = str(exc.value)
-        assert message.startswith(f"{name} ") and str(shape) in message
+        assert str(self.CONFIG) in message and str(flat.shape) in message
+
+    def test_blocks_are_views_of_flat_in_param_shapes_order(self):
+        flat = np.arange(self.CONFIG.size, dtype=np.float64)
+        p = ModelParams(self.CONFIG, flat)
+        assert self.CONFIG.size == 38
+        assert list(p.arrays()) == list(self.CONFIG.param_shapes())
+        start = 0
+        for name, shape in self.CONFIG.param_shapes().items():
+            block = getattr(p, name)
+            assert block.shape == shape and np.shares_memory(block, flat)
+            np.testing.assert_array_equal(block.ravel(), flat[start : start + block.size])
+            start += block.size
+        p.fc_bias[1] = -1.0
+        assert flat[-1] == -1.0
 
     def test_arrays_in_param_shapes_order(self):
         p = init_params(0, self.CONFIG)
@@ -110,14 +129,14 @@ class TestConv1dSame:
 
     def test_zero_input_gives_bias(self):
         p = identity_params(channels=2, kernel=3)
-        p = ModelParams(p.conv_weight, np.array([1.5, -0.5]), p.fc_weight, p.fc_bias)
+        p = make_params(p.conv_weight, np.array([1.5, -0.5]), p.fc_weight, p.fc_bias)
         y = conv1d_same(p, np.zeros((2, 7)))
         np.testing.assert_array_equal(y[0], np.full(7, 1.5))
         np.testing.assert_array_equal(y[1], np.full(7, -0.5))
 
     def test_hand_convolution(self):
         # single channel, x=[1..5], boxcar kernel of ones, zero padding
-        p = ModelParams(
+        p = make_params(
             conv_weight=np.ones((1, 1, 3)),
             conv_bias=np.zeros(1),
             fc_weight=np.ones((2, 1)),
@@ -168,7 +187,7 @@ class TestForward:
         np.testing.assert_allclose(cache.pooled, 1 / np.pi, atol=0.01)
 
     def test_zero_weights_give_uniform_probs(self):
-        p = ModelParams(
+        p = make_params(
             conv_weight=np.zeros((2, 2, 3)),
             conv_bias=np.zeros(2),
             fc_weight=np.zeros((2, 2)),
@@ -215,7 +234,7 @@ class TestForward:
     def test_pool_of_constant_channel_is_exact(self):
         p = identity_params(channels=2, kernel=3)
         # interior of a constant signal convolves exactly; use bias instead
-        p = ModelParams(np.zeros_like(p.conv_weight), np.array([0.7, 0.3]),
+        p = make_params(np.zeros_like(p.conv_weight), np.array([0.7, 0.3]),
                         p.fc_weight, p.fc_bias)
         cache = forward(p, np.zeros((2, 40)))
         np.testing.assert_array_equal(cache.pooled, [0.7, 0.3])
@@ -283,8 +302,8 @@ class TestBackward:
             np.testing.assert_array_equal(cache.probs, ref.probs)
             gl = data.standard_normal(2)
             got, want = backward(cache, p, gl), reference_backward(ref, p, gl)
-            for f in fields(want):
-                np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+            assert got.config == want.config
+            assert got.flat.tobytes() == want.flat.tobytes()
 
     def test_cache_params_mismatch_rejected(self, rng):
         p = init_params(0, ModelConfig(2, 2, 3))

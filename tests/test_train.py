@@ -6,7 +6,7 @@ import pytest
 from eegcnn.data import DatasetSplit, split_dataset
 from eegcnn.checkpoint import load_checkpoint, save_checkpoint
 from eegcnn.metrics import evaluate
-from eegcnn.model import ModelConfig, ModelParams, init_params
+from eegcnn.model import ModelConfig, init_params
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import (
     TrainConfig,
@@ -17,7 +17,14 @@ from eegcnn.train import (
     train,
 )
 
-from conftest import finite_diff_check, make_epoch, reference_backward, reference_forward
+from conftest import (
+    finite_diff_check,
+    make_epoch,
+    make_params,
+    reference_adam_step,
+    reference_backward,
+    reference_forward,
+)
 
 # the package binds the name ``train`` to the function, so fetch the module
 train_module = importlib.import_module("eegcnn.train")
@@ -58,7 +65,7 @@ class TestAdamStep:
         return init_adam(params), params, TrainConfig(learning_rate=lr)
 
     def _grads_like(self, params, value):
-        return ModelParams(**{k: np.full_like(v, value) for k, v in params.arrays().items()})
+        return make_params(**{k: np.full_like(v, value) for k, v in params.arrays().items()})
 
     def test_first_step_magnitude_is_lr(self):
         state, params, cfg = self._setup(lr=1e-3)
@@ -88,9 +95,9 @@ class TestAdamStep:
         state, params, cfg = self._setup()
         rng = np.random.default_rng(4)
         g = {k: rng.standard_normal(v.shape) for k, v in params.arrays().items()}
-        _, p1 = adam_step(state, params, ModelParams(**g), cfg)
+        _, p1 = adam_step(state, params, make_params(**g), cfg)
         state2, _, _ = self._setup()
-        _, p2 = adam_step(state2, params, ModelParams(**{k: 100 * v for k, v in g.items()}), cfg)
+        _, p2 = adam_step(state2, params, make_params(**{k: 100 * v for k, v in g.items()}), cfg)
         for k in params.arrays():
             d1 = np.sign(p1.arrays()[k] - params.arrays()[k])
             d2 = np.sign(p2.arrays()[k] - params.arrays()[k])
@@ -106,8 +113,8 @@ class TestAdamStep:
         g1, g2 = ({k: rng.standard_normal(v.shape) * 10.0 ** -rng.integers(0, 9, v.shape)
                    for k, v in params.arrays().items()} for _ in range(2))
         cfg = TrainConfig(learning_rate=1e-3)
-        state, p1 = adam_step(init_adam(params), params, ModelParams(**g1), cfg)
-        _, p2 = adam_step(state, p1, ModelParams(**g2), cfg)
+        state, p1 = adam_step(init_adam(params), params, make_params(**g1), cfg)
+        _, p2 = adam_step(state, p1, make_params(**g2), cfg)
         for k, p0 in params.arrays().items():
             m1, v1 = 0.1 * g1[k], 0.001 * g1[k] ** 2
             want1 = p0 - 1e-3 * (m1 / 0.1) / (np.sqrt(v1 / 0.001) + 1e-8)
@@ -116,13 +123,36 @@ class TestAdamStep:
             np.testing.assert_allclose(p1.arrays()[k], want1, rtol=1e-12)
             np.testing.assert_allclose(p2.arrays()[k], want2, rtol=1e-12)
 
+    def test_flat_step_matches_per_block_step_bit_for_bit(self):
+        # five steps from the same state, with gradient entries over many
+        # magnitudes: the flat update gives the per-block update's bits
+        params = init_params(2, ModelConfig(3, 4, 5))
+        rng = np.random.default_rng(6)
+        cfg = TrainConfig(learning_rate=3e-3)
+        state = init_adam(params)
+        m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+        v = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+        ref = params.arrays()
+        for t in range(5):
+            g = {k: rng.standard_normal(a.shape) * 10.0 ** rng.integers(-9, 3, a.shape)
+                 for k, a in params.arrays().items()}
+            before = params.flat.copy()
+            state, new_params = adam_step(state, params, make_params(**g), cfg)
+            m, v, ref = reference_adam_step(m, v, t, ref, g, cfg.learning_rate)
+            assert params.flat.tobytes() == before.tobytes()  # a new array, not an update
+            params = new_params
+            assert state.t == t + 1
+            assert state.m.tobytes() == make_params(**m).flat.tobytes()
+            assert state.v.tobytes() == make_params(**v).flat.tobytes()
+            assert params.flat.tobytes() == make_params(**ref).flat.tobytes()
+
     def test_non_finite_gradient_names_block(self):
         state, params, cfg = self._setup()
         grads = self._grads_like(params, 1.0)
         bad = grads.arrays()
         bad["fc_weight"] = np.full_like(bad["fc_weight"], np.nan)
         with pytest.raises(TrainingDivergedError, match="fc_weight"):
-            adam_step(state, params, ModelParams(**bad), cfg)
+            adam_step(state, params, make_params(**bad), cfg)
 
 
 def quick_split(seed=3, channels=4, fs=100.0, n_subjects=8, n_epochs=4, snr_db=10.0):
