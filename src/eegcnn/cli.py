@@ -284,9 +284,9 @@ def cmd_train(s: dict) -> int:
     train_config = _build(TrainConfig, s)
     model_config = _build(ModelConfig, s)
     _check_model(s["split"], split, model_config)
+    history = run_training(split, train_config, model_config, on_epoch=_print_epoch)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    history = run_training(split, train_config, model_config, on_epoch=_print_epoch)
     ckpt.save_checkpoint(out_dir / "checkpoint.bin", history.best_checkpoint, train_config.seed)
     history.save(out_dir / "history.json")
     print(f"best epoch {history.best_epoch}; wrote {out_dir / 'checkpoint.bin'}")
@@ -301,7 +301,7 @@ def cmd_evaluate(s: dict) -> int:
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report.save(out_dir / "metrics.json", out_dir / "metrics.csv")
-    print(report.to_csv_row())
+    print((out_dir / "metrics.csv").read_text().split("\n")[1])  # the data row
     return EXIT_OK
 
 

@@ -140,7 +140,9 @@ def parse_json(path, blob: bytes, error: type[Exception]):
 
 _MANIFEST_VALUES = {
     "fs": (is_positive, "a finite positive number"),
-    "channels": (lambda v: isinstance(v, list) and all(map(is_str, v)), "a list of strings"),
+    # a control character in a name would not survive a CSV header unquoted
+    "channels": (lambda v: isinstance(v, list) and all(is_str(c) and c.isprintable() for c in v),
+                 "a list of printable strings"),
     "subjects": (lambda v: isinstance(v, list), "a list of objects"),
 }
 _SUBJECT_VALUES = {
@@ -166,7 +168,8 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def load_subject_csv(path: str | Path, entry: ManifestEntry, manifest: Manifest) -> SubjectRecording:
-    """Load one subject CSV (header row of channel names, one row per time sample).
+    """Load one subject CSV (header row of channel names, one row per time
+    sample), read as UTF-8; every value must be finite.
 
     The data rows go through numpy's C reader when its result is the one the
     row-by-row ``float()`` scan gives: one row per line and no byte the two
@@ -175,29 +178,37 @@ def load_subject_csv(path: str | Path, entry: ManifestEntry, manifest: Manifest)
     offending row, column and channel.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        except csv.Error as exc:  # a cell over the field size limit, say
-            raise CsvFormatError(f"{path}: header row: {exc}") from None
-        n_channels = len(header)
-        names = manifest.channel_names
-        if n_channels != len(names):
-            raise CsvFormatError(
-                f"{path}: {n_channels} channels in header, manifest declares {len(names)}"
-            )
-        if header != names:
-            col = next(i for i, (got, want) in enumerate(zip(header, names)) if got != want)
-            raise CsvFormatError(f"{path}: header column {col} is {header[col]!r}, "
-                                 f"the manifest's channel {col} is {names[col]!r}")
-        samples = _loadtxt_body(path, n_channels) if reader.line_num == 1 else None
-        if samples is None:
-            samples = _scan_body(path, reader, header)
+    try:  # text is decoded in chunks, wherever either handle reads it
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvFormatError(f"{path}: empty file") from None
+            except csv.Error as exc:  # a cell over the field size limit, say
+                raise CsvFormatError(f"{path}: header row: {exc}") from None
+            n_channels = len(header)
+            names = manifest.channel_names
+            if n_channels != len(names):
+                raise CsvFormatError(
+                    f"{path}: {n_channels} channels in header, manifest declares {len(names)}"
+                )
+            if header != names:
+                col = next(i for i, (got, want) in enumerate(zip(header, names)) if got != want)
+                raise CsvFormatError(f"{path}: header column {col} is {header[col]!r}, "
+                                     f"the manifest's channel {col} is {names[col]!r}")
+            rows = _loadtxt_body(path, n_channels) if reader.line_num == 1 else None
+            if rows is None:
+                rows = _scan_body(path, reader, header)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise CsvFormatError(f"{path}: non-finite value {float(rows[row, col])!r} at row "
+                             f"{row + 1}, column {col} ({header[col]})")
     return SubjectRecording(
-        subject_id=entry.subject_id, label=entry.label, fs=manifest.fs, samples=samples
+        subject_id=entry.subject_id, label=entry.label, fs=manifest.fs, samples=rows.T
     )
 
 
@@ -228,7 +239,7 @@ def _count_body_lines(path: Path) -> int | None:
 
 
 def _loadtxt_body(path: Path, n_channels: int) -> np.ndarray | None:
-    """Data rows as [channels, time] from ``np.loadtxt``, or None unless it
+    """Data rows as [time, channels] from ``np.loadtxt``, or None unless it
     returned exactly one row of ``n_channels`` values per line. ``loadtxt``
     skips blank lines, which the scan rejects, so rows are counted against the
     file's lines. Both parsers round correctly, so the values are the scan's."""
@@ -236,7 +247,7 @@ def _loadtxt_body(path: Path, n_channels: int) -> np.ndarray | None:
     if not n_lines:
         return None
     try:
-        with path.open() as fh, warnings.catch_warnings():
+        with path.open(encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             values = np.loadtxt(
                 fh, delimiter=",", skiprows=1, comments=None, quotechar='"',
@@ -246,11 +257,11 @@ def _loadtxt_body(path: Path, n_channels: int) -> np.ndarray | None:
         return None
     if values.shape != (n_lines, n_channels):
         return None
-    return values.T
+    return values
 
 
 def _scan_body(path: Path, reader, header: list[str]) -> np.ndarray:
-    """Data rows as [channels, time], parsed cell by cell with ``float()``."""
+    """Data rows as [time, channels], parsed cell by cell with ``float()``."""
     n_channels = len(header)
     rows = []
     try:
@@ -274,7 +285,7 @@ def _scan_body(path: Path, reader, header: list[str]) -> np.ndarray:
         raise CsvFormatError(f"{path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64).T  # [channels, time]
+    return np.asarray(rows, dtype=np.float64)
 
 
 def write_csv(path: str | Path, header: list, rows) -> None:
@@ -294,6 +305,8 @@ def write_subject_csv(path: str | Path, rec: SubjectRecording, channel_names: li
     """Inverse of load_subject_csv; the values read back exactly."""
     if len(channel_names) != rec.channels:
         raise ValueError(f"{len(channel_names)} channel names for {rec.channels} channels")
+    if not all(name.isprintable() for name in channel_names):
+        raise ValueError(f"channel names must be printable strings, got {channel_names!r}")
     write_csv(path, channel_names, rec.samples.T.tolist())
 
 

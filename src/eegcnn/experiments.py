@@ -14,7 +14,6 @@ from .preprocess import welch_psd_batch
 from .train import TrainConfig, train
 
 _SWEPT_FIELDS = {"kernel_size": "kernel", "out_channels": "out_channels"}
-_METRIC_NAMES = ("precision", "recall", "f1", "auc", "accuracy")
 
 
 def sweep_configs(
@@ -37,10 +36,10 @@ class AblationReport:
     normalized: dict[str, np.ndarray]  # per metric, aligned with successful values
 
     def to_csv(self, path: str | Path) -> None:
-        header = ["value", *_METRIC_NAMES, *(f"normalized_{m}" for m in _METRIC_NAMES)]
+        names = MetricsReport.COLUMNS
+        header = ["value", *names, *(f"normalized_{m}" for m in names)]
         write_csv(path, header, (
-            [v, r.precision, r.recall, r.f1, r.auc, r.accuracy,
-             *(self.normalized[m][i] for m in _METRIC_NAMES)]
+            [v, *r.row(), *(self.normalized[m][i] for m in names)]
             for i, (v, r) in enumerate(self.reports.items())
         ))
 
@@ -70,7 +69,7 @@ def run_sweep(
         except Exception as exc:  # record and keep sweeping
             errors[value] = f"{type(exc).__name__}: {exc}"
     normalized = {}
-    for m in _METRIC_NAMES:
+    for m in MetricsReport.COLUMNS:
         raw = np.array(
             [getattr(r, m) if getattr(r, m) is not None else 0.0 for r in reports.values()]
         )

@@ -12,10 +12,6 @@ from .data import Epoch, write_csv
 from .model import ModelParams, predict
 
 
-class AucUndefinedError(ValueError):
-    """AUC requested with only one class present."""
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     tp: int
@@ -34,6 +30,9 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    # The paper's row, in its column order; a class attribute, not a field
+    COLUMNS = ("precision", "recall", "f1", "auc", "accuracy")
+
     precision: float
     recall: float
     f1: float
@@ -43,19 +42,13 @@ class MetricsReport:
     n_epochs: int
     degenerate: bool = False  # a 0/0 metric was defined as 0, or AUC was undefined
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, indent=2)
-
-    def to_csv_row(self) -> str:
-        """One row in the PRC, Recall, F1, AUC, ACC column order."""
-        auc = "" if self.auc is None else f"{self.auc!r}"
-        return f"{self.precision!r},{self.recall!r},{self.f1!r},{auc},{self.accuracy!r}"
+    def row(self) -> list:
+        """The values of ``COLUMNS``, in that order (an undefined AUC is None)."""
+        return [getattr(self, name) for name in self.COLUMNS]
 
     def save(self, json_path: str | Path, csv_path: str | Path) -> None:
-        Path(json_path).write_text(self.to_json())
-        write_csv(csv_path, ["precision", "recall", "f1", "auc", "accuracy"],
-                  [[self.precision, self.recall, self.f1, self.auc, self.accuracy]])
+        Path(json_path).write_text(json.dumps(asdict(self), indent=2))
+        write_csv(csv_path, self.COLUMNS, [self.row()])
 
 
 def confusion(predictions: list[int], labels: list[int]) -> ConfusionMatrix:
@@ -79,32 +72,26 @@ def confusion(predictions: list[int], labels: list[int]) -> ConfusionMatrix:
 
 
 def scalar_metrics(cm: ConfusionMatrix) -> dict:
-    """precision/recall/f1/accuracy; any 0/0 is defined as 0 with a flag."""
+    """precision/recall/f1/accuracy; any 0/0 is defined as 0 with a flag.
+    Each 0/0 needs tp == 0, and tp == 0 makes F1's denominator 0, so the flag
+    is tp == 0."""
     if cm.total == 0:
         raise ValueError("empty confusion matrix")
-    degenerate = False
-
-    def ratio(num: float, den: float) -> float:
-        nonlocal degenerate
-        if den == 0:
-            degenerate = True
-            return 0.0
-        return num / den
-
-    precision = ratio(cm.tp, cm.tp + cm.fp)
-    recall = ratio(cm.tp, cm.tp + cm.fn)
-    f1 = ratio(2 * precision * recall, precision + recall)
+    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp else 0.0
+    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return {
         "precision": precision,
         "recall": recall,
         "f1": f1,
         "accuracy": (cm.tp + cm.tn) / cm.total,
-        "degenerate": degenerate,
+        "degenerate": cm.tp == 0,
     }
 
 
-def roc_auc(scores: list[float], labels: list[int]) -> float:
-    """AUC via a sorted-threshold trapezoidal ROC sweep.
+def roc_auc(scores: list[float], labels: list[int]) -> float | None:
+    """AUC via a sorted-threshold trapezoidal ROC sweep; None unless both
+    classes are present.
 
     Equivalent to the Mann-Whitney statistic: the fraction of
     (positive, negative) pairs where the positive scores higher, ties 1/2.
@@ -116,7 +103,7 @@ def roc_auc(scores: list[float], labels: list[int]) -> float:
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise AucUndefinedError("AUC needs both classes present")
+        return None
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
@@ -139,12 +126,6 @@ def evaluate(checkpoint: ModelParams, epochs: list[Epoch]) -> MetricsReport:
     labels = [ep.label for ep in epochs]
     cm = confusion(probs.argmax(axis=1).tolist(), labels)  # a tie goes to class 0
     scalars = scalar_metrics(cm)
-    degenerate = scalars.pop("degenerate")
-    try:
-        auc = roc_auc(probs[:, 1], labels)
-    except AucUndefinedError:
-        auc = None
-        degenerate = True
-    return MetricsReport(
-        **scalars, auc=auc, confusion=cm, n_epochs=len(epochs), degenerate=degenerate
-    )
+    auc = roc_auc(probs[:, 1], labels)
+    scalars["degenerate"] |= auc is None
+    return MetricsReport(**scalars, auc=auc, confusion=cm, n_epochs=len(epochs))

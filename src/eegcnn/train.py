@@ -52,11 +52,9 @@ class TrainHistory:
     best_epoch: int
     best_checkpoint: ModelParams
 
-    def to_json(self) -> str:
-        return json.dumps({"epochs": self.epochs, "best_epoch": self.best_epoch}, indent=2)
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        Path(path).write_text(
+            json.dumps({"epochs": self.epochs, "best_epoch": self.best_epoch}, indent=2))
 
 
 def cross_entropy(probs: np.ndarray, label: int) -> tuple[float, np.ndarray]:

@@ -190,6 +190,33 @@ def reference_adam_step(m, v, t, params, grads, learning_rate):
     return new_m, new_v, new_p
 
 
+def reference_scalar_metrics(cm):
+    """precision/recall/f1/accuracy as first written, each 0/0 defined as 0
+    through one closure that also raises the flag. metrics.scalar_metrics
+    must give the same bits and the same flag."""
+    if cm.total == 0:
+        raise ValueError("empty confusion matrix")
+    degenerate = False
+
+    def ratio(num, den):
+        nonlocal degenerate
+        if den == 0:
+            degenerate = True
+            return 0.0
+        return num / den
+
+    precision = ratio(cm.tp, cm.tp + cm.fp)
+    recall = ratio(cm.tp, cm.tp + cm.fn)
+    f1 = ratio(2 * precision * recall, precision + recall)
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "accuracy": (cm.tp + cm.tn) / cm.total,
+        "degenerate": degenerate,
+    }
+
+
 # The sinusoid sweep as first written: one probe signal and one forward per
 # frequency per repeat. interpret.pooling_sensitivity works the same sweep out
 # in closed form and must agree with this up to rounding.

@@ -156,6 +156,26 @@ class TestPrepare:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage, message", [
+        (b"nan", "non-finite value nan at row 7, column 1 (ch1)"),
+        (b"\xff", "not UTF-8 text (invalid start byte)"),
+    ], ids=["nan-cell", "not-utf8"])
+    def test_bad_subject_csv_exits_3(self, dataset_dir, tmp_path, capsys, damage, message):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(dataset_dir, cohort)
+        manifest = json.loads((cohort / "manifest.json").read_text())
+        path = cohort / manifest["subjects"][1]["file"]
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[7].split(b",")
+        cells[1] = damage
+        lines[7] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        rc = main(["prepare", "--manifest", str(cohort / "manifest.json"), "--out", str(out)])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--epoch-seconds", "0.001",
@@ -215,7 +235,7 @@ class TestPrepare:
         ("fs", 0), ("fs", float("inf")), pytest.param("fs", 10**400, id="huge-fs"),
         ("channels", "ch0"), ("channels", [0, 1, 2]), ("subjects", {}), ("subjects[0]", ["x"]),
         ("subjects[0].id", 3), ("subjects[0].file", ["x"]), ("subjects[0].label", ["PD"]),
-        ("subjects[0].label", "Sick"),
+        ("subjects[0].label", "Sick"), ("channels", ["ch0", "a\rb", "ch2"]),
     ])
     def test_bad_manifest_value(self, dataset_dir, tmp_path, capsys, key, value):
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
@@ -298,6 +318,15 @@ class TestTrain:
         fields = lines[0].split(",")
         assert fields[0] == "epoch" and fields[2] == "train_loss"
         float(fields[3]), float(fields[5]), float(fields[7])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_leaves_no_out(self, prepared, tmp_path, capsys):
+        out = tmp_path / "t"
+        rc = main(["train", "--split", str(prepared), "--out", str(out), "--epochs", "1",
+                   "--in-channels", str(CHANNELS), "--learning-rate", "1e300"])
+        assert rc == EXIT_NUMERIC
+        assert "error: non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_split(self, tmp_path):
         rc = main(["train", "--split", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])

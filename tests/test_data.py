@@ -121,6 +121,37 @@ class TestLoadSubjectCsv:
         with pytest.raises(CsvFormatError, match="header row: field larger"):
             load_subject_csv(path, man.entries[0], man)
 
+    @pytest.mark.parametrize("first", ["1", "1_0"], ids=["loadtxt", "scan"])
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, first):
+        # np.loadtxt rejects the underscore float() reads, so "1_0" sends the
+        # file to the row scan
+        path = tmp_path / "s0.csv"
+        path.write_text(f"ch0,ch1\n{first},2\n3,4\n5,{cell}\n6,nan\n")
+        man = _manifest(2)
+        with pytest.raises(CsvFormatError) as exc:
+            load_subject_csv(path, man.entries[0], man)
+        value = repr(float(cell))
+        assert str(exc.value) == f"{path}: non-finite value {value} at row 3, column 1 (ch1)"
+
+    @pytest.mark.parametrize("text", [b"ch0,\xffch1\n1,2\n", b"ch0,ch1\n1,2\n3,\xff\n"],
+                             ids=["header", "body"])
+    def test_not_utf8_names_file(self, tmp_path, text):
+        path = tmp_path / "s0.csv"
+        path.write_bytes(text)
+        man = _manifest(2)
+        with pytest.raises(CsvFormatError, match="not UTF-8 text") as exc:
+            load_subject_csv(path, man.entries[0], man)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("name", ["a\rb", "a\nb", "a\x00b", "\x1c"])
+    def test_write_rejects_control_characters_in_names(self, tmp_path, name):
+        # csv.writer leaves a lone \r unquoted, so the file would not load back
+        rec = make_recording(channels=2, n_samples=4)
+        with pytest.raises(ValueError, match="printable"):
+            write_subject_csv(tmp_path / "s0.csv", rec, ["c", name])
+        assert not (tmp_path / "s0.csv").exists()
+
     def test_round_trip_exact(self, tmp_path):
         rec = make_recording(channels=4, n_samples=100, seed=3)
         path = tmp_path / "rt.csv"
@@ -145,7 +176,7 @@ def reference_load_subject_csv(path, entry, manifest):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"subject file not found: {path}")
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -176,6 +207,11 @@ def reference_load_subject_csv(path, entry, manifest):
                         ) from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
+    for row_idx, row in enumerate(rows, start=1):
+        for col_idx, value in enumerate(row):
+            if not np.isfinite(value):
+                raise CsvFormatError(f"{path}: non-finite value {value!r} at row {row_idx}, "
+                                     f"column {col_idx} ({header[col_idx]})")
     samples = np.asarray(rows, dtype=np.float64).T  # [channels, time]
     return SubjectRecording(
         subject_id=entry.subject_id, label=entry.label, fs=manifest.fs, samples=samples

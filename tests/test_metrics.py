@@ -1,12 +1,15 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegcnn.checkpoint import save_checkpoint
+from eegcnn.cli import _write_split, main
+from eegcnn.data import DatasetSplit
 from eegcnn.metrics import (
-    AucUndefinedError,
     ConfusionMatrix,
     confusion,
     evaluate,
@@ -15,7 +18,7 @@ from eegcnn.metrics import (
 )
 from eegcnn.model import ModelConfig, init_params
 
-from conftest import make_epoch, make_params
+from conftest import make_epoch, make_params, reference_scalar_metrics
 
 
 def pair_counting_auc(scores, labels):
@@ -113,6 +116,14 @@ class TestScalarMetrics:
             for key in ("precision", "recall", "f1", "accuracy"):
                 assert 0.0 <= m[key] <= 1.0
 
+    def test_same_bits_as_ratio_closure(self):
+        # every matrix with counts 0-5 but the empty one: 1295 cases
+        for counts in itertools.product(range(6), repeat=4):
+            if any(counts):
+                cm = ConfusionMatrix(*counts)
+                # repr tells every float bit pattern apart, -0.0 included
+                assert repr(scalar_metrics(cm)) == repr(reference_scalar_metrics(cm))
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ConfusionMatrix(tp=-1, fp=0, tn=0, fn=0)
@@ -131,8 +142,8 @@ class TestRocAuc:
         assert roc_auc([0.5] * 6, [1, 0, 1, 0, 1, 0]) == pytest.approx(0.5)
 
     def test_single_class_rejected(self):
-        with pytest.raises(AucUndefinedError):
-            roc_auc([0.1, 0.9], [1, 1])
+        assert roc_auc([0.1, 0.9], [1, 1]) is None
+        assert roc_auc([0.1, 0.9], [0, 0]) is None
 
     def test_exhaustive_small_instances(self, rng):
         # trapezoidal sweep vs pair counting (the n=12 exhaustive run lives in
@@ -200,22 +211,37 @@ class TestEvaluate:
         epochs = [make_epoch(label=i % 2, seed=i) for i in range(6)]
         assert evaluate(init_params(0, ModelConfig(2, 2, 3)), epochs).n_epochs == 6
 
-    def test_csv_row_order(self):
-        epochs = [make_epoch(label=i % 2, seed=i) for i in range(6)]
-        report = evaluate(init_params(0, ModelConfig(2, 2, 3)), epochs)
-        row = report.to_csv_row().split(",")
-        assert float(row[0]) == report.precision
-        assert float(row[1]) == report.recall
-        assert float(row[2]) == report.f1
-        assert float(row[3]) == report.auc
-        assert float(row[4]) == report.accuracy
+    def test_csv_row_order(self, tmp_path, capsys):
+        # `eegcnn evaluate` prints the data row of the metrics.csv it writes;
+        # a test partition of one class leaves the AUC cell empty
+        params = init_params(0, ModelConfig(2, 2, 3))
+        save_checkpoint(tmp_path / "model.bin", params, 0)
+        for labels in ([0, 1, 1, 0, 1, 0], [1] * 4):
+            test = [make_epoch(label=y, seed=i, subject_id="C") for i, y in enumerate(labels)]
+            split = DatasetSplit(
+                train=[make_epoch(subject_id="A")], validation=[make_epoch(subject_id="B")],
+                test=test, seed=0,
+                subject_assignment={"A": "train", "B": "validation", "C": "test"},
+            )
+            split_dir, out = tmp_path / f"split{len(labels)}", tmp_path / f"eval{len(labels)}"
+            _write_split(split_dir, split, 100.0)
+            assert main(["evaluate", "--checkpoint", str(tmp_path / "model.bin"),
+                         "--split", str(split_dir), "--out", str(out)]) == 0
+            header, row = (out / "metrics.csv").read_text().splitlines()
+            assert capsys.readouterr().out == row + "\n"
+            report = evaluate(params, test)
+            assert header.split(",") == list(report.COLUMNS)
+            cells = [float(c) if c else None for c in row.split(",")]
+            assert cells == [getattr(report, name) for name in header.split(",")]
+            assert (report.auc is None) == (len(set(labels)) == 1)
 
     def test_json_round_trip(self, tmp_path):
-        import json
-
         epochs = [make_epoch(label=i % 2, seed=i) for i in range(6)]
         report = evaluate(init_params(0, ModelConfig(2, 2, 3)), epochs)
         report.save(tmp_path / "m.json", tmp_path / "m.csv")
         loaded = json.loads((tmp_path / "m.json").read_text())
+        # COLUMNS is no field, so it adds no key
+        assert list(loaded) == ["precision", "recall", "f1", "accuracy", "auc", "confusion",
+                                "n_epochs", "degenerate"]
         assert loaded["n_epochs"] == 6
         assert loaded["confusion"]["tp"] == report.confusion.tp

@@ -243,7 +243,7 @@ class TestTrainMatchesReference:
         monkeypatch.setattr(model_module, "forward", reference_forward)  # predict's
         monkeypatch.setattr(train_module, "backward", reference_backward)
         want = train(split, cfg, mcfg)
-        assert got.to_json() == want.to_json()
+        assert (got.epochs, got.best_epoch) == (want.epochs, want.best_epoch)
         for k, v in want.best_checkpoint.arrays().items():
             np.testing.assert_array_equal(got.best_checkpoint.arrays()[k], v)
 
