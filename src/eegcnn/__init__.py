@@ -3,11 +3,11 @@ with preprocessing, training, metrics and frequency-domain probing."""
 
 import os
 
-# BLAS reads its thread counts once, when numpy loads, so EEGCNN_THREADS is
-# applied here, before the submodules import numpy. It has no effect if numpy
-# was imported before this package.
-if "EEGCNN_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["EEGCNN_THREADS"])
+# One BLAS thread makes the GEMM bytes independent of the CPU count. BLAS reads
+# these once, when numpy loads: a caller who set any of them keeps all three as
+# they are, and none of this has any effect if numpy was imported first.
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 __version__ = "0.1.0"

@@ -5,9 +5,9 @@ Each subcommand's settings are declared once, in ``SETTINGS``. A setting
 file; a flag beats the file, and the file beats the default.
 
 Exit codes: 0 success, 2 config/parse error, 3 I/O error, 4 numeric divergence
-(or a probe map with a non-finite cell).
-Set EEGCNN_THREADS to cap BLAS thread counts; the package applies it when it
-is imported, which the entry point does before numpy is loaded.
+(or non-finite evaluation probabilities, or a probe map with a non-finite cell).
+BLAS runs one thread unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or
+MKL_NUM_THREADS is set (see the package's __init__).
 """
 
 from __future__ import annotations

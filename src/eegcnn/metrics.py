@@ -10,6 +10,7 @@ import numpy as np
 
 from .data import Epoch, write_csv
 from .model import ModelParams, predict
+from .train import TrainingDivergedError
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,12 @@ def evaluate(checkpoint: ModelParams, epochs: list[Epoch]) -> MetricsReport:
     """Eval-mode inference per epoch; each epoch is one classification instance."""
     if not epochs:
         raise ValueError("need at least one epoch to evaluate")
-    probs = predict(checkpoint, epochs)
+    with np.errstate(all="ignore"):  # the probabilities are checked next
+        probs = predict(checkpoint, epochs)
+    bad = int((~np.isfinite(probs)).any(axis=1).sum())
+    if bad:
+        raise TrainingDivergedError(f"non-finite class probabilities for {bad} of "
+                                    f"{len(epochs)} epochs")
     labels = [ep.label for ep in epochs]
     cm = confusion(probs.argmax(axis=1).tolist(), labels)  # a tie goes to class 0
     scalars = scalar_metrics(cm)

@@ -19,7 +19,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite loss or gradient during training; message names epoch/batch."""
+    """Non-finite loss, gradient or class probabilities; the message says where."""
 
 
 @dataclass(frozen=True)
@@ -119,35 +119,39 @@ def train(
     history: list[dict] = []
     best = None  # (val_acc, -val_loss, -epoch, params)
     n = len(data.train)
-    for epoch_idx in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            batch = [data.train[i] for i in perm[start : start + config.batch_size]]
-            grad_sum = None
-            for item in batch:
-                cache = forward(params, item.data, mode="train", rng=rng)
-                loss, grad_logits = cross_entropy(cache.probs, item.label)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch_idx}, batch {start // config.batch_size}"
-                    )
-                epoch_losses.append(loss)
-                g = backward(cache, params, grad_logits).flat
-                del cache  # frees the unrolled input before the next forward
-                grad_sum = g if grad_sum is None else grad_sum + g
-            grads = ModelParams(params.config, grad_sum / len(batch))
-            state, params = adam_step(state, params, grads, config)
-        val_loss, val_acc = _eval_pass(params, data.validation)
-        row = {
-            "train_loss": float(np.mean(epoch_losses)),
-            "val_loss": val_loss,
-            "val_accuracy": val_acc,
-        }
-        history.append(row)
-        if on_epoch is not None:
-            on_epoch(epoch_idx, row)
-        key = (val_acc, -val_loss, -epoch_idx)
-        if best is None or key > best[0]:
-            best = (key, epoch_idx, params)
+    # every loss, gradient and validation loss is checked below, so numpy's
+    # overflow warnings would only come before the error that names the epoch
+    with np.errstate(all="ignore"):
+        for epoch_idx in range(config.epochs):
+            perm = rng.permutation(n)
+            epoch_losses = []
+            for start in range(0, n, config.batch_size):
+                batch = [data.train[i] for i in perm[start : start + config.batch_size]]
+                grad_sum = None
+                for item in batch:
+                    cache = forward(params, item.data, mode="train", rng=rng)
+                    loss, grad_logits = cross_entropy(cache.probs, item.label)
+                    if not np.isfinite(loss):
+                        raise TrainingDivergedError(f"non-finite loss at epoch {epoch_idx}, "
+                                                    f"batch {start // config.batch_size}")
+                    epoch_losses.append(loss)
+                    g = backward(cache, params, grad_logits).flat
+                    del cache  # frees the unrolled input before the next forward
+                    grad_sum = g if grad_sum is None else grad_sum + g
+                grads = ModelParams(params.config, grad_sum / len(batch))
+                state, params = adam_step(state, params, grads, config)
+            val_loss, val_acc = _eval_pass(params, data.validation)
+            if not np.isfinite(val_loss):
+                raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch_idx}")
+            row = {
+                "train_loss": float(np.mean(epoch_losses)),
+                "val_loss": val_loss,
+                "val_accuracy": val_acc,
+            }
+            history.append(row)
+            if on_epoch is not None:
+                on_epoch(epoch_idx, row)
+            key = (val_acc, -val_loss, -epoch_idx)
+            if best is None or key > best[0]:
+                best = (key, epoch_idx, params)
     return TrainHistory(epochs=history, best_epoch=best[1], best_checkpoint=best[2])

@@ -319,14 +319,25 @@ class TestTrain:
         assert fields[0] == "epoch" and fields[2] == "train_loss"
         float(fields[3]), float(fields[5]), float(fields[7])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @staticmethod
+    def _diverge(prepared, out, *extra):
+        return main(["train", "--split", str(prepared), "--out", str(out), "--epochs", "1",
+                     "--in-channels", str(CHANNELS), "--learning-rate", "1e300", *extra])
+
+    # the error line is all it prints: a numpy warning fails the test
+    @pytest.mark.filterwarnings("error")
     def test_diverged_run_leaves_no_out(self, prepared, tmp_path, capsys):
-        out = tmp_path / "t"
-        rc = main(["train", "--split", str(prepared), "--out", str(out), "--epochs", "1",
-                   "--in-channels", str(CHANNELS), "--learning-rate", "1e300"])
-        assert rc == EXIT_NUMERIC
-        assert "error: non-finite" in capsys.readouterr().err
-        assert not out.exists()
+        assert self._diverge(prepared, tmp_path / "t") == EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: non-finite loss at epoch 0, batch 1\n"
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_validation_loss_exits_4(self, prepared, tmp_path, capsys):
+        # one batch, so the first non-finite result is the validation loss,
+        # which must not reach history.json as "val_loss": NaN
+        assert self._diverge(prepared, tmp_path / "t", "--batch-size", "1000") == EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: non-finite validation loss at epoch 0\n"
+        assert not (tmp_path / "t").exists()
 
     def test_missing_split(self, tmp_path):
         rc = main(["train", "--split", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -441,6 +452,22 @@ class TestEvaluate:
         assert rc == EXIT_CONFIG
         assert f"checkpoint {path}: in_channels is {CHANNELS + 1}, but the split in " \
             f"{prepared} has" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_probabilities_exit_4(self, prepared, tmp_path, capsys):
+        """Finite weights near 1e300 overflow the forward pass; metrics of its
+        NaN probabilities would all read 0."""
+        params = init_params(0, ModelConfig(CHANNELS, 2, 3))
+        params.flat[:] *= 1e300
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, params, 0)
+        rc = main(["evaluate", "--checkpoint", str(path), "--split", str(prepared),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERIC
+        n = len(json.loads((prepared / "split.json").read_text())["partitions"]["test"])
+        assert capsys.readouterr().err == \
+            f"error: non-finite class probabilities for {n} of {n} epochs\n"
         assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint(self, prepared, tmp_path, capsys):
@@ -928,26 +955,59 @@ class TestPsd:
         assert not out.exists()
 
 
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_env(**blas):
+    """This environment with only the given BLAS thread variables set, for a
+    fresh interpreter that imports this eegcnn (importing it here set all
+    three)."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return {**env, **blas, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+
+
 def test_threads_env_set_before_numpy_loads():
-    # BLAS reads its thread count when numpy loads, so EEGCNN_THREADS must be
-    # in the environment by then: record it at the moment numpy is imported
+    # BLAS reads its thread counts when numpy loads, so the package's default
+    # must be in the environment by then: record them at the moment numpy is
+    # imported. A caller's own count is left alone, and OpenBLAS reads
+    # OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so that one stays unset.
     code = (
         "import importlib.abc, os, sys\n"
         "seen = []\n"
         "class Spy(importlib.abc.MetaPathFinder):\n"
         "    def find_spec(self, name, path, target=None):\n"
         "        if name == 'numpy':\n"
-        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        f"            seen.extend(os.environ.get(v) for v in {BLAS_THREADS!r})\n"
         "sys.meta_path.insert(0, Spy())\n"
         "import eegcnn.cli\n"
         "print(seen)\n"
     )
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env.update(EEGCNN_THREADS="1", PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "['1']"
+    for blas, seen in [({}, ["1", "1", "1"]),
+                       ({"OMP_NUM_THREADS": "2"}, ["2", None, None])]:
+        out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**blas),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == repr(seen)
+
+
+def test_default_threads_independent_of_cpu_count(tmp_path):
+    # With no BLAS variable set, train writes the one-thread bytes. A 16 x 176
+    # by 176 x 500 conv GEMM is large enough for OpenBLAS to split it over
+    # threads, and the split changes the last bits of the sums. With one CPU
+    # there is only one thread either way, so there this test cannot fail.
+    epochs = [make_epoch(channels=16, epoch_len=500, label=i % 2, seed=i, subject_id=f"S{i}")
+              for i in range(6)]
+    split = DatasetSplit(train=epochs[:2], validation=epochs[2:4], test=epochs[4:], seed=3,
+                         subject_assignment={f"S{i}": _PARTITIONS[i // 2] for i in range(6)})
+    _write_split(tmp_path / "split", split, FS)
+    checkpoints = []
+    for name, blas in [("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})]:
+        subprocess.run(
+            [sys.executable, "-m", "eegcnn.cli", "train", "--split", str(tmp_path / "split"),
+             "--out", str(tmp_path / name), "--in-channels", "16", "--out-channels", "16",
+             "--kernel", "11", "--epochs", "1"],
+            env=_fresh_env(**blas), capture_output=True, check=True)
+        checkpoints.append((tmp_path / name / "checkpoint.bin").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_only_prepare_loads_scipy_signal(dataset_dir, prepared, trained, tmp_path):
