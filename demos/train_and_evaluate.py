@@ -7,7 +7,7 @@ metrics. Runs in well under a minute on one core.
 
 from eegcnn.data import split_dataset
 from eegcnn.metrics import evaluate
-from eegcnn.model import ModelConfig, param_count
+from eegcnn.model import ModelConfig
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainConfig, train
 
@@ -25,7 +25,8 @@ def main():
     model_config = ModelConfig(in_channels=4, out_channels=4, kernel=7)
     train_config = TrainConfig(epochs=30, learning_rate=3e-3, seed=0)
     history = train(split, train_config, model_config)
-    counts = param_count(history.best_checkpoint)
+    sizes = {name: a.size for name, a in history.best_checkpoint.arrays().items()}
+    counts = {layer: sizes[f"{layer}_weight"] + sizes[f"{layer}_bias"] for layer in ("conv", "fc")}
     print(f"trained {sum(counts.values())} parameters "
           f"(conv {counts['conv']}, fc {counts['fc']}); "
           f"best epoch {history.best_epoch}")

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import check_object, is_int, parse_json
+from .data import EegcnnError, check_object, is_int, parse_json
 from .model import CLASSES, ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
@@ -43,8 +43,9 @@ _CONFIG_VALUES = {
 }
 
 
-class CheckpointError(ValueError):
+class CheckpointError(EegcnnError):
     """Unreadable or inconsistent checkpoint file."""
+    exit_code = 3
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:

@@ -4,8 +4,9 @@ Each subcommand's settings are declared once, in ``SETTINGS``. A setting
 ``a_b`` is the flag ``--a-b`` and the key ``a_b`` of a flat JSON ``--config``
 file; a flag beats the file, and the file beats the default.
 
-Exit codes: 0 success, 2 config/parse error, 3 I/O error, 4 numeric divergence
-(or non-finite evaluation probabilities, or a probe map with a non-finite cell).
+An integer setting must fit int64. A failure prints one ``error:`` line and
+exits with its error class's ``exit_code`` (2 config, 3 I/O, 4 numerical); an
+OSError exits 3, and any other ValueError or running out of memory exits 2.
 BLAS runs one thread unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or
 MKL_NUM_THREADS is set (see the package's __init__).
 """
@@ -29,13 +30,9 @@ from . import experiments as exp
 from . import interpret as itp
 from . import metrics as met
 from . import preprocess as pre
+from .data import ConfigError
 from .model import ModelConfig
 from .train import TrainConfig, TrainingDivergedError, train as run_training
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_NUMERIC = 4
 
 _PARTITIONS = ("train", "validation", "test")
 
@@ -56,24 +53,28 @@ _EPOCH_VALUES = {
 }
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
 def _int_list(v) -> tuple[int, ...] | None:
-    """A list of integers, or a comma-separated string of them; None otherwise."""
+    """A list of int64 integers, or a comma-separated string of them; None otherwise."""
     if isinstance(v, str):
         try:
-            return tuple(int(s) for s in v.split(","))
+            v = [int(s) for s in v.split(",")]
         except ValueError:
             return None
-    if isinstance(v, list) and all(map(dat.is_int, v)):
+    if isinstance(v, list) and all(dat.is_int(x) and x in _INT64 for x in v):
         return tuple(v)
     return None
 
 
 # setting type -> (flag parser, value -> setting or None if rejected, what it must be)
 _TYPES = {
-    int: (int, lambda v: v if dat.is_int(v) else None, "an integer"),
+    int: (int, lambda v: v if dat.is_int(v) and v in _INT64 else None,
+          "an integer that fits int64"),
     float: (float, lambda v: float(v) if dat.is_number(v) else None, "a finite number"),
     str: (str, lambda v: v if dat.is_str(v) else None, "a string"),
-    tuple: (str, _int_list, "comma-separated integers or a list of them"),
+    tuple: (str, _int_list, "comma-separated integers that fit int64, or a list of them"),
 }
 
 
@@ -106,12 +107,9 @@ SETTINGS = {
 _KNOWN = set().union(*SETTINGS.values())
 
 
-class ConfigError(ValueError):
-    pass
-
-
-class SplitError(ValueError):
-    """Malformed or inconsistent split directory (exit 3)."""
+class SplitError(dat.EegcnnError):
+    """Malformed or inconsistent split directory."""
+    exit_code = 3
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -243,7 +241,7 @@ def _load_stack(path: Path) -> np.ndarray:
         raise SplitError(f"{path}: not a readable 3-D float64 array ({exc})") from None
 
 
-def cmd_prepare(s: dict) -> int:
+def cmd_prepare(s: dict) -> None:
     manifest = dat.load_manifest(s["manifest"])
     # the split settings are checked before any CSV is read
     dat.check_seed(s["seed"])
@@ -251,21 +249,14 @@ def cmd_prepare(s: dict) -> int:
     subjects = pre.load_filtered(manifest, s["cutoff_hz"], s["filter_order"])
     split = dat.split_dataset(subjects, seed=s["seed"], epoch_seconds=s["epoch_seconds"])
     _write_split(Path(s["out"]), split, manifest.fs)
-    counts = {
-        name: sum(1 for v in split.subject_assignment.values() if v == name)
-        for name in _PARTITIONS
-    }
+    counts = {n: list(split.subject_assignment.values()).count(n) for n in _PARTITIONS}
     print(f"prepared split: subjects {counts}, epochs "
           f"{ {n: len(split.partition(n)) for n in counts} }")
-    return EXIT_OK
 
 
 def _print_epoch(i: int, row: dict) -> None:
-    print(
-        f"epoch,{i},train_loss,{row['train_loss']:.6f},"
-        f"val_loss,{row['val_loss']:.6f},val_acc,{row['val_accuracy']:.6f}",
-        flush=True,
-    )
+    print(f"epoch,{i},train_loss,{row['train_loss']:.6f},val_loss,{row['val_loss']:.6f},"
+          f"val_acc,{row['val_accuracy']:.6f}", flush=True)
 
 
 def _check_model(split_dir, split: dat.DatasetSplit, config: ModelConfig, source="") -> None:
@@ -273,13 +264,11 @@ def _check_model(split_dir, split: dat.DatasetSplit, config: ModelConfig, source
     ``source`` prefixes the message."""
     counts = sorted({ep.data.shape[0] for ep in split.train + split.validation + split.test})
     if counts != [config.in_channels]:
-        raise ConfigError(
-            f"{source}in_channels is {config.in_channels}, but the split in {split_dir} has "
-            f"{'/'.join(map(str, counts))} channels"
-        )
+        raise ConfigError(f"{source}in_channels is {config.in_channels}, but the split in "
+                          f"{split_dir} has {'/'.join(map(str, counts))} channels")
 
 
-def cmd_train(s: dict) -> int:
+def cmd_train(s: dict) -> None:
     split, _ = _read_split(s["split"])
     train_config = _build(TrainConfig, s)
     model_config = _build(ModelConfig, s)
@@ -290,10 +279,9 @@ def cmd_train(s: dict) -> int:
     ckpt.save_checkpoint(out_dir / "checkpoint.bin", history.best_checkpoint, train_config.seed)
     history.save(out_dir / "history.json")
     print(f"best epoch {history.best_epoch}; wrote {out_dir / 'checkpoint.bin'}")
-    return EXIT_OK
 
 
-def cmd_evaluate(s: dict) -> int:
+def cmd_evaluate(s: dict) -> None:
     params, _ = ckpt.load_checkpoint(s["checkpoint"])
     split, _ = _read_split(s["split"])
     _check_model(s["split"], split, params.config, f"checkpoint {s['checkpoint']}: ")
@@ -302,34 +290,32 @@ def cmd_evaluate(s: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.save(out_dir / "metrics.json", out_dir / "metrics.csv")
     print((out_dir / "metrics.csv").read_text().split("\n")[1])  # the data row
-    return EXIT_OK
 
 
-def cmd_probe(s: dict) -> int:
+def cmd_probe(s: dict) -> None:
     params, _ = ckpt.load_checkpoint(s["checkpoint"])
     spec = _build(itp.ProbeSpec, s, channels=params.config.in_channels)
-    # Both maps are computed before anything is written, so a failed probe
-    # leaves no partial output. The noise response goes first: its Welch check
-    # rejects an epoch shorter than one window before the sweep runs.
-    resp = itp.conv_filter_response(params, spec)
-    sens = itp.pooling_sensitivity(params, spec)
+    # Both maps are computed, without numpy's overflow warnings, and checked
+    # before anything is written. The noise response goes first: its Welch
+    # check rejects an epoch shorter than one window before the sweep runs.
+    with np.errstate(all="ignore"):
+        resp = itp.conv_filter_response(params, spec)
+        sens = itp.pooling_sensitivity(params, spec)
     for name, freqs, values in (("sensitivity map", sens.freqs, sens.activation),
                                 ("filter response", resp.freqs, resp.power)):
         bad = ~np.isfinite(values)
         if bad.any():
-            print(f"error: {name} has {bad.sum()} non-finite cells, the first at "
-                  f"{freqs[bad.any(axis=0)][0]:g} Hz", file=sys.stderr)
-            return EXIT_NUMERIC
+            raise TrainingDivergedError(f"{name} has {bad.sum()} non-finite cells, the first "
+                                        f"at {freqs[bad.any(axis=0)][0]:g} Hz")
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sens.to_csv(out_dir / "sensitivity.csv")
     resp.to_csv_dir(out_dir)
     print(f"wrote sensitivity map ({sens.activation.shape[0]} outputs x "
           f"{sens.freqs.size} frequencies) and {resp.power.shape[0]} filter responses")
-    return EXIT_OK
 
 
-def cmd_sweep(s: dict) -> int:
+def cmd_sweep(s: dict) -> None:
     split, _ = _read_split(s["split"])
     train_config = _build(TrainConfig, s)
     base = _build(ModelConfig, s)
@@ -343,19 +329,16 @@ def cmd_sweep(s: dict) -> int:
         print(f"sweep value {value} failed: {err}", file=sys.stderr)
     print(f"wrote {out_dir / 'ablation.csv'} ({len(report.reports)} points)")
     if not report.reports:
-        print("error: no sweep point succeeded", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+        raise TrainingDivergedError("no sweep point succeeded")
 
 
-def cmd_psd(s: dict) -> int:
+def cmd_psd(s: dict) -> None:
     split, fs = _read_split(s["split"])
     gp = exp.group_psd(split.train + split.validation + split.test, fs)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     gp.to_csv(out_dir / "group_psd.csv")
     print(f"wrote {out_dir / 'group_psd.csv'}")
-    return EXIT_OK
 
 
 # command -> (function, help)
@@ -386,20 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](resolve_settings(args))
-    except TrainingDivergedError as exc:
+        _COMMANDS[args.command][0](resolve_settings(args))
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (OSError, dat.CsvFormatError, ckpt.CheckpointError, SplitError) as exc:
+        return 3
+    except ValueError as exc:  # numpy's and scipy's own exit 2 too
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, dat.ManifestError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return getattr(exc, "exit_code", 2)
     except (MemoryError, BrokenProcessPool) as exc:
         # a worker process that dies was most likely killed for lack of memory
         print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,12 +16,22 @@ import numpy as np
 LABEL_CODES = {"Control": 0, "PD": 1}
 
 
-class ManifestError(ValueError):
+class EegcnnError(ValueError):
+    """An error that ``eegcnn`` reports in one line and exits with ``exit_code``."""
+    exit_code = 2
+
+
+class ConfigError(EegcnnError):
+    """A setting that cannot work; the message names it."""
+
+
+class ManifestError(EegcnnError):
     """Malformed or inconsistent dataset manifest."""
 
 
-class CsvFormatError(ValueError):
+class CsvFormatError(EegcnnError):
     """Malformed subject CSV; message carries the offending row/column."""
+    exit_code = 3
 
 
 @dataclass(frozen=True)

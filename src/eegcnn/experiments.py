@@ -23,10 +23,14 @@ def sweep_configs(
     ("kernel_size" or "out_channels") differs from ``base``. ModelConfig's own
     checks reject a bad value."""
     if parameter not in _SWEPT_FIELDS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
+        raise ValueError(f"unknown sweep parameter {parameter!r}; sweep_parameter must be "
+                         f"one of {', '.join(_SWEPT_FIELDS)}")
     if not values:
-        raise ValueError("sweep needs at least one value")
-    return {v: replace(base, **{_SWEPT_FIELDS[parameter]: v}) for v in values}
+        raise ValueError("sweep_values needs at least one value")
+    try:
+        return {v: replace(base, **{_SWEPT_FIELDS[parameter]: v}) for v in values}
+    except ValueError as exc:  # from ModelConfig's checks
+        raise ValueError(f"sweep_values: {exc}") from None
 
 
 @dataclass(frozen=True)

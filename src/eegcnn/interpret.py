@@ -30,7 +30,8 @@ class ProbeSpec:
 
     def __post_init__(self):
         if self.repeats_sine < 1 or self.repeats_noise < 1:
-            raise ValueError("repeat counts must be >= 1")
+            raise ValueError(f"repeats_sine and repeats_noise must be >= 1, got "
+                             f"{self.repeats_sine} and {self.repeats_noise}")
         if not (np.isfinite(self.fs) and self.fs > 0):
             raise ValueError(f"fs must be a finite positive number, got {self.fs}")
         if self.epoch_len < 1:

@@ -99,19 +99,12 @@ class ForwardCache:
 def init_params(seed: int, config: ModelConfig = ModelConfig()) -> ModelParams:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases."""
     rng = np.random.default_rng(seed)
-    s_conv = 1.0 / np.sqrt(config.in_channels * config.kernel)
-    s_fc = 1.0 / np.sqrt(config.out_channels)
+    s_conv = 1.0 / math.sqrt(config.in_channels * config.kernel)  # any int, not just int64
+    s_fc = 1.0 / math.sqrt(config.out_channels)
     params = ModelParams(config, np.zeros(config.size))
     params.conv_weight[...] = rng.uniform(-s_conv, s_conv, size=params.conv_weight.shape)
     params.fc_weight[...] = rng.uniform(-s_fc, s_fc, size=params.fc_weight.shape)
     return params
-
-
-def param_count(params: ModelParams) -> dict[str, int]:
-    return {
-        "conv": params.conv_weight.size + params.conv_bias.size,
-        "fc": params.fc_weight.size + params.fc_bias.size,
-    }
 
 
 def _conv_unrolled(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

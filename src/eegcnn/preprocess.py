@@ -17,20 +17,28 @@ from functools import partial
 
 import numpy as np
 
-from .data import Manifest, ManifestEntry, SubjectRecording, load_subject_csv
+from .data import ConfigError, Manifest, ManifestEntry, SubjectRecording, load_subject_csv
 
 
 def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
     """Butterworth high-pass with the -3 dB point at cutoff_hz (single pass),
     as second-order sections: a [sections, 6] array of biquad coefficients
-    taken straight from the filter's poles and zeros, stable at every order."""
+    taken straight from the filter's poles and zeros, stable at every order.
+    A cutoff too low for ``sosfiltfilt``'s initial state raises ConfigError."""
     if order < 1:
-        raise ValueError(f"filter order must be >= 1, got {order}")
+        raise ConfigError(f"filter_order must be >= 1, got {order}")
     if not 0 < cutoff_hz < fs / 2:
-        raise ValueError(f"cutoff must lie in (0, fs/2) = (0, {fs / 2}), got {cutoff_hz}")
+        raise ConfigError(f"cutoff_hz must lie in (0, fs/2) = (0, {fs / 2}), got {cutoff_hz}")
     from scipy import signal as sps  # here: a 1.3-1.5 s, 49 MB import only prepare needs
 
-    return sps.butter(order, cutoff_hz, btype="highpass", fs=fs, output="sos")
+    sos = sps.butter(order, cutoff_hz, btype="highpass", fs=fs, output="sos")
+    try:
+        with np.errstate(all="ignore"):  # scipy divides 0 by 0 before the singular solve
+            sps.sosfilt_zi(sos)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"cutoff_hz {cutoff_hz} is too low for filter_order {order} at "
+                          f"fs {fs} Hz: solving for its initial state fails ({exc})") from None
+    return sos
 
 
 def apply_zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -102,7 +110,8 @@ def welch_psd_batch(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError(f"fs {fs} Hz gives a 1 s Welch window of 0 samples")
     if n > x.shape[-1]:
-        raise ValueError(f"window_len {n} exceeds signal length {x.shape[-1]}")
+        raise ValueError(f"epoch_len {x.shape[-1]} is shorter than the 1 s Welch window of "
+                         f"{n:g} samples at fs {fs} Hz")
     hop = n - n // 2
     # periodic Hann window; one sample is [1.0], as in scipy
     w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1]) if n > 1 else np.ones(1)

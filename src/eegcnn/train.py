@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DatasetSplit, Epoch, check_seed
+from .data import DatasetSplit, EegcnnError, Epoch, check_seed
 from .model import ModelConfig, ModelParams, backward, forward, init_params, predict
 
 # Adam's decay rates and epsilon, Kingma & Ba's defaults (arXiv:1412.6980)
@@ -18,8 +18,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-class TrainingDivergedError(RuntimeError):
-    """Non-finite loss, gradient or class probabilities; the message says where."""
+class TrainingDivergedError(EegcnnError):
+    """A non-finite loss, gradient, probability or probe map, or a sweep with no point left."""
+    exit_code = 4
 
 
 @dataclass(frozen=True)

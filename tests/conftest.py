@@ -99,6 +99,12 @@ def make_params(conv_weight, conv_bias, fc_weight, fc_bias):
     return ModelParams(config, np.concatenate([np.ravel(b) for b in blocks]).astype(np.float64))
 
 
+def layer_param_counts(params):
+    """Parameters per layer, weights plus biases: {"conv": ..., "fc": ...}."""
+    sizes = {name: block.size for name, block in params.arrays().items()}
+    return {layer: sizes[f"{layer}_weight"] + sizes[f"{layer}_bias"] for layer in ("conv", "fc")}
+
+
 def make_epoch(channels=2, epoch_len=8, label=0, seed=0, subject_id="S000"):
     gen = np.random.default_rng(seed)
     return Epoch(

@@ -16,12 +16,12 @@ from eegcnn.checkpoint import save_checkpoint
 from eegcnn.data import Epoch, split_dataset
 from eegcnn.interpret import ProbeSpec, conv_filter_response, fir_power_response, pooling_sensitivity
 from eegcnn.metrics import evaluate, roc_auc
-from eegcnn.model import ModelConfig, forward, init_params, param_count
+from eegcnn.model import ModelConfig, forward, init_params
 from eegcnn.preprocess import design_highpass
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainConfig, train
 
-from conftest import finite_diff_check, gain_db, make_params
+from conftest import finite_diff_check, gain_db, layer_param_counts, make_params
 from test_metrics import pair_counting_auc
 
 
@@ -47,7 +47,7 @@ class TestAcceptance:
     def test_architecture_conformance(self):
         t0 = time.time()
         params = init_params(0)  # default config: 59 in/out, kernel 11, 2 classes
-        counts = param_count(params)
+        counts = layer_param_counts(params)
         x = np.random.default_rng(0).standard_normal((59, 2500))
         cache = forward(params, x, mode="eval")
         ok = (

@@ -15,10 +15,6 @@ import eegcnn.cli
 import eegcnn.interpret
 import eegcnn.preprocess
 from eegcnn.cli import (
-    EXIT_CONFIG,
-    EXIT_IO,
-    EXIT_NUMERIC,
-    EXIT_OK,
     SETTINGS,
     SplitError,
     _PARTITIONS,
@@ -28,10 +24,11 @@ from eegcnn.cli import (
     main,
     resolve_settings,
 )
-from eegcnn.checkpoint import save_checkpoint
-from eegcnn.data import DatasetSplit, write_subject_csv
+from eegcnn.checkpoint import CheckpointError, save_checkpoint
+from eegcnn.data import ConfigError, CsvFormatError, DatasetSplit, ManifestError, write_subject_csv
 from eegcnn.model import ModelConfig, init_params
 from eegcnn.synth import synthetic_dataset
+from eegcnn.train import TrainingDivergedError
 
 from conftest import DEEP_NESTING, OVER_LONG_INT, edited_json, make_epoch, mutated_bytes
 
@@ -72,7 +69,7 @@ def prepared(dataset_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("prepared")
     rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
                "--out", str(out), "--seed", "7"])
-    assert rc == EXIT_OK
+    assert rc == 0
     return out
 
 
@@ -83,7 +80,7 @@ def trained(prepared, tmp_path_factory):
                "--epochs", "5", "--learning-rate", "0.003",
                "--in-channels", str(CHANNELS), "--out-channels", str(CHANNELS),
                "--kernel", "7", "--seed", "0"])
-    assert rc == EXIT_OK
+    assert rc == 0
     return out
 
 
@@ -100,12 +97,12 @@ class TestPrepare:
         out2 = tmp_path / "again"
         rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
                    "--out", str(out2), "--seed", "7"])
-        assert rc == EXIT_OK
+        assert rc == 0
 
         out3 = tmp_path / "andagain"
         rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
                    "--out", str(out3), "--seed", "7"])
-        assert rc == EXIT_OK
+        assert rc == 0
         assert (out2 / "split.json").read_bytes() == (out3 / "split.json").read_bytes()
         for name in ("train", "validation", "test"):
             assert (out2 / f"{name}_data.npy").read_bytes() == \
@@ -120,7 +117,7 @@ class TestPrepare:
         (solo_dir / "solo.json").write_text(json.dumps(manifest))
         rc = main(["prepare", "--manifest", str(solo_dir / "solo.json"),
                    "--out", str(tmp_path / "out"), "--seed", "0"])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
 
     def test_empty_partition_rejected(self, dataset_dir, tmp_path, capsys):
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
@@ -128,7 +125,7 @@ class TestPrepare:
         (dataset_dir / "three.json").write_text(json.dumps(manifest))
         rc = main(["prepare", "--manifest", str(dataset_dir / "three.json"),
                    "--out", str(tmp_path / "out"), "--seed", "0"])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert "train/validation/test = 2/1/0" in capsys.readouterr().err
 
     def test_no_epochs_rejected(self, tmp_path, capsys):
@@ -137,7 +134,7 @@ class TestPrepare:
         out = tmp_path / "out"
         rc = main(["prepare", "--manifest", str(cohort / "manifest.json"), "--out", str(out),
                    "--epoch-seconds", "20"])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert capsys.readouterr().err == (
             "error: epoch_seconds 20 leaves the train/validation/test partition(s) without "
             "epochs; the shortest recording, S000, is 10 s\n")
@@ -150,7 +147,7 @@ class TestPrepare:
         out = tmp_path / "out"
         rc = main(["prepare", "--manifest", str(dataset_dir / "reordered.json"),
                    "--out", str(out)])
-        assert rc == EXIT_IO
+        assert rc == 3
         first = dataset_dir / manifest["subjects"][0]["file"]
         assert f"{first}: header column 0 is 'ch0', the manifest's channel 0 is 'ch1'" \
             in capsys.readouterr().err
@@ -172,7 +169,7 @@ class TestPrepare:
         path.write_bytes(b"\n".join(lines))
         out = tmp_path / "out"
         rc = main(["prepare", "--manifest", str(cohort / "manifest.json"), "--out", str(out)])
-        assert rc == EXIT_IO
+        assert rc == 3
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
@@ -192,7 +189,7 @@ class TestPrepare:
         out = tmp_path / "out"
         rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
                    "--out", str(out), flag, value])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -200,12 +197,12 @@ class TestPrepare:
         # the polynomial form of this filter had a pole outside the unit circle
         rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
                    "--out", str(tmp_path / "out"), "--cutoff-hz", "0.5", "--filter-order", "10"])
-        assert rc == EXIT_OK
+        assert rc == 0
 
     def test_missing_manifest(self, tmp_path):
         rc = main(["prepare", "--manifest", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "out")])
-        assert rc == EXIT_IO
+        assert rc == 3
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods() or CPUS < 2,
@@ -223,7 +220,7 @@ class TestPrepare:
         first = json.loads((dataset_dir / "manifest.json").read_text())["subjects"][0]["file"]
         out = tmp_path / "out"
         rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out)])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert capsys.readouterr().err == (
             "error: out of memory in prepare: a worker process died before "
             f"{dataset_dir / first} was loaded\n")
@@ -252,7 +249,7 @@ class TestPrepare:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         rc = main(["prepare", "--manifest", str(tmp_path / "manifest.json"),
                    "--out", str(tmp_path / "out")])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -297,7 +294,7 @@ def test_empty_partition_exits_3_and_writes_nothing(prepared, trained, tmp_path,
         "evaluate": ["--checkpoint", str(trained / "checkpoint.bin")],
     }[command]
     rc = main([command, "--split", str(split_dir), "--out", str(out), *extra])
-    assert rc == EXIT_IO
+    assert rc == 3
     assert f"partition '{partition}' holds no epochs" in capsys.readouterr().err
     assert not out.exists()
 
@@ -312,7 +309,7 @@ class TestTrain:
         rc = main(["train", "--split", str(prepared), "--out", str(tmp_path / "t"),
                    "--epochs", "1", "--in-channels", str(CHANNELS),
                    "--out-channels", "2", "--kernel", "3"])
-        assert rc == EXIT_OK
+        assert rc == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch,")]
         assert len(lines) == 1
         fields = lines[0].split(",")
@@ -327,7 +324,7 @@ class TestTrain:
     # the error line is all it prints: a numpy warning fails the test
     @pytest.mark.filterwarnings("error")
     def test_diverged_run_leaves_no_out(self, prepared, tmp_path, capsys):
-        assert self._diverge(prepared, tmp_path / "t") == EXIT_NUMERIC
+        assert self._diverge(prepared, tmp_path / "t") == 4
         assert capsys.readouterr().err == "error: non-finite loss at epoch 0, batch 1\n"
         assert not (tmp_path / "t").exists()
 
@@ -335,13 +332,13 @@ class TestTrain:
     def test_non_finite_validation_loss_exits_4(self, prepared, tmp_path, capsys):
         # one batch, so the first non-finite result is the validation loss,
         # which must not reach history.json as "val_loss": NaN
-        assert self._diverge(prepared, tmp_path / "t", "--batch-size", "1000") == EXIT_NUMERIC
+        assert self._diverge(prepared, tmp_path / "t", "--batch-size", "1000") == 4
         assert capsys.readouterr().err == "error: non-finite validation loss at epoch 0\n"
         assert not (tmp_path / "t").exists()
 
     def test_missing_split(self, tmp_path):
         rc = main(["train", "--split", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
-        assert rc == EXIT_IO
+        assert rc == 3
 
     @pytest.mark.parametrize("key", [
         "partitions", "seed", "fs", "subject_assignment", "partitions.validation",
@@ -349,7 +346,7 @@ class TestTrain:
     ])
     def test_split_index_missing_key(self, prepared, tmp_path, capsys, key):
         rc = _train_on_edited_index(prepared, tmp_path, key, lambda obj, leaf: obj.pop(leaf))
-        assert rc == EXIT_IO
+        assert rc == 3
         assert f"missing key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
@@ -362,7 +359,7 @@ class TestTrain:
     def test_split_index_wrong_value_type(self, prepared, tmp_path, capsys, key, value):
         rc = _train_on_edited_index(prepared, tmp_path, key,
                                     lambda obj, leaf: obj.__setitem__(leaf, value))
-        assert rc == EXIT_IO
+        assert rc == 3
         err = capsys.readouterr().err
         assert str(tmp_path / "split" / "split.json") in err and f"'{key}' must be" in err
 
@@ -370,7 +367,7 @@ class TestTrain:
         subject = min(json.loads((prepared / "split.json").read_text())["subject_assignment"])
         rc = _train_on_edited_index(prepared, tmp_path, f"subject_assignment.{subject}",
                                     lambda obj, leaf: obj.__setitem__(leaf, "banana"))
-        assert rc == EXIT_IO
+        assert rc == 3
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'split' / 'split.json'}: 'subject_assignment.{subject}' "
             f"must be one of train, validation, test, got 'banana'\n")
@@ -384,7 +381,7 @@ class TestTrain:
             if leaked == "train" else ("S999", "None")
         rc = _train_on_edited_index(prepared, tmp_path, "partitions.test[0].subject_id",
                                     lambda obj, leaf: obj.__setitem__(leaf, subject))
-        assert rc == EXIT_IO
+        assert rc == 3
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'split' / 'split.json'}: partitions.test[0].subject_id "
             f"'{subject}' is assigned to {owner}\n")
@@ -418,7 +415,7 @@ class TestTrain:
         else:
             np.save(path, stack.astype(np.float32))
         rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o")])
-        assert rc == EXIT_IO
+        assert rc == 3
         assert str(path) in capsys.readouterr().err
 
     def test_config_file_and_flag_precedence(self, prepared, tmp_path):
@@ -427,7 +424,7 @@ class TestTrain:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main(["train", "--config", str(cfg_path), "--epochs", "2"])
-        assert rc == EXIT_OK
+        assert rc == 0
         history = json.loads((tmp_path / "cfg_out" / "history.json").read_text())
         assert len(history["epochs"]) == 2  # flag wins over file
 
@@ -437,7 +434,7 @@ class TestEvaluate:
         out = tmp_path / "eval"
         rc = main(["evaluate", "--checkpoint", str(trained / "checkpoint.bin"),
                    "--split", str(prepared), "--out", str(out)])
-        assert rc == EXIT_OK
+        assert rc == 0
         report = json.loads((out / "metrics.json").read_text())
         index = json.loads((prepared / "split.json").read_text())
         assert report["n_epochs"] == len(index["partitions"]["test"])
@@ -449,7 +446,7 @@ class TestEvaluate:
         save_checkpoint(path, init_params(0, ModelConfig(CHANNELS + 1, 2, 3)), 0)
         rc = main(["evaluate", "--checkpoint", str(path), "--split", str(prepared),
                    "--out", str(tmp_path / "o")])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert f"checkpoint {path}: in_channels is {CHANNELS + 1}, but the split in " \
             f"{prepared} has" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -464,7 +461,7 @@ class TestEvaluate:
         save_checkpoint(path, params, 0)
         rc = main(["evaluate", "--checkpoint", str(path), "--split", str(prepared),
                    "--out", str(tmp_path / "o")])
-        assert rc == EXIT_NUMERIC
+        assert rc == 4
         n = len(json.loads((prepared / "split.json").read_text())["partitions"]["test"])
         assert capsys.readouterr().err == \
             f"error: non-finite class probabilities for {n} of {n} epochs\n"
@@ -474,7 +471,7 @@ class TestEvaluate:
         missing = tmp_path / "none.bin"
         rc = main(["evaluate", "--checkpoint", str(missing),
                    "--split", str(prepared), "--out", str(tmp_path / "o")])
-        assert rc == EXIT_IO
+        assert rc == 3
         assert str(missing) in capsys.readouterr().err
 
 
@@ -501,7 +498,7 @@ def test_bad_checkpoint_header(prepared, trained, tmp_path, capsys, command, key
     argv = [command, "--checkpoint", str(bad), "--out", str(tmp_path / "o")]
     argv += ["--split", str(prepared)] if command == "evaluate" else ["--fs", str(FS)]
     rc = main(argv)
-    assert rc == EXIT_IO
+    assert rc == 3
     err = capsys.readouterr().err
     assert str(bad) in err and f"'{key}'" in err
 
@@ -518,7 +515,7 @@ def test_non_finite_checkpoint(prepared, tmp_path, capsys, command, block, value
     argv = [command, "--checkpoint", str(path), "--out", str(tmp_path / "o")]
     argv += ["--split", str(prepared)] if command == "evaluate" else ["--fs", str(FS)]
     rc = main(argv)
-    assert rc == EXIT_IO
+    assert rc == 3
     assert capsys.readouterr().err == f"error: {path}: {block} holds non-finite values\n"
     assert not (tmp_path / "o").exists()
 
@@ -536,7 +533,7 @@ def test_bad_checkpoint_header_value(prepared, trained, tmp_path, capsys, key, v
                              lambda obj, leaf: obj.__setitem__(leaf, value))
     rc = main(["evaluate", "--checkpoint", str(bad), "--split", str(prepared),
                "--out", str(tmp_path / "o")])
-    assert rc == EXIT_IO
+    assert rc == 3
     err = capsys.readouterr().err
     assert str(bad) in err and f"'{key}' must be" in err
     assert not (tmp_path / "o").exists()
@@ -547,7 +544,7 @@ def test_non_binary_checkpoint_probe_exits_3(trained, tmp_path, capsys):
     bad = _edited_checkpoint(trained, tmp_path, "config.classes",
                              lambda obj, leaf: obj.__setitem__(leaf, 3))
     rc = main(["probe", "--checkpoint", str(bad), "--out", str(tmp_path / "o"), "--fs", str(FS)])
-    assert rc == EXIT_IO
+    assert rc == 3
     assert capsys.readouterr().err == \
         f"error: {bad}: 'config.classes' must be the integer 2, got 3\n"
     assert not (tmp_path / "o").exists()
@@ -571,7 +568,7 @@ def test_unparsable_json_exits_3(prepared, trained, tmp_path, capsys, reader, te
         bad.write_bytes(raw + blob[blob.index(b"\n"):])
     rc = main(["evaluate", "--checkpoint", str(ckpt_path), "--split", str(split_dir),
                "--out", str(tmp_path / "o")])
-    assert rc == EXIT_IO
+    assert rc == 3
     assert str(bad) in capsys.readouterr().err
 
 
@@ -613,7 +610,7 @@ class TestProbe:
         rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
                    "--out", str(out), "--repeats-sine", "1", "--repeats-noise", "2",
                    "--fs", str(FS), "--epoch-len", "500"])
-        assert rc == EXIT_OK
+        assert rc == 0
         lines = (out / "sensitivity.csv").read_text().splitlines()
         assert len(lines) == CHANNELS + 1  # header + one row per pool output
         assert len(lines[0].split(",")) == 52  # label column + 0..50 Hz grid
@@ -632,7 +629,7 @@ class TestProbe:
         rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
                    "--out", str(out), "--repeats-sine", "1", "--repeats-noise", "2",
                    "--fs", str(FS), "--epoch-len", "500", *extra])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
@@ -644,20 +641,22 @@ class TestProbe:
         out = tmp_path / "probe"
         rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"), "--out", str(out),
                    "--repeats-sine", "1", "--repeats-noise", "1", "--fs", str(FS)])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert capsys.readouterr().err == (
             "error: out of memory in probe: Unable to allocate 44.0 GiB\n")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the error line is all it prints: a numpy warning fails the test
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_map_exits_4(self, trained, tmp_path, capsys):
         out = tmp_path / "probe"
         rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
                    "--out", str(out), "--repeats-sine", "1", "--repeats-noise", "2",
                    "--fs", str(FS), "--epoch-len", "500", "--amplitude", "1e308"])
-        assert rc == EXIT_NUMERIC
+        assert rc == 4
         err = capsys.readouterr().err
         assert "error: sensitivity map has" in err and "non-finite cells, the first at" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
 
@@ -668,7 +667,7 @@ class TestSweep:
                    "--sweep-parameter", "kernel_size", "--sweep-values", "3,5",
                    "--epochs", "2", "--in-channels", str(CHANNELS),
                    "--out-channels", "2"])
-        assert rc == EXIT_OK
+        assert rc == 0
         lines = (out / "ablation.csv").read_text().splitlines()
         assert len(lines) == 3
 
@@ -680,7 +679,7 @@ class TestSweep:
         rc = main(["sweep", "--config", str(cfg), "--split", str(prepared), "--out", str(out),
                    "--sweep-parameter", "kernel_size", "--sweep-values", "3,5",
                    "--epochs", "2", "--in-channels", str(CHANNELS), "--out-channels", "2"])
-        assert rc == EXIT_NUMERIC
+        assert rc == 4
         err = capsys.readouterr().err
         for value in (3, 5):
             assert f"sweep value {value} failed: TrainingDivergedError" in err
@@ -690,12 +689,12 @@ class TestSweep:
     def test_missing_values_rejected(self, prepared, tmp_path):
         rc = main(["sweep", "--split", str(prepared), "--out", str(tmp_path / "o"),
                    "--sweep-parameter", "kernel_size"])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
 
     def test_bad_parameter_rejected(self, prepared, tmp_path, capsys):
         rc = main(["sweep", "--split", str(prepared), "--out", str(tmp_path / "o"),
                    "--sweep-parameter", "kernel", "--sweep-values", "3,5"])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert "unknown sweep parameter 'kernel'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -709,7 +708,7 @@ class TestSweep:
     def test_bad_point_rejected(self, prepared, tmp_path, capsys, flags, message):
         rc = main(["sweep", "--split", str(prepared), "--out", str(tmp_path / "o"),
                    "--in-channels", str(CHANNELS), *flags])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -718,7 +717,7 @@ class TestSweep:
         rc = main(["sweep", "--split", str(prepared), "--out", str(out),
                    "--sweep-parameter", "kernel_size", "--sweep-values", "1,3,1",
                    "--epochs", "1", "--in-channels", str(CHANNELS), "--out-channels", "2"])
-        assert rc == EXIT_OK
+        assert rc == 0
         rows = (out / "ablation.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["1", "3"]
 
@@ -733,7 +732,7 @@ class TestChannelCount:
         if command == "sweep":
             argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3,5"]
         rc = main(argv)  # in_channels keeps its default of 59
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         err = capsys.readouterr().err
         assert f"in_channels is 59, but the split in {prepared} has {CHANNELS} channels" in err
         assert not (tmp_path / "o").exists()
@@ -745,7 +744,7 @@ class TestChannelCount:
         np.save(split_dir / "test_data.npy", stack[:, : CHANNELS - 1])
         rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o"),
                    "--epochs", "1", "--in-channels", str(CHANNELS)])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert f"has {CHANNELS - 1}/{CHANNELS} channels" in capsys.readouterr().err
 
 
@@ -842,7 +841,7 @@ class TestSettings:
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, key, value):
         cfg = {**self._required(command, tmp_path), key: value}
         rc = main([command, "--config", self._write(tmp_path, cfg)])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         want = f"unknown setting(s) '{key}'" if key in REMOVED else f"'{key}' must be"
         assert want in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -854,7 +853,7 @@ class TestSettings:
         cfg = self._required(command, tmp_path)
         del cfg[key]
         rc = main([command, "--config", self._write(tmp_path, cfg)])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert f"missing required setting '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -862,7 +861,7 @@ class TestSettings:
     def test_unknown_key_rejected(self, tmp_path, capsys, command):
         cfg = {**self._required(command, tmp_path), "learning_rat": 0.1}
         rc = main([command, "--config", self._write(tmp_path, cfg)])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert "unknown setting(s) 'learning_rat'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -873,7 +872,7 @@ class TestSettings:
         path = tmp_path / "settings.json"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         rc = main(["psd", "--config", str(path), "--split", "s", "--out", str(tmp_path / "o")])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert str(path) in capsys.readouterr().err
 
     def test_key_of_another_command_ignored(self, tmp_path):
@@ -892,7 +891,7 @@ class TestSettings:
     def test_bad_flag_value_rejected(self, tmp_path, capsys, command, flag, text):
         cfg = self._required(command, tmp_path)
         rc = main([command, "--config", self._write(tmp_path, cfg), flag, text])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert f"{flag}: '{flag[2:].replace('-', '_')}' must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -907,10 +906,10 @@ def test_removed_setting_rejected(prepared, tmp_path, capsys, command, key):
         argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3"]
     with pytest.raises(SystemExit) as exc:
         main([*argv, f"--{key.replace('_', '-')}", str(REMOVED[key][1])])
-    assert exc.value.code == EXIT_CONFIG
+    assert exc.value.code == 2
     cfg = tmp_path / "settings.json"
     cfg.write_text(json.dumps({key: REMOVED[key][1]}))
-    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert main([*argv, "--config", str(cfg)]) == 2
     assert f"unknown setting(s) '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -927,16 +926,138 @@ def test_negative_seed_rejected(dataset_dir, prepared, trained, tmp_path, capsys
                   "--sweep-parameter", "kernel_size", "--sweep-values", "3"],
     }
     rc = main([command, *inputs[command], "--out", str(out), "--seed", "-1"])
-    assert rc == EXIT_CONFIG
+    assert rc == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--kernel", "99999999999999999999"],
+     "--kernel: 'kernel' must be an integer that fits int64, got 99999999999999999999"),
+    ("train", ["--out-channels", "99999999999999999999"], "'out_channels' must be an integer"),
+    ("probe", ["--repeats-sine", "99999999999999999999"], "'repeats_sine' must be an integer"),
+    ("probe", ["--epoch-len", "99999999999999999999"], "'epoch_len' must be an integer"),
+    ("probe", ["--epoch-len", "10"],
+     "epoch_len 10 is shorter than the 1 s Welch window of 100 samples at fs 100.0 Hz"),
+    ("probe", ["--repeats-noise", "0"],
+     "repeats_sine and repeats_noise must be >= 1, got 1 and 0"),
+    ("sweep", ["--sweep-values", "99999999999999999999"], "'sweep_values' must be"),
+    ("sweep", ["--sweep-values", "3,-1"], "sweep_values: all model dimensions must be positive"),
+    ("sweep", ["--sweep-parameter", "kernel"],
+     "unknown sweep parameter 'kernel'; sweep_parameter must be one of kernel_size, "
+     "out_channels"),
+    ("prepare", ["--filter-order", "99999999999999999999"], "'filter_order' must be an integer"),
+    ("prepare", ["--filter-order", "0"], "filter_order must be >= 1, got 0"),
+    ("prepare", ["--cutoff-hz", "50"], "cutoff_hz must lie in (0, fs/2) = (0, 50.0), got 50.0"),
+    ("prepare", ["--cutoff-hz", "1e-10"],
+     "cutoff_hz 1e-10 is too low for filter_order 4 at fs 100.0 Hz: solving for its initial "
+     "state fails (Singular matrix)"),
+    ("prepare", ["--seed", str(2**63)], "'seed' must be an integer that fits int64"),
+])
+def test_bad_setting_named_in_one_line(dataset_dir, prepared, trained, tmp_path, capsys,
+                                       command, flags, message):
+    """Each exits 2 with one stderr line that names the setting; an integer
+    beyond int64 used to end in a traceback (exit 1), and the too-low cutoff
+    in "error: Singular matrix"."""
+    base = _base_settings(command, dataset_dir, prepared, trained)
+    argv = [command, "--out", str(tmp_path / "o")]
+    for k, text in base.items():
+        argv += [f"--{k.replace('_', '-')}", text]
+    rc = main([*argv, *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_model_beyond_memory_exits_2(prepared, tmp_path, capsys):
+    """in_channels * kernel beyond uint64 used to end in a TypeError
+    traceback from np.sqrt in init_params (exit 1)."""
+    rc = main(["train", "--split", str(prepared), "--out", str(tmp_path / "o"), "--epochs", "1",
+               "--in-channels", str(CHANNELS), "--kernel", str(2**63 - 1)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_exit_code_belongs_to_error_class():
+    codes = {ConfigError: 2, ManifestError: 2, CsvFormatError: 3, CheckpointError: 3,
+             SplitError: 3, TrainingDivergedError: 4}
+    for cls, code in codes.items():
+        assert issubclass(cls, ValueError) and cls.exit_code == code
+
+
+# Boundary values that the property test below gives each setting, from the
+# flag (as text) or from the config file (as JSON)
+EDGE_VALUES = [-1, 0, 1, 2**63, 2**64, -0.0, 1e-300, 1e300, "nan", "x" * 10_000]
+
+
+def _base_settings(command, dataset_dir, prepared, trained):
+    """A cheap run of ``command`` on the module fixtures: setting -> flag text."""
+    model = {"epochs": "1", "in_channels": str(CHANNELS), "out_channels": "2", "kernel": "3"}
+    return {
+        "prepare": {"manifest": str(dataset_dir / "manifest.json")},
+        "train": {"split": str(prepared), **model},
+        "evaluate": {"checkpoint": str(trained / "checkpoint.bin"), "split": str(prepared)},
+        "probe": {"checkpoint": str(trained / "checkpoint.bin"), "fs": str(FS),
+                  "epoch_len": "500", "repeats_sine": "1", "repeats_noise": "1"},
+        "sweep": {"split": str(prepared), "sweep_parameter": "kernel_size",
+                  "sweep_values": "3", **model},
+        "psd": {"split": str(prepared)},
+    }[command]
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_any_setting_value_exits_with_a_named_error(dataset_dir, prepared, trained, tmp_path,
+                                                    monkeypatch, capsys, data):
+    """Any (command, setting, boundary value) exits 0, 2, 3 or 4 with no other
+    exception and no numpy warning. A failure leaves no --out, and an exit 2
+    prints one line that names the setting."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    command, key = data.draw(st.sampled_from(PAIRS))
+    value = data.draw(st.sampled_from(EDGE_VALUES))
+    from_flag = data.draw(st.booleans())
+    work = tmp_path / str(len(list(tmp_path.iterdir())))
+    work.mkdir()
+    monkeypatch.chdir(work)  # a relative --out lands here
+    flags = {**_base_settings(command, dataset_dir, prepared, trained), "out": "o"}
+    cfg = {}
+    if from_flag:
+        flags[key] = str(value)
+    else:
+        flags.pop(key, None)
+        cfg[key] = value
+    (work / "settings.json").write_text(json.dumps(cfg))
+    argv = [command, "--config", "settings.json"]
+    for k, text in flags.items():
+        argv += [f"--{k.replace('_', '-')}", text]
+    out = cfg.get("out", flags.get("out"))
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejected the flag's text
+        assert exc.code == 2 and f"--{key.replace('_', '-')}" in capsys.readouterr().err
+        return
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    if rc == 0:
+        return
+    assert err.splitlines()[-1].startswith("error: ")
+    if rc == 2:
+        assert err.count("\n") == 1 and key in err
+    # sweep writes the header of ablation.csv before it finds that no point
+    # succeeded (TestSweep.test_no_point_succeeded)
+    if not (command == "sweep" and rc == 4):
+        assert not isinstance(out, str) or not os.path.lexists(out)
 
 
 class TestPsd:
     def test_group_psd_csv(self, prepared, tmp_path):
         out = tmp_path / "psd"
         rc = main(["psd", "--split", str(prepared), "--out", str(out)])
-        assert rc == EXIT_OK
+        assert rc == 0
         lines = (out / "group_psd.csv").read_text().splitlines()
         assert lines[0] == "freq,mean_0,sem_0,mean_1,sem_1"
 
@@ -950,7 +1071,7 @@ class TestPsd:
         (split_dir / "split.json").write_text(json.dumps(index))
         out = tmp_path / "psd"
         rc = main(["psd", "--split", str(split_dir), "--out", str(out)])
-        assert rc == EXIT_CONFIG
+        assert rc == 2
         assert "group PSD needs epochs from both classes" in capsys.readouterr().err
         assert not out.exists()
 

@@ -10,12 +10,12 @@ from eegcnn.model import (
     conv1d_same,
     forward,
     init_params,
-    param_count,
     predict,
     softmax,
 )
 
 from conftest import (
+    layer_param_counts,
     make_epoch,
     make_params,
     reference_backward,
@@ -40,11 +40,11 @@ def identity_params(channels=2, kernel=3):
 class TestInitParams:
     def test_default_param_counts_conv(self):
         p = init_params(0)
-        assert param_count(p)["conv"] == 38350
+        assert layer_param_counts(p)["conv"] == 38350
 
     def test_default_param_counts_fc(self):
         p = init_params(0)
-        assert param_count(p)["fc"] == 120
+        assert layer_param_counts(p)["fc"] == 120
 
     def test_seed_determinism(self):
         a, b = init_params(42), init_params(42)
@@ -114,11 +114,11 @@ class TestModelParams:
 class TestParamCount:
     def test_custom_config(self):
         p = init_params(0, ModelConfig(20, 20, 11))
-        assert param_count(p) == {"conv": 20 * 20 * 11 + 20, "fc": 2 * 20 + 2}
+        assert layer_param_counts(p) == {"conv": 20 * 20 * 11 + 20, "fc": 2 * 20 + 2}
 
     def test_minimal_config(self):
         p = init_params(0, ModelConfig(1, 1, 1))
-        assert param_count(p) == {"conv": 2, "fc": 4}
+        assert layer_param_counts(p) == {"conv": 2, "fc": 4}
 
 
 class TestConv1dSame:

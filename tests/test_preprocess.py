@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 import eegcnn.preprocess
-from eegcnn.data import CsvFormatError, Manifest, ManifestEntry, write_subject_csv
+from eegcnn.data import ConfigError, CsvFormatError, Manifest, ManifestEntry, write_subject_csv
 from eegcnn.preprocess import apply_zero_phase, design_highpass, load_filtered, welch_psd_batch
 
 from conftest import gain_db, make_recording, reference_load_filtered
@@ -29,6 +29,14 @@ class TestDesignHighpass:
     def test_non_positive_order_rejected(self):
         with pytest.raises(ValueError):
             design_highpass(1.0, 0, FS)
+
+    # at 7.9e-8 Hz and fs 100 Hz scipy divides 0 by 0 before the solve
+    # fails; a numpy warning fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cutoff", [1e-300, 1e-10, 7.943282347242822e-8])
+    def test_cutoff_too_low_for_initial_state_rejected(self, cutoff):
+        with pytest.raises(ConfigError, match=f"cutoff_hz {cutoff} is too low for filter_order 4"):
+            design_highpass(cutoff, 4, 100.0)
 
     def test_dc_killed(self):
         sos = design_highpass(1.0, 4, FS)
