@@ -321,15 +321,15 @@ def cmd_sweep(s: dict) -> None:
     base = _build(ModelConfig, s)
     model_configs = exp.sweep_configs(base, s["sweep_parameter"], s["sweep_values"])
     _check_model(s["split"], split, base)
-    out_dir = Path(s["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = exp.run_sweep(split, train_config, model_configs)
-    report.to_csv(out_dir / "ablation.csv")
     for value, err in sorted(report.errors.items()):
         print(f"sweep value {value} failed: {err}", file=sys.stderr)
-    print(f"wrote {out_dir / 'ablation.csv'} ({len(report.reports)} points)")
     if not report.reports:
         raise TrainingDivergedError("no sweep point succeeded")
+    out_dir = Path(s["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report.to_csv(out_dir / "ablation.csv")
+    print(f"wrote {out_dir / 'ablation.csv'} ({len(report.reports)} points)")
 
 
 def cmd_psd(s: dict) -> None:

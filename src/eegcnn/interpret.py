@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import check_seed, write_csv
-from .model import ModelParams, conv1d_same
+from .model import MAX_FLOATS, ModelParams, conv1d_same
 from .preprocess import welch_psd_batch
 
 
@@ -88,74 +88,110 @@ def gen_white_noise(spec: ProbeSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((spec.channels, spec.epoch_len))
 
 
-# Rows of the [R*out, T] pre-activation block that ReLU and the time mean run
-# on at a time, so the block (100 * 59 rows at the CLI defaults) is never
-# built whole. At paper shape and R = 100, 32 rows (640 kB at T = 2500) ran
-# the sweep about 10 % faster than 64 rows and twice as fast as 128.
-_ROWS = 32
+def relu_arc_sums(p: np.ndarray, q: np.ndarray, b: np.ndarray,
+                  angle: np.ndarray) -> np.ndarray:
+    """sum_t max(p sin(angle_t) + q cos(angle_t) + b, 0) for each row of the
+    equal-length vectors p, q and b.
+
+    A row is M cos(psi_t - theta) + b, with M = hypot(p, q),
+    theta = atan2(p, q) and psi_t the angle wrapped to [-pi, pi], so it is
+    positive exactly on the arc |psi - theta| < arccos(-b / M). The wrapped
+    angles are sorted once and laid twice round the circle, so every arc,
+    one that wraps past pi too, is one run of them, and prefix sums of their
+    sines and cosines give each row's sum between two ``searchsorted`` ends.
+    A row with b <= -M has an empty arc; one with b >= M sums every sample.
+    """
+    n = angle.size
+    trig = np.stack([np.sin(angle), np.cos(angle)])
+    psi = np.arctan2(trig[0], trig[1])
+    order = psi.argsort(kind="stable")
+    psi, trig = psi[order], trig[:, order]
+    circle = np.concatenate([psi, psi + 2.0 * np.pi])
+    prefix = np.zeros((2, 2 * n + 1))
+    np.cumsum(np.concatenate([trig, trig], axis=1), axis=1, out=prefix[:, 1:])
+    m, theta = np.hypot(p, q), np.arctan2(p, q)
+    with np.errstate(divide="ignore", invalid="ignore"):  # M = 0
+        half = np.arccos(np.minimum(np.maximum(-b / m, -1.0), 1.0))
+    lo = theta - half
+    turn = np.where(lo < -np.pi, 2.0 * np.pi, 0.0)
+    start = np.searchsorted(circle, lo + turn)
+    stop = np.searchsorted(circle, theta + half + turn)
+    full = b >= m  # an arc of the whole circle, whose rounded ends could miss a sample
+    start[full], stop[full] = 0, n
+    return (p * (prefix[0, stop] - prefix[0, start]) + q * (prefix[1, stop] - prefix[1, start])
+            + b * (stop - start))
 
 
 def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> SensitivityMap:
     """Mean pooling-layer activation per probe frequency, dropout off.
 
     Each of the ``repeats_sine`` probes of a frequency f feeds input channel n
-    the tone A sin(omega t + phi_n), with omega = 2 pi f / fs and
+    the tone A sin(omega u + phi_n), with omega = 2 pi f / fs and
     phi_n ~ U[0, 2 pi), and the pooled ReLU outputs are averaged over the
     repeats. The conv of a tone is a tone, so no forward pass is run. With
-    tap offsets d_k = k - pad, an output sample whose taps all read inside
-    the epoch is P sin(omega t) + Q cos(omega t) + b, where
+    tap offsets d_k = k - pad and, per repeat, the channel sums
 
-        alpha = sum_k W[:, :, k] cos(omega d_k),  beta = sum_k W[:, :, k] sin(omega d_k)
-        P = A (cos(phi) alpha^T - sin(phi) beta^T)
-        Q = A (cos(phi) beta^T + sin(phi) alpha^T)
+        Gc[o, k] = A sum_n cos(phi_n) W[o, n, k],  Gs[o, k] = A sum_n sin(phi_n) W[o, n, k],
 
-    for the [R, in] phases phi of the repeats. The first and last ``pad``
-    samples sum only the taps that read inside the epoch, as zero padding
-    does. The phases are drawn in the order that one draw per repeat would
-    give, so the result equals a forward per repeat up to rounding.
+    an output sample whose taps all read inside the epoch is
+    P sin(omega t) + Q cos(omega t) + b, where
+
+        P = sum_k Gc cos(omega d_k) - Gs sin(omega d_k)
+        Q = sum_k Gc sin(omega d_k) + Gs cos(omega d_k),
+
+    and its ReLU sum over the interior samples is one arc of the circle
+    (``relu_arc_sums``), so it costs O(log T) per output, not O(T). The first
+    and last ``pad`` samples sum only the taps that read inside the epoch, as
+    zero padding does, and are rectified one by one. The phases are drawn in
+    the order that one draw per repeat would give, so the result equals a
+    forward per repeat up to rounding.
     """
     rng = np.random.default_rng(spec.seed)
     freqs = spec.freq_grid
     w, b = checkpoint.conv_weight, checkpoint.conv_bias
     out_c, in_c, kernel = w.shape
+    repeats = spec.repeats_sine
     pad = (kernel - 1) // 2
     d = np.arange(kernel) - pad
     t = np.arange(spec.epoch_len)
     interior = t[pad : spec.epoch_len - pad]
     edge = t[(t < pad) | (t >= spec.epoch_len - pad)]
     taps = edge[:, None] + d  # [E, K] sample each tap of an edge output reads
-    in_epoch = (taps >= 0) & (taps < spec.epoch_len)
-    bias = np.tile(b, spec.repeats_sine)
+    # [K, 1 + E]: the tap offsets, then the sample each tap of each edge
+    # output reads, and where that sample lies inside the epoch
+    reads = np.column_stack([d, taps.T])
+    inside = np.column_stack([np.ones(kernel), ((taps >= 0) & (taps < spec.epoch_len)).T])
+    basis = np.empty((2 * kernel, 2 + edge.size))
+    w_in = w.transpose(1, 0, 2).reshape(in_c, out_c * kernel)
+    bias = np.tile(b, repeats)
     activation = np.empty((out_c, freqs.size))
     for j, f in enumerate(freqs):
         omega = 2.0 * np.pi * f / spec.fs
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(spec.repeats_sine, in_c))
-        trig = spec.amplitude * np.hstack([np.cos(phases), np.sin(phases)])  # [R, 2 in]
-        # Tap sums of the kernels: alpha and beta over all taps, then per edge
-        # output the sin and cos sums over the taps that read inside the epoch
-        # (the tone at sample u is A (cos(phi) sin(omega u) + sin(phi) cos(omega u))).
-        tap_basis = np.vstack([np.cos(omega * d), np.sin(omega * d),
-                               np.sin(omega * taps) * in_epoch, np.cos(omega * taps) * in_epoch])
-        sums = (w.reshape(-1, kernel) @ tap_basis.T).reshape(out_c, in_c, -1)
-        alpha, beta = sums[..., 0].T, sums[..., 1].T  # [in, out]
-        pq = trig @ np.block([[alpha, beta], [-beta, alpha]])  # [R, 2 out]: P, then Q
-        edge_sums = sums[..., 2:].reshape(out_c, in_c, 2, edge.size).transpose(2, 1, 0, 3)
-        edge_pre = trig @ edge_sums.reshape(2 * in_c, out_c * edge.size)
-        edge_pre = edge_pre.reshape(spec.repeats_sine, out_c, edge.size)
-        total = np.maximum(edge_pre + b[:, None], 0.0).sum(axis=2).reshape(-1)  # [R * out]
-        coef = np.stack([pq[:, :out_c].reshape(-1), pq[:, out_c:].reshape(-1), bias], axis=1)
-        basis = np.stack([np.sin(omega * interior), np.cos(omega * interior),
-                          np.ones(interior.size)])  # [3, T - 2 pad]
-        for i in range(0, coef.shape[0], _ROWS):
-            block = coef[i : i + _ROWS] @ basis
-            total[i : i + _ROWS] += np.maximum(block, 0.0, out=block).sum(axis=1)
-        activation[:, j] = (total.reshape(spec.repeats_sine, out_c) / spec.epoch_len).mean(axis=0)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(repeats, in_c))
+        trig = spec.amplitude * np.concatenate([np.cos(phases), np.sin(phases)])  # [2R, in]
+        # [R * out, 2K]: the row of repeat r and output o holds Gc, then Gs
+        g = (trig @ w_in).reshape(2, repeats * out_c, kernel).transpose(1, 0, 2)
+        # basis [2K, 2 + E] takes a row's Gc and Gs to P, Q and each edge
+        # output's sum over the taps that read inside the epoch (the tone at
+        # sample u is A (cos(phi) sin(omega u) + sin(phi) cos(omega u)))
+        sin, cos = np.sin(omega * reads) * inside, np.cos(omega * reads) * inside
+        basis[:kernel, 0], basis[:kernel, 1:] = cos[:, 0], sin
+        basis[kernel:, 0], basis[kernel:, 1:] = -sin[:, 0], cos
+        pre = g.reshape(-1, 2 * kernel) @ basis  # [R * out, 2 + E]
+        total = np.maximum(pre[:, 2:] + bias[:, None], 0.0).sum(axis=1)
+        total += relu_arc_sums(pre[:, 0], pre[:, 1], bias, omega * interior)
+        activation[:, j] = (total.reshape(repeats, out_c) / spec.epoch_len).mean(axis=0)
     return SensitivityMap(freqs=freqs, activation=activation)
 
 
 def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResponseMap:
     """Repeat-averaged Welch PSD of the conv layer's pre-ReLU outputs under
     white-noise input; estimates each output channel's filtering profile."""
+    rows = checkpoint.config.in_channels * checkpoint.config.kernel
+    if rows * spec.epoch_len > MAX_FLOATS:
+        raise ValueError(f"epoch_len {spec.epoch_len} is too long: the conv's [in_channels * "
+                         f"kernel, epoch_len] = [{rows}, {spec.epoch_len}] im2col holds more "
+                         f"float64 values than one numpy array can ({MAX_FLOATS})")
     rng = np.random.default_rng(spec.seed)
     freqs = None
     power = None

@@ -18,6 +18,9 @@ DROPOUT_RATE = 0.1
 # The labels are binary, PD vs Control (data.LABEL_CODES), so the fc layer has
 # two outputs.
 CLASSES = 2
+# The most float64 values that one numpy array can hold: its byte count must
+# fit np.intp.
+MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,10 @@ class ModelConfig:
             raise ValueError(f"kernel must be odd for symmetric same padding, got {self.kernel}")
         if min(self.in_channels, self.out_channels, self.kernel) < 1:
             raise ValueError(f"all model dimensions must be positive: {self}")
+        if self.size > MAX_FLOATS:
+            raise ValueError(f"in_channels {self.in_channels}, out_channels {self.out_channels} "
+                             f"and kernel {self.kernel} give {self.size} parameters, more "
+                             f"float64 values than one numpy array can hold ({MAX_FLOATS})")
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of each ModelParams block, in ``ModelParams.flat`` order."""

@@ -10,6 +10,7 @@ from eegcnn.interpret import (
     fir_power_response,
     gen_white_noise,
     pooling_sensitivity,
+    relu_arc_sums,
 )
 
 FS = 500.0
@@ -130,6 +131,33 @@ def test_one_phase_draw_equals_sequential_draws():
         np.testing.assert_array_equal(at_once, np.stack(one_by_one))
 
 
+class TestReluArcSums:
+    # p, q, b rows: M = 0 with b > 0, b = 0 and b < 0; b = M and b = -M exactly
+    # (M = 5); arcs centred on pi, just below it and just above -pi, which wrap
+    # past +-pi; an arc narrower than one sample step
+    EDGE_ROWS = np.array([
+        [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0],
+        [3.0, 4.0, 5.0], [-3.0, 4.0, -5.0], [3.0, -4.0, 5.0], [-4.0, -3.0, -5.0],
+        [0.0, -1.0, 0.2], [np.sin(np.pi - 0.1), np.cos(np.pi - 0.1), 0.5],
+        [np.sin(0.1 - np.pi), np.cos(0.1 - np.pi), 0.5], [0.0, 2.0, -1.9999],
+    ])
+
+    @pytest.mark.parametrize("omega", [0.0, np.pi, 0.3, 2.0 * np.pi * 57.0 / FS, 2.9])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 600])
+    def test_matches_direct_sum(self, omega, n):
+        """omega = 0 and omega = pi repeat their angles; n = 0 is an empty interior."""
+        gen = np.random.default_rng(n)
+        rows = np.vstack([self.EDGE_ROWS, gen.standard_normal((200, 3)) * [1.0, 1.0, 0.7]])
+        p, q, b = rows.T
+        angle = omega * np.arange(5, 5 + n)
+        want = np.maximum(p[:, None] * np.sin(angle) + q[:, None] * np.cos(angle)
+                          + b[:, None], 0.0).sum(axis=1)
+        got = relu_arc_sums(p, q, b, angle)
+        assert got.shape == want.shape
+        scale = (np.abs(p) + np.abs(q) + np.abs(b)) * max(n, 1)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
 class TestPoolingSensitivity:
     @given(
         in_c=st.integers(1, 4),
@@ -146,8 +174,9 @@ class TestPoolingSensitivity:
         repeats=st.integers(1, 4),
         seed=st.integers(0, 1000),
     )
-    # the paper and acceptance shapes, whose R * out rows span several row
-    # chunks, the last one partial
+    # the paper and acceptance shapes, and more than 1000 (R * out) rows
+    @example(in_c=59, out_c=59, kernel=11, t=600, fs=FS, amplitude=1.0,
+             nyquist_fractions=[0.0, 0.0548, 0.4, 1.0], bias_sign=1.0, repeats=20, seed=11)
     @example(in_c=59, out_c=59, kernel=11, t=2500, fs=FS, amplitude=1.0,
              nyquist_fractions=[0.0, 0.0548, 0.4, 1.0], bias_sign=1.0, repeats=2, seed=5)
     @example(in_c=8, out_c=8, kernel=51, t=600, fs=FS, amplitude=1.0,
