@@ -9,12 +9,7 @@ filter's power response, compared against the analytic |DFT|^2 of its kernel.
 import numpy as np
 
 from eegcnn.data import split_dataset
-from eegcnn.interpret import (
-    ProbeSpec,
-    conv_filter_response,
-    fir_power_response,
-    pooling_sensitivity,
-)
+from eegcnn.interpret import ProbeSpec, conv_filter_response, pooling_sensitivity
 from eegcnn.model import ModelConfig
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainConfig, train
@@ -51,11 +46,11 @@ def main():
     resp = conv_filter_response(model, spec)
     print("\nconv filter power responses vs analytic kernel spectra:")
     band = (resp.freqs >= 1.0) & (resp.freqs <= 49.0)
+    # |DFT|^2 of each kernel, summed over input channels; with a 1 s Welch
+    # window at an integer fs its bins are exactly resp.freqs
+    kernel_power = (np.abs(np.fft.rfft(model.conv_weight, n=int(FS), axis=-1)) ** 2).sum(axis=1)
     for i in range(model.conv_weight.shape[0]):
-        analytic = sum(
-            fir_power_response(model.conv_weight[i, j], resp.freqs[band], FS)
-            for j in range(model.conv_weight.shape[1])
-        ) * (2.0 / FS)
+        analytic = kernel_power[i][band] * (2.0 / FS)
         est = resp.power[i][band]
         rel_rms = np.sqrt(np.mean((est - analytic) ** 2)) / np.sqrt(np.mean(analytic**2))
         print(f"  filter {i}: relative RMS vs analytic = {rel_rms:.3f}")

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-import tokenize
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
@@ -33,25 +31,6 @@ from . import preprocess as pre
 from .data import ConfigError
 from .model import ModelConfig
 from .train import TrainConfig, TrainingDivergedError, train as run_training
-
-_PARTITIONS = ("train", "validation", "test")
-
-
-# split.json values: key -> (test, what the value must be)
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
-_INDEX_VALUES = {
-    "seed": (dat.is_int, "an integer"),
-    "fs": (dat.is_positive, "a positive number"),
-    "subject_assignment": _OBJECT,
-    "partitions": _OBJECT,
-}
-_PARTITION_VALUES = {name: (lambda v: isinstance(v, list), "a list") for name in _PARTITIONS}
-_EPOCH_VALUES = {
-    "subject_id": (dat.is_str, "a string"),
-    "epoch_index": (dat.is_int, "an integer"),
-    "label": (lambda v: dat.is_int(v) and v in (0, 1), "0 or 1"),
-}
-
 
 _INT64 = range(-(2**63), 2**63)
 
@@ -107,11 +86,6 @@ SETTINGS = {
 _KNOWN = set().union(*SETTINGS.values())
 
 
-class SplitError(dat.EegcnnError):
-    """Malformed or inconsistent split directory."""
-    exit_code = 3
-
-
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -151,94 +125,9 @@ def _build(cls, settings: dict, **extra):
     return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings}, **extra)
 
 
-def _write_split(out_dir: Path, split: dat.DatasetSplit, fs: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index = {
-        "seed": split.seed,
-        "fs": fs,
-        "subject_assignment": dict(sorted(split.subject_assignment.items())),
-        "partitions": {
-            name: [
-                {"subject_id": ep.subject_id, "epoch_index": ep.epoch_index, "label": ep.label}
-                for ep in split.partition(name)
-            ]
-            for name in _PARTITIONS
-        },
-    }
-    (out_dir / "split.json").write_text(json.dumps(index, indent=2, sort_keys=True))
-    for name in _PARTITIONS:
-        np.save(out_dir / f"{name}_data.npy", np.stack([ep.data for ep in split.partition(name)]))
-
-
-def _read_split(split_dir: str | Path) -> tuple[dat.DatasetSplit, float]:
-    split_dir = Path(split_dir)
-    index_path = split_dir / "split.json"
-    index = dat.parse_json(index_path, index_path.read_bytes(), SplitError)
-    dat.check_object(index_path, index, "", _INDEX_VALUES, SplitError)
-    dat.check_object(index_path, index["partitions"], "partitions.", _PARTITION_VALUES, SplitError)
-    assignment = index["subject_assignment"]
-    for subject, name in assignment.items():
-        if name not in _PARTITIONS:
-            raise SplitError(f"{index_path}: 'subject_assignment.{subject}' must be one of "
-                             f"{', '.join(_PARTITIONS)}, got {name!r}")
-    parts = {}
-    for name in _PARTITIONS:
-        entries = index["partitions"][name]
-        if not entries:
-            raise SplitError(f"{index_path}: partition '{name}' holds no epochs")
-        data_path = split_dir / f"{name}_data.npy"
-        stack = _load_stack(data_path)
-        if len(entries) != stack.shape[0]:
-            raise SplitError(f"{split_dir}: {name} index/data length mismatch")
-        for i, e in enumerate(entries):
-            dat.check_object(index_path, e, f"partitions.{name}[{i}].", _EPOCH_VALUES, SplitError)
-            owner = assignment.get(e["subject_id"])
-            if owner != name:
-                raise SplitError(f"{index_path}: partitions.{name}[{i}].subject_id "
-                                 f"{e['subject_id']!r} is assigned to {owner!r}")
-        try:
-            parts[name] = [
-                dat.Epoch(
-                    data=stack[i],
-                    label=e["label"],
-                    subject_id=e["subject_id"],
-                    epoch_index=e["epoch_index"],
-                )
-                for i, e in enumerate(entries)
-            ]
-        except ValueError as exc:  # a non-finite sample
-            raise SplitError(f"{data_path}: {exc}") from None
-    split = dat.DatasetSplit(
-        train=parts["train"],
-        validation=parts["validation"],
-        test=parts["test"],
-        seed=index["seed"],
-        subject_assignment=assignment,
-    )
-    return split, float(index["fs"])
-
-
-def _load_stack(path: Path) -> np.ndarray:
-    """One partition's [epochs, channels, samples] float64 stack. The .npy
-    header is checked against the file size first, so numpy never allocates
-    for more data than the file holds."""
-    fmt = np.lib.format
-    try:
-        with path.open("rb") as fh:
-            version = fmt.read_magic(fh)
-            read_header = (fmt.read_array_header_1_0 if version == (1, 0)
-                           else fmt.read_array_header_2_0)
-            shape, _, dtype = read_header(fh)
-            data_bytes = path.stat().st_size - fh.tell()
-        if len(shape) != 3 or dtype != np.float64:
-            raise ValueError(f"got a {len(shape)}-D {dtype} array")
-        if data_bytes != 8 * math.prod(shape):
-            raise ValueError(f"shape {shape} needs {8 * math.prod(shape)} bytes of data, "
-                             f"the file holds {data_bytes}")
-        return np.load(path)
-    # numpy's .npy header parser raises any of these on a damaged header
-    except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
-        raise SplitError(f"{path}: not a readable 3-D float64 array ({exc})") from None
+# bench/run.py's psd stage reads splits by this name until it calls
+# data.load_split itself (ROADMAP item 1)
+_read_split = dat.load_split
 
 
 def cmd_prepare(s: dict) -> None:
@@ -248,8 +137,8 @@ def cmd_prepare(s: dict) -> None:
     dat.epoch_length(s["epoch_seconds"], manifest.fs)
     subjects = pre.load_filtered(manifest, s["cutoff_hz"], s["filter_order"])
     split = dat.split_dataset(subjects, seed=s["seed"], epoch_seconds=s["epoch_seconds"])
-    _write_split(Path(s["out"]), split, manifest.fs)
-    counts = {n: list(split.subject_assignment.values()).count(n) for n in _PARTITIONS}
+    dat.save_split(s["out"], split, manifest.fs)
+    counts = {n: list(split.subject_assignment.values()).count(n) for n in dat.PARTITIONS}
     print(f"prepared split: subjects {counts}, epochs "
           f"{ {n: len(split.partition(n)) for n in counts} }")
 
@@ -269,7 +158,7 @@ def _check_model(split_dir, split: dat.DatasetSplit, config: ModelConfig, source
 
 
 def cmd_train(s: dict) -> None:
-    split, _ = _read_split(s["split"])
+    split, _ = dat.load_split(s["split"])
     train_config = _build(TrainConfig, s)
     model_config = _build(ModelConfig, s)
     _check_model(s["split"], split, model_config)
@@ -283,7 +172,7 @@ def cmd_train(s: dict) -> None:
 
 def cmd_evaluate(s: dict) -> None:
     params, _ = ckpt.load_checkpoint(s["checkpoint"])
-    split, _ = _read_split(s["split"])
+    split, _ = dat.load_split(s["split"])
     _check_model(s["split"], split, params.config, f"checkpoint {s['checkpoint']}: ")
     report = met.evaluate(params, split.test)
     out_dir = Path(s["out"])
@@ -316,9 +205,11 @@ def cmd_probe(s: dict) -> None:
 
 
 def cmd_sweep(s: dict) -> None:
-    split, _ = _read_split(s["split"])
+    split, _ = dat.load_split(s["split"])
     train_config = _build(TrainConfig, s)
-    base = _build(ModelConfig, s)
+    # every point replaces the swept field, so its own setting is not checked
+    swept = exp.SWEPT_FIELDS.get(s["sweep_parameter"])
+    base = _build(ModelConfig, {k: v for k, v in s.items() if k != swept})
     model_configs = exp.sweep_configs(base, s["sweep_parameter"], s["sweep_values"])
     _check_model(s["split"], split, base)
     report = exp.run_sweep(split, train_config, model_configs)
@@ -333,7 +224,7 @@ def cmd_sweep(s: dict) -> None:
 
 
 def cmd_psd(s: dict) -> None:
-    split, fs = _read_split(s["split"])
+    split, fs = dat.load_split(s["split"])
     gp = exp.group_psd(split.train + split.validation + split.test, fs)
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,6 @@
-"""Subject CSV loading, epoch segmentation and subject-level dataset splits."""
+"""Subject CSV loading, epoch segmentation, subject-level dataset splits, and
+the split directory (``split.json`` plus one ``.npy`` stack per partition)
+that ``save_split`` writes and ``load_split`` reads."""
 
 from __future__ import annotations
 
@@ -6,6 +8,7 @@ import csv
 import json
 import math
 import sys
+import tokenize
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +34,11 @@ class ManifestError(EegcnnError):
 
 class CsvFormatError(EegcnnError):
     """Malformed subject CSV; message carries the offending row/column."""
+    exit_code = 3
+
+
+class SplitError(EegcnnError):
+    """Malformed or inconsistent split directory."""
     exit_code = 3
 
 
@@ -94,6 +102,9 @@ class Epoch:
             raise ValueError(f"non-finite values in epoch {self.epoch_index} of {self.subject_id}")
 
 
+PARTITIONS = ("train", "validation", "test")
+
+
 @dataclass(frozen=True)
 class DatasetSplit:
     train: list[Epoch]
@@ -103,7 +114,7 @@ class DatasetSplit:
     subject_assignment: dict[str, str] = field(default_factory=dict)
 
     def partition(self, name: str) -> list[Epoch]:
-        return {"train": self.train, "validation": self.validation, "test": self.test}[name]
+        return getattr(self, name)
 
 
 def is_int(v) -> bool:
@@ -151,8 +162,9 @@ def parse_json(path, blob: bytes, error: type[Exception]):
 _MANIFEST_VALUES = {
     "fs": (is_positive, "a finite positive number"),
     # a control character in a name would not survive a CSV header unquoted
-    "channels": (lambda v: isinstance(v, list) and all(is_str(c) and c.isprintable() for c in v),
-                 "a list of printable strings"),
+    "channels": (lambda v: isinstance(v, list) and len(v) > 0
+                 and all(is_str(c) and c.isprintable() for c in v),
+                 "a non-empty list of printable strings"),
     "subjects": (lambda v: isinstance(v, list), "a list of objects"),
 }
 _SUBJECT_VALUES = {
@@ -370,11 +382,8 @@ def split_dataset(
     n = len(shuffled)
     n_train = round(0.6 * n)
     n_val = round(0.2 * n)
-    groups = {
-        "train": shuffled[:n_train],
-        "validation": shuffled[n_train : n_train + n_val],
-        "test": shuffled[n_train + n_val :],
-    }
+    bounds = (0, n_train, n_train + n_val, n)
+    groups = {name: shuffled[lo:hi] for name, lo, hi in zip(PARTITIONS, bounds, bounds[1:])}
     if not all(groups.values()):
         sizes = "/".join(str(len(subs)) for subs in groups.values())
         raise ValueError(
@@ -396,10 +405,107 @@ def split_dataset(
             f"without epochs; the shortest recording, {shortest.subject_id}, is "
             f"{shortest.n_samples / shortest.fs:g} s"
         )
-    return DatasetSplit(
-        train=parts["train"],
-        validation=parts["validation"],
-        test=parts["test"],
-        seed=seed,
-        subject_assignment=assignment,
-    )
+    return DatasetSplit(**parts, seed=seed, subject_assignment=assignment)
+
+
+# split.json values: key -> (test, what the value must be)
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_INDEX_VALUES = {
+    "seed": (is_int, "an integer"),
+    "fs": (is_positive, "a positive number"),
+    "subject_assignment": _OBJECT,
+    "partitions": _OBJECT,
+}
+_PARTITION_VALUES = {name: (lambda v: isinstance(v, list), "a list") for name in PARTITIONS}
+_EPOCH_VALUES = {
+    "subject_id": (is_str, "a string"),
+    "epoch_index": (is_int, "an integer"),
+    "label": (lambda v: is_int(v) and v in (0, 1), "0 or 1"),
+}
+
+
+def save_split(out_dir: str | Path, split: DatasetSplit, fs: float) -> None:
+    """Write ``split`` to ``out_dir``: ``split.json`` (seed, fs, subject
+    assignment and each epoch's subject id, epoch index and label) and one
+    ``<partition>_data.npy`` [epochs, channels, samples] stack per partition."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    index = {
+        "seed": split.seed,
+        "fs": fs,
+        "subject_assignment": dict(sorted(split.subject_assignment.items())),
+        "partitions": {
+            name: [
+                {"subject_id": ep.subject_id, "epoch_index": ep.epoch_index, "label": ep.label}
+                for ep in split.partition(name)
+            ]
+            for name in PARTITIONS
+        },
+    }
+    (out_dir / "split.json").write_text(json.dumps(index, indent=2, sort_keys=True))
+    for name in PARTITIONS:
+        np.save(out_dir / f"{name}_data.npy", np.stack([ep.data for ep in split.partition(name)]))
+
+
+def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
+    """The split that ``save_split`` wrote to ``split_dir``, and its sampling
+    rate. A malformed or inconsistent directory raises SplitError naming the
+    file and the key."""
+    split_dir = Path(split_dir)
+    index_path = split_dir / "split.json"
+    index = parse_json(index_path, index_path.read_bytes(), SplitError)
+    check_object(index_path, index, "", _INDEX_VALUES, SplitError)
+    check_object(index_path, index["partitions"], "partitions.", _PARTITION_VALUES, SplitError)
+    assignment = index["subject_assignment"]
+    for subject, name in assignment.items():
+        if name not in PARTITIONS:
+            raise SplitError(f"{index_path}: 'subject_assignment.{subject}' must be one of "
+                             f"{', '.join(PARTITIONS)}, got {name!r}")
+    parts = {}
+    for name in PARTITIONS:
+        entries = index["partitions"][name]
+        if not entries:
+            raise SplitError(f"{index_path}: partition '{name}' holds no epochs")
+        data_path = split_dir / f"{name}_data.npy"
+        stack = _load_stack(data_path)
+        if len(entries) != stack.shape[0]:
+            raise SplitError(f"{split_dir}: {name} index/data length mismatch")
+        for i, e in enumerate(entries):
+            check_object(index_path, e, f"partitions.{name}[{i}].", _EPOCH_VALUES, SplitError)
+            owner = assignment.get(e["subject_id"])
+            if owner != name:
+                raise SplitError(f"{index_path}: partitions.{name}[{i}].subject_id "
+                                 f"{e['subject_id']!r} is assigned to {owner!r}")
+        try:
+            parts[name] = [
+                Epoch(data=stack[i], label=e["label"], subject_id=e["subject_id"],
+                      epoch_index=e["epoch_index"])
+                for i, e in enumerate(entries)
+            ]
+        except ValueError as exc:  # a non-finite sample
+            raise SplitError(f"{data_path}: {exc}") from None
+    split = DatasetSplit(**parts, seed=index["seed"], subject_assignment=assignment)
+    return split, float(index["fs"])
+
+
+def _load_stack(path: Path) -> np.ndarray:
+    """One partition's [epochs, channels, samples] float64 stack. The .npy
+    header is checked against the file size first, so numpy never allocates
+    for more data than the file holds."""
+    fmt = np.lib.format
+    try:
+        with path.open("rb") as fh:
+            version = fmt.read_magic(fh)
+            read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                           else fmt.read_array_header_2_0)
+            shape, _, dtype = read_header(fh)
+            data_bytes = path.stat().st_size - fh.tell()
+        if len(shape) != 3 or dtype != np.float64:
+            raise ValueError(f"got a {len(shape)}-D {dtype} array")
+        if data_bytes != 8 * math.prod(shape):
+            raise ValueError(f"shape {shape} needs {8 * math.prod(shape)} bytes of data, "
+                             f"the file holds {data_bytes}")
+        return np.load(path)
+    # numpy's .npy header parser raises any of these on a damaged header
+    except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
+        raise SplitError(f"{path}: not a readable 3-D float64 array ({exc})") from None

@@ -13,7 +13,7 @@ from .model import ModelConfig
 from .preprocess import welch_psd_batch
 from .train import TrainConfig, train
 
-_SWEPT_FIELDS = {"kernel_size": "kernel", "out_channels": "out_channels"}
+SWEPT_FIELDS = {"kernel_size": "kernel", "out_channels": "out_channels"}
 
 
 def sweep_configs(
@@ -22,13 +22,13 @@ def sweep_configs(
     """One model config per sweep value, in sweep order; only ``parameter``
     ("kernel_size" or "out_channels") differs from ``base``. ModelConfig's own
     checks reject a bad value."""
-    if parameter not in _SWEPT_FIELDS:
+    if parameter not in SWEPT_FIELDS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; sweep_parameter must be "
-                         f"one of {', '.join(_SWEPT_FIELDS)}")
+                         f"one of {', '.join(SWEPT_FIELDS)}")
     if not values:
         raise ValueError("sweep_values needs at least one value")
     try:
-        return {v: replace(base, **{_SWEPT_FIELDS[parameter]: v}) for v in values}
+        return {v: replace(base, **{SWEPT_FIELDS[parameter]: v}) for v in values}
     except ValueError as exc:  # from ModelConfig's checks
         raise ValueError(f"sweep_values: {exc}") from None
 

@@ -205,11 +205,3 @@ def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResp
             power += p
     return FilterResponseMap(freqs=freqs, power=power / spec.repeats_noise)
 
-
-def fir_power_response(kernel: np.ndarray, freqs: np.ndarray, fs: float) -> np.ndarray:
-    """Analytic |DFT(kernel)|^2 evaluated at the given frequencies."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    k = np.arange(kernel.size)
-    phase = -2.0j * np.pi * np.asarray(freqs)[:, None] * k[None, :] / fs
-    h = (kernel[None, :] * np.exp(phase)).sum(axis=1)
-    return np.abs(h) ** 2

@@ -252,6 +252,16 @@ def reference_pooling_sensitivity(params, spec):
     return activation
 
 
+def fir_power_response(kernel, freqs, fs):
+    """Analytic |DFT(kernel)|^2 at the given frequencies: the noise probe's
+    expected power response of one FIR filter, up to the one-sided 2/fs."""
+    kernel = np.asarray(kernel, dtype=np.float64)
+    k = np.arange(kernel.size)
+    phase = -2.0j * np.pi * np.asarray(freqs)[:, None] * k[None, :] / fs
+    h = (kernel[None, :] * np.exp(phase)).sum(axis=1)
+    return np.abs(h) ** 2
+
+
 def finite_diff_check(params: ModelParams, epoch: Epoch, eps: float = 1e-5) -> float:
     """Worst relative error between analytic and central-difference gradients.
 

@@ -14,14 +14,14 @@ import pytest
 
 from eegcnn.checkpoint import save_checkpoint
 from eegcnn.data import Epoch, split_dataset
-from eegcnn.interpret import ProbeSpec, conv_filter_response, fir_power_response, pooling_sensitivity
+from eegcnn.interpret import ProbeSpec, conv_filter_response, pooling_sensitivity
 from eegcnn.metrics import evaluate, roc_auc
 from eegcnn.model import ModelConfig, forward, init_params
 from eegcnn.preprocess import design_highpass
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainConfig, train
 
-from conftest import finite_diff_check, gain_db, layer_param_counts, make_params
+from conftest import finite_diff_check, fir_power_response, gain_db, layer_param_counts, make_params
 from test_metrics import pair_counting_auc
 
 

@@ -14,18 +14,19 @@ from hypothesis import strategies as st
 import eegcnn.cli
 import eegcnn.interpret
 import eegcnn.preprocess
-from eegcnn.cli import (
-    SETTINGS,
-    SplitError,
-    _PARTITIONS,
-    _read_split,
-    _write_split,
-    build_parser,
-    main,
-    resolve_settings,
-)
+from eegcnn.cli import SETTINGS, build_parser, main, resolve_settings
 from eegcnn.checkpoint import CheckpointError, save_checkpoint
-from eegcnn.data import ConfigError, CsvFormatError, DatasetSplit, ManifestError, write_subject_csv
+from eegcnn.data import (
+    PARTITIONS as _PARTITIONS,
+    ConfigError,
+    CsvFormatError,
+    DatasetSplit,
+    ManifestError,
+    SplitError,
+    load_split as _read_split,
+    save_split as _write_split,
+    write_subject_csv,
+)
 from eegcnn.model import ModelConfig, init_params
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainingDivergedError
@@ -232,7 +233,7 @@ class TestPrepare:
         ("fs", 0), ("fs", float("inf")), pytest.param("fs", 10**400, id="huge-fs"),
         ("channels", "ch0"), ("channels", [0, 1, 2]), ("subjects", {}), ("subjects[0]", ["x"]),
         ("subjects[0].id", 3), ("subjects[0].file", ["x"]), ("subjects[0].label", ["PD"]),
-        ("subjects[0].label", "Sick"), ("channels", ["ch0", "a\rb", "ch2"]),
+        ("subjects[0].label", "Sick"), ("channels", ["ch0", "a\rb", "ch2"]), ("channels", []),
     ])
     def test_bad_manifest_value(self, dataset_dir, tmp_path, capsys, key, value):
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
@@ -711,6 +712,22 @@ class TestSweep:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--sweep-parameter", "kernel_size", "--sweep-values", "3,5", "--kernel", "4",
+         "--out-channels", "2"],
+        ["--sweep-parameter", "out_channels", "--sweep-values", "1,2", "--out-channels", "0",
+         "--kernel", "3"],
+    ], ids=["even-kernel", "zero-channels"])
+    def test_swept_setting_not_checked(self, prepared, tmp_path, flags):
+        """Every point replaces the swept setting, so a value of it that no
+        model could take does not stop the sweep."""
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--split", str(prepared), "--out", str(out),
+                   "--epochs", "1", "--in-channels", str(CHANNELS), *flags])
+        assert rc == 0
+        rows = (out / "ablation.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == flags[3].split(",")
 
     def test_kernel_one_and_repeated_value(self, prepared, tmp_path):
         out = tmp_path / "sweep"

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import eegcnn.cli
 import eegcnn.data
 
 from eegcnn.data import (
+    PARTITIONS,
     CsvFormatError,
     Manifest,
     ManifestEntry,
@@ -19,7 +21,9 @@ from eegcnn.data import (
     SubjectRecording,
     epoch_recording,
     load_manifest,
+    load_split,
     load_subject_csv,
+    save_split,
     split_dataset,
     write_csv,
     write_subject_csv,
@@ -498,6 +502,32 @@ class TestSplitDataset:
         total = len(split.train) + len(split.validation) + len(split.test)
         expected = sum(s.n_samples // 2500 for s in subs)
         assert total == expected
+
+
+class TestSplitDirectory:
+    def test_round_trip(self, tmp_path):
+        split = split_dataset(_subjects(6), seed=3)
+        save_split(tmp_path / "a", split, 500.0)
+        loaded, fs = load_split(tmp_path / "a")
+        assert fs == 500.0
+        assert loaded.seed == 3
+        assert loaded.subject_assignment == split.subject_assignment
+        for name in PARTITIONS:
+            got, want = loaded.partition(name), split.partition(name)
+            assert ([(e.subject_id, e.epoch_index, e.label) for e in got]
+                    == [(e.subject_id, e.epoch_index, e.label) for e in want])
+            for g, w in zip(got, want):
+                assert g.data.dtype == np.float64 and g.data.shape == w.data.shape
+                assert g.data.tobytes() == w.data.tobytes()
+        save_split(tmp_path / "b", loaded, fs)
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["split.json", *(f"{n}_data.npy" for n in sorted(PARTITIONS))]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+    def test_cli_reader_is_the_library_reader(self):
+        assert eegcnn.cli._read_split is eegcnn.data.load_split
 
 
 class TestSubjectRecordingInvariants:

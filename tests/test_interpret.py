@@ -3,11 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_sinusoid_probe, make_params, reference_pooling_sensitivity
+from conftest import fir_power_response, gen_sinusoid_probe, make_params, reference_pooling_sensitivity
 from eegcnn.interpret import (
     ProbeSpec,
     conv_filter_response,
-    fir_power_response,
     gen_white_noise,
     pooling_sensitivity,
     relu_arc_sums,

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegcnn.checkpoint import save_checkpoint
-from eegcnn.cli import _write_split, main
-from eegcnn.data import DatasetSplit
+from eegcnn.cli import main
+from eegcnn.data import DatasetSplit, save_split as _write_split
 from eegcnn.metrics import (
     ConfusionMatrix,
     confusion,
