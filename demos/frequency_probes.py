@@ -2,8 +2,9 @@
 
 Trains a tiny model on two-tone data, then interrogates it with the two
 frequency probes: a sinusoid sweep of the pooled activations (which input
-frequencies drive each pooled unit) and a white-noise estimate of each conv
-filter's power response, compared against the analytic |DFT|^2 of its kernel.
+frequencies drive each pooled unit) and each conv filter's expected power
+response under white noise, compared against the analytic |DFT|^2 of its
+kernel.
 """
 
 import numpy as np
@@ -31,9 +32,7 @@ def main():
     model = history.best_checkpoint
 
     spec = ProbeSpec(
-        fs=FS, epoch_len=500, channels=2,
-        frequencies=np.arange(1.0, 50.0), repeats_sine=10, repeats_noise=100,
-        seed=0,
+        fs=FS, epoch_len=500, frequencies=np.arange(1.0, 50.0), repeats_sine=10, seed=0,
     )
 
     smap = pooling_sensitivity(model, spec)

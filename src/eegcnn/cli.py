@@ -75,7 +75,7 @@ SETTINGS = {
     "evaluate": {"checkpoint": _PATH, "split": _PATH, "out": _PATH},
     "probe": {
         "checkpoint": _PATH, "out": _PATH,
-        **_fields(itp.ProbeSpec, skip=("channels", "frequencies")),
+        **_fields(itp.ProbeSpec, skip=("frequencies",)),
     },
     "sweep": {
         "split": _PATH, "out": _PATH, "sweep_parameter": (str, None),
@@ -183,7 +183,7 @@ def cmd_evaluate(s: dict) -> None:
 
 def cmd_probe(s: dict) -> None:
     params, _ = ckpt.load_checkpoint(s["checkpoint"])
-    spec = _build(itp.ProbeSpec, s, channels=params.config.in_channels)
+    spec = _build(itp.ProbeSpec, s)
     # Both maps are computed, without numpy's overflow warnings, and checked
     # before anything is written. The noise response goes first: its Welch
     # check rejects an epoch shorter than one window before the sweep runs.

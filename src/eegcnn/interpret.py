@@ -1,41 +1,49 @@
 """Frequency-domain probing of a trained model.
 
 Two probes: a single-tone sinusoid sweep that maps the pooling layer's
-sensitivity across frequencies, and white-noise system identification of the
-convolutional layer's per-channel filtering profile.
+sensitivity across frequencies, and the expected Welch PSD of the
+convolutional layer's outputs under white-noise input, each output channel's
+filtering profile, worked out exactly rather than sampled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import check_seed, write_csv
-from .model import MAX_FLOATS, ModelParams, conv1d_same
-from .preprocess import welch_psd_batch
+from .model import MAX_FLOATS, ModelParams
+from .preprocess import welch_window
 
 
 @dataclass(frozen=True)
 class ProbeSpec:
     fs: float = 500.0
     epoch_len: int = 2500
-    channels: int = 59
     amplitude: float = 1.0
     frequencies: np.ndarray | None = None  # default: 0..fs/2 in 1 Hz steps
     repeats_sine: int = 100
-    repeats_noise: int = 300
     seed: int = 0
+    # Removed settings, accepted and ignored only because bench/run.py's
+    # run_probe still passes them (until ROADMAP item 1 drops them there)
+    channels: InitVar[int | None] = None
+    repeats_noise: InitVar[int | None] = None
 
-    def __post_init__(self):
-        if self.repeats_sine < 1 or self.repeats_noise < 1:
-            raise ValueError(f"repeats_sine and repeats_noise must be >= 1, got "
-                             f"{self.repeats_sine} and {self.repeats_noise}")
+    def __post_init__(self, channels, repeats_noise):
+        if self.repeats_sine < 1:
+            raise ValueError(f"repeats_sine must be >= 1, got {self.repeats_sine}")
         if not (np.isfinite(self.fs) and self.fs > 0):
             raise ValueError(f"fs must be a finite positive number, got {self.fs}")
         if self.epoch_len < 1:
             raise ValueError(f"epoch_len must be >= 1, got {self.epoch_len}")
+        # the largest array either probe builds: the tone sweep's [2, 2T + 1] prefix sums
+        if self.epoch_len > MAX_FLOATS // 4:
+            raise ValueError(f"epoch_len {self.epoch_len} is too long: the tone probe's "
+                             f"[2, 2 * epoch_len + 1] prefix sums hold more float64 values "
+                             f"than one numpy array can ({MAX_FLOATS})")
         check_seed(self.seed)
         if self.frequencies is None:
             return
@@ -70,7 +78,7 @@ class SensitivityMap:
 @dataclass(frozen=True)
 class FilterResponseMap:
     freqs: np.ndarray
-    power: np.ndarray  # [out_channels, n_freqs], repeat-averaged one-sided PSD
+    power: np.ndarray  # [out_channels, n_freqs], expected one-sided Welch PSD
 
     def to_csv_dir(self, out_dir: str | Path) -> list[Path]:
         """One (freq, power) CSV per convolutional output channel."""
@@ -81,11 +89,6 @@ class FilterResponseMap:
             paths.append(out_dir / f"filter_response_ch{ch:02d}.csv")
             write_csv(paths[-1], ["freq", "power"], zip(self.freqs.tolist(), row.tolist()))
         return paths
-
-
-def gen_white_noise(spec: ProbeSpec, rng: np.random.Generator) -> np.ndarray:
-    """Independent standard Gaussian samples per channel and time step."""
-    return rng.standard_normal((spec.channels, spec.epoch_len))
 
 
 def relu_arc_sums(p: np.ndarray, q: np.ndarray, b: np.ndarray,
@@ -185,23 +188,34 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
 
 
 def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResponseMap:
-    """Repeat-averaged Welch PSD of the conv layer's pre-ReLU outputs under
-    white-noise input; estimates each output channel's filtering profile."""
-    rows = checkpoint.config.in_channels * checkpoint.config.kernel
-    if rows * spec.epoch_len > MAX_FLOATS:
-        raise ValueError(f"epoch_len {spec.epoch_len} is too long: the conv's [in_channels * "
-                         f"kernel, epoch_len] = [{rows}, {spec.epoch_len}] im2col holds more "
-                         f"float64 values than one numpy array can ({MAX_FLOATS})")
-    rng = np.random.default_rng(spec.seed)
-    freqs = None
-    power = None
-    for _ in range(spec.repeats_noise):
-        noise = gen_white_noise(spec, rng)
-        pre = conv1d_same(checkpoint, noise)
-        f, p = welch_psd_batch(pre, spec.fs)
-        if power is None:
-            freqs, power = f, p
-        else:
-            power += p
-    return FilterResponseMap(freqs=freqs, power=power / spec.repeats_noise)
+    """Expected ``welch_psd_batch`` of the conv layer's pre-ReLU outputs when
+    every input sample is independent unit-variance white noise: each output
+    channel's filtering profile, exact rather than sampled.
 
+    A windowed segment's DFT bin f is linear in the input, so its expected
+    power is the bias's, b^2 |DFT(win)|^2, plus
+    sum_{k, l} G[o, k, l] C[k, l] cos(2 pi f (k - l) / n): G is the Gram
+    matrix of filter o's taps over the input channels, and
+    C[k, l] = sum_j count[j] win[j - k] win[j - l] / P, where count[j] is how
+    many of the P segments read padded sample j inside the epoch (zero
+    padding adds nothing). No array of length T is built.
+    """
+    n, win = welch_window(spec.fs, spec.epoch_len)
+    w, b = checkpoint.conv_weight, checkpoint.conv_bias
+    kernel = w.shape[2]
+    hop = n - n // 2
+    segments = (spec.epoch_len - n // 2) // hop
+    d = np.arange(n + kernel - 1) - (kernel - 1) // 2
+    # segments p with 0 <= p * hop + d < T: [ceil(-d / hop), ceil((T - d) / hop)) within [0, P)
+    count = (np.clip(-((d - spec.epoch_len) // hop), 0, segments)
+             - np.clip(-(d // hop), 0, segments))
+    # a[k, j] = win[j - k], zero outside the window
+    a = sliding_window_view(np.pad(win, kernel - 1), kernel)[:, ::-1].T
+    gc = (w.transpose(0, 2, 1) @ w) * ((a * count) @ a.T)  # [out, K, K], symmetric
+    # cos(x (k - l)) = cos(x k) cos(x l) + sin(x k) sin(x l), x = 2 pi f / n
+    angle = 2.0 * np.pi * np.outer(np.arange(kernel), np.arange(n // 2 + 1)) / n
+    cos, sin = np.cos(angle), np.sin(angle)
+    noise = ((gc @ cos) * cos + (gc @ sin) * sin).sum(axis=1)
+    power = noise / segments + b[:, None] ** 2 * np.abs(np.fft.rfft(win)) ** 2
+    power[:, 1 : -1 if n % 2 == 0 else None] *= 2  # one-sided: all but DC and Nyquist
+    return FilterResponseMap(freqs=np.fft.rfftfreq(n, 1 / spec.fs), power=power)

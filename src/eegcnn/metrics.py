@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Epoch, write_csv
-from .model import ModelParams, predict
+from .model import ModelParams, predict, softmax
 from .train import TrainingDivergedError
 
 
@@ -124,7 +124,7 @@ def evaluate(checkpoint: ModelParams, epochs: list[Epoch]) -> MetricsReport:
     if not epochs:
         raise ValueError("need at least one epoch to evaluate")
     with np.errstate(all="ignore"):  # the probabilities are checked next
-        probs = predict(checkpoint, epochs)
+        probs = softmax(predict(checkpoint, epochs))
     bad = int((~np.isfinite(probs)).any(axis=1).sum())
     if bad:
         raise TrainingDivergedError(f"non-finite class probabilities for {bad} of "

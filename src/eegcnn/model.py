@@ -100,7 +100,7 @@ class ForwardCache:
     unrolled: np.ndarray  # [in * K, T]
     grad_mask: np.ndarray  # [out, T]
     pooled: np.ndarray
-    probs: np.ndarray
+    logits: np.ndarray
 
 
 def init_params(seed: int, config: ModelConfig = ModelConfig()) -> ModelParams:
@@ -115,7 +115,8 @@ def init_params(seed: int, config: ModelConfig = ModelConfig()) -> ModelParams:
 
 
 def _conv_unrolled(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``conv1d_same`` output and the im2col matrix [in*K, T] it multiplied."""
+    """The conv layer's output [out, T], a cross-correlation with stride 1 and
+    symmetric zero padding, and the im2col matrix [in*K, T] it multiplied."""
     x = np.asarray(x, dtype=np.float64)
     out_c, in_c, kernel = params.conv_weight.shape
     if x.ndim != 2 or x.shape[0] != in_c:
@@ -134,14 +135,10 @@ def _conv_unrolled(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.n
     return y + params.conv_bias[:, None], xm
 
 
-def conv1d_same(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Cross-correlation with stride 1 and symmetric zero padding; output [out, T]."""
-    return _conv_unrolled(params, x)[0]
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - np.max(logits))
-    return z / z.sum()
+    """Class probabilities along the last axis."""
+    z = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def forward(
@@ -163,13 +160,13 @@ def forward(
         mask = mask * ((rng.random(pre.shape) >= DROPOUT_RATE) / (1.0 - DROPOUT_RATE))
     pooled = (pre * mask).mean(axis=1)
     logits = params.fc_weight @ pooled + params.fc_bias
-    return ForwardCache(unrolled=unrolled, grad_mask=mask, pooled=pooled, probs=softmax(logits))
+    return ForwardCache(unrolled=unrolled, grad_mask=mask, pooled=pooled, logits=logits)
 
 
 def predict(params: ModelParams, epochs: list[Epoch]) -> np.ndarray:
-    """Eval-mode class probabilities [N, CLASSES], one forward per epoch."""
-    probs = [forward(params, ep.data, mode="eval").probs for ep in epochs]
-    return np.array(probs).reshape(len(epochs), CLASSES)
+    """Eval-mode logits [N, CLASSES], one forward per epoch."""
+    logits = [forward(params, ep.data, mode="eval").logits for ep in epochs]
+    return np.array(logits).reshape(len(epochs), CLASSES)
 
 
 def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> ModelParams:

@@ -95,6 +95,21 @@ def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[Subj
     return subjects
 
 
+def welch_window(fs: float, epoch_len: int) -> tuple[int, np.ndarray]:
+    """The 1 s Welch segment of ``welch_psd_batch``: its length n = round(fs)
+    and its periodic Hann window, scaled for a one-sided density. An n of 0,
+    or one longer than ``epoch_len``, raises ValueError."""
+    n = int(round(fs))
+    if n < 1:
+        raise ValueError(f"fs {fs} Hz gives a 1 s Welch window of 0 samples")
+    if n > epoch_len:
+        raise ValueError(f"epoch_len {epoch_len} is shorter than the 1 s Welch window of "
+                         f"{n:g} samples at fs {fs} Hz")
+    # periodic Hann window; one sample is [1.0], as in scipy
+    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1]) if n > 1 else np.ones(1)
+    return n, w * (1 / np.sqrt(sum(w**2) / (1 / fs)))  # built-in sum: scipy's summation order
+
+
 def welch_psd_batch(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed averaged periodogram over the last axis, one-sided
     density normalization; returns (freqs, power).
@@ -106,16 +121,8 @@ def welch_psd_batch(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     equals that call's bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = int(round(fs))
-    if n < 1:
-        raise ValueError(f"fs {fs} Hz gives a 1 s Welch window of 0 samples")
-    if n > x.shape[-1]:
-        raise ValueError(f"epoch_len {x.shape[-1]} is shorter than the 1 s Welch window of "
-                         f"{n:g} samples at fs {fs} Hz")
+    n, win = welch_window(fs, x.shape[-1])
     hop = n - n // 2
-    # periodic Hann window; one sample is [1.0], as in scipy
-    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1]) if n > 1 else np.ones(1)
-    win = w * (1 / np.sqrt(sum(w**2) / (1 / fs)))  # built-in sum: scipy's summation order
     segments = (x.shape[-1] - n // 2) // hop
     spec = np.empty(x.shape[:-1] + (n // 2 + 1, segments), dtype=complex)
     for p in range(segments):

@@ -58,15 +58,18 @@ class TrainHistory:
             json.dumps({"epochs": self.epochs, "best_epoch": self.best_epoch}, indent=2))
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Loss and the fused softmax/cross-entropy gradient w.r.t. the logits."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    loss = -float(np.log(probs[label]))
-    grad_logits = probs.copy()
+def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy log(sum(exp(s))) - s[label], s = logits - max(logits),
+    and its gradient w.r.t. the logits; finite for any finite logits."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if not 0 <= label < logits.shape[0]:
+        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
+    shifted = logits - np.max(logits)
+    z = np.exp(shifted)
+    total = z.sum()
+    grad_logits = z / total  # the softmax
     grad_logits[label] -= 1.0
-    return loss, grad_logits
+    return float(np.log(total) - shifted[label]), grad_logits
 
 
 def init_adam(params: ModelParams) -> AdamState:
@@ -93,9 +96,9 @@ def adam_step(
 
 def _eval_pass(params: ModelParams, epochs: list[Epoch]) -> tuple[float, float]:
     """Mean cross-entropy and accuracy in eval mode (argmax ties go to class 0)."""
-    probs = predict(params, epochs)
-    losses = [cross_entropy(p, ep.label)[0] for p, ep in zip(probs, epochs)]
-    correct = sum(int(np.argmax(p)) == ep.label for p, ep in zip(probs, epochs))
+    logits = predict(params, epochs)
+    losses = [cross_entropy(z, ep.label)[0] for z, ep in zip(logits, epochs)]
+    correct = sum(int(np.argmax(z)) == ep.label for z, ep in zip(logits, epochs))
     return float(np.mean(losses)), correct / len(epochs)
 
 
@@ -131,7 +134,7 @@ def train(
                 grad_sum = None
                 for item in batch:
                     cache = forward(params, item.data, mode="train", rng=rng)
-                    loss, grad_logits = cross_entropy(cache.probs, item.label)
+                    loss, grad_logits = cross_entropy(cache.logits, item.label)
                     if not np.isfinite(loss):
                         raise TrainingDivergedError(f"non-finite loss at epoch {epoch_idx}, "
                                                     f"batch {start // config.batch_size}")

@@ -11,8 +11,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from eegcnn.data import Epoch, SubjectRecording, load_subject_csv
-from eegcnn.model import DROPOUT_RATE, ModelConfig, ModelParams, backward, forward, softmax
-from eegcnn.preprocess import apply_zero_phase, design_highpass
+from eegcnn.model import DROPOUT_RATE, ModelConfig, ModelParams, _conv_unrolled, backward, forward
+from eegcnn.preprocess import apply_zero_phase, design_highpass, welch_psd_batch
 from eegcnn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cross_entropy
 
 
@@ -162,7 +162,7 @@ def reference_forward(params, x, mode="eval", rng=None, dropout_rate=DROPOUT_RAT
     logits = params.fc_weight @ pooled + params.fc_bias
     return SimpleNamespace(
         input=x, conv_pre_act=pre, relu_mask=relu_mask, dropout_mask=dropout_mask,
-        pooled=pooled, logits=logits, probs=softmax(logits), mode=mode,
+        pooled=pooled, logits=logits, mode=mode,
     )
 
 
@@ -228,12 +228,12 @@ def reference_scalar_metrics(cm):
 # in closed form and must agree with this up to rounding.
 
 
-def gen_sinusoid_probe(f, spec, rng):
+def gen_sinusoid_probe(f, spec, rng, channels):
     """Unit-tone probe: channel n gets A*sin(2*pi*f*t + phi_n), phi_n ~ U[0, 2pi)."""
     if not 0 <= f <= spec.fs / 2:
         raise ValueError(f"probe frequency {f} outside [0, Nyquist={spec.fs / 2}]")
     t = np.arange(spec.epoch_len) / spec.fs
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=spec.channels)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=channels)
     return spec.amplitude * np.sin(2.0 * np.pi * f * t[None, :] + phases[:, None])
 
 
@@ -241,15 +241,55 @@ def reference_pooling_sensitivity(params, spec):
     """[out, n_freqs] mean pooled activation, one forward per probe."""
     rng = np.random.default_rng(spec.seed)
     freqs = spec.freq_grid
-    out_c = params.conv_weight.shape[0]
+    out_c, in_c, _ = params.conv_weight.shape
     activation = np.zeros((out_c, freqs.size))
     for j, f in enumerate(freqs):
         acc = np.zeros(out_c)
         for _ in range(spec.repeats_sine):
-            probe = gen_sinusoid_probe(float(f), spec, rng)
+            probe = gen_sinusoid_probe(float(f), spec, rng, in_c)
             acc += reference_forward(params, probe, mode="eval").pooled
         activation[:, j] = acc / spec.repeats_sine
     return activation
+
+
+def conv1d_same(params, x):
+    """The conv layer's forward alone: cross-correlation with stride 1 and
+    symmetric zero padding, output [out, T]."""
+    return _conv_unrolled(params, x)[0]
+
+
+# The noise probe two more ways. interpret.conv_filter_response gives the
+# expected Welch PSD of the conv output under unit white noise in closed form.
+# Welch's periodogram is quadratic in its input and the noise samples are
+# uncorrelated with unit variance, so that expectation is the PSD of the
+# zero-input (bias) output plus, with the bias at zero, the PSD of the output
+# of each single unit impulse: in_channels * epoch_len forwards. The loop
+# that the closed form replaced draws the noise and averages its PSD instead.
+
+
+def reference_filter_response(params, spec):
+    """(freqs, [out, n_freqs]) expected Welch PSD, as a sum over unit impulses."""
+    in_c, t = params.conv_weight.shape[1], spec.epoch_len
+    freqs, power = welch_psd_batch(conv1d_same(params, np.zeros((in_c, t))), spec.fs)
+    no_bias = ModelParams(params.config, params.flat.copy())
+    no_bias.conv_bias[...] = 0.0
+    # every impulse at once: [in * T, in, T], impulse (i, u) at channel i, sample u
+    impulses = np.eye(in_c * t).reshape(in_c * t, in_c, t)
+    outputs = np.stack([conv1d_same(no_bias, x) for x in impulses])
+    return freqs, power + welch_psd_batch(outputs, spec.fs)[1].sum(axis=0)
+
+
+def sampled_filter_response(params, spec, repeats, seed):
+    """(mean, standard error) over ``repeats`` white-noise draws of the conv
+    output's Welch PSD, each [out, n_freqs]: the Monte-Carlo estimate."""
+    rng = np.random.default_rng(seed)
+    in_c = params.conv_weight.shape[1]
+    draws = np.stack([
+        welch_psd_batch(conv1d_same(params, rng.standard_normal((in_c, spec.epoch_len))),
+                        spec.fs)[1]
+        for _ in range(repeats)
+    ])
+    return draws.mean(axis=0), draws.std(axis=0, ddof=1) / np.sqrt(repeats)
 
 
 def fir_power_response(kernel, freqs, fs):
@@ -276,12 +316,12 @@ def finite_diff_check(params: ModelParams, epoch: Epoch, eps: float = 1e-5) -> f
         raise ValueError(f"model too large for finite differences ({total} parameters)")
 
     cache = forward(params, epoch.data, mode="eval")
-    _, grad_logits = cross_entropy(cache.probs, epoch.label)
+    _, grad_logits = cross_entropy(cache.logits, epoch.label)
     analytic = backward(cache, params, grad_logits).flat
 
     def probe(flat: np.ndarray) -> tuple[float, np.ndarray]:
         c = forward(ModelParams(params.config, flat), epoch.data, mode="eval")
-        return cross_entropy(c.probs, epoch.label)[0], c.grad_mask  # eval: the ReLU mask
+        return cross_entropy(c.logits, epoch.label)[0], c.grad_mask  # eval: the ReLU mask
 
     worst = 0.0
     flat = params.flat.copy()

@@ -54,7 +54,7 @@ class TestAcceptance:
             counts == {"conv": 38350, "fc": 120}
             and cache.grad_mask.shape == (59, 2500)
             and cache.pooled.shape == (59,)
-            and cache.probs.shape == (2,)
+            and cache.logits.shape == (2,)
         )
         elapsed = time.time() - t0
         report(
@@ -111,8 +111,7 @@ class TestAcceptance:
                 fc_weight=np.ones((2, 1)),
                 fc_bias=np.zeros(2),
             )
-            spec = ProbeSpec(fs=500.0, epoch_len=2500, channels=1,
-                             repeats_noise=300, seed=int(rng.integers(1e6)))
+            spec = ProbeSpec(fs=500.0, epoch_len=2500)
             resp = conv_filter_response(model, spec)
             band = (resp.freqs >= 1.0) & (resp.freqs <= 249.0)
             analytic = fir_power_response(kernel, resp.freqs[band], 500.0) * (2.0 / 500.0)
@@ -139,7 +138,7 @@ class TestAcceptance:
             fc_bias=np.zeros(2),
         )
         spec = ProbeSpec(
-            fs=500.0, epoch_len=2500, channels=channels,
+            fs=500.0, epoch_len=2500,
             frequencies=np.arange(5.0, 246.0, 5.0), repeats_sine=12, seed=0,
         )
         smap = pooling_sensitivity(model, spec)

@@ -609,7 +609,7 @@ class TestProbe:
     def test_outputs(self, trained, tmp_path):
         out = tmp_path / "probe"
         rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
-                   "--out", str(out), "--repeats-sine", "1", "--repeats-noise", "2",
+                   "--out", str(out), "--repeats-sine", "1",
                    "--fs", str(FS), "--epoch-len", "500"])
         assert rc == 0
         lines = (out / "sensitivity.csv").read_text().splitlines()
@@ -628,20 +628,20 @@ class TestProbe:
     def test_bad_spec_writes_nothing(self, trained, tmp_path, capsys, extra):
         out = tmp_path / "probe"
         rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
-                   "--out", str(out), "--repeats-sine", "1", "--repeats-noise", "2",
+                   "--out", str(out), "--repeats-sine", "1",
                    "--fs", str(FS), "--epoch-len", "500", *extra])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_out_of_memory_exits_2(self, trained, tmp_path, capsys, monkeypatch):
-        def no_memory(spec, rng):
+        def no_memory(*args):
             raise MemoryError("Unable to allocate 44.0 GiB")
 
-        monkeypatch.setattr(eegcnn.interpret, "gen_white_noise", no_memory)
+        monkeypatch.setattr(eegcnn.interpret, "relu_arc_sums", no_memory)
         out = tmp_path / "probe"
         rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"), "--out", str(out),
-                   "--repeats-sine", "1", "--repeats-noise", "1", "--fs", str(FS)])
+                   "--repeats-sine", "1", "--fs", str(FS)])
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: out of memory in probe: Unable to allocate 44.0 GiB\n")
@@ -652,7 +652,7 @@ class TestProbe:
     def test_non_finite_map_exits_4(self, trained, tmp_path, capsys):
         out = tmp_path / "probe"
         rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
-                   "--out", str(out), "--repeats-sine", "1", "--repeats-noise", "2",
+                   "--out", str(out), "--repeats-sine", "1",
                    "--fs", str(FS), "--epoch-len", "500", "--amplitude", "1e308"])
         assert rc == 4
         err = capsys.readouterr().err
@@ -777,23 +777,26 @@ EXPECTED_SETTINGS = {
     "train": {"split": _PATH, "out": _PATH, **_TRAIN, **_MODEL},
     "evaluate": {"checkpoint": _PATH, "split": _PATH, "out": _PATH},
     "probe": {"checkpoint": _PATH, "out": _PATH, "fs": (float, 500.0), "epoch_len": (int, 2500),
-              "amplitude": (float, 1.0), "repeats_sine": (int, 100),
-              "repeats_noise": (int, 300), "seed": (int, 0)},
+              "amplitude": (float, 1.0), "repeats_sine": (int, 100), "seed": (int, 0)},
     "sweep": {"split": _PATH, "out": _PATH, "sweep_parameter": _PATH,
               "sweep_values": (tuple, None), **_TRAIN, **_MODEL},
     "psd": {"split": _PATH, "out": _PATH},
 }
 PAIRS = [(c, k) for c, table in EXPECTED_SETTINGS.items() for k in table]
 # removed setting -> (its old type, a value it once took); the labels are
-# binary and Adam's constants are fixed, so none is a flag or a config-file key
+# binary, Adam's constants are fixed and the noise probe is exact, so none is
+# a flag or a config-file key
 REMOVED = {"classes": (int, 3), "adam_beta1": (float, 0.8), "adam_beta2": (float, 0.99),
-           "adam_eps": (float, 1e-6), "seed_policy": (str, "per_value")}
+           "adam_eps": (float, 1e-6), "seed_policy": (str, "per_value"),
+           "repeats_noise": (int, 300)}
 # command -> its config-file keys with the removed ones in the places they had,
 # so the generated ids (valueNN) of the bad-value cases stay as they were
 _OLD_TRAIN = ["batch_size", "learning_rate", "epochs", "adam_beta1", "adam_beta2", "adam_eps",
               "seed", *_MODEL]
 FILE_KEYS = {
     **{c: list(table) for c, table in EXPECTED_SETTINGS.items()},
+    "probe": ["checkpoint", "out", "fs", "epoch_len", "amplitude", "repeats_sine",
+              "repeats_noise", "seed"],
     "train": ["split", "out", *_OLD_TRAIN, "classes"],
     "sweep": ["split", "out", "sweep_parameter", "sweep_values", "seed_policy", *_OLD_TRAIN,
               "classes"],
@@ -914,11 +917,16 @@ class TestSettings:
 
 
 @pytest.mark.parametrize("command, key", [
-    *(("train", k) for k in REMOVED if k != "seed_policy"), *(("sweep", k) for k in REMOVED)
+    *(("train", k) for k in REMOVED if k not in ("seed_policy", "repeats_noise")),
+    *(("sweep", k) for k in REMOVED if k != "repeats_noise"), ("probe", "repeats_noise"),
 ])
-def test_removed_setting_rejected(prepared, tmp_path, capsys, command, key):
-    argv = [command, "--split", str(prepared), "--out", str(tmp_path / "o"), "--epochs", "1",
-            "--in-channels", str(CHANNELS)]
+def test_removed_setting_rejected(prepared, trained, tmp_path, capsys, command, key):
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command == "probe":
+        argv += ["--checkpoint", str(trained / "checkpoint.bin"), "--fs", str(FS),
+                 "--epoch-len", "500", "--repeats-sine", "1"]
+    else:
+        argv += ["--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS)]
     if command == "sweep":
         argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3"]
     with pytest.raises(SystemExit) as exc:
@@ -938,7 +946,7 @@ def test_negative_seed_rejected(dataset_dir, prepared, trained, tmp_path, capsys
         "prepare": ["--manifest", str(dataset_dir / "manifest.json")],
         "train": ["--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS)],
         "probe": ["--checkpoint", str(trained / "checkpoint.bin"), "--fs", str(FS),
-                  "--epoch-len", "500", "--repeats-sine", "1", "--repeats-noise", "1"],
+                  "--epoch-len", "500", "--repeats-sine", "1"],
         "sweep": ["--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS),
                   "--sweep-parameter", "kernel_size", "--sweep-values", "3"],
     }
@@ -956,8 +964,7 @@ def test_negative_seed_rejected(dataset_dir, prepared, trained, tmp_path, capsys
     ("probe", ["--epoch-len", "99999999999999999999"], "'epoch_len' must be an integer"),
     ("probe", ["--epoch-len", "10"],
      "epoch_len 10 is shorter than the 1 s Welch window of 100 samples at fs 100.0 Hz"),
-    ("probe", ["--repeats-noise", "0"],
-     "repeats_sine and repeats_noise must be >= 1, got 1 and 0"),
+    ("probe", ["--repeats-sine", "0"], "repeats_sine must be >= 1, got 0"),
     ("sweep", ["--sweep-values", "99999999999999999999"], "'sweep_values' must be"),
     ("sweep", ["--sweep-values", "3,-1"], "sweep_values: all model dimensions must be positive"),
     ("sweep", ["--sweep-parameter", "kernel"],
@@ -1021,7 +1028,7 @@ def _base_settings(command, dataset_dir, prepared, trained):
         "train": {"split": str(prepared), **model},
         "evaluate": {"checkpoint": str(trained / "checkpoint.bin"), "split": str(prepared)},
         "probe": {"checkpoint": str(trained / "checkpoint.bin"), "fs": str(FS),
-                  "epoch_len": "500", "repeats_sine": "1", "repeats_noise": "1"},
+                  "epoch_len": "500", "repeats_sine": "1"},
         "sweep": {"split": str(prepared), "sweep_parameter": "kernel_size",
                   "sweep_values": "3", **model},
         "psd": {"split": str(prepared)},
@@ -1159,7 +1166,7 @@ def test_only_prepare_loads_scipy_signal(dataset_dir, prepared, trained, tmp_pat
          "--sweep-parameter", "kernel_size", "--sweep-values", "3"],
         ["psd", "--split", str(prepared)],
         ["probe", "--checkpoint", ckpt, "--fs", str(FS), "--epoch-len", "500",
-         "--repeats-sine", "1", "--repeats-noise", "1"],
+         "--repeats-sine", "1"],
         ["prepare", "--manifest", str(dataset_dir / "manifest.json")],
     ]
     runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]

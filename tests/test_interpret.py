@@ -1,16 +1,21 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fir_power_response, gen_sinusoid_probe, make_params, reference_pooling_sensitivity
-from eegcnn.interpret import (
-    ProbeSpec,
-    conv_filter_response,
-    gen_white_noise,
-    pooling_sensitivity,
-    relu_arc_sums,
+from conftest import (
+    fir_power_response,
+    gen_sinusoid_probe,
+    make_params,
+    reference_filter_response,
+    reference_pooling_sensitivity,
+    sampled_filter_response,
 )
+from eegcnn.interpret import ProbeSpec, conv_filter_response, pooling_sensitivity, relu_arc_sums
+from eegcnn.model import MAX_FLOATS
+from eegcnn.preprocess import welch_window
 
 FS = 500.0
 
@@ -39,7 +44,7 @@ def identity_model(channels, kernel=3):
 
 
 def small_spec(**overrides):
-    defaults = dict(fs=FS, epoch_len=2500, channels=4, repeats_sine=2, repeats_noise=20, seed=3)
+    defaults = dict(fs=FS, epoch_len=2500, repeats_sine=2, seed=3)
     defaults.update(overrides)
     return ProbeSpec(**defaults)
 
@@ -57,6 +62,19 @@ class TestProbeSpec:
     def test_zero_repeats_rejected(self):
         with pytest.raises(ValueError):
             ProbeSpec(repeats_sine=0)
+
+    def test_too_long_epoch_rejected(self):
+        ProbeSpec(epoch_len=MAX_FLOATS // 4)
+        with pytest.raises(ValueError, match=f"^epoch_len {MAX_FLOATS // 4 + 1} is too long"):
+            ProbeSpec(epoch_len=MAX_FLOATS // 4 + 1)
+
+    def test_removed_settings_accepted_and_ignored(self):
+        """bench/run.py still passes channels and repeats_noise; they are
+        init-only arguments that change nothing and are not fields."""
+        spec = ProbeSpec(fs=100.0, epoch_len=500, repeats_sine=2, seed=4)
+        assert ProbeSpec(fs=100.0, epoch_len=500, channels=59, repeats_sine=2,
+                         repeats_noise=3, seed=4) == spec
+        assert {"channels", "repeats_noise"}.isdisjoint(f.name for f in fields(ProbeSpec))
 
     @pytest.mark.parametrize("fs", [0.0, -100.0, float("nan"), float("inf")])
     def test_bad_fs_rejected(self, fs):
@@ -80,20 +98,20 @@ class TestProbeSpec:
 class TestGenSinusoidProbe:
     def test_zero_frequency_constant_channels(self, rng):
         spec = small_spec()
-        probe = gen_sinusoid_probe(0.0, spec, rng)
+        probe = gen_sinusoid_probe(0.0, spec, rng, 4)
         assert probe.shape == (4, 2500)
         for ch in probe:
             np.testing.assert_allclose(ch, ch[0], atol=1e-12)
             assert -1.0 <= ch[0] <= 1.0
 
     def test_amplitude_and_mean(self, rng):
-        probe = gen_sinusoid_probe(5.0, small_spec(), rng)
+        probe = gen_sinusoid_probe(5.0, small_spec(), rng, 4)
         assert np.max(np.abs(probe)) == pytest.approx(1.0, abs=0.01)
         assert np.all(np.abs(probe.mean(axis=1)) < 0.01)
 
     def test_channels_are_time_shifted_copies(self, rng):
         # same frequency, random phases: normalized cross-correlation peak ~ 1
-        probe = gen_sinusoid_probe(10.0, small_spec(), rng)
+        probe = gen_sinusoid_probe(10.0, small_spec(), rng, 4)
         a, b = probe[0], probe[1]
         lags = np.arange(-60, 61)
         corr = [
@@ -104,20 +122,7 @@ class TestGenSinusoidProbe:
 
     def test_above_nyquist_rejected(self, rng):
         with pytest.raises(ValueError):
-            gen_sinusoid_probe(300.0, small_spec(), rng)
-
-
-class TestGenWhiteNoise:
-    def test_moments(self, rng):
-        noise = gen_white_noise(small_spec(), rng)
-        assert np.all(np.abs(noise.mean(axis=1)) < 0.1)
-        np.testing.assert_allclose(noise.var(axis=1), 1.0, atol=0.15)
-
-    def test_channels_uncorrelated(self, rng):
-        noise = gen_white_noise(small_spec(), rng)
-        c = np.corrcoef(noise)
-        off_diag = c[~np.eye(4, dtype=bool)]
-        assert np.all(np.abs(off_diag) < 0.1)
+            gen_sinusoid_probe(300.0, small_spec(), rng, 4)
 
 
 def test_one_phase_draw_equals_sequential_draws():
@@ -190,7 +195,7 @@ class TestPoolingSensitivity:
             fc_weight=np.ones((2, out_c)),
             fc_bias=np.zeros(2),
         )
-        spec = ProbeSpec(fs=fs, epoch_len=t, channels=in_c, amplitude=amplitude,
+        spec = ProbeSpec(fs=fs, epoch_len=t, amplitude=amplitude,
                          frequencies=np.array(nyquist_fractions) * (fs / 2),
                          repeats_sine=repeats, seed=seed)
         got = pooling_sensitivity(model, spec).activation
@@ -200,7 +205,7 @@ class TestPoolingSensitivity:
 
     def test_identity_kernel_rectified_mean(self):
         model = identity_model(channels=3)
-        spec = small_spec(channels=3, frequencies=np.arange(5.0, 246.0, 20.0))
+        spec = small_spec(frequencies=np.arange(5.0, 246.0, 20.0))
         smap = pooling_sensitivity(model, spec)
         np.testing.assert_allclose(smap.activation, 1 / np.pi, atol=0.02)
 
@@ -212,7 +217,7 @@ class TestPoolingSensitivity:
             fc_weight=np.ones((2, channels)),
             fc_bias=np.zeros(2),
         )
-        spec = small_spec(channels=channels, frequencies=np.array([0.0, 10.0, 100.0]))
+        spec = small_spec(frequencies=np.array([0.0, 10.0, 100.0]))
         smap = pooling_sensitivity(model, spec)
         np.testing.assert_allclose(smap.activation[0], 0.6, atol=1e-12)
         np.testing.assert_allclose(smap.activation[1], 0.25, atol=1e-12)
@@ -224,7 +229,7 @@ class TestPoolingSensitivity:
         kernel = np.sin(2 * np.pi * 20.0 * n / FS) * np.hanning(k)
         model = single_filter_model(kernel)
         freqs = np.arange(1.0, 61.0)
-        spec = small_spec(channels=1, frequencies=freqs, repeats_sine=3)
+        spec = small_spec(frequencies=freqs, repeats_sine=3)
         smap = pooling_sensitivity(model, spec)
         peak = freqs[np.argmax(smap.activation[0])]
         assert abs(peak - 20.0) <= 2.0
@@ -237,20 +242,20 @@ class TestPoolingSensitivity:
             fc_weight=np.zeros((2, channels)),
             fc_bias=np.zeros(2),
         )
-        spec = small_spec(channels=channels, frequencies=np.array([0.0, 25.0, 200.0]))
+        spec = small_spec(frequencies=np.array([0.0, 25.0, 200.0]))
         smap = pooling_sensitivity(model, spec)
         assert np.all(smap.activation == 0.0)
 
     def test_deterministic_given_seed(self):
         model = identity_model(channels=2)
-        spec = small_spec(channels=2, frequencies=np.array([10.0, 20.0]))
+        spec = small_spec(frequencies=np.array([10.0, 20.0]))
         a = pooling_sensitivity(model, spec)
         b = pooling_sensitivity(model, spec)
         np.testing.assert_array_equal(a.activation, b.activation)
 
     def test_csv_shape(self, tmp_path):
         model = identity_model(channels=2)
-        spec = small_spec(channels=2, frequencies=np.array([10.0, 20.0, 30.0]))
+        spec = small_spec(frequencies=np.array([10.0, 20.0, 30.0]))
         smap = pooling_sensitivity(model, spec)
         path = tmp_path / "sens.csv"
         smap.to_csv(path)
@@ -259,10 +264,64 @@ class TestPoolingSensitivity:
         assert lines[0].split(",")[1:] == ["10", "20", "30"]
 
 
+@st.composite
+def noise_probe_cases(draw):
+    """A small conv layer and a ProbeSpec whose 1 s Welch window fits the epoch."""
+    in_c, out_c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kernel = draw(st.sampled_from([1, 3, 5, 7, 9, 15]))
+    t = draw(st.integers(1, 30))
+    fs = draw(st.floats(0.51, t + 0.49))  # round(fs) in [1, t]
+    gen = np.random.default_rng(draw(st.integers(0, 1000)))
+    weight = gen.standard_normal((out_c, in_c, kernel)) * draw(st.sampled_from([0.0, 1.0]))
+    model = make_params(weight, gen.standard_normal(out_c), np.ones((2, out_c)), np.zeros(2))
+    return model, ProbeSpec(fs=fs, epoch_len=t)
+
+
 class TestConvFilterResponse:
+    @given(case=noise_probe_cases())
+    # a kernel longer than the epoch, a one-sample epoch, non-integer rates
+    @example(case=(make_params(np.arange(30.0).reshape(2, 1, 15) / 10, np.array([0.5, -1.0]),
+                               np.ones((2, 2)), np.zeros(2)), ProbeSpec(fs=4.6, epoch_len=6)))
+    @example(case=(make_params(np.full((1, 1, 1), 2.0), np.array([0.3]), np.ones((2, 1)),
+                               np.zeros(2)), ProbeSpec(fs=1.0, epoch_len=1)))
+    @example(case=(make_params(np.linspace(-1.0, 1.0, 36).reshape(2, 2, 9), np.zeros(2),
+                               np.ones((2, 2)), np.zeros(2)), ProbeSpec(fs=7.3, epoch_len=30)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_impulse_sum(self, case):
+        model, spec = case
+        got = conv_filter_response(model, spec)
+        freqs, want = reference_filter_response(model, spec)
+        assert got.freqs.tobytes() == freqs.tobytes()
+        assert got.power.shape == want.shape
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got.power - want) <= 1e-14 * scale)
+
+    def test_zero_weights_give_the_bias_spectrum(self):
+        bias = np.array([0.0, 0.5, -2.0])
+        model = make_params(np.zeros((3, 2, 5)), bias, np.ones((2, 3)), np.zeros(2))
+        resp = conv_filter_response(model, ProbeSpec(fs=7.3, epoch_len=30))
+        n, win = welch_window(7.3, 30)
+        window = np.abs(np.fft.rfft(win)) ** 2
+        window[1 : -1 if n % 2 == 0 else None] *= 2  # one-sided
+        np.testing.assert_array_equal(resp.power, bias[:, None] ** 2 * window)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_mean_within_its_standard_error(self, seed):
+        """The white-noise loop the closed form replaced estimates it without
+        bias: its mean over 300 draws lies within a few standard errors."""
+        gen = np.random.default_rng(seed)
+        model = make_params(gen.standard_normal((2, 3, 9)), gen.standard_normal(2),
+                            np.ones((2, 2)), np.zeros(2))
+        spec = ProbeSpec(fs=50.0, epoch_len=250)
+        exact = conv_filter_response(model, spec).power
+        mean, stderr = sampled_filter_response(model, spec, repeats=300, seed=seed)
+        z = (mean - exact) / stderr
+        assert np.max(np.abs(z)) < 5.0
+        assert abs(z.mean()) < 0.5
+
     def test_identity_kernel_flat(self):
         model = identity_model(channels=1, kernel=3)
-        spec = small_spec(channels=1, repeats_noise=300)
+        spec = small_spec()
         resp = conv_filter_response(model, spec)
         band = (resp.freqs >= 1.0) & (resp.freqs <= 240.0)
         power = resp.power[0][band]
@@ -271,7 +330,7 @@ class TestConvFilterResponse:
     def test_moving_average_is_lowpass(self):
         kernel = np.ones(11) / 11.0
         model = single_filter_model(kernel)
-        spec = small_spec(channels=1, repeats_noise=50)
+        spec = small_spec()
         resp = conv_filter_response(model, spec)
         low = resp.power[0][(resp.freqs >= 0) & (resp.freqs <= 5)].mean()
         high = resp.power[0][resp.freqs >= 200].mean()
@@ -280,7 +339,7 @@ class TestConvFilterResponse:
     def test_matches_analytic_transfer_function(self, rng):
         kernel = rng.standard_normal(11)
         model = single_filter_model(kernel)
-        spec = small_spec(channels=1, repeats_noise=300)
+        spec = small_spec()
         resp = conv_filter_response(model, spec)
         band = (resp.freqs >= 1.0) & (resp.freqs <= 249.0)
         analytic = fir_power_response(kernel, resp.freqs[band], FS) * (2.0 / FS)
@@ -299,7 +358,7 @@ class TestConvFilterResponse:
             fc_weight=np.ones((2, 1)),
             fc_bias=np.zeros(2),
         )
-        spec = small_spec(channels=2, repeats_noise=300)
+        spec = small_spec()
         resp = conv_filter_response(model, spec)
         band = (resp.freqs >= 1.0) & (resp.freqs <= 249.0)
         analytic = (
@@ -312,13 +371,13 @@ class TestConvFilterResponse:
 
     def test_one_sided_axis(self):
         model = identity_model(channels=1)
-        spec = small_spec(channels=1, repeats_noise=2)
+        spec = small_spec()
         resp = conv_filter_response(model, spec)
         assert resp.freqs[0] == 0.0 and resp.freqs[-1] == pytest.approx(FS / 2)
 
     def test_csv_per_channel(self, tmp_path):
         model = identity_model(channels=2)
-        spec = small_spec(channels=2, repeats_noise=2)
+        spec = small_spec()
         resp = conv_filter_response(model, spec)
         paths = resp.to_csv_dir(tmp_path)
         assert len(paths) == 2

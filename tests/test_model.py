@@ -7,7 +7,6 @@ from eegcnn.model import (
     ModelConfig,
     ModelParams,
     backward,
-    conv1d_same,
     forward,
     init_params,
     predict,
@@ -15,6 +14,7 @@ from eegcnn.model import (
 )
 
 from conftest import (
+    conv1d_same,
     layer_param_counts,
     make_epoch,
     make_params,
@@ -194,14 +194,14 @@ class TestForward:
             fc_bias=np.zeros(2),
         )
         cache = forward(p, np.random.default_rng(0).standard_normal((2, 50)))
-        np.testing.assert_allclose(cache.probs, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(softmax(cache.logits), [0.5, 0.5], atol=1e-15)
 
     def test_eval_mode_deterministic(self, rng):
         p = init_params(1, ModelConfig(3, 3, 3))
         x = rng.standard_normal((3, 30))
         a = forward(p, x, mode="eval")
         b = forward(p, x, mode="eval")
-        np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(a.logits, b.logits)
         # no dropout factor: the gradient mask is the bare ReLU mask
         relu_mask = reference_forward(p, x, mode="eval").relu_mask
         assert a.grad_mask.dtype == bool
@@ -242,18 +242,19 @@ class TestForward:
     def test_probs_sum_to_one(self, rng):
         p = init_params(9, ModelConfig(2, 3, 3))
         cache = forward(p, rng.standard_normal((2, 17)))
-        assert abs(cache.probs.sum() - 1.0) < 1e-12
-        assert np.all((cache.probs > 0) & (cache.probs < 1))
+        probs = softmax(cache.logits)
+        assert abs(probs.sum() - 1.0) < 1e-12
+        assert np.all((probs > 0) & (probs < 1))
 
 
 class TestPredict:
     def test_rows_are_eval_forward_probs(self):
         p = init_params(4, ModelConfig(2, 3, 3))
         epochs = [make_epoch(seed=i) for i in range(3)]
-        probs = predict(p, epochs)
-        assert probs.shape == (3, 2)
-        for row, ep in zip(probs, epochs):
-            np.testing.assert_array_equal(row, forward(p, ep.data, mode="eval").probs)
+        logits = predict(p, epochs)
+        assert logits.shape == (3, 2)
+        for row, ep in zip(logits, epochs):
+            np.testing.assert_array_equal(row, forward(p, ep.data, mode="eval").logits)
         assert predict(p, []).shape == (0, 2)
 
 
@@ -299,7 +300,7 @@ class TestBackward:
             np.testing.assert_array_equal(cache.unrolled, reference_unroll(x, kernel))
             np.testing.assert_array_equal(cache.grad_mask, ref.dropout_mask * ref.relu_mask)
             np.testing.assert_array_equal(cache.pooled, ref.pooled)
-            np.testing.assert_array_equal(cache.probs, ref.probs)
+            np.testing.assert_array_equal(cache.logits, ref.logits)
             gl = data.standard_normal(2)
             got, want = backward(cache, p, gl), reference_backward(ref, p, gl)
             assert got.config == want.config

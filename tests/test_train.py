@@ -6,7 +6,7 @@ import pytest
 from eegcnn.data import DatasetSplit, split_dataset
 from eegcnn.checkpoint import load_checkpoint, save_checkpoint
 from eegcnn.metrics import evaluate
-from eegcnn.model import ModelConfig, init_params
+from eegcnn.model import ModelConfig, init_params, softmax
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import (
     TrainConfig,
@@ -33,29 +33,46 @@ model_module = importlib.import_module("eegcnn.model")
 
 class TestCrossEntropy:
     def test_symmetric_case(self):
-        loss, grad = cross_entropy(np.array([0.5, 0.5]), 0)
+        loss, grad = cross_entropy(np.log([0.5, 0.5]), 0)
         assert loss == pytest.approx(np.log(2))
         np.testing.assert_allclose(grad, [-0.5, 0.5])
 
     def test_confident_correct(self):
-        loss, _ = cross_entropy(np.array([1 - 1e-12, 1e-12]), 0)
+        loss, _ = cross_entropy(np.log([1 - 1e-12, 1e-12]), 0)
         assert loss == pytest.approx(0.0, abs=1e-11)
 
     def test_confident_wrong(self):
-        loss, grad = cross_entropy(np.array([0.9, 0.1]), 1)
+        loss, grad = cross_entropy(np.log([0.9, 0.1]), 1)
         assert loss == pytest.approx(-np.log(0.1))
         np.testing.assert_allclose(grad, [0.9, -0.9])
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+            cross_entropy(np.log([0.5, 0.5]), 2)
 
     def test_loss_floor(self, rng):
         for _ in range(50):
             z = rng.random(2)
             probs = z / z.sum()
-            loss, _ = cross_entropy(probs, int(rng.integers(0, 2)))
+            loss, _ = cross_entropy(np.log(probs), int(rng.integers(0, 2)))
             assert loss >= 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_confidently_wrong_logits_finite(self):
+        """Probabilities [1, 0] gave log(0) = -inf, so a model that was only
+        confidently wrong ended training as diverged."""
+        loss, grad = cross_entropy(np.array([800.0, -800.0]), 1)
+        assert loss == 1600.0
+        np.testing.assert_array_equal(grad, [1.0, -1.0])
+
+    def test_gradient_is_softmax_minus_onehot(self, rng):
+        for _ in range(20):
+            logits = rng.standard_normal(2) * 10.0
+            label = int(rng.integers(0, 2))
+            _, grad = cross_entropy(logits, label)
+            want = softmax(logits)
+            want[label] -= 1.0
+            np.testing.assert_array_equal(grad, want)
 
 
 class TestAdamStep:
@@ -334,7 +351,7 @@ class TestFiniteDiffCheck:
         from eegcnn.model import backward, forward
 
         cache = forward(p, ep.data, mode="eval")
-        _, gl = cross_entropy(cache.probs, ep.label)
+        _, gl = cross_entropy(cache.logits, ep.label)
         grads = backward(cache, p, gl)
         assert np.all(grads.conv_weight == 0)
         assert finite_diff_check(p, ep, eps=1e-5) < 1e-6
