@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EegcnnError, check_object, is_int, parse_json
+from .data import CheckpointError, ConfigError, check_object, is_int, parse_json
 from .model import CLASSES, ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
@@ -41,11 +41,6 @@ _CONFIG_VALUES = {
     **{f.name: (is_int, "an integer") for f in fields(ModelConfig)},
     "classes": (lambda v: is_int(v) and v == CLASSES, f"the integer {CLASSES}"),
 }
-
-
-class CheckpointError(EegcnnError):
-    """Unreadable or inconsistent checkpoint file."""
-    exit_code = 3
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
@@ -74,7 +69,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:
         raise CheckpointError(f"{path}: unknown header key 'config.{unknown[0]}'")
     try:
         cfg = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
-    except ValueError as exc:
+    except ConfigError as exc:
         raise CheckpointError(f"{path}: bad header config ({exc})") from exc
     body = blob[nl + 1 :]
     if len(body) != 8 * cfg.size:

@@ -5,8 +5,9 @@ Each subcommand's settings are declared once, in ``SETTINGS``. A setting
 file; a flag beats the file, and the file beats the default.
 
 An integer setting must fit int64. A failure prints one ``error:`` line and
-exits with its error class's ``exit_code`` (2 config, 3 I/O, 4 numerical); an
-OSError exits 3, and any other ValueError or running out of memory exits 2.
+exits with its ``eegcnn.data`` error class's ``exit_code`` (2 config, 3 I/O, 4
+numerical); an OSError exits 3, running out of memory 2. Any other exception
+is a bug, and ends in Python's traceback and exit 1.
 BLAS runs one thread unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or
 MKL_NUM_THREADS is set (see the package's __init__).
 """
@@ -28,9 +29,9 @@ from . import experiments as exp
 from . import interpret as itp
 from . import metrics as met
 from . import preprocess as pre
-from .data import ConfigError
+from .data import ConfigError, EegcnnError, TrainingDivergedError
 from .model import ModelConfig
-from .train import TrainConfig, TrainingDivergedError, train as run_training
+from .train import TrainConfig, train as run_training
 
 _INT64 = range(-(2**63), 2**63)
 
@@ -52,7 +53,8 @@ _TYPES = {
     int: (int, lambda v: v if dat.is_int(v) and v in _INT64 else None,
           "an integer that fits int64"),
     float: (float, lambda v: float(v) if dat.is_number(v) else None, "a finite number"),
-    str: (str, lambda v: v if dat.is_str(v) else None, "a string"),
+    str: (str, lambda v: v if dat.is_path(v) else None,
+          "a string the file system can encode, with no NUL character"),
     tuple: (str, _int_list, "comma-separated integers that fit int64, or a list of them"),
 }
 
@@ -264,9 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # numpy's and scipy's own exit 2 too
+    except EegcnnError as exc:  # the class alone sets the code; any other error is a bug
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 2)
+        return exc.exit_code
     except (MemoryError, BrokenProcessPool) as exc:
         # a worker process that dies was most likely killed for lack of memory
         print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 import tokenize
 import warnings
@@ -40,6 +41,16 @@ class CsvFormatError(EegcnnError):
 class SplitError(EegcnnError):
     """Malformed or inconsistent split directory."""
     exit_code = 3
+
+
+class CheckpointError(EegcnnError):
+    """Unreadable or inconsistent checkpoint file."""
+    exit_code = 3
+
+
+class TrainingDivergedError(EegcnnError):
+    """A non-finite filter output, loss, gradient, probability or probe map, or an empty sweep."""
+    exit_code = 4
 
 
 @dataclass(frozen=True)
@@ -135,6 +146,14 @@ def is_str(v) -> bool:
     return isinstance(v, str)
 
 
+def is_path(v) -> bool:
+    """A string that open() takes: one the file system can encode, with no NUL."""
+    try:
+        return is_str(v) and b"\0" not in os.fsencode(v)
+    except UnicodeEncodeError:  # JSON's "\\ud800", say
+        return False
+
+
 def check_object(path, obj, prefix: str, checks: dict, error: type[Exception]) -> None:
     """Raise ``error``, naming ``path`` and the key, unless ``obj`` is a dict
     that holds each key of ``checks`` (key -> (test, what the value must be))
@@ -169,7 +188,7 @@ _MANIFEST_VALUES = {
 }
 _SUBJECT_VALUES = {
     "id": (is_str, "a string"),
-    "file": (is_str, "a string"),
+    "file": (is_path, "a string the file system can encode, with no NUL character"),
     "label": (lambda v: is_str(v) and v in LABEL_CODES, f"one of {sorted(LABEL_CODES)}"),
 }
 
@@ -337,7 +356,7 @@ def epoch_length(epoch_seconds: float, fs: float) -> int:
     n_float = epoch_seconds * fs
     epoch_len = int(round(n_float)) if math.isfinite(n_float) else 0
     if epoch_len <= 0 or abs(n_float - epoch_len) > 1e-9:
-        raise ValueError(
+        raise ConfigError(
             f"epoch_seconds * fs must be a positive integer, got {epoch_seconds} * {fs}"
         )
     return epoch_len
@@ -345,7 +364,7 @@ def epoch_length(epoch_seconds: float, fs: float) -> int:
 
 def check_seed(seed: int) -> None:
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def epoch_recording(rec: SubjectRecording, epoch_seconds: float = 5.0) -> list[Epoch]:
@@ -386,7 +405,7 @@ def split_dataset(
     groups = {name: shuffled[lo:hi] for name, lo, hi in zip(PARTITIONS, bounds, bounds[1:])}
     if not all(groups.values()):
         sizes = "/".join(str(len(subs)) for subs in groups.values())
-        raise ValueError(
+        raise ConfigError(
             f"split of {n} subjects leaves a partition empty: "
             f"train/validation/test = {sizes} subjects"
         )
@@ -400,7 +419,7 @@ def split_dataset(
     empty = [name for name, eps in parts.items() if not eps]
     if empty:
         shortest = min(ordered, key=lambda s: s.n_samples)
-        raise ValueError(
+        raise ConfigError(
             f"epoch_seconds {epoch_seconds:g} leaves the {'/'.join(empty)} partition(s) "
             f"without epochs; the shortest recording, {shortest.subject_id}, is "
             f"{shortest.n_samples / shortest.fs:g} s"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, Epoch, write_csv
+from .data import ConfigError, DatasetSplit, EegcnnError, Epoch, write_csv
 from .metrics import MetricsReport, evaluate
 from .model import ModelConfig
 from .preprocess import welch_psd_batch
@@ -23,14 +23,14 @@ def sweep_configs(
     ("kernel_size" or "out_channels") differs from ``base``. ModelConfig's own
     checks reject a bad value."""
     if parameter not in SWEPT_FIELDS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}; sweep_parameter must be "
-                         f"one of {', '.join(SWEPT_FIELDS)}")
+        raise ConfigError(f"unknown sweep parameter {parameter!r}; sweep_parameter must be "
+                          f"one of {', '.join(SWEPT_FIELDS)}")
     if not values:
-        raise ValueError("sweep_values needs at least one value")
+        raise ConfigError("sweep_values needs at least one value")
     try:
         return {v: replace(base, **{SWEPT_FIELDS[parameter]: v}) for v in values}
-    except ValueError as exc:  # from ModelConfig's checks
-        raise ValueError(f"sweep_values: {exc}") from None
+    except ConfigError as exc:  # from ModelConfig's checks
+        raise ConfigError(f"sweep_values: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ def run_sweep(
     data: DatasetSplit, train_config: TrainConfig, model_configs: dict[int, ModelConfig]
 ) -> AblationReport:
     """Train/evaluate once per sweep value, in the dict's order, with the same
-    training config (and so the same seed) at every point."""
+    training config (and so the same seed) at every point. Only an EegcnnError
+    (a diverging point, say) is recorded in ``errors``; any other ends the sweep."""
     if not data.train or not data.validation or not data.test:
         raise ValueError("all three partitions must be non-empty for a sweep")
     reports: dict[int, MetricsReport] = {}
@@ -70,7 +71,7 @@ def run_sweep(
         try:
             history = train(data, train_config, model_config)
             reports[value] = evaluate(history.best_checkpoint, data.test)
-        except Exception as exc:  # record and keep sweeping
+        except EegcnnError as exc:  # record and keep sweeping
             errors[value] = f"{type(exc).__name__}: {exc}"
     normalized = {}
     for m in MetricsReport.COLUMNS:
@@ -98,7 +99,7 @@ def group_psd(epochs: list[Epoch], fs: float) -> GroupPsd:
     """Channel-average each epoch, Welch PSD per epoch, then mean +- SEM per label."""
     labels = sorted({ep.label for ep in epochs})
     if len(labels) < 2:
-        raise ValueError("group PSD needs epochs from both classes")
+        raise ConfigError("group PSD needs epochs from both classes")
     freqs = None
     mean, sem = {}, {}
     for lb in labels:

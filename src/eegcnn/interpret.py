@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import check_seed, write_csv
+from .data import ConfigError, check_seed, write_csv
 from .model import MAX_FLOATS, ModelParams
 from .preprocess import welch_window
 
@@ -34,26 +34,26 @@ class ProbeSpec:
 
     def __post_init__(self, channels, repeats_noise):
         if self.repeats_sine < 1:
-            raise ValueError(f"repeats_sine must be >= 1, got {self.repeats_sine}")
+            raise ConfigError(f"repeats_sine must be >= 1, got {self.repeats_sine}")
         if not (np.isfinite(self.fs) and self.fs > 0):
-            raise ValueError(f"fs must be a finite positive number, got {self.fs}")
+            raise ConfigError(f"fs must be a finite positive number, got {self.fs}")
         if self.epoch_len < 1:
-            raise ValueError(f"epoch_len must be >= 1, got {self.epoch_len}")
+            raise ConfigError(f"epoch_len must be >= 1, got {self.epoch_len}")
         # the largest array either probe builds: the tone sweep's [2, 2T + 1] prefix sums
         if self.epoch_len > MAX_FLOATS // 4:
-            raise ValueError(f"epoch_len {self.epoch_len} is too long: the tone probe's "
-                             f"[2, 2 * epoch_len + 1] prefix sums hold more float64 values "
-                             f"than one numpy array can ({MAX_FLOATS})")
+            raise ConfigError(f"epoch_len {self.epoch_len} is too long: the tone probe's "
+                              f"[2, 2 * epoch_len + 1] prefix sums hold more float64 values "
+                              f"than one numpy array can ({MAX_FLOATS})")
         check_seed(self.seed)
         if self.frequencies is None:
             return
         freqs = np.asarray(self.frequencies, dtype=np.float64)
         if freqs.size == 0:
-            raise ValueError("no probe frequencies given")
+            raise ConfigError("no probe frequencies given")
         if not np.all(freqs >= 0):  # also false for NaN
-            raise ValueError(f"probe frequencies must be >= 0, got {np.min(freqs)}")
+            raise ConfigError(f"probe frequencies must be >= 0, got {np.min(freqs)}")
         if np.max(freqs) > self.fs / 2:
-            raise ValueError(
+            raise ConfigError(
                 f"probe frequency above Nyquist ({self.fs / 2} Hz): {np.max(freqs)}"
             )
 
@@ -154,6 +154,12 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
     w, b = checkpoint.conv_weight, checkpoint.conv_bias
     out_c, in_c, kernel = w.shape
     repeats = spec.repeats_sine
+    # the largest arrays per frequency: trig [2R, in] and g [R * out, 2K]
+    if 2 * repeats * max(in_c, out_c * kernel) > MAX_FLOATS:
+        raise ConfigError(f"repeats_sine {repeats} is too large for a checkpoint of "
+                          f"in_channels {in_c}, out_channels {out_c} and kernel {kernel}: the "
+                          f"tone probe's arrays would hold more float64 values than one numpy "
+                          f"array can ({MAX_FLOATS})")
     pad = (kernel - 1) // 2
     d = np.arange(kernel) - pad
     t = np.arange(spec.epoch_len)

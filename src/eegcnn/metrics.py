@@ -8,9 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Epoch, write_csv
+from .data import Epoch, TrainingDivergedError, write_csv
 from .model import ModelParams, predict, softmax
-from .train import TrainingDivergedError
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Epoch
+from .data import ConfigError, Epoch
 
 DROPOUT_RATE = 0.1
 # The labels are binary, PD vs Control (data.LABEL_CODES), so the fc layer has
@@ -31,13 +31,13 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.kernel % 2 == 0:
-            raise ValueError(f"kernel must be odd for symmetric same padding, got {self.kernel}")
+            raise ConfigError(f"kernel must be odd for symmetric same padding, got {self.kernel}")
         if min(self.in_channels, self.out_channels, self.kernel) < 1:
-            raise ValueError(f"all model dimensions must be positive: {self}")
+            raise ConfigError(f"all model dimensions must be positive: {self}")
         if self.size > MAX_FLOATS:
-            raise ValueError(f"in_channels {self.in_channels}, out_channels {self.out_channels} "
-                             f"and kernel {self.kernel} give {self.size} parameters, more "
-                             f"float64 values than one numpy array can hold ({MAX_FLOATS})")
+            raise ConfigError(f"in_channels {self.in_channels}, out_channels {self.out_channels} "
+                              f"and kernel {self.kernel} give {self.size} parameters, more "
+                              f"float64 values than one numpy array can hold ({MAX_FLOATS})")
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of each ModelParams block, in ``ModelParams.flat`` order."""

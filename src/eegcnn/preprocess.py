@@ -2,7 +2,7 @@
 
 The high-pass is a Butterworth filter designed once as second-order sections
 (SOS) and run forward and backward, so it has zero phase and works at every
-order >= 1; no polynomial (b, a) form is ever built. The Welch PSD is plain
+order from 1 to MAX_FLOATS // 2; no polynomial (b, a) form is ever built. The Welch PSD is plain
 numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal.
 """
 
@@ -17,18 +17,27 @@ from functools import partial
 
 import numpy as np
 
-from .data import ConfigError, Manifest, ManifestEntry, SubjectRecording, load_subject_csv
+from .data import (ConfigError, Manifest, ManifestEntry, SubjectRecording,
+                   TrainingDivergedError, load_subject_csv)
+from .model import MAX_FLOATS
 
 
 def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
     """Butterworth high-pass with the -3 dB point at cutoff_hz (single pass),
     as second-order sections: a [sections, 6] array of biquad coefficients
     taken straight from the filter's poles and zeros, stable at every order.
-    A cutoff too low for ``sosfiltfilt``'s initial state raises ConfigError."""
+    An order whose ``order`` complex poles one numpy array cannot hold, or a
+    cutoff too low for ``sosfiltfilt``'s initial state, raises ConfigError."""
     if order < 1:
         raise ConfigError(f"filter_order must be >= 1, got {order}")
+    if order > MAX_FLOATS // 2:  # scipy would fail unnamed, or overflow to a pass-all filter
+        raise ConfigError(f"filter_order {order} is too high: its {order} complex poles hold "
+                          f"more float64 values than one numpy array can ({MAX_FLOATS})")
     if not 0 < cutoff_hz < fs / 2:
         raise ConfigError(f"cutoff_hz must lie in (0, fs/2) = (0, {fs / 2}), got {cutoff_hz}")
+    too_low = f"cutoff_hz {cutoff_hz} is too low for filter_order {order} at fs {fs} Hz"
+    if 2 * cutoff_hz / fs == 0:  # scipy's normalized cutoff underflows
+        raise ConfigError(f"{too_low}: cutoff_hz / (fs / 2) rounds to 0")
     from scipy import signal as sps  # here: a 1.3-1.5 s, 49 MB import only prepare needs
 
     sos = sps.butter(order, cutoff_hz, btype="highpass", fs=fs, output="sos")
@@ -36,8 +45,7 @@ def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
         with np.errstate(all="ignore"):  # scipy divides 0 by 0 before the singular solve
             sps.sosfilt_zi(sos)
     except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"cutoff_hz {cutoff_hz} is too low for filter_order {order} at "
-                          f"fs {fs} Hz: solving for its initial state fails ({exc})") from None
+        raise ConfigError(f"{too_low}: solving for its initial state fails ({exc})") from None
     return sos
 
 
@@ -48,19 +56,26 @@ def apply_zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     # the pad is 3 * (order + 1) samples; an odd order ends in a first-order
     # section, the one whose a2 is 0
-    padlen = 3 * (2 * len(sos) + 1 - np.count_nonzero(sos[:, 5] == 0))
+    order = 2 * len(sos) - np.count_nonzero(sos[:, 5] == 0)
+    padlen = 3 * (order + 1)
     if x.shape[-1] <= padlen:
-        raise ValueError(
-            f"signal length {x.shape[-1]} too short for edge padding (needs > {padlen})"
-        )
+        raise ConfigError(f"signal length {x.shape[-1]} too short for the edge padding of "
+                          f"filter_order {order} (needs > {padlen})")
     return sps.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
 
 
 def _load_filtered_subject(
     sos: np.ndarray, manifest: Manifest, entry: ManifestEntry
 ) -> SubjectRecording:
+    """One subject's recording, high-pass filtered; an error names its file."""
     rec = load_subject_csv(entry.file, entry, manifest)
-    return replace(rec, samples=apply_zero_phase(sos, rec.samples))
+    try:
+        samples = apply_zero_phase(sos, rec.samples)
+    except ConfigError as exc:
+        raise ConfigError(f"{entry.file}: {exc}") from None
+    if not np.isfinite(samples).all():
+        raise TrainingDivergedError(f"{entry.file}: the samples overflow the high-pass filter")
+    return replace(rec, samples=samples)
 
 
 def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[SubjectRecording]:
@@ -98,13 +113,13 @@ def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[Subj
 def welch_window(fs: float, epoch_len: int) -> tuple[int, np.ndarray]:
     """The 1 s Welch segment of ``welch_psd_batch``: its length n = round(fs)
     and its periodic Hann window, scaled for a one-sided density. An n of 0,
-    or one longer than ``epoch_len``, raises ValueError."""
+    or one longer than ``epoch_len``, raises ConfigError."""
     n = int(round(fs))
     if n < 1:
-        raise ValueError(f"fs {fs} Hz gives a 1 s Welch window of 0 samples")
+        raise ConfigError(f"fs {fs} Hz gives a 1 s Welch window of 0 samples")
     if n > epoch_len:
-        raise ValueError(f"epoch_len {epoch_len} is shorter than the 1 s Welch window of "
-                         f"{n:g} samples at fs {fs} Hz")
+        raise ConfigError(f"epoch_len {epoch_len} is shorter than the 1 s Welch window of "
+                          f"{n:g} samples at fs {fs} Hz")
     # periodic Hann window; one sample is [1.0], as in scipy
     w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1]) if n > 1 else np.ones(1)
     return n, w * (1 / np.sqrt(sum(w**2) / (1 / fs)))  # built-in sum: scipy's summation order

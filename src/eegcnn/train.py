@@ -9,18 +9,13 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DatasetSplit, EegcnnError, Epoch, check_seed
+from .data import ConfigError, DatasetSplit, Epoch, TrainingDivergedError, check_seed
 from .model import ModelConfig, ModelParams, backward, forward, init_params, predict
 
 # Adam's decay rates and epsilon, Kingma & Ba's defaults (arXiv:1412.6980)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-class TrainingDivergedError(EegcnnError):
-    """A non-finite loss, gradient, probability or probe map, or a sweep with no point left."""
-    exit_code = 4
 
 
 @dataclass(frozen=True)
@@ -32,11 +27,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         check_seed(self.seed)
 
 

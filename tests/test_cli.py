@@ -2,6 +2,7 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eegcnn.cli
+import eegcnn.experiments
 import eegcnn.interpret
 import eegcnn.preprocess
 from eegcnn.cli import SETTINGS, build_parser, main, resolve_settings
@@ -21,6 +23,7 @@ from eegcnn.data import (
     ConfigError,
     CsvFormatError,
     DatasetSplit,
+    EegcnnError,
     ManifestError,
     SplitError,
     load_split as _read_split,
@@ -200,6 +203,59 @@ class TestPrepare:
                    "--out", str(tmp_path / "out"), "--cutoff-hz", "0.5", "--filter-order", "10"])
         assert rc == 0
 
+    @pytest.mark.parametrize("order", [2**63 - 1, 2**62])
+    def test_filter_order_beyond_one_array_rejected_before_loading(
+            self, dataset_dir, tmp_path, capsys, monkeypatch, order):
+        """2**63 - 1 exited 0 with a split that was not high-passed at all
+        (scipy overflowed into the identity filter); 2**62 exited 2 with
+        numpy's unnamed "array is too big"."""
+        def no_load(*args):
+            raise AssertionError("prepare read a CSV")
+
+        monkeypatch.setattr(eegcnn.preprocess, "load_subject_csv", no_load)
+        out = tmp_path / "out"
+        rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
+                   "--out", str(out), "--filter-order", str(order)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: filter_order {order} is too high") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the pooled case forks worker processes")
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "pool"])
+    @pytest.mark.parametrize("first, second", [("short", "huge"), ("huge", "short")])
+    def test_filter_error_names_the_first_bad_file(self, dataset_dir, tmp_path, capsys,
+                                                   monkeypatch, cpus, first, second):
+        """A recording no longer than the filter's edge padding exits 2 and
+        names the file and filter_order; samples that the filter overflows
+        exit 4 and name the file (they used to exit 2 with "non-finite sample
+        values in subject ..."). With subjects 2 and 4 bad, subject 2 reports,
+        whether the subjects load in this process or in forked workers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        cohort = tmp_path / "cohort"
+        shutil.copytree(dataset_dir, cohort)
+        manifest = json.loads((cohort / "manifest.json").read_text())
+        paths = [cohort / manifest["subjects"][i]["file"] for i in (2, 4)]
+        for path, damage in zip(paths, (first, second)):
+            lines = path.read_text().splitlines()
+            if damage == "short":  # 12 samples; order 4 pads 15
+                lines = lines[:13]
+            else:  # alternating +-1.7e308
+                lines[1:] = [",".join([f"{(-1) ** i * 1.7e308!r}"] * CHANNELS)
+                             for i in range(len(lines) - 1)]
+            path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["prepare", "--manifest", str(cohort / "manifest.json"), "--out", str(out)])
+        assert capsys.readouterr().err == {
+            "short": f"error: {paths[0]}: signal length 12 too short for the edge padding of "
+                     "filter_order 4 (needs > 15)\n",
+            "huge": f"error: {paths[0]}: the samples overflow the high-pass filter\n",
+        }[first]
+        assert rc == {"short": 2, "huge": 4}[first]
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     def test_missing_manifest(self, tmp_path):
         rc = main(["prepare", "--manifest", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "out")])
@@ -234,6 +290,9 @@ class TestPrepare:
         ("channels", "ch0"), ("channels", [0, 1, 2]), ("subjects", {}), ("subjects[0]", ["x"]),
         ("subjects[0].id", 3), ("subjects[0].file", ["x"]), ("subjects[0].label", ["PD"]),
         ("subjects[0].label", "Sick"), ("channels", ["ch0", "a\rb", "ch2"]), ("channels", []),
+        # open() raises a bare ValueError on these, so the manifest check rejects them
+        pytest.param("subjects[0].file", "S000.csv\x00x", id="nul-file"),
+        pytest.param("subjects[0].file", "S000\ud800.csv", id="unencodable-file"),
     ])
     def test_bad_manifest_value(self, dataset_dir, tmp_path, capsys, key, value):
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
@@ -687,6 +746,22 @@ class TestSweep:
         assert "no sweep point succeeded" in err
         assert not out.exists()
 
+    def test_out_of_memory_ends_the_sweep(self, prepared, tmp_path, capsys, monkeypatch):
+        """A point that runs out of memory is no failed point: the sweep ends
+        as train does (it exited 4, or 0 with the point's row missing)."""
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(eegcnn.experiments, "train", no_memory)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--split", str(prepared), "--out", str(out),
+                   "--sweep-parameter", "kernel_size", "--sweep-values", "3,5",
+                   "--epochs", "1", "--in-channels", str(CHANNELS), "--out-channels", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory in sweep: Unable to allocate 8.00 TiB\n")
+        assert not out.exists()
+
     def test_missing_values_rejected(self, prepared, tmp_path):
         rc = main(["sweep", "--split", str(prepared), "--out", str(tmp_path / "o"),
                    "--sweep-parameter", "kernel_size"])
@@ -980,13 +1055,19 @@ def test_negative_seed_rejected(dataset_dir, prepared, trained, tmp_path, capsys
     ("train", ["--kernel", str(2**62 - 1)],
      f"in_channels {CHANNELS}, out_channels 2 and kernel {2**62 - 1} give"),
     ("probe", ["--epoch-len", str(2**62)], f"epoch_len {2**62} is too long"),
+    ("probe", ["--repeats-sine", str(2**62)],
+     f"repeats_sine {2**62} is too large for a checkpoint of in_channels {CHANNELS}"),
+    ("prepare", ["--cutoff-hz", "5e-324"],
+     "cutoff_hz 5e-324 is too low for filter_order 4 at fs 100.0 Hz: cutoff_hz / (fs / 2) "
+     "rounds to 0"),
 ])
 def test_bad_setting_named_in_one_line(dataset_dir, prepared, trained, tmp_path, capsys,
                                        command, flags, message):
     """Each exits 2 with one stderr line that names the setting; an integer
     beyond int64 used to end in a traceback (exit 1), the too-low cutoff in
     "error: Singular matrix", and a model or probe epoch too big for numpy in
-    numpy's own message."""
+    numpy's own message. A repeats_sine too big for numpy gave numpy's
+    message too, and a cutoff that scipy normalizes to 0 gave scipy's."""
     base = _base_settings(command, dataset_dir, prepared, trained)
     argv = [command, "--out", str(tmp_path / "o")]
     for k, text in base.items():
@@ -1009,15 +1090,51 @@ def test_model_beyond_memory_exits_2(prepared, tmp_path, capsys):
 
 
 def test_exit_code_belongs_to_error_class():
+    """One table: every class is defined in eegcnn.data, and pickles, since
+    prepare's worker processes send their errors to the parent."""
     codes = {ConfigError: 2, ManifestError: 2, CsvFormatError: 3, CheckpointError: 3,
              SplitError: 3, TrainingDivergedError: 4}
     for cls, code in codes.items():
         assert issubclass(cls, ValueError) and cls.exit_code == code
+        assert cls.__module__ == "eegcnn.data"
+        again = pickle.loads(pickle.dumps(cls("message")))
+        assert type(again) is cls and str(again) == "message"
+    assert set(codes) == set(EegcnnError.__subclasses__())  # none left out
+
+
+def test_bare_value_error_is_a_bug(prepared, tmp_path, monkeypatch):
+    """Only an EegcnnError sets an exit code. Any other exception, a bare
+    ValueError included, leaves main and ends in a traceback (exit 1); it used
+    to print one line and exit 2, as a configuration error."""
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(eegcnn.experiments, "group_psd", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["psd", "--split", str(prepared), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("name", ["o\x00x", "o\ud800x"], ids=["nul", "unencodable"])
+def test_path_the_os_cannot_open_rejected(dataset_dir, tmp_path, capsys, monkeypatch, name):
+    """A config-file path with a NUL, or one the file system cannot encode:
+    open() raises a bare ValueError on it, so the setting's type check rejects it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "settings.json").write_text(json.dumps({"out": name}))
+    rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
+               "--config", "settings.json"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: settings.json: 'out' must be a string the file system can encode, with no NUL "
+        "character, got ")
+    assert os.listdir(tmp_path) == ["settings.json"]
 
 
 # Boundary values that the property test below gives each setting, from the
 # flag (as text) or from the config file (as JSON)
-EDGE_VALUES = [-1, 0, 1, 2**63, 2**64, -0.0, 1e-300, 1e300, "nan", "x" * 10_000]
+EDGE_VALUES = [-1, 0, 1, 2**62, 2**63 - 1, 2**63, 2**64, -0.0, 1e-300, 1e300, "nan",
+               "x" * 10_000]
+# values that fit int64 but that many epochs would train for that long
+TOO_MANY_EPOCHS = (2**62, 2**63 - 1)
 
 
 def _base_settings(command, dataset_dir, prepared, trained):
@@ -1046,7 +1163,8 @@ def test_any_setting_value_exits_with_a_named_error(dataset_dir, prepared, train
     prints one line that names the setting."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     command, key = data.draw(st.sampled_from(PAIRS))
-    value = data.draw(st.sampled_from(EDGE_VALUES))
+    value = data.draw(st.sampled_from(
+        [v for v in EDGE_VALUES if key != "epochs" or v not in TOO_MANY_EPOCHS]))
     from_flag = data.draw(st.booleans())
     work = tmp_path / str(len(list(tmp_path.iterdir())))
     work.mkdir()

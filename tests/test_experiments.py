@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import eegcnn.experiments
 from eegcnn.data import split_dataset
 from eegcnn.experiments import GroupPsd, group_psd, normalize_metric, run_sweep, sweep_configs
 from eegcnn.model import ModelConfig
@@ -94,14 +95,24 @@ class TestRunSweep:
         for v in (3, 5):
             assert a.reports[v] == b.reports[v]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_recorded_without_abort(self):
         split = tiny_split(channels=4)
-        # out_channels=1 trains fine; a kernel wider than practical still works,
-        # so force failure via an in_channels mismatch in the base config
-        configs = sweep_configs(ModelConfig(5, 4, 5), "out_channels", (2, 4))
-        report = run_sweep(split, TrainConfig(epochs=1), configs)  # data has 4 channels
+        # every point diverges; each TrainingDivergedError is recorded and the sweep goes on
+        configs = sweep_configs(ModelConfig(4, 4, 5), "out_channels", (2, 4))
+        report = run_sweep(split, TrainConfig(epochs=1, learning_rate=1e300), configs)
         assert set(report.errors) == {2, 4}
+        assert all(err.startswith("TrainingDivergedError: ") for err in report.errors.values())
         assert not report.reports
+
+    def test_bare_error_ends_the_sweep(self, monkeypatch):
+        # only an EegcnnError is a failed point; anything else is a bug or out of memory
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(eegcnn.experiments, "train", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            run_sweep(tiny_split(), TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
 
     def test_csv_export(self, tmp_path):
         split = tiny_split()

@@ -13,6 +13,7 @@ from conftest import (
     reference_pooling_sensitivity,
     sampled_filter_response,
 )
+from eegcnn.data import ConfigError
 from eegcnn.interpret import ProbeSpec, conv_filter_response, pooling_sensitivity, relu_arc_sums
 from eegcnn.model import MAX_FLOATS
 from eegcnn.preprocess import welch_window
@@ -245,6 +246,20 @@ class TestPoolingSensitivity:
         spec = small_spec(frequencies=np.array([0.0, 25.0, 200.0]))
         smap = pooling_sensitivity(model, spec)
         assert np.all(smap.activation == 0.0)
+
+    # the largest arrays per frequency hold 2 * repeats * max(in, out * K)
+    # values; at 2**62 numpy raised its unnamed "array is too big"
+    @pytest.mark.parametrize("in_c, out_c, kernel", [(2, 2, 3), (9, 1, 1)])
+    def test_repeats_beyond_one_array_rejected(self, in_c, out_c, kernel):
+        params = make_params(conv_weight=np.ones((out_c, in_c, kernel)),
+                             conv_bias=np.zeros(out_c), fc_weight=np.ones((2, out_c)),
+                             fc_bias=np.zeros(2))
+        repeats = MAX_FLOATS // (2 * max(in_c, out_c * kernel)) + 1
+        spec = small_spec(fs=100.0, epoch_len=500, repeats_sine=repeats)
+        with pytest.raises(ConfigError, match=f"^repeats_sine {repeats} is too large for a "
+                                              f"checkpoint of in_channels {in_c}, out_channels "
+                                              f"{out_c} and kernel {kernel}"):
+            pooling_sensitivity(params, spec)
 
     def test_deterministic_given_seed(self):
         model = identity_model(channels=2)

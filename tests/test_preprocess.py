@@ -10,6 +10,7 @@ from scipy import signal as sps
 
 import eegcnn.preprocess
 from eegcnn.data import ConfigError, CsvFormatError, Manifest, ManifestEntry, write_subject_csv
+from eegcnn.model import MAX_FLOATS
 from eegcnn.preprocess import apply_zero_phase, design_highpass, load_filtered, welch_psd_batch
 
 from conftest import gain_db, make_recording, reference_load_filtered
@@ -37,6 +38,22 @@ class TestDesignHighpass:
     def test_cutoff_too_low_for_initial_state_rejected(self, cutoff):
         with pytest.raises(ConfigError, match=f"cutoff_hz {cutoff} is too low for filter_order 4"):
             design_highpass(cutoff, 4, 100.0)
+
+    # scipy overflowed 2**63 - 1 and 2**63 - 3 into the identity section
+    # [[1, 0, 0, 1, 0, 0]], so the split was not filtered at all; at 2**62
+    # numpy raised its unnamed "array is too big"
+    @pytest.mark.parametrize("order", [2**63 - 1, 2**63 - 3, 2**62, MAX_FLOATS // 2 + 1])
+    def test_order_beyond_one_array_rejected(self, order):
+        with pytest.raises(ConfigError, match=f"^filter_order {order} is too high: its {order} "
+                                              "complex poles hold more float64 values"):
+            design_highpass(1.0, order, FS)
+
+    def test_cutoff_that_scipy_normalizes_to_zero_rejected(self):
+        # 2 * cutoff / fs underflows to 0, which scipy rejects with a bare ValueError
+        with pytest.raises(ConfigError, match=r"^cutoff_hz 5e-324 is too low for filter_order "
+                                              r"4 at fs 100.0 Hz: cutoff_hz / \(fs / 2\) "
+                                              "rounds to 0$"):
+            design_highpass(5e-324, 4, 100.0)
 
     def test_dc_killed(self):
         sos = design_highpass(1.0, 4, FS)
@@ -113,7 +130,8 @@ class TestApplyZeroPhase:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ConfigError, match="^signal length 10 too short for the edge "
+                                              r"padding of filter_order 4 \(needs > 15\)$"):
             apply_zero_phase(self.sos, np.ones(10))
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 7])
