@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
@@ -132,6 +133,20 @@ def _build(cls, settings: dict, **extra):
 _read_split = dat.load_split
 
 
+def _shown(path: Path) -> str:
+    """``path`` as stdout can print it: unchanged if it can, else with each
+    byte that is not UTF-8, and each character stdout's encoding lacks, as a
+    backslash escape. The summary line comes after the outputs are written,
+    so it must not fail."""
+    text, encoding = str(path), sys.stdout.encoding or "utf-8"
+    try:
+        text.encode(encoding, sys.stdout.errors or "strict")
+        return text
+    except UnicodeEncodeError:
+        text = os.fsencode(path).decode("utf-8", "backslashreplace")
+        return text.encode(encoding, "backslashreplace").decode(encoding)
+
+
 def cmd_prepare(s: dict) -> None:
     manifest = dat.load_manifest(s["manifest"])
     # the split settings are checked before any CSV is read
@@ -151,12 +166,12 @@ def _print_epoch(i: int, row: dict) -> None:
 
 
 def _check_model(split_dir, split: dat.DatasetSplit, config: ModelConfig, source="") -> None:
-    """Every epoch of the split must have in_channels channels (exit 2).
-    ``source`` prefixes the message."""
-    counts = sorted({ep.data.shape[0] for ep in split.train + split.validation + split.test})
-    if counts != [config.in_channels]:
+    """The split's epochs, which ``load_split`` keeps to one shape, must have
+    in_channels channels (exit 2). ``source`` prefixes the message."""
+    channels = split.train[0].data.shape[0]
+    if channels != config.in_channels:
         raise ConfigError(f"{source}in_channels is {config.in_channels}, but the split in "
-                          f"{split_dir} has {'/'.join(map(str, counts))} channels")
+                          f"{split_dir} has {channels} channels")
 
 
 def cmd_train(s: dict) -> None:
@@ -169,7 +184,7 @@ def cmd_train(s: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out_dir / "checkpoint.bin", history.best_checkpoint, train_config.seed)
     history.save(out_dir / "history.json")
-    print(f"best epoch {history.best_epoch}; wrote {out_dir / 'checkpoint.bin'}")
+    print(f"best epoch {history.best_epoch}; wrote {_shown(out_dir / 'checkpoint.bin')}")
 
 
 def cmd_evaluate(s: dict) -> None:
@@ -222,7 +237,7 @@ def cmd_sweep(s: dict) -> None:
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "ablation.csv")
-    print(f"wrote {out_dir / 'ablation.csv'} ({len(report.reports)} points)")
+    print(f"wrote {_shown(out_dir / 'ablation.csv')} ({len(report.reports)} points)")
 
 
 def cmd_psd(s: dict) -> None:
@@ -231,7 +246,7 @@ def cmd_psd(s: dict) -> None:
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     gp.to_csv(out_dir / "group_psd.csv")
-    print(f"wrote {out_dir / 'group_psd.csv'}")
+    print(f"wrote {_shown(out_dir / 'group_psd.csv')}")
 
 
 # command -> (function, help)

@@ -469,7 +469,7 @@ def save_split(out_dir: str | Path, split: DatasetSplit, fs: float) -> None:
 def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
     """The split that ``save_split`` wrote to ``split_dir``, and its sampling
     rate. A malformed or inconsistent directory raises SplitError naming the
-    file and the key."""
+    file and the key, and so do partitions whose epochs differ in shape."""
     split_dir = Path(split_dir)
     index_path = split_dir / "split.json"
     index = parse_json(index_path, index_path.read_bytes(), SplitError)
@@ -480,13 +480,14 @@ def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
         if name not in PARTITIONS:
             raise SplitError(f"{index_path}: 'subject_assignment.{subject}' must be one of "
                              f"{', '.join(PARTITIONS)}, got {name!r}")
-    parts = {}
+    parts, shapes = {}, {}
     for name in PARTITIONS:
         entries = index["partitions"][name]
         if not entries:
             raise SplitError(f"{index_path}: partition '{name}' holds no epochs")
         data_path = split_dir / f"{name}_data.npy"
         stack = _load_stack(data_path)
+        shapes[name] = stack.shape[1:]
         if len(entries) != stack.shape[0]:
             raise SplitError(f"{split_dir}: {name} index/data length mismatch")
         for i, e in enumerate(entries):
@@ -503,6 +504,9 @@ def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
             ]
         except ValueError as exc:  # a non-finite sample
             raise SplitError(f"{data_path}: {exc}") from None
+    if len(set(shapes.values())) > 1:
+        raise SplitError(f"{split_dir}: the partitions' epochs differ in shape (channels, "
+                         f"samples): {', '.join(f'{k} {v}' for k, v in shapes.items())}")
     split = DatasetSplit(**parts, seed=index["seed"], subject_assignment=assignment)
     return split, float(index["fs"])
 

@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import ConfigError, check_seed, write_csv
 from .model import MAX_FLOATS, ModelParams
-from .preprocess import welch_window
+from .preprocess import welch_segments
 
 
 @dataclass(frozen=True)
@@ -206,11 +206,10 @@ def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResp
     many of the P segments read padded sample j inside the epoch (zero
     padding adds nothing). No array of length T is built.
     """
-    n, win = welch_window(spec.fs, spec.epoch_len)
+    n, win, hop, segments = welch_segments(spec.fs, spec.epoch_len)
+    freqs = np.fft.rfftfreq(n, 1 / spec.fs)
     w, b = checkpoint.conv_weight, checkpoint.conv_bias
     kernel = w.shape[2]
-    hop = n - n // 2
-    segments = (spec.epoch_len - n // 2) // hop
     d = np.arange(n + kernel - 1) - (kernel - 1) // 2
     # segments p with 0 <= p * hop + d < T: [ceil(-d / hop), ceil((T - d) / hop)) within [0, P)
     count = (np.clip(-((d - spec.epoch_len) // hop), 0, segments)
@@ -219,9 +218,9 @@ def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResp
     a = sliding_window_view(np.pad(win, kernel - 1), kernel)[:, ::-1].T
     gc = (w.transpose(0, 2, 1) @ w) * ((a * count) @ a.T)  # [out, K, K], symmetric
     # cos(x (k - l)) = cos(x k) cos(x l) + sin(x k) sin(x l), x = 2 pi f / n
-    angle = 2.0 * np.pi * np.outer(np.arange(kernel), np.arange(n // 2 + 1)) / n
+    angle = 2.0 * np.pi * np.outer(np.arange(kernel), np.arange(freqs.size)) / n
     cos, sin = np.cos(angle), np.sin(angle)
     noise = ((gc @ cos) * cos + (gc @ sin) * sin).sum(axis=1)
     power = noise / segments + b[:, None] ** 2 * np.abs(np.fft.rfft(win)) ** 2
     power[:, 1 : -1 if n % 2 == 0 else None] *= 2  # one-sided: all but DC and Nyquist
-    return FilterResponseMap(freqs=np.fft.rfftfreq(n, 1 / spec.fs), power=power)
+    return FilterResponseMap(freqs=freqs, power=power)

@@ -16,6 +16,7 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import (ConfigError, Manifest, ManifestEntry, SubjectRecording,
                    TrainingDivergedError, load_subject_csv)
@@ -110,38 +111,37 @@ def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[Subj
     return subjects
 
 
-def welch_window(fs: float, epoch_len: int) -> tuple[int, np.ndarray]:
-    """The 1 s Welch segment of ``welch_psd_batch``: its length n = round(fs)
-    and its periodic Hann window, scaled for a one-sided density. An n of 0,
-    or one longer than ``epoch_len``, raises ConfigError."""
+def welch_segments(fs: float, epoch_len: int) -> tuple[int, np.ndarray, int, int]:
+    """The 1 s, 50%-overlap segments of an ``epoch_len``-sample Welch PSD: their
+    length n = round(fs), periodic Hann window scaled for a one-sided density,
+    hop and count. An n of 0, or one longer than ``epoch_len``, raises
+    ConfigError. ``welch_psd_batch`` and the probe's filter response use it."""
     n = int(round(fs))
     if n < 1:
         raise ConfigError(f"fs {fs} Hz gives a 1 s Welch window of 0 samples")
     if n > epoch_len:
         raise ConfigError(f"epoch_len {epoch_len} is shorter than the 1 s Welch window of "
                           f"{n:g} samples at fs {fs} Hz")
-    # periodic Hann window; one sample is [1.0], as in scipy
+    # periodic Hann window ([1.0] at n = 1, as in scipy), scaled by a built-in sum: scipy's order
     w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1]) if n > 1 else np.ones(1)
-    return n, w * (1 / np.sqrt(sum(w**2) / (1 / fs)))  # built-in sum: scipy's summation order
+    hop = n - n // 2
+    return n, w * (1 / np.sqrt(sum(w**2) / (1 / fs))), hop, (epoch_len - n // 2) // hop
 
 
 def welch_psd_batch(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed averaged periodogram over the last axis, one-sided
     density normalization; returns (freqs, power).
 
-    The window is 1 s (round(fs) samples) with 50% overlap, so the frequency
-    grid has 1 Hz spacing at integer sampling rates. The steps are those of
+    The segments (``welch_segments``) are 1 s with 50% overlap, so the grid
+    has 1 Hz spacing at integer sampling rates. The steps are those of
     scipy 1.17's ``scipy.signal.welch(x, fs, window="hann", nperseg=n,
     noverlap=n // 2, detrend=False)``, in the same order, so the result
     equals that call's bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    n, win = welch_window(fs, x.shape[-1])
-    hop = n - n // 2
-    segments = (x.shape[-1] - n // 2) // hop
-    spec = np.empty(x.shape[:-1] + (n // 2 + 1, segments), dtype=complex)
-    for p in range(segments):
-        spec[..., :, p] = np.fft.rfft(x[..., p * hop : p * hop + n] * win)
-    power = spec.real**2 + spec.imag**2
-    power[..., 1 : -1 if n % 2 == 0 else None, :] *= 2  # one-sided: all but DC and Nyquist
-    return np.fft.rfftfreq(n, 1 / fs), power.mean(axis=-1)
+    n, win, hop, _ = welch_segments(fs, x.shape[-1])
+    spec = np.fft.rfft(sliding_window_view(x, n, axis=-1)[..., ::hop, :] * win)
+    power = spec.real**2 + spec.imag**2  # [..., segments, n // 2 + 1]
+    power[..., 1 : -1 if n % 2 == 0 else None] *= 2  # one-sided: all but DC and Nyquist
+    # a mean along contiguous segments sums in scipy's order; mean(axis=-2) does not
+    return np.fft.rfftfreq(n, 1 / fs), np.ascontiguousarray(power.swapaxes(-1, -2)).mean(-1)

@@ -836,8 +836,9 @@ class TestChannelCount:
         np.save(split_dir / "test_data.npy", stack[:, : CHANNELS - 1])
         rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o"),
                    "--epochs", "1", "--in-channels", str(CHANNELS)])
-        assert rc == 2
-        assert f"has {CHANNELS - 1}/{CHANNELS} channels" in capsys.readouterr().err
+        assert rc == 3  # the split itself is inconsistent, whatever in_channels is
+        assert f"test ({CHANNELS - 1}, 500)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 _PATH = (str, None)
@@ -1217,6 +1218,67 @@ class TestPsd:
         assert rc == 2
         assert "group PSD needs epochs from both classes" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["psd", "train", "evaluate", "sweep"])
+def test_partitions_of_different_lengths_exit_3(prepared, trained, tmp_path, capsys, command):
+    split_dir = tmp_path / "split"
+    shutil.copytree(prepared, split_dir)
+    stack = np.load(split_dir / "test_data.npy")
+    np.save(split_dir / "test_data.npy", stack[..., :-100])
+    out = tmp_path / "o"
+    argv = [command, "--split", str(split_dir), "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(trained / "checkpoint.bin")]
+    if command in ("train", "sweep"):
+        argv += ["--epochs", "1", "--in-channels", str(CHANNELS)]
+    if command == "sweep":
+        argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3,5"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: {split_dir}: the partitions' epochs differ in shape (channels, "
+                   f"samples): train ({CHANNELS}, 500), validation ({CHANNELS}, 500), "
+                   f"test ({CHANNELS}, 400)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["psd", "train", "sweep"])
+def test_path_stdout_cannot_encode_is_escaped(prepared, tmp_path, monkeypatch, command):
+    """The summary line names a path with a byte that is not UTF-8 in
+    backslash escapes, after the outputs are written, instead of failing."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    out = tmp_path / "psd\udcff"
+    argv = [command, "--split", str(prepared), "--out", str(out)]
+    if command in ("train", "sweep"):
+        argv += ["--epochs", "1", "--in-channels", str(CHANNELS), "--out-channels", "2",
+                 "--kernel", "3"]
+    if command == "sweep":
+        argv += ["--sweep-parameter", "kernel_size", "--sweep-values", "3"]
+    assert main(argv) == 0
+    stdout.flush()
+    last = stdout.buffer.getvalue().decode("utf-8").splitlines()[-1]
+    name = {"psd": "group_psd.csv", "train": "checkpoint.bin", "sweep": "ablation.csv"}
+    assert f"wrote {tmp_path}/psd\\xff/{name[command]}" in last
+    assert (out / name[command]).is_file()
+
+
+@pytest.mark.parametrize("encoding, errors, path, shown", [
+    ("utf-8", "strict", "o/\u00e9", "o/\u00e9"),
+    ("utf-8", "strict", "o/\udcff", "o/\\xff"),
+    ("utf-8", "surrogateescape", "o/\udcff", "o/\udcff"),  # prints the byte itself
+    ("ascii", "strict", "o/\u00e9", "o/\\xe9"),
+    ("ascii", "strict", "o/\udcff", "o/\\xff"),
+], ids=["utf8-accent", "utf8-undecodable", "surrogateescape", "ascii-accent", "ascii-undecodable"])
+def test_shown_path(monkeypatch, encoding, errors, path, shown):
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding=encoding,
+                                                        errors=errors))
+    assert eegcnn.cli._shown(path) == shown
+
+
+def test_shown_path_on_a_string_buffer(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", io.StringIO())  # no encoding: UTF-8, strict
+    assert eegcnn.cli._shown("o/\udcff") == "o/\\xff"
 
 
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

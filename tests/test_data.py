@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from eegcnn.data import (
     Manifest,
     ManifestEntry,
     ManifestError,
+    SplitError,
     SubjectRecording,
     epoch_recording,
     load_manifest,
@@ -525,6 +527,17 @@ class TestSplitDirectory:
         assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
         for name in names:
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+    @pytest.mark.parametrize("cut, shape", [((slice(None), slice(1)), "(1, 2500)"),
+                                            ((Ellipsis, slice(-100)), "(3, 2400)")])
+    def test_partitions_of_different_shapes_rejected(self, tmp_path, cut, shape):
+        save_split(tmp_path, split_dataset(_subjects(6), seed=3), 500.0)
+        stack = np.load(tmp_path / "validation_data.npy")
+        np.save(tmp_path / "validation_data.npy", stack[cut])
+        with pytest.raises(SplitError, match=re.escape(
+                f"{tmp_path}: the partitions' epochs differ in shape (channels, samples): "
+                f"train (3, 2500), validation {shape}, test (3, 2500)")):
+            load_split(tmp_path)
 
     def test_cli_reader_is_the_library_reader(self):
         assert eegcnn.cli._read_split is eegcnn.data.load_split

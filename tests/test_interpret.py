@@ -16,7 +16,7 @@ from conftest import (
 from eegcnn.data import ConfigError
 from eegcnn.interpret import ProbeSpec, conv_filter_response, pooling_sensitivity, relu_arc_sums
 from eegcnn.model import MAX_FLOATS
-from eegcnn.preprocess import welch_window
+from eegcnn.preprocess import welch_segments
 
 FS = 500.0
 
@@ -315,7 +315,7 @@ class TestConvFilterResponse:
         bias = np.array([0.0, 0.5, -2.0])
         model = make_params(np.zeros((3, 2, 5)), bias, np.ones((2, 3)), np.zeros(2))
         resp = conv_filter_response(model, ProbeSpec(fs=7.3, epoch_len=30))
-        n, win = welch_window(7.3, 30)
+        n, win, _, _ = welch_segments(7.3, 30)
         window = np.abs(np.fft.rfft(win)) ** 2
         window[1 : -1 if n % 2 == 0 else None] *= 2  # one-sided
         np.testing.assert_array_equal(resp.power, bias[:, None] ** 2 * window)

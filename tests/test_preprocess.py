@@ -4,6 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
@@ -188,10 +189,11 @@ class TestWelchPsd:
     @settings(max_examples=300, deadline=None)
     @given(fs=st.integers(1, 600).map(float) | st.floats(0.51, 600.0),
            lead=st.lists(st.integers(1, 3), max_size=2), stretch=st.floats(0.0, 1.0),
-           fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    @example(fs=1.0, lead=[2], stretch=1.0, fortran=False, seed=0)  # a 1-sample window
-    @example(fs=FS, lead=[3, 2], stretch=0.3, fortran=True, seed=0)
-    def test_matches_scipy_welch(self, fs, lead, stretch, fortran, seed):
+           fortran=st.booleans(), reverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(fs=1.0, lead=[2], stretch=1.0, fortran=False, reverse=False, seed=0)  # n = 1
+    @example(fs=FS, lead=[3, 2], stretch=0.3, fortran=True, reverse=False, seed=0)
+    @example(fs=FS, lead=[3, 2], stretch=0.3, fortran=True, reverse=True, seed=0)
+    def test_matches_scipy_welch(self, fs, lead, stretch, fortran, reverse, seed):
         # oracle: scipy's own Welch at the same settings. Bitwise equal with
         # scipy 1.17; a tolerance, since other versions may reorder the sums.
         n = round(fs)
@@ -199,11 +201,17 @@ class TestWelchPsd:
         x = np.random.default_rng(seed).standard_normal((*lead, length))
         if fortran:
             x = np.asfortranarray(x)
+        if reverse:  # negative strides on every axis
+            x = x[(slice(None, None, -1),) * x.ndim]
         want_freqs, want = sps.welch(x, fs, window="hann", nperseg=n, noverlap=n // 2,
                                      detrend=False, scaling="density")
         freqs, power = welch_psd_batch(x, fs)
-        np.testing.assert_allclose(freqs, want_freqs, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(power, want, rtol=1e-14, atol=0)
+        if scipy.__version__.startswith("1.17."):
+            assert freqs.tobytes() == want_freqs.tobytes()
+            assert power.shape == want.shape and power.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(freqs, want_freqs, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(power, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("fs", [0.4, 0.5])  # round(0.5) is 0
     def test_zero_sample_window_rejected(self, fs):
