@@ -49,7 +49,7 @@ class CheckpointError(EegcnnError):
 
 
 class TrainingDivergedError(EegcnnError):
-    """A non-finite filter output, loss, gradient, probability or probe map, or an empty sweep."""
+    """A non-finite filter output, loss, gradient, logit or probe map, or an empty sweep."""
     exit_code = 4
 
 

@@ -37,7 +37,7 @@ def sweep_configs(
 class AblationReport:
     reports: dict[int, MetricsReport]  # only values whose training succeeded, in sweep order
     errors: dict[int, str]
-    normalized: dict[str, np.ndarray]  # per metric, aligned with successful values
+    normalized: dict[str, list[float | None]]  # per metric, aligned with successful values
 
     def to_csv(self, path: str | Path) -> None:
         names = MetricsReport.COLUMNS
@@ -48,13 +48,14 @@ class AblationReport:
         ))
 
 
-def normalize_metric(values: np.ndarray) -> np.ndarray:
-    """Min-max scale to [0, 1]; a constant array maps to all ones."""
-    values = np.asarray(values, dtype=np.float64)
-    lo, hi = np.min(values), np.max(values)
-    if hi == lo:
-        return np.ones_like(values)
-    return (values - lo) / (hi - lo)
+def normalize_metric(values) -> list[float | None]:
+    """Min-max scale the defined values to [0, 1]; a constant set maps to all
+    ones. An undefined value (None, as an AUC on one class) stays None rather
+    than ranking as the worst."""
+    defined = np.array([v for v in values if v is not None], dtype=np.float64)
+    lo, hi = (defined.min(), defined.max()) if defined.size else (0.0, 0.0)
+    scaled = iter(np.ones_like(defined) if hi == lo else (defined - lo) / (hi - lo))
+    return [None if v is None else float(next(scaled)) for v in values]
 
 
 def run_sweep(
@@ -73,12 +74,8 @@ def run_sweep(
             reports[value] = evaluate(history.best_checkpoint, data.test)
         except EegcnnError as exc:  # record and keep sweeping
             errors[value] = f"{type(exc).__name__}: {exc}"
-    normalized = {}
-    for m in MetricsReport.COLUMNS:
-        raw = np.array(
-            [getattr(r, m) if getattr(r, m) is not None else 0.0 for r in reports.values()]
-        )
-        normalized[m] = normalize_metric(raw) if reports else np.array([])
+    normalized = {m: normalize_metric([getattr(r, m) for r in reports.values()])
+                  for m in MetricsReport.COLUMNS}
     return AblationReport(reports=reports, errors=errors, normalized=normalized)
 
 

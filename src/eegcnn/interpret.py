@@ -206,8 +206,7 @@ def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResp
     many of the P segments read padded sample j inside the epoch (zero
     padding adds nothing). No array of length T is built.
     """
-    n, win, hop, segments = welch_segments(spec.fs, spec.epoch_len)
-    freqs = np.fft.rfftfreq(n, 1 / spec.fs)
+    n, win, hop, segments, freqs, weight = welch_segments(spec.fs, spec.epoch_len)
     w, b = checkpoint.conv_weight, checkpoint.conv_bias
     kernel = w.shape[2]
     d = np.arange(n + kernel - 1) - (kernel - 1) // 2
@@ -222,5 +221,4 @@ def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResp
     cos, sin = np.cos(angle), np.sin(angle)
     noise = ((gc @ cos) * cos + (gc @ sin) * sin).sum(axis=1)
     power = noise / segments + b[:, None] ** 2 * np.abs(np.fft.rfft(win)) ** 2
-    power[:, 1 : -1 if n % 2 == 0 else None] *= 2  # one-sided: all but DC and Nyquist
-    return FilterResponseMap(freqs=freqs, power=power)
+    return FilterResponseMap(freqs=freqs, power=power * weight)

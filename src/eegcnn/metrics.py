@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Epoch, TrainingDivergedError, write_csv
-from .model import ModelParams, predict, softmax
+from .model import ModelParams, predict
 
 
 @dataclass(frozen=True)
@@ -51,23 +51,17 @@ class MetricsReport:
         write_csv(csv_path, self.COLUMNS, [self.row()])
 
 
-def confusion(predictions: list[int], labels: list[int]) -> ConfusionMatrix:
+def confusion(predictions: np.ndarray | list, labels: np.ndarray | list) -> ConfusionMatrix:
     """Counts with PD (class 1) as the positive class."""
     if len(predictions) != len(labels):
         raise ValueError(f"length mismatch: {len(predictions)} predictions, {len(labels)} labels")
-    if not predictions:
+    if len(predictions) == 0:
         raise ValueError("need at least one prediction")
-    outside = {*predictions, *labels} - {0, 1}
-    if outside:
-        raise ValueError(f"predictions and labels must be 0 or 1, got {sorted(outside)}")
-    tp = fp = tn = fn = 0
-    for p, y in zip(predictions, labels):
-        if y == 1:
-            tp += p == 1
-            fn += p == 0
-        else:
-            fp += p == 1
-            tn += p == 0
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
+    outside = np.setdiff1d(np.concatenate([predictions, labels]), [0, 1])
+    if outside.size:
+        raise ValueError(f"predictions and labels must be 0 or 1, got {outside.tolist()}")
+    tn, fp, fn, tp = np.bincount((2 * labels + predictions).astype(np.int64), minlength=4).tolist()
     return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
@@ -109,7 +103,7 @@ def roc_auc(scores: list[float], labels: list[int]) -> float | None:
     sorted_scores = scores[order]
     sorted_labels = labels[order]
     # cumulative counts at each distinct-threshold boundary
-    distinct = np.r_[np.nonzero(np.diff(sorted_scores))[0], len(scores) - 1]
+    distinct = np.r_[np.nonzero(sorted_scores[1:] != sorted_scores[:-1])[0], len(scores) - 1]
     tps = np.cumsum(sorted_labels == 1)[distinct]
     fps = np.cumsum(sorted_labels == 0)[distinct]
     tpr = np.r_[0.0, tps / n_pos]
@@ -119,18 +113,19 @@ def roc_auc(scores: list[float], labels: list[int]) -> float | None:
 
 
 def evaluate(checkpoint: ModelParams, epochs: list[Epoch]) -> MetricsReport:
-    """Eval-mode inference per epoch; each epoch is one classification instance."""
+    """Eval-mode inference per epoch, each one classification instance. The class is
+    the argmax of the logits (ties to class 0), as in validation; AUC ranks by their margin."""
     if not epochs:
         raise ValueError("need at least one epoch to evaluate")
-    with np.errstate(all="ignore"):  # the probabilities are checked next
-        probs = softmax(predict(checkpoint, epochs))
-    bad = int((~np.isfinite(probs)).any(axis=1).sum())
+    with np.errstate(all="ignore"):  # the logits are checked next
+        logits = predict(checkpoint, epochs)
+        margin = logits[:, 1] - logits[:, 0]
+    bad = int((~np.isfinite(logits)).any(axis=1).sum())
     if bad:
-        raise TrainingDivergedError(f"non-finite class probabilities for {bad} of "
-                                    f"{len(epochs)} epochs")
+        raise TrainingDivergedError(f"non-finite logits for {bad} of {len(epochs)} epochs")
     labels = [ep.label for ep in epochs]
-    cm = confusion(probs.argmax(axis=1).tolist(), labels)  # a tie goes to class 0
+    cm = confusion(logits.argmax(axis=1), labels)
     scalars = scalar_metrics(cm)
-    auc = roc_auc(probs[:, 1], labels)
+    auc = roc_auc(margin, labels)
     scalars["degenerate"] |= auc is None
     return MetricsReport(**scalars, auc=auc, confusion=cm, n_epochs=len(epochs))

@@ -111,10 +111,14 @@ def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[Subj
     return subjects
 
 
-def welch_segments(fs: float, epoch_len: int) -> tuple[int, np.ndarray, int, int]:
+def welch_segments(
+    fs: float, epoch_len: int
+) -> tuple[int, np.ndarray, int, int, np.ndarray, np.ndarray]:
     """The 1 s, 50%-overlap segments of an ``epoch_len``-sample Welch PSD: their
     length n = round(fs), periodic Hann window scaled for a one-sided density,
-    hop and count. An n of 0, or one longer than ``epoch_len``, raises
+    hop and count, then the frequency of each one-sided bin and its weight (1
+    for DC and an even n's Nyquist bin, 2 for the others, which fold in their
+    negative frequencies). An n of 0, or one longer than ``epoch_len``, raises
     ConfigError. ``welch_psd_batch`` and the probe's filter response use it."""
     n = int(round(fs))
     if n < 1:
@@ -125,7 +129,10 @@ def welch_segments(fs: float, epoch_len: int) -> tuple[int, np.ndarray, int, int
     # periodic Hann window ([1.0] at n = 1, as in scipy), scaled by a built-in sum: scipy's order
     w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1]) if n > 1 else np.ones(1)
     hop = n - n // 2
-    return n, w * (1 / np.sqrt(sum(w**2) / (1 / fs))), hop, (epoch_len - n // 2) // hop
+    bins = np.arange(n // 2 + 1)
+    weight = np.where((bins == 0) | (2 * bins == n), 1.0, 2.0)
+    return (n, w * (1 / np.sqrt(sum(w**2) / (1 / fs))), hop, (epoch_len - n // 2) // hop,
+            np.fft.rfftfreq(n, 1 / fs), weight)
 
 
 def welch_psd_batch(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -139,9 +146,8 @@ def welch_psd_batch(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     equals that call's bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    n, win, hop, _ = welch_segments(fs, x.shape[-1])
+    n, win, hop, _, freqs, weight = welch_segments(fs, x.shape[-1])
     spec = np.fft.rfft(sliding_window_view(x, n, axis=-1)[..., ::hop, :] * win)
-    power = spec.real**2 + spec.imag**2  # [..., segments, n // 2 + 1]
-    power[..., 1 : -1 if n % 2 == 0 else None] *= 2  # one-sided: all but DC and Nyquist
+    power = (spec.real**2 + spec.imag**2) * weight  # [..., segments, n // 2 + 1]
     # a mean along contiguous segments sums in scipy's order; mean(axis=-2) does not
-    return np.fft.rfftfreq(n, 1 / fs), np.ascontiguousarray(power.swapaxes(-1, -2)).mean(-1)
+    return freqs, np.ascontiguousarray(power.swapaxes(-1, -2)).mean(-1)

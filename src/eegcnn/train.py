@@ -53,18 +53,21 @@ class TrainHistory:
             json.dumps({"epochs": self.epochs, "best_epoch": self.best_epoch}, indent=2))
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+def cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndarray]:
     """Softmax cross-entropy log(sum(exp(s))) - s[label], s = logits - max(logits),
-    and its gradient w.r.t. the logits; finite for any finite logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    shifted = logits - np.max(logits)
+    and its gradient w.r.t. the logits; finite for any finite logits. A batch of
+    [..., classes] logits and int labels gives each row the bits of its own call."""
+    logits, labels = np.asarray(logits, dtype=np.float64), np.asarray(label)
+    onehot = np.arange(logits.shape[-1]) == labels[..., None]
+    if np.count_nonzero(onehot) != labels.size:  # a label that names no class
+        bad = labels[~onehot.any(axis=-1)].flat[0]
+        raise ValueError(f"label {bad} out of range for {logits.shape[-1]} classes")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     z = np.exp(shifted)
-    total = z.sum()
-    grad_logits = z / total  # the softmax
-    grad_logits[label] -= 1.0
-    return float(np.log(total) - shifted[label]), grad_logits
+    total = z.sum(axis=-1, keepdims=True)
+    loss = np.log(total[..., 0]) - shifted[onehot].reshape(labels.shape)
+    grad_logits = z / total - onehot  # the softmax minus the one-hot label; x - 0.0 is x
+    return (float(loss) if labels.ndim == 0 else loss), grad_logits
 
 
 def init_adam(params: ModelParams) -> AdamState:
@@ -90,10 +93,11 @@ def adam_step(
 
 
 def _eval_pass(params: ModelParams, epochs: list[Epoch]) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy in eval mode (argmax ties go to class 0)."""
+    """Mean cross-entropy and accuracy in eval mode, classes as ``metrics.evaluate`` picks."""
     logits = predict(params, epochs)
-    losses = [cross_entropy(z, ep.label)[0] for z, ep in zip(logits, epochs)]
-    correct = sum(int(np.argmax(z)) == ep.label for z, ep in zip(logits, epochs))
+    labels = np.array([ep.label for ep in epochs])
+    losses, _ = cross_entropy(logits, labels)
+    correct = np.count_nonzero(logits.argmax(axis=1) == labels)
     return float(np.mean(losses)), correct / len(epochs)
 
 

@@ -196,6 +196,18 @@ def reference_adam_step(m, v, t, params, grads, learning_rate):
     return new_m, new_v, new_p
 
 
+def reference_cross_entropy(logits, label):
+    """Cross-entropy of one example as first written, on a 1-D logit vector:
+    (loss, gradient). train.cross_entropy must give the same bits for each
+    row of a batch."""
+    shifted = logits - np.max(logits)
+    z = np.exp(shifted)
+    total = z.sum()
+    grad_logits = z / total
+    grad_logits[label] -= 1.0
+    return float(np.log(total) - shifted[label]), grad_logits
+
+
 def reference_scalar_metrics(cm):
     """precision/recall/f1/accuracy as first written, each 0/0 defined as 0
     through one closure that also raises the flag. metrics.scalar_metrics

@@ -34,7 +34,8 @@ from eegcnn.model import ModelConfig, init_params
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainingDivergedError
 
-from conftest import DEEP_NESTING, OVER_LONG_INT, edited_json, make_epoch, mutated_bytes
+from conftest import (DEEP_NESTING, OVER_LONG_INT, edited_json, make_epoch, make_params,
+                      mutated_bytes)
 
 FS = 100.0
 CHANNELS = 3
@@ -514,7 +515,7 @@ class TestEvaluate:
     @pytest.mark.filterwarnings("error")
     def test_non_finite_probabilities_exit_4(self, prepared, tmp_path, capsys):
         """Finite weights near 1e300 overflow the forward pass; metrics of its
-        NaN probabilities would all read 0."""
+        NaN logits would all read 0."""
         params = init_params(0, ModelConfig(CHANNELS, 2, 3))
         params.flat[:] *= 1e300
         path = tmp_path / "model.bin"
@@ -524,7 +525,23 @@ class TestEvaluate:
         assert rc == 4
         n = len(json.loads((prepared / "split.json").read_text())["partitions"]["test"])
         assert capsys.readouterr().err == \
-            f"error: non-finite class probabilities for {n} of {n} epochs\n"
+            f"error: non-finite logits for {n} of {n} epochs\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_infinite_logit_exits_4(self, prepared, tmp_path, capsys):
+        """Finite weights whose fc GEMM overflows one logit give logits
+        [-inf, 1e307]; their softmax, [0, 1], scored every epoch as PD."""
+        # every pooled activation is relu(2) = 2, so logit 0 is -2e308 - 2e308
+        params = make_params(np.zeros((2, CHANNELS, 3)), np.array([2.0, 2.0]),
+                             np.array([[-1e308, -1e308], [2.5e306, 2.5e306]]), np.zeros(2))
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, params, 0)
+        rc = main(["evaluate", "--checkpoint", str(path), "--split", str(prepared),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 4
+        n = len(json.loads((prepared / "split.json").read_text())["partitions"]["test"])
+        assert capsys.readouterr().err == f"error: non-finite logits for {n} of {n} epochs\n"
         assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint(self, prepared, tmp_path, capsys):

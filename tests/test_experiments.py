@@ -67,6 +67,12 @@ class TestNormalizeMetric:
     def test_constant_maps_to_one(self):
         np.testing.assert_array_equal(normalize_metric(np.array([0.7, 0.7])), [1.0, 1.0])
 
+    def test_undefined_values_stay_undefined(self):
+        # a None used to count as 0.0: the worst value, or 1.0 when all were None
+        assert normalize_metric([0.25, None, 1.25, 0.75]) == [0.0, None, 1.0, 0.5]
+        assert normalize_metric([None, 0.7]) == [None, 1.0]
+        assert normalize_metric([None, None]) == [None, None]
+
     def test_idempotent(self, rng):
         x = rng.random(6)
         once = normalize_metric(x)
@@ -79,6 +85,17 @@ class TestRunSweep:
         report = run_sweep(split, TINY_TRAIN, tiny_sweep("kernel_size", (5,)))
         for m, arr in report.normalized.items():
             np.testing.assert_array_equal(arr, [1.0])
+
+    def test_one_class_test_partition_leaves_normalized_auc_empty(self, tmp_path):
+        split = tiny_split()
+        control = replace(split, test=[ep for ep in split.test if ep.label == 0])
+        report = run_sweep(control, TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
+        assert [r.auc for r in report.reports.values()] == [None, None]
+        assert report.normalized["auc"] == [None, None]
+        report.to_csv(tmp_path / "ablation.csv")
+        header, *rows = (tmp_path / "ablation.csv").read_text().splitlines()
+        column = header.split(",").index("normalized_auc")
+        assert [row.split(",")[column] for row in rows] == ["", ""]
 
     def test_channel_sweep_stable_on_separable_data(self):
         split = tiny_split()

@@ -315,9 +315,8 @@ class TestConvFilterResponse:
         bias = np.array([0.0, 0.5, -2.0])
         model = make_params(np.zeros((3, 2, 5)), bias, np.ones((2, 3)), np.zeros(2))
         resp = conv_filter_response(model, ProbeSpec(fs=7.3, epoch_len=30))
-        n, win, _, _ = welch_segments(7.3, 30)
-        window = np.abs(np.fft.rfft(win)) ** 2
-        window[1 : -1 if n % 2 == 0 else None] *= 2  # one-sided
+        _, win, _, _, _, weight = welch_segments(7.3, 30)
+        window = np.abs(np.fft.rfft(win)) ** 2 * weight  # one-sided
         np.testing.assert_array_equal(resp.power, bias[:, None] ** 2 * window)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

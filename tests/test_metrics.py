@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 
@@ -19,6 +20,9 @@ from eegcnn.metrics import (
 from eegcnn.model import ModelConfig, init_params
 
 from conftest import make_epoch, make_params, reference_scalar_metrics
+
+metrics_module = importlib.import_module("eegcnn.metrics")
+train_module = importlib.import_module("eegcnn.train")
 
 
 def pair_counting_auc(scores, labels):
@@ -173,6 +177,12 @@ class TestRocAuc:
         scaled = [4.0 * s for s in scores]
         assert roc_auc(scaled, labels) == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_scores_tie(self):
+        # a logit margin past float64's range is +-inf; inf - inf is NaN, so
+        # a difference would split two infinite scores into two thresholds
+        assert roc_auc([np.inf, np.inf, 0.0, -np.inf], [1, 0, 0, 1]) == 0.375
+
     def test_label_flip_complement(self, rng):
         scores = list(rng.random(10))  # continuous, so no ties
         labels = [1, 0, 1, 1, 0, 0, 1, 0, 1, 0]
@@ -195,6 +205,29 @@ class TestEvaluate:
         # uniform probs: every argmax tie breaks to class 0
         assert report.accuracy == pytest.approx(0.5)
         assert report.auc == pytest.approx(0.5)  # all-ties rule
+
+    def _fixed_logits(self, monkeypatch, logits):
+        """Epochs labelled Control, Control, PD, ... for which both modules'
+        ``predict`` returns ``logits``."""
+        monkeypatch.setattr(metrics_module, "predict", lambda params, epochs: logits)
+        monkeypatch.setattr(train_module, "predict", lambda params, epochs: logits)
+        return [make_epoch(label=y, seed=i) for i, y in enumerate([0, 0, 1, 1][:len(logits)])]
+
+    def test_same_class_rule_as_validation(self, monkeypatch):
+        # the softmax of [0, 1e-17] rounds to a tie, which went to Control
+        logits = np.array([[1e-17, 0.0], [0.0, 0.0], [0.0, 1e-17]])
+        epochs = self._fixed_logits(monkeypatch, logits)
+        params = self._zero_model()
+        report = evaluate(params, epochs)
+        _, val_accuracy = train_module._eval_pass(params, epochs)
+        assert report.accuracy == val_accuracy == 1.0
+        assert report.confusion == ConfusionMatrix(tp=1, fp=0, tn=2, fn=0)
+
+    def test_auc_ranks_by_the_logit_margin(self, monkeypatch):
+        # every PD probability past a margin of about 37 rounds to 1.0, which
+        # tied the Control margin 40 with the PD margins 45 and 50 (AUC 0.75)
+        logits = np.array([[0.0, 1e-17], [0.0, 40.0], [0.0, 45.0], [0.0, 50.0]])
+        assert evaluate(self._zero_model(), self._fixed_logits(monkeypatch, logits)).auc == 1.0
 
     def test_single_class_reports_without_auc(self):
         epochs = [make_epoch(label=0, seed=i) for i in range(4)]

@@ -12,7 +12,8 @@ from scipy import signal as sps
 import eegcnn.preprocess
 from eegcnn.data import ConfigError, CsvFormatError, Manifest, ManifestEntry, write_subject_csv
 from eegcnn.model import MAX_FLOATS
-from eegcnn.preprocess import apply_zero_phase, design_highpass, load_filtered, welch_psd_batch
+from eegcnn.preprocess import (apply_zero_phase, design_highpass, load_filtered, welch_psd_batch,
+                               welch_segments)
 
 from conftest import gain_db, make_recording, reference_load_filtered
 
@@ -212,6 +213,15 @@ class TestWelchPsd:
         else:
             np.testing.assert_allclose(freqs, want_freqs, rtol=1e-14, atol=0)
             np.testing.assert_allclose(power, want, rtol=1e-14, atol=0)
+
+    # DC and an even n's Nyquist bin have no negative twin, so they are not doubled
+    @pytest.mark.parametrize("fs, weight", [
+        (1.0, [1]), (2.0, [1, 1]), (3.0, [1, 2]), (4.0, [1, 2, 1]), (5.0, [1, 2, 2]),
+    ])
+    def test_one_sided_bin_weights(self, fs, weight):
+        *_, freqs, got = welch_segments(fs, 10)
+        assert got.tolist() == weight
+        assert freqs.tobytes() == np.fft.rfftfreq(round(fs), 1 / fs).tobytes()
 
     @pytest.mark.parametrize("fs", [0.4, 0.5])  # round(0.5) is 0
     def test_zero_sample_window_rejected(self, fs):

@@ -2,6 +2,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eegcnn.data import DatasetSplit, split_dataset
 from eegcnn.checkpoint import load_checkpoint, save_checkpoint
@@ -23,6 +25,7 @@ from conftest import (
     make_params,
     reference_adam_step,
     reference_backward,
+    reference_cross_entropy,
     reference_forward,
 )
 
@@ -64,6 +67,28 @@ class TestCrossEntropy:
         loss, grad = cross_entropy(np.array([800.0, -800.0]), 1)
         assert loss == 1600.0
         np.testing.assert_array_equal(grad, [1.0, -1.0])
+
+    @given(rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(0, 1)), min_size=1, max_size=8))
+    @example(rows=[(800.0, -800.0, 1), (0.0, 1e-17, 0), (-800.0, 800.0, 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_each_row_bit_for_bit(self, rows):
+        logits = np.array([row[:2] for row in rows])
+        labels = np.array([row[2] for row in rows])
+        with np.errstate(all="ignore"):  # logits near 1e308 overflow the shift
+            losses, grads = cross_entropy(logits, labels)
+            deep = cross_entropy(logits[None], labels[None])  # a [1, N, 2] batch
+            for i, (z, y) in enumerate(zip(logits, labels)):
+                loss, grad = cross_entropy(z, int(y))
+                want_loss, want_grad = reference_cross_entropy(z, int(y))
+                assert repr(loss) == repr(float(losses[i])) == repr(want_loss)
+                assert grad.tobytes() == grads[i].tobytes() == want_grad.tobytes()
+        assert deep[0].tobytes() == losses.tobytes() and deep[1].tobytes() == grads.tobytes()
+
+    def test_batch_label_out_of_range(self):
+        with pytest.raises(ValueError, match="^label 2 out of range for 2 classes$"):
+            cross_entropy(np.zeros((3, 2)), np.array([0, 2, -1]))
 
     def test_gradient_is_softmax_minus_onehot(self, rng):
         for _ in range(20):
