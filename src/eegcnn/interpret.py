@@ -16,7 +16,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import ConfigError, check_seed, write_csv
 from .model import MAX_FLOATS, ModelParams
-from .preprocess import welch_segments
+from .preprocess import fork_map, usable_cpus, welch_segments
+
+# The tone sweep's arc sums go to worker processes from this many elements
+# (frequencies x (interior samples + repeats_sine * out_channels)) up
+POOL_MIN_WORK = 200_000
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,9 @@ class ProbeSpec:
             raise ConfigError(f"fs must be a finite positive number, got {self.fs}")
         if self.epoch_len < 1:
             raise ConfigError(f"epoch_len must be >= 1, got {self.epoch_len}")
-        # the largest array either probe builds: the tone sweep's [2, 2T + 1] prefix sums
+        # the largest array that the spec alone sizes: the tone sweep's [2, 2T + 1]
+        # prefix sums (its [n_freqs, repeats_sine * out_channels] arrays depend on
+        # the checkpoint too, so pooling_sensitivity checks them)
         if self.epoch_len > MAX_FLOATS // 4:
             raise ConfigError(f"epoch_len {self.epoch_len} is too long: the tone probe's "
                               f"[2, 2 * epoch_len + 1] prefix sums hold more float64 values "
@@ -148,18 +154,27 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
     zero padding does, and are rectified one by one. The phases are drawn in
     the order that one draw per repeat would give, so the result equals a
     forward per repeat up to rounding.
+
+    This process draws the phases and runs the GEMMs and the edge sums for
+    every frequency, storing P, Q and the edge totals; the arc sums, which
+    call no BLAS, then run in contiguous blocks of frequencies through
+    ``fork_map``, one worker per CPU once the sweep holds ``POOL_MIN_WORK``
+    elements. Each frequency's sums are the same calls on the same bytes
+    either way, so the map is identical.
     """
     rng = np.random.default_rng(spec.seed)
     freqs = spec.freq_grid
     w, b = checkpoint.conv_weight, checkpoint.conv_bias
     out_c, in_c, kernel = w.shape
     repeats = spec.repeats_sine
-    # the largest arrays per frequency: trig [2R, in] and g [R * out, 2K]
-    if 2 * repeats * max(in_c, out_c * kernel) > MAX_FLOATS:
+    # the largest arrays: trig [2R, in] and g [R * out, 2K] per frequency,
+    # then P, Q, the edge sums and the arc sums, each [n_freqs, R * out]
+    if repeats * max(2 * in_c, out_c * max(2 * kernel, freqs.size)) > MAX_FLOATS:
         raise ConfigError(f"repeats_sine {repeats} is too large for a checkpoint of "
-                          f"in_channels {in_c}, out_channels {out_c} and kernel {kernel}: the "
-                          f"tone probe's arrays would hold more float64 values than one numpy "
-                          f"array can ({MAX_FLOATS})")
+                          f"in_channels {in_c}, out_channels {out_c} and kernel {kernel} with "
+                          f"{freqs.size} probe frequencies (fs {spec.fs:g}): the tone probe's "
+                          f"arrays would hold more float64 values than one numpy array can "
+                          f"({MAX_FLOATS})")
     pad = (kernel - 1) // 2
     d = np.arange(kernel) - pad
     t = np.arange(spec.epoch_len)
@@ -173,9 +188,9 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
     basis = np.empty((2 * kernel, 2 + edge.size))
     w_in = w.transpose(1, 0, 2).reshape(in_c, out_c * kernel)
     bias = np.tile(b, repeats)
-    activation = np.empty((out_c, freqs.size))
-    for j, f in enumerate(freqs):
-        omega = 2.0 * np.pi * f / spec.fs
+    omegas = 2.0 * np.pi * freqs / spec.fs
+    p, q, total = (np.empty((freqs.size, bias.size)) for _ in range(3))
+    for j, omega in enumerate(omegas):
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(repeats, in_c))
         trig = spec.amplitude * np.concatenate([np.cos(phases), np.sin(phases)])  # [2R, in]
         # [R * out, 2K]: the row of repeat r and output o holds Gc, then Gs
@@ -187,10 +202,24 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
         basis[:kernel, 0], basis[:kernel, 1:] = cos[:, 0], sin
         basis[kernel:, 0], basis[kernel:, 1:] = -sin[:, 0], cos
         pre = g.reshape(-1, 2 * kernel) @ basis  # [R * out, 2 + E]
-        total = np.maximum(pre[:, 2:] + bias[:, None], 0.0).sum(axis=1)
-        total += relu_arc_sums(pre[:, 0], pre[:, 1], bias, omega * interior)
-        activation[:, j] = (total.reshape(repeats, out_c) / spec.epoch_len).mean(axis=0)
-    return SensitivityMap(freqs=freqs, activation=activation)
+        p[j], q[j] = pre[:, 0], pre[:, 1]
+        total[j] = np.maximum(pre[:, 2:] + bias[:, None], 0.0).sum(axis=1)
+    # workers that ran the GEMMs too would compete with BLAS's threads for the
+    # cores; below POOL_MIN_WORK elements the pool costs more than it saves
+    pooled = freqs.size * (interior.size + bias.size) >= POOL_MIN_WORK
+    blocks = np.array_split(np.arange(freqs.size), min(freqs.size, usable_cpus()) if pooled else 1)
+    arcs = fork_map(_arc_sums_block, blocks, (p, q, bias, omegas, interior),
+                    lambda block: f"the arc sums from {freqs[block[0]]:g} Hz were done")
+    for block, sums in zip(blocks, arcs):
+        total[block] += sums
+    activation = (total.reshape(freqs.size, repeats, out_c) / spec.epoch_len).mean(axis=1)
+    return SensitivityMap(freqs=freqs, activation=activation.T)
+
+
+def _arc_sums_block(p: np.ndarray, q: np.ndarray, bias: np.ndarray, omegas: np.ndarray,
+                    interior: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """[block size, R * out]: the interior ReLU sums of the frequencies in ``block``."""
+    return np.stack([relu_arc_sums(p[j], q[j], bias, omegas[j] * interior) for j in block])
 
 
 def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResponseMap:

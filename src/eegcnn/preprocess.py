@@ -1,15 +1,18 @@
-"""High-pass filtering and Welch PSD estimation.
+"""High-pass filtering, Welch PSD estimation, and the ordered fork pool.
 
 The high-pass is a Butterworth filter designed once as second-order sections
 (SOS) and run forward and backward, so it has zero phase and works at every
 order from 1 to MAX_FLOATS // 2; no polynomial (b, a) form is ever built. The Welch PSD is plain
 numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal.
+``fork_map`` spreads independent calls over forked worker processes: the
+subjects of ``load_filtered`` and the tone probe's arc sums.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -81,34 +84,66 @@ def _load_filtered_subject(
 
 def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[SubjectRecording]:
     """Every subject the manifest lists, loaded and zero-phase high-pass
-    filtered channel by channel, in manifest order.
-
-    The subjects are spread over one forked worker process per CPU of the
-    affinity mask, at most one per subject; with one worker, or where fork is
-    unavailable, they run in this process. Either way the same function runs
-    on the same bytes, so the results are identical. The first subject in
-    manifest order that fails raises its own error; a worker that dies raises
-    BrokenProcessPool naming the first subject not yet loaded.
+    filtered channel by channel, in manifest order, through ``fork_map``: the
+    first subject in manifest order that fails raises its own error, and a
+    worker that dies raises BrokenProcessPool naming the first subject not yet
+    loaded. Pooled or not, the same function runs on the same bytes, so the
+    results are identical.
     """
     sos = design_highpass(cutoff_hz, order, manifest.fs)
-    load = partial(_load_filtered_subject, sos, manifest)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(manifest.entries), cpus or 1)
+    return fork_map(_load_filtered_subject, manifest.entries, (sos, manifest),
+                    lambda entry: f"{entry.file} was loaded")
+
+
+def usable_cpus() -> int:
+    """The CPUs of this process's affinity mask (the CPU count where there is none)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_shared: tuple = ()  # ``fork_map``'s shared arguments, set in its forked workers only
+
+
+def _share(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _call_shared(fn: Callable, item):
+    return fn(*_shared, item)
+
+
+def fork_map(fn: Callable, items: Sequence, shared: tuple,
+             unfinished: Callable[[object], str]) -> list:
+    """``[fn(*shared, item) for item in items]``, in input order, spread over
+    one forked worker process per CPU of the affinity mask, at most one per
+    item. With fewer than two workers, or where fork is unavailable, it runs
+    in this process.
+
+    The workers get ``shared`` through fork (the pool's initializer), not
+    pickled with every task, so large arrays cost them nothing to receive.
+    The first item in input order whose call raises raises its own error; a
+    worker that dies raises BrokenProcessPool, "a worker process died before
+    <unfinished(item)>", for the first item without a result.
+    """
+    workers = min(len(items), usable_cpus())
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(load, manifest.entries))
-    # fork, not spawn: the workers inherit the imported modules and start in
-    # milliseconds instead of importing numpy and scipy again
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        subjects = []
+        return [fn(*shared, item) for item in items]
+    # fork, not spawn: the workers inherit the imported modules, ``shared`` and
+    # numpy's error state, and start in milliseconds instead of importing
+    # numpy and scipy again
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_share, initargs=shared) as pool:
+        results = []
         try:
-            # in manifest order; a call that raises cancels those not yet started
-            for subject in pool.map(load, manifest.entries):
-                subjects.append(subject)
+            # in input order; a call that raises cancels those not yet started
+            for result in pool.map(partial(_call_shared, fn), items):
+                results.append(result)
         except BrokenProcessPool:
             raise BrokenProcessPool(
-                f"a worker process died before {manifest.entries[len(subjects)].file} was loaded"
-            ) from None
-    return subjects
+                f"a worker process died before {unfinished(items[len(results)])}") from None
+    return results
 
 
 def welch_segments(

@@ -1,6 +1,9 @@
 import copy
 import functools
+import multiprocessing
 import operator
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
+import eegcnn.preprocess
 from eegcnn.data import Epoch, SubjectRecording, load_subject_csv
 from eegcnn.model import DROPOUT_RATE, ModelConfig, ModelParams, _conv_unrolled, backward, forward
 from eegcnn.preprocess import apply_zero_phase, design_highpass, welch_psd_batch
@@ -19,6 +23,29 @@ from eegcnn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cross_entropy
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs ``preprocess.fork_map`` sees; returns the worker
+    count of each pool it starts, a list that later calls extend."""
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            pools.append(max_workers)
+
+    def see(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return pools
+
+    monkeypatch.setattr(eegcnn.preprocess, "ProcessPoolExecutor", Pool)
+    return see
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="worker processes are forked")
 
 
 def make_recording(subject_id="S000", label=0, fs=500.0, channels=3, n_samples=30000, seed=0):

@@ -30,17 +30,17 @@ from eegcnn.data import (
     save_split as _write_split,
     write_subject_csv,
 )
+from eegcnn.interpret import POOL_MIN_WORK
 from eegcnn.model import ModelConfig, init_params
+from eegcnn.preprocess import usable_cpus
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainingDivergedError
 
 from conftest import (DEEP_NESTING, OVER_LONG_INT, edited_json, make_epoch, make_params,
-                      mutated_bytes)
+                      mutated_bytes, needs_fork)
 
 FS = 100.0
 CHANNELS = 3
-# CPUs this process may run on, counted as preprocess.load_filtered counts them
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def write_cohort(root, n_epochs):
@@ -263,7 +263,7 @@ class TestPrepare:
         assert rc == 3
 
     @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods() or CPUS < 2,
+        "fork" not in multiprocessing.get_all_start_methods() or usable_cpus() < 2,
         reason="needs two CPUs, so prepare loads the subjects in worker processes",
     )
     def test_dead_worker_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch):
@@ -735,6 +735,47 @@ class TestProbe:
         assert "error: sensitivity map has" in err and "non-finite cells, the first at" in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    # an epoch long enough that the 51-frequency sweep's arc sums run in workers
+    POOLED_EPOCH_LEN = str(2 * POOL_MIN_WORK // 51)
+
+    @needs_fork
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_map_from_workers_exits_4(self, trained, tmp_path, capsys, cpus):
+        """The workers run under the command's np.errstate: a warning in one
+        would come back as its error, not as a printed line."""
+        pools = cpus(2)
+        out = tmp_path / "probe"
+        rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"),
+                   "--out", str(out), "--repeats-sine", "1", "--fs", str(FS),
+                   "--epoch-len", self.POOLED_EPOCH_LEN, "--amplitude", "1e308"])
+        assert pools == [2]
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: sensitivity map has") and err.count("\n") == 1
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_dead_worker_exits_2(self, trained, tmp_path, capsys, monkeypatch, cpus):
+        parent, arc_sums = os.getpid(), eegcnn.interpret.relu_arc_sums
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return arc_sums(*args)
+
+        monkeypatch.setattr(eegcnn.interpret, "relu_arc_sums", die_in_worker)
+        cpus(2)
+        out = tmp_path / "probe"
+        rc = main(["probe", "--checkpoint", str(trained / "checkpoint.bin"), "--out", str(out),
+                   "--repeats-sine", "1", "--fs", str(FS), "--epoch-len", self.POOLED_EPOCH_LEN])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory in probe: a worker process died before the arc sums from "
+            "0 Hz were done\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestSweep:

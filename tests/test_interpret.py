@@ -1,3 +1,4 @@
+import multiprocessing
 from dataclasses import fields
 
 import numpy as np
@@ -9,12 +10,14 @@ from conftest import (
     fir_power_response,
     gen_sinusoid_probe,
     make_params,
+    needs_fork,
     reference_filter_response,
     reference_pooling_sensitivity,
     sampled_filter_response,
 )
 from eegcnn.data import ConfigError
-from eegcnn.interpret import ProbeSpec, conv_filter_response, pooling_sensitivity, relu_arc_sums
+from eegcnn.interpret import (POOL_MIN_WORK, ProbeSpec, conv_filter_response,
+                              pooling_sensitivity, relu_arc_sums)
 from eegcnn.model import MAX_FLOATS
 from eegcnn.preprocess import welch_segments
 
@@ -249,6 +252,7 @@ class TestPoolingSensitivity:
 
     # the largest arrays per frequency hold 2 * repeats * max(in, out * K)
     # values; at 2**62 numpy raised its unnamed "array is too big"
+    # (the [n_freqs, repeats * out] arrays of 51 frequencies are larger still)
     @pytest.mark.parametrize("in_c, out_c, kernel", [(2, 2, 3), (9, 1, 1)])
     def test_repeats_beyond_one_array_rejected(self, in_c, out_c, kernel):
         params = make_params(conv_weight=np.ones((out_c, in_c, kernel)),
@@ -260,6 +264,20 @@ class TestPoolingSensitivity:
                                               f"checkpoint of in_channels {in_c}, out_channels "
                                               f"{out_c} and kernel {kernel}"):
             pooling_sensitivity(params, spec)
+
+    def test_repeats_beyond_the_stored_sweep_rejected(self):
+        """A 1x1x1 checkpoint at 500 001 frequencies: the per-frequency arrays
+        fit, but P, Q and the edge and arc sums of the whole sweep do not. The
+        sweep used to reach numpy's bare "array is too big"."""
+        model = single_filter_model([1.0])
+        repeats = 2**42
+        spec = small_spec(fs=1e6, epoch_len=10**6, repeats_sine=repeats)
+        assert 2 * repeats <= MAX_FLOATS < 500_001 * repeats
+        with pytest.raises(ConfigError, match=f"^repeats_sine {repeats} is too large for a "
+                                              f"checkpoint of in_channels 1, out_channels 1 "
+                                              f"and kernel 1 with 500001 probe frequencies "
+                                              f"\\(fs 1e\\+06\\)"):
+            pooling_sensitivity(model, spec)
 
     def test_deterministic_given_seed(self):
         model = identity_model(channels=2)
@@ -402,3 +420,45 @@ class TestConvFilterResponse:
             cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
             expected = np.stack([resp.freqs, resp.power[ch]], axis=1)
             assert cells.tobytes() == expected.tobytes()
+
+
+def pool_case(size):
+    """A 4-channel, kernel-5 model with random weights and biases, and a
+    51-frequency sweep whose arc sums hold about twice (``above``) or half
+    (``below``) POOL_MIN_WORK elements."""
+    gen = np.random.default_rng(0)
+    model = make_params(conv_weight=gen.standard_normal((4, 4, 5)),
+                        conv_bias=0.5 * gen.standard_normal(4),
+                        fc_weight=np.ones((2, 4)), fc_bias=np.zeros(2))
+    epoch_len = {"above": 2 * POOL_MIN_WORK, "below": POOL_MIN_WORK // 2}[size] // 51
+    return model, ProbeSpec(fs=100.0, epoch_len=epoch_len, repeats_sine=1, seed=5)
+
+
+class TestArcSumWorkers:
+    """The tone sweep's arc sums run in forked workers above the break-even
+    size; the map keeps every byte of the in-process one."""
+
+    @needs_fork
+    def test_pooled_sweep_equals_in_process(self, cpus):
+        model, spec = pool_case("above")
+        pools = cpus(2)
+        pooled = pooling_sensitivity(model, spec).activation
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        cpus(1)
+        alone = pooling_sensitivity(model, spec).activation
+        assert pools == [2]  # no second pool
+        assert pooled.shape == alone.shape and pooled.tobytes() == alone.tobytes()
+        want = reference_pooling_sensitivity(model, spec)
+        assert np.max(np.abs(pooled - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n_cpus, size", [(2, "below"), (1, "above")],
+                             ids=["below-break-even", "one-cpu"])
+    def test_runs_in_process(self, cpus, n_cpus, size):
+        model, spec = pool_case(size)
+        pools = cpus(n_cpus)
+        got = pooling_sensitivity(model, spec).activation
+        assert pools == []
+        assert multiprocessing.active_children() == []
+        want = reference_pooling_sensitivity(model, spec)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

@@ -1,6 +1,4 @@
 import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,13 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-import eegcnn.preprocess
 from eegcnn.data import ConfigError, CsvFormatError, Manifest, ManifestEntry, write_subject_csv
 from eegcnn.model import MAX_FLOATS
 from eegcnn.preprocess import (apply_zero_phase, design_highpass, load_filtered, welch_psd_batch,
                                welch_segments)
 
-from conftest import gain_db, make_recording, reference_load_filtered
+from conftest import gain_db, make_recording, needs_fork, reference_load_filtered
 
 FS = 500.0
 
@@ -240,29 +237,6 @@ def write_cohort(root, n_subjects, channels=3, n_samples=3000):
         write_subject_csv(path, rec, names)
         entries.append(ManifestEntry(rec.subject_id, str(path), rec.label))
     return Manifest(entries=entries, fs=FS, channel_names=names)
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set how many CPUs load_filtered sees; returns the worker count of
-    each pool it starts."""
-    pools = []
-
-    class Pool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            super().__init__(max_workers, **kwargs)
-            pools.append(max_workers)
-
-    def see(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        return pools
-
-    monkeypatch.setattr(eegcnn.preprocess, "ProcessPoolExecutor", Pool)
-    return see
-
-
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="worker processes are forked")
 
 
 class TestLoadFiltered:
