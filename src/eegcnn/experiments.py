@@ -10,10 +10,15 @@ import numpy as np
 from .data import ConfigError, DatasetSplit, EegcnnError, Epoch, write_csv
 from .metrics import MetricsReport, evaluate
 from .model import ModelConfig
-from .preprocess import welch_psd_batch
+from .preprocess import fork_map, one_blas_thread, welch_psd_batch
 from .train import TrainConfig, train
 
 SWEPT_FIELDS = {"kernel_size": "kernel", "out_channels": "out_channels"}
+# A sweep's points train in worker processes from this much work up: training
+# epochs x training examples x samples x parameters, summed over the points.
+# Starting the pool costs 15-20 ms, and an 8-channel, kernel 11-51 sweep of
+# this much work gains only about that much from it
+SWEEP_POOL_MIN_WORK = 10**8
 
 
 def sweep_configs(
@@ -58,22 +63,46 @@ def normalize_metric(values) -> list[float | None]:
     return [None if v is None else float(next(scaled)) for v in values]
 
 
+def _sweep_point(data: DatasetSplit, train_config: TrainConfig,
+                 model_configs: dict[int, ModelConfig], value: int) -> MetricsReport | str:
+    """The test report of the model trained at sweep value ``value``, or the
+    EegcnnError that ended it (a diverging point, say) as "<class>: <message>"."""
+    try:
+        history = train(data, train_config, model_configs[value])
+        return evaluate(history.best_checkpoint, data.test)
+    except EegcnnError as exc:  # record and keep sweeping
+        return f"{type(exc).__name__}: {exc}"
+
+
 def run_sweep(
     data: DatasetSplit, train_config: TrainConfig, model_configs: dict[int, ModelConfig]
 ) -> AblationReport:
-    """Train/evaluate once per sweep value, in the dict's order, with the same
-    training config (and so the same seed) at every point. Only an EegcnnError
-    (a diverging point, say) is recorded in ``errors``; any other ends the sweep."""
+    """Train/evaluate once per sweep value, with the same training config (and
+    so the same seed) at every point, and report the points in the dict's
+    order. Only an EegcnnError is recorded in ``errors``; any other ends the
+    sweep.
+
+    Every point trains on one BLAS thread (``one_blas_thread``), whatever the
+    caller runs, so its bytes do not depend on where it runs. From
+    ``SWEEP_POOL_MIN_WORK`` up, the points go through ``fork_map``, one
+    worker per CPU, largest model first: the longest point must not start
+    last. Where no BLAS thread count can be set, they run in this process,
+    since workers on several BLAS threads each would crowd the cores."""
     if not data.train or not data.validation or not data.test:
         raise ValueError("all three partitions must be non-empty for a sweep")
-    reports: dict[int, MetricsReport] = {}
-    errors: dict[int, str] = {}
-    for value, model_config in model_configs.items():
-        try:
-            history = train(data, train_config, model_config)
-            reports[value] = evaluate(history.best_checkpoint, data.test)
-        except EegcnnError as exc:  # record and keep sweeping
-            errors[value] = f"{type(exc).__name__}: {exc}"
+    values = list(model_configs)
+    shared = (data, train_config, model_configs)
+    work = (train_config.epochs * len(data.train) * data.train[0].data.shape[-1]
+            * sum(c.size for c in model_configs.values()))
+    with one_blas_thread() as caller:
+        if caller is not None and work >= SWEEP_POOL_MIN_WORK:
+            order = sorted(values, key=lambda v: model_configs[v].size, reverse=True)
+            done = dict(zip(order, fork_map(_sweep_point, order, shared,
+                                            lambda v: f"sweep value {v} was trained")))
+        else:
+            done = {v: _sweep_point(*shared, v) for v in values}
+    reports = {v: done[v] for v in values if isinstance(done[v], MetricsReport)}
+    errors = {v: done[v] for v in values if isinstance(done[v], str)}
     normalized = {m: normalize_metric([getattr(r, m) for r in reports.values()])
                   for m in MetricsReport.COLUMNS}
     return AblationReport(reports=reports, errors=errors, normalized=normalized)

@@ -1,5 +1,6 @@
 """Single-conv-layer classifier: Conv1D (same padding) -> ReLU -> dropout ->
-global average pool -> fully connected -> softmax, with analytic gradients.
+global average pool -> fully connected, with analytic gradients. The softmax
+lives inside the loss (``train.cross_entropy``); scoring reads the logits.
 
 All math is float64. The backward pass is hand-derived; there is no autodiff.
 """
@@ -133,12 +134,6 @@ def _conv_unrolled(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.n
     # single GEMM: [out, in*K] @ [in*K, T]
     y = params.conv_weight.reshape(out_c, in_c * kernel) @ xm
     return y + params.conv_bias[:, None], xm
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Class probabilities along the last axis."""
-    z = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
 
 
 def forward(

@@ -5,18 +5,22 @@ The high-pass is a Butterworth filter designed once as second-order sections
 order from 1 to MAX_FLOATS // 2; no polynomial (b, a) form is ever built. The Welch PSD is plain
 numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal.
 ``fork_map`` spreads independent calls over forked worker processes: the
-subjects of ``load_filtered`` and the tone probe's arc sums.
+subjects of ``load_filtered``, the tone probe's arc sums and the points of a
+sweep. ``one_blas_thread`` runs a block on one BLAS thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,11 +107,12 @@ def usable_cpus() -> int:
 
 
 _shared: tuple = ()  # ``fork_map``'s shared arguments, set in its forked workers only
+_in_worker = False  # True in a ``fork_map`` worker, whose own ``fork_map`` calls run in-process
 
 
 def _share(*shared) -> None:
-    global _shared
-    _shared = shared
+    global _shared, _in_worker
+    _shared, _in_worker = shared, True
 
 
 def _call_shared(fn: Callable, item):
@@ -118,8 +123,9 @@ def fork_map(fn: Callable, items: Sequence, shared: tuple,
              unfinished: Callable[[object], str]) -> list:
     """``[fn(*shared, item) for item in items]``, in input order, spread over
     one forked worker process per CPU of the affinity mask, at most one per
-    item. With fewer than two workers, or where fork is unavailable, it runs
-    in this process.
+    item. With fewer than two workers, inside a worker of another
+    ``fork_map`` (whose pool already has one process per CPU), or where fork
+    is unavailable, it runs in this process.
 
     The workers get ``shared`` through fork (the pool's initializer), not
     pickled with every task, so large arrays cost them nothing to receive.
@@ -128,7 +134,7 @@ def fork_map(fn: Callable, items: Sequence, shared: tuple,
     <unfinished(item)>", for the first item without a result.
     """
     workers = min(len(items), usable_cpus())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers < 2 or _in_worker or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(*shared, item) for item in items]
     # fork, not spawn: the workers inherit the imported modules, ``shared`` and
     # numpy's error state, and start in milliseconds instead of importing
@@ -144,6 +150,58 @@ def fork_map(fn: Callable, items: Sequence, shared: tuple,
             raise BrokenProcessPool(
                 f"a worker process died before {unfinished(items[len(results)])}") from None
     return results
+
+
+@cache
+def _openblas() -> tuple[Callable, Callable] | None:
+    """The thread-count getter and setter of the OpenBLAS that numpy loaded,
+    through ctypes, or None where there is none that exports a known name
+    (numpy on MKL, Accelerate or a system BLAS). Looked up on first use, so
+    importing eegcnn costs nothing."""
+    here = Path(np.__file__).parent
+    # where numpy's wheels keep their OpenBLAS: numpy.libs (Linux, Windows), .dylibs (macOS)
+    found = [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]
+    for path in sorted(found):
+        try:  # RTLD_NOLOAD: only a library already loaded, never a second copy
+            lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """How many threads numpy's OpenBLAS runs now; None where ``_openblas`` finds none."""
+    found = _openblas()
+    return None if found is None else found[0]()
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[int | None]:
+    """Run the block on one BLAS thread, then give the caller back its own
+    count, also when the block raises. Yields the caller's count, or None
+    where there is no known OpenBLAS to set, and then sets nothing.
+
+    Use it in the parent, before any fork: forked workers inherit the count,
+    while setting it inside a worker restarts OpenBLAS's thread pool there."""
+    found = _openblas()
+    if found is None:
+        yield None
+        return
+    get, put = found
+    caller = get()
+    put(1)
+    try:
+        yield caller
+    finally:
+        put(caller)
 
 
 def welch_segments(

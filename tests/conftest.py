@@ -16,7 +16,7 @@ from scipy import signal as sps
 import eegcnn.preprocess
 from eegcnn.data import Epoch, SubjectRecording, load_subject_csv
 from eegcnn.model import DROPOUT_RATE, ModelConfig, ModelParams, _conv_unrolled, backward, forward
-from eegcnn.preprocess import apply_zero_phase, design_highpass, welch_psd_batch
+from eegcnn.preprocess import apply_zero_phase, blas_threads, design_highpass, welch_psd_batch
 from eegcnn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cross_entropy
 
 
@@ -46,6 +46,8 @@ def cpus(monkeypatch):
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="worker processes are forked")
+needs_openblas = pytest.mark.skipif(blas_threads() is None,
+                                    reason="no OpenBLAS whose thread count can be set")
 
 
 def make_recording(subject_id="S000", label=0, fs=500.0, channels=3, n_samples=30000, seed=0):
@@ -221,6 +223,14 @@ def reference_adam_step(m, v, t, params, grads, learning_rate):
         v_hat = new_v[name] / (1 - ADAM_BETA2**t)
         new_p[name] = params[name] - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_m, new_v, new_p
+
+
+def softmax(logits):
+    """Class probabilities along the last axis. The model scores the logits
+    and never takes their softmax; the tests check the loss gradient and the
+    eval-mode outputs against it."""
+    z = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def reference_cross_entropy(logits, label):

@@ -37,7 +37,7 @@ from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainingDivergedError
 
 from conftest import (DEEP_NESTING, OVER_LONG_INT, edited_json, make_epoch, make_params,
-                      mutated_bytes, needs_fork)
+                      mutated_bytes, needs_fork, needs_openblas)
 
 FS = 100.0
 CHANNELS = 3
@@ -820,6 +820,47 @@ class TestSweep:
             "error: out of memory in sweep: Unable to allocate 8.00 TiB\n")
         assert not out.exists()
 
+    SWEEP_FLAGS = ["--sweep-parameter", "kernel_size", "--sweep-values", "3,5", "--epochs", "2",
+                   "--in-channels", str(CHANNELS), "--out-channels", "2"]
+
+    @needs_fork
+    @needs_openblas
+    def test_pooled_ablation_csv_equals_in_process(self, prepared, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(eegcnn.experiments, "SWEEP_POOL_MIN_WORK", 0)
+        written = []
+        for n_cpus in (2, 1):
+            pools = cpus(n_cpus)
+            out = tmp_path / f"sweep{n_cpus}"
+            assert main(["sweep", "--split", str(prepared), "--out", str(out),
+                         *self.SWEEP_FLAGS]) == 0
+            written.append((out / "ablation.csv").read_bytes())
+        assert pools == [2]
+        assert written[0] == written[1]
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @needs_openblas
+    def test_dead_worker_exits_2(self, prepared, tmp_path, capsys, monkeypatch, cpus):
+        parent, train = os.getpid(), eegcnn.experiments.train
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return train(*args)
+
+        monkeypatch.setattr(eegcnn.experiments, "train", die_in_worker)
+        monkeypatch.setattr(eegcnn.experiments, "SWEEP_POOL_MIN_WORK", 0)
+        cpus(2)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--split", str(prepared), "--out", str(out), *self.SWEEP_FLAGS])
+        assert rc == 2
+        # the points start largest first, so kernel 5 is the first without a result
+        assert capsys.readouterr().err == (
+            "error: out of memory in sweep: a worker process died before sweep value 5 was "
+            "trained\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     def test_missing_values_rejected(self, prepared, tmp_path):
         rc = main(["sweep", "--split", str(prepared), "--out", str(tmp_path / "o"),
                    "--sweep-parameter", "kernel_size"])
@@ -1211,24 +1252,20 @@ def _base_settings(command, dataset_dir, prepared, trained):
     }[command]
 
 
-@settings(max_examples=1000, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_any_setting_value_exits_with_a_named_error(dataset_dir, prepared, trained, tmp_path,
-                                                    monkeypatch, capsys, data):
-    """Any (command, setting, boundary value) exits 0, 2, 3 or 4 with no other
-    exception and no numpy warning. A failure leaves no --out, and an exit 2
-    prints one line that names the setting."""
+def _edge_values(key):
+    return [v for v in EDGE_VALUES if key != "epochs" or v not in TOO_MANY_EPOCHS]
+
+
+def _check_setting_value(command, key, value, from_flag, fixtures, tmp_path, monkeypatch,
+                         capsys):
+    """Run ``command`` on the module fixtures (dataset_dir, prepared, trained)
+    with ``key`` set to ``value``, from the flag or the config file, and check
+    that it exits 0, 2, 3 or 4 as the two tests below require."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    command, key = data.draw(st.sampled_from(PAIRS))
-    value = data.draw(st.sampled_from(
-        [v for v in EDGE_VALUES if key != "epochs" or v not in TOO_MANY_EPOCHS]))
-    from_flag = data.draw(st.booleans())
     work = tmp_path / str(len(list(tmp_path.iterdir())))
     work.mkdir()
     monkeypatch.chdir(work)  # a relative --out lands here
-    flags = {**_base_settings(command, dataset_dir, prepared, trained), "out": "o"}
+    flags = {**_base_settings(command, *fixtures), "out": "o"}
     cfg = {}
     if from_flag:
         flags[key] = str(value)
@@ -1253,6 +1290,44 @@ def test_any_setting_value_exits_with_a_named_error(dataset_dir, prepared, train
     if rc == 2:
         assert err.count("\n") == 1 and key in err
     assert not isinstance(out, str) or not os.path.lexists(out)
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_any_setting_value_exits_with_a_named_error(dataset_dir, prepared, trained, tmp_path,
+                                                    monkeypatch, capsys, data):
+    """Any (command, setting, boundary value) exits 0, 2, 3 or 4 with no other
+    exception and no numpy warning. A failure leaves no --out, and an exit 2
+    prints one line that names the setting."""
+    command, key = data.draw(st.sampled_from(PAIRS))
+    value = data.draw(st.sampled_from(_edge_values(key)))
+    from_flag = data.draw(st.booleans())
+    _check_setting_value(command, key, value, from_flag, (dataset_dir, prepared, trained),
+                         tmp_path, monkeypatch, capsys)
+
+
+# every case that the property test draws from: 904
+SETTING_CASES = [(command, key, value, from_flag) for command, key in PAIRS
+                 for value in _edge_values(key) for from_flag in (True, False)]
+
+
+def _case_id(command, key, value, from_flag):
+    shown = "x*10000" if value == "x" * 10_000 else value
+    return f"{command}-{key}-{shown}-{'flag' if from_flag else 'file'}"
+
+
+@pytest.mark.parametrize("command, key, value, from_flag", SETTING_CASES,
+                         ids=[_case_id(*case) for case in SETTING_CASES])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_setting_value_exits_with_a_named_error(dataset_dir, prepared, trained, tmp_path,
+                                                      monkeypatch, capsys, command, key, value,
+                                                      from_flag):
+    """The property test above, over every one of its cases: one more setting
+    or edge value cannot go undrawn."""
+    _check_setting_value(command, key, value, from_flag, (dataset_dir, prepared, trained),
+                         tmp_path, monkeypatch, capsys)
 
 
 class TestPsd:

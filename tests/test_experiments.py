@@ -1,14 +1,22 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import eegcnn.experiments
-from eegcnn.data import split_dataset
+import eegcnn.preprocess
+from eegcnn.data import TrainingDivergedError, split_dataset
 from eegcnn.experiments import GroupPsd, group_psd, normalize_metric, run_sweep, sweep_configs
 from eegcnn.model import ModelConfig
+from eegcnn.preprocess import blas_threads
 from eegcnn.synth import synthetic_dataset, synthetic_subject
 from eegcnn.train import TrainConfig
+
+from conftest import needs_fork, needs_openblas
 
 
 def tiny_split(channels=4, fs=100.0, seed=3):
@@ -128,8 +136,10 @@ class TestRunSweep:
             raise ValueError("boom")
 
         monkeypatch.setattr(eegcnn.experiments, "train", boom)
+        before = blas_threads()
         with pytest.raises(ValueError, match="^boom$"):
             run_sweep(tiny_split(), TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
+        assert blas_threads() == before
 
     def test_csv_export(self, tmp_path):
         split = tiny_split()
@@ -139,6 +149,106 @@ class TestRunSweep:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("value,precision,recall,f1,auc,accuracy,normalized_")
         assert len(lines) == 3
+
+
+class TestSweepWorkers:
+    """From SWEEP_POOL_MIN_WORK up, a sweep's points train in forked workers,
+    largest first; every point runs on one BLAS thread either way, so the
+    report is the same."""
+
+    @needs_fork
+    @needs_openblas
+    def test_pooled_sweep_equals_in_process(self, cpus, monkeypatch):
+        split, configs = tiny_split(), tiny_sweep("kernel_size", (3, 7, 5, 1))
+        real = eegcnn.experiments.train
+
+        def train(data, train_config, model_config):  # kernel 5 fails as a diverging point does
+            if model_config.kernel == 5:
+                raise TrainingDivergedError("planted at kernel 5")
+            return real(data, train_config, model_config)
+
+        monkeypatch.setattr(eegcnn.experiments, "train", train)
+        monkeypatch.setattr(eegcnn.experiments, "SWEEP_POOL_MIN_WORK", 0)
+        before = blas_threads()
+        pools = cpus(2)
+        pooled = run_sweep(split, TINY_TRAIN, configs)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert blas_threads() == before
+        cpus(1)
+        alone = run_sweep(split, TINY_TRAIN, configs)
+        assert pools == [2]  # no second pool
+        assert list(pooled.reports) == list(alone.reports) == [3, 7, 1]  # sweep order
+        assert pooled.reports == alone.reports and pooled.normalized == alone.normalized
+        assert pooled.errors == alone.errors == {5: "TrainingDivergedError: planted at kernel 5"}
+
+    @needs_openblas
+    @pytest.mark.parametrize("n_cpus", [pytest.param(2, marks=needs_fork), 1],
+                             ids=["pooled", "in-process"])
+    def test_points_train_on_one_blas_thread(self, cpus, monkeypatch, n_cpus):
+        """Each point reads the thread count it trains on into its error."""
+        def train(*args):
+            raise TrainingDivergedError(f"{blas_threads()} BLAS threads")
+
+        monkeypatch.setattr(eegcnn.experiments, "train", train)
+        monkeypatch.setattr(eegcnn.experiments, "SWEEP_POOL_MIN_WORK", 0)
+        pools = cpus(n_cpus)
+        report = run_sweep(tiny_split(), TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
+        assert pools == ([2] if n_cpus == 2 else [])
+        assert report.errors == dict.fromkeys((3, 5), "TrainingDivergedError: 1 BLAS threads")
+
+    @pytest.mark.parametrize("n_cpus, min_work, openblas", [
+        (2, None, True), (1, 0, True), (2, 0, False),
+    ], ids=["below-break-even", "one-cpu", "no-openblas"])
+    def test_runs_in_process(self, cpus, monkeypatch, n_cpus, min_work, openblas):
+        if min_work is not None:
+            monkeypatch.setattr(eegcnn.experiments, "SWEEP_POOL_MIN_WORK", min_work)
+        if not openblas:
+            monkeypatch.setattr(eegcnn.preprocess, "_openblas", lambda: None)
+        pools = cpus(n_cpus)
+        report = run_sweep(tiny_split(), TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
+        assert pools == []
+        assert multiprocessing.active_children() == []
+        assert list(report.reports) == [3, 5]
+
+    @needs_fork
+    @needs_openblas
+    def test_bare_error_in_a_worker_ends_the_sweep(self, cpus, monkeypatch):
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(eegcnn.experiments, "train", boom)
+        monkeypatch.setattr(eegcnn.experiments, "SWEEP_POOL_MIN_WORK", 0)
+        pools = cpus(2)
+        before = blas_threads()
+        with pytest.raises(ValueError, match="^boom$"):
+            run_sweep(tiny_split(), TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
+        assert pools == [2]
+        assert blas_threads() == before
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @needs_openblas
+    def test_callers_count_kept_when_numpy_loads_first(self):
+        """Imported after numpy, eegcnn's one-thread default does not apply
+        (OpenBLAS starts a thread per CPU), and the sweep's scope must not
+        change that count for good."""
+        code = (
+            "import numpy\n"
+            "import eegcnn.experiments as ex\n"
+            "from eegcnn.preprocess import blas_threads\n"
+            "from test_experiments import TINY_TRAIN, tiny_split, tiny_sweep\n"
+            "ex.SWEEP_POOL_MIN_WORK = 0\n"
+            "before = blas_threads()\n"
+            "report = ex.run_sweep(tiny_split(), TINY_TRAIN, tiny_sweep('kernel_size', (3, 5)))\n"
+            "print(before, blas_threads(), list(report.reports))\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split(maxsplit=2)
+        assert out[0] == out[1] and out[2].strip() == "[3, 5]"
 
 
 class TestGroupPsd:

@@ -10,7 +10,6 @@ from eegcnn.model import (
     forward,
     init_params,
     predict,
-    softmax,
 )
 
 from conftest import (
@@ -21,6 +20,7 @@ from conftest import (
     reference_backward,
     reference_forward,
     reference_unroll,
+    softmax,
 )
 
 

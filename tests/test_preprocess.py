@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from scipy import signal as sps
 
 from eegcnn.data import ConfigError, CsvFormatError, Manifest, ManifestEntry, write_subject_csv
 from eegcnn.model import MAX_FLOATS
-from eegcnn.preprocess import (apply_zero_phase, design_highpass, load_filtered, welch_psd_batch,
-                               welch_segments)
+import eegcnn.preprocess
+from eegcnn.preprocess import (apply_zero_phase, blas_threads, design_highpass, fork_map,
+                               load_filtered, one_blas_thread, welch_psd_batch, welch_segments)
 
-from conftest import gain_db, make_recording, needs_fork, reference_load_filtered
+from conftest import (gain_db, make_recording, needs_fork, needs_openblas,
+                      reference_load_filtered)
 
 FS = 500.0
 
@@ -278,3 +281,43 @@ class TestLoadFiltered:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{manifest.entries[1].file}: non-numeric cell 'x'")
         assert multiprocessing.active_children() == []
+
+
+def _pid(item):
+    return os.getpid()
+
+
+def _pids_of_nested_call(n, item):
+    """This process's id, and the ids of the processes that ran the n calls
+    of its own ``fork_map``."""
+    return os.getpid(), fork_map(_pid, range(n), (), str)
+
+
+class TestForkMap:
+    @needs_fork
+    def test_call_inside_a_worker_runs_in_that_worker(self, cpus):
+        """A worker's own ``fork_map`` starts no grandchild, which would put
+        more processes than CPUs to work."""
+        pools = cpus(2)
+        results = fork_map(_pids_of_nested_call, [0, 1], (3,), str)
+        assert pools == [2]
+        for worker, inner in results:
+            assert worker != os.getpid() and inner == [worker] * 3
+        assert multiprocessing.active_children() == []
+
+
+class TestOneBlasThread:
+    @needs_openblas
+    def test_one_thread_inside_and_the_callers_count_after(self):
+        before = blas_threads()
+        with pytest.raises(RuntimeError, match="^inside$"):
+            with one_blas_thread() as caller:
+                assert caller == before and blas_threads() == 1
+                raise RuntimeError("inside")
+        assert blas_threads() == before
+
+    def test_without_openblas_sets_nothing(self, monkeypatch):
+        monkeypatch.setattr(eegcnn.preprocess, "_openblas", lambda: None)
+        assert blas_threads() is None
+        with one_blas_thread() as caller:
+            assert caller is None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from eegcnn.data import DatasetSplit, split_dataset
 from eegcnn.checkpoint import load_checkpoint, save_checkpoint
 from eegcnn.metrics import evaluate
-from eegcnn.model import ModelConfig, init_params, softmax
+from eegcnn.model import ModelConfig, init_params
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import (
     TrainConfig,
@@ -27,6 +27,7 @@ from conftest import (
     reference_backward,
     reference_cross_entropy,
     reference_forward,
+    softmax,
 )
 
 # the package binds the name ``train`` to the function, so fetch the module
