@@ -11,14 +11,14 @@ from .data import ConfigError, DatasetSplit, EegcnnError, Epoch, write_csv
 from .metrics import MetricsReport, evaluate
 from .model import ModelConfig
 from .preprocess import fork_map, one_blas_thread, welch_psd_batch
-from .train import TrainConfig, train
+from .train import TrainConfig, train, training_work
 
 SWEPT_FIELDS = {"kernel_size": "kernel", "out_channels": "out_channels"}
-# A sweep's points train in worker processes from this much work up: training
-# epochs x training examples x samples x parameters, summed over the points.
-# Starting the pool costs 15-20 ms, and an 8-channel, kernel 11-51 sweep of
-# this much work gains only about that much from it
-SWEEP_POOL_MIN_WORK = 10**8
+# A sweep's points train in worker processes from this much work up:
+# ``training_work`` summed over the points. The pool breaks even at about
+# 2e8; the bar sits above the tests' tiny sweeps (3.5e8), which stay
+# in-process (the measurements are in CHANGES.md)
+SWEEP_POOL_MIN_WORK = 5 * 10**8
 
 
 def sweep_configs(
@@ -92,8 +92,8 @@ def run_sweep(
         raise ValueError("all three partitions must be non-empty for a sweep")
     values = list(model_configs)
     shared = (data, train_config, model_configs)
-    work = (train_config.epochs * len(data.train) * data.train[0].data.shape[-1]
-            * sum(c.size for c in model_configs.values()))
+    work = sum(training_work(train_config.epochs, len(data.train), data.train[0].data.shape[-1],
+                             c.size) for c in model_configs.values())
     with one_blas_thread() as caller:
         if caller is not None and work >= SWEEP_POOL_MIN_WORK:
             order = sorted(values, key=lambda v: model_configs[v].size, reverse=True)

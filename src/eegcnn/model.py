@@ -140,8 +140,14 @@ def forward(
     params: ModelParams,
     x: np.ndarray,
     mode: str = "eval",
-    rng: np.random.Generator | None = None,
+    dropout: np.ndarray | None = None,
 ) -> ForwardCache:
+    """One example's pass. A train-mode pass takes the example's dropout
+    draw: uniform values in [0, 1), one per conv output [out, T]. An output
+    whose draw is below DROPOUT_RATE is dropped and the others are scaled by
+    1 / (1 - DROPOUT_RATE), so the pass is a function of its arguments alone
+    and the caller owns the random stream (``train`` draws it in batch
+    order)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
@@ -150,9 +156,9 @@ def forward(
     pre, unrolled = _conv_unrolled(params, x)
     mask = pre > 0
     if mode == "train":
-        if rng is None:
-            raise ValueError("train-mode forward needs an RNG for dropout")
-        mask = mask * ((rng.random(pre.shape) >= DROPOUT_RATE) / (1.0 - DROPOUT_RATE))
+        if dropout is None:
+            raise ValueError("train-mode forward needs a dropout draw")
+        mask = mask * ((dropout >= DROPOUT_RATE) / (1.0 - DROPOUT_RATE))
     pooled = (pre * mask).mean(axis=1)
     logits = params.fc_weight @ pooled + params.fc_bias
     return ForwardCache(unrolled=unrolled, grad_mask=mask, pooled=pooled, logits=logits)

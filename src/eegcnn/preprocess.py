@@ -4,9 +4,10 @@ The high-pass is a Butterworth filter designed once as second-order sections
 (SOS) and run forward and backward, so it has zero phase and works at every
 order from 1 to MAX_FLOATS // 2; no polynomial (b, a) form is ever built. The Welch PSD is plain
 numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal.
-``fork_map`` spreads independent calls over forked worker processes: the
-subjects of ``load_filtered``, the tone probe's arc sums and the points of a
-sweep. ``one_blas_thread`` runs a block on one BLAS thread.
+``ForkPool`` is the one pool of forked worker processes: ``train`` keeps one
+for its mini-batches, and ``fork_map`` maps once on a fresh one (the subjects
+of ``load_filtered``, the tone probe's arc sums and the points of a sweep).
+``one_blas_thread`` runs a block on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import ctypes
 import multiprocessing
 import os
+import traceback
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 
 import numpy as np
@@ -106,50 +108,163 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_shared: tuple = ()  # ``fork_map``'s shared arguments, set in its forked workers only
-_in_worker = False  # True in a ``fork_map`` worker, whose own ``fork_map`` calls run in-process
+_in_worker = False  # True in a ``ForkPool`` worker, whose own pools run in-process
 
 
-def _share(*shared) -> None:
-    global _shared, _in_worker
-    _shared, _in_worker = shared, True
+def can_fork() -> bool:
+    """Whether this process may start a ``ForkPool``: the platform forks, and
+    this is no pool's worker (whose pool already has one process per CPU)."""
+    return not _in_worker and "fork" in multiprocessing.get_all_start_methods()
 
 
-def _call_shared(fn: Callable, item):
-    return fn(*_shared, item)
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an error that a ``ForkPool`` worker raised;
+    the error is re-raised in the calling process with this as its cause."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _serve(conn: Connection, inherited: list[Connection], shared: tuple) -> None:
+    """A ``ForkPool`` worker: for each (fn, item) that arrives on ``conn``,
+    send back (True, fn(*shared, item)) or (False, (the error it raised, its
+    traceback)), until None or the end of the pipe."""
+    global _in_worker
+    _in_worker = True
+    for other in inherited:  # this process's copies of the pipes of earlier workers
+        other.close()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        fn, item = task
+        try:
+            reply = (True, fn(*shared, item))
+        except Exception as exc:
+            reply = (False, (exc, traceback.format_exc()))
+        conn.send(reply)
+
+
+class ForkPool:
+    """``workers`` processes forked from this one that run calls for it until
+    the pool closes, each over its own duplex pipe. They get ``shared``
+    through fork, not pickled, so large arrays (and shared memory made
+    before the fork) cost them nothing to receive; a ``map`` sends each
+    worker only (fn, item) and gets back the result.
+
+    fork, not spawn: the workers inherit the imported modules, numpy's error
+    state and the BLAS thread count, and start in milliseconds instead of
+    importing numpy and scipy again. A pool of 0 workers forks nothing and
+    runs every call in this process. Use it as a context manager: closing
+    stops the workers, and terminates them if a call is still out."""
+
+    def __init__(self, workers: int, shared: tuple = ()):
+        self._shared = shared
+        self._conns: list[Connection] = []
+        self._procs: list[multiprocessing.Process] = []
+        self._idle = True  # no call is out
+        # no fork context where none is needed: some platforms have none
+        context = multiprocessing.get_context("fork") if workers else None
+        try:
+            for _ in range(workers):
+                ours, theirs = context.Pipe()
+                proc = context.Process(target=_serve, args=(theirs, list(self._conns), shared))
+                proc.start()
+                theirs.close()  # so that a worker's death ends its pipe
+                self._conns.append(ours)
+                self._procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> ForkPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        for conn, proc in zip(self._conns, self._procs):
+            if self._idle:
+                try:
+                    conn.send(None)
+                except OSError:  # a worker that died
+                    pass
+            else:
+                proc.terminate()
+        for conn, proc in zip(self._conns, self._procs):
+            proc.join()
+            proc.close()
+            conn.close()
+        self._conns, self._procs = [], []
+
+    def map(self, fn: Callable, items: Sequence, unfinished: Callable[[object], str],
+            here: bool = False) -> list:
+        """``[fn(*shared, item) for item in items]``, in input order. Each
+        worker takes the next item whenever it is idle; with ``here``, this
+        process computes ``items[0]`` itself while they work.
+
+        The first item in input order whose call raises raises its own error,
+        and no item is handed out after a call raised. A worker that dies
+        raises BrokenProcessPool, "a worker process died before
+        <unfinished(item)>", for the first item in input order without a
+        result.
+        """
+        if not self._conns:
+            return [fn(*self._shared, item) for item in items]
+        results, errors = {}, {}
+        todo = iter(range(int(here), len(items)))
+        busy: dict[Connection, int] = {}
+
+        def hand_out(conn: Connection) -> None:
+            i = None if errors else next(todo, None)
+            if i is not None:
+                busy[conn] = i
+                conn.send((fn, items[i]))
+
+        self._idle = False
+        try:
+            for conn in self._conns:
+                hand_out(conn)
+            if here and items:
+                try:
+                    results[0] = fn(*self._shared, items[0])
+                except Exception as exc:
+                    errors[0] = exc
+            while busy:
+                for conn in wait(list(busy)):
+                    ok, value = conn.recv()
+                    i = busy.pop(conn)
+                    if ok:
+                        results[i] = value
+                    else:
+                        errors[i], text = value
+                        errors[i].__cause__ = WorkerTraceback(text)
+                    hand_out(conn)
+            self._idle = True
+        except (EOFError, OSError):  # a worker died: its pipe ended, or a send to it failed
+            pass
+        for i, item in enumerate(items):
+            if i in errors:
+                raise errors[i]
+            if i not in results:
+                raise BrokenProcessPool(f"a worker process died before {unfinished(item)}")
+        return [results[i] for i in range(len(items))]
 
 
 def fork_map(fn: Callable, items: Sequence, shared: tuple,
              unfinished: Callable[[object], str]) -> list:
-    """``[fn(*shared, item) for item in items]``, in input order, spread over
-    one forked worker process per CPU of the affinity mask, at most one per
-    item. With fewer than two workers, inside a worker of another
-    ``fork_map`` (whose pool already has one process per CPU), or where fork
-    is unavailable, it runs in this process.
-
-    The workers get ``shared`` through fork (the pool's initializer), not
-    pickled with every task, so large arrays cost them nothing to receive.
-    The first item in input order whose call raises raises its own error; a
-    worker that dies raises BrokenProcessPool, "a worker process died before
-    <unfinished(item)>", for the first item without a result.
+    """``[fn(*shared, item) for item in items]``, in input order, on a fresh
+    ``ForkPool`` of one worker per CPU of the affinity mask, at most one per
+    item, with its error rules. With fewer than two workers, or where
+    ``can_fork`` is false, it runs in this process.
     """
     workers = min(len(items), usable_cpus())
-    if workers < 2 or _in_worker or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(*shared, item) for item in items]
-    # fork, not spawn: the workers inherit the imported modules, ``shared`` and
-    # numpy's error state, and start in milliseconds instead of importing
-    # numpy and scipy again
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_share, initargs=shared) as pool:
-        results = []
-        try:
-            # in input order; a call that raises cancels those not yet started
-            for result in pool.map(partial(_call_shared, fn), items):
-                results.append(result)
-        except BrokenProcessPool:
-            raise BrokenProcessPool(
-                f"a worker process died before {unfinished(items[len(results)])}") from None
-    return results
+    with ForkPool(workers if workers >= 2 and can_fork() else 0, shared) as pool:
+        return pool.map(fn, items, unfinished)
 
 
 @cache
@@ -189,14 +304,19 @@ def one_blas_thread() -> Iterator[int | None]:
     count, also when the block raises. Yields the caller's count, or None
     where there is no known OpenBLAS to set, and then sets nothing.
 
-    Use it in the parent, before any fork: forked workers inherit the count,
-    while setting it inside a worker restarts OpenBLAS's thread pool there."""
+    Use it in the parent, before any fork: forked workers inherit the count.
+    Setting the count in a forked child restarts OpenBLAS's thread pool
+    there, whose spinning threads then slow the work, so a count that is
+    already 1 (a ``train`` inside a sweep's worker) is left untouched."""
     found = _openblas()
     if found is None:
         yield None
         return
     get, put = found
     caller = get()
+    if caller == 1:
+        yield caller
+        return
     put(1)
     try:
         yield caller

@@ -3,7 +3,6 @@ import functools
 import multiprocessing
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,10 +13,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 import eegcnn.preprocess
-from eegcnn.data import Epoch, SubjectRecording, load_subject_csv
-from eegcnn.model import DROPOUT_RATE, ModelConfig, ModelParams, _conv_unrolled, backward, forward
+from eegcnn.data import Epoch, SubjectRecording, TrainingDivergedError, load_subject_csv
+from eegcnn.model import (DROPOUT_RATE, ModelConfig, ModelParams, _conv_unrolled, backward,
+                          forward, init_params, predict)
 from eegcnn.preprocess import apply_zero_phase, blas_threads, design_highpass, welch_psd_batch
-from eegcnn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cross_entropy
+from eegcnn.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_step, cross_entropy,
+                          init_adam)
 
 
 @pytest.fixture
@@ -27,20 +28,22 @@ def rng():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set how many CPUs ``preprocess.fork_map`` sees; returns the worker
-    count of each pool it starts, a list that later calls extend."""
+    """Set how many CPUs the package's pools (``fork_map``, ``train``) see;
+    returns the worker count of each ``preprocess.ForkPool`` that forks
+    workers, a list that later calls extend."""
     pools = []
+    start = eegcnn.preprocess.ForkPool.__init__
 
-    class Pool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            super().__init__(max_workers, **kwargs)
-            pools.append(max_workers)
+    def counted(self, workers, *args):
+        if workers:
+            pools.append(workers)
+        start(self, workers, *args)
 
     def see(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         return pools
 
-    monkeypatch.setattr(eegcnn.preprocess, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(eegcnn.preprocess.ForkPool, "__init__", counted)
     return see
 
 
@@ -175,7 +178,7 @@ def reference_unroll(x, kernel):
     return windows.transpose(0, 2, 1).reshape(x.shape[0] * kernel, x.shape[1])
 
 
-def reference_forward(params, x, mode="eval", rng=None, dropout_rate=DROPOUT_RATE):
+def reference_forward(params, x, mode="eval", dropout=None, dropout_rate=DROPOUT_RATE):
     x = np.asarray(x, dtype=np.float64)
     out_c, in_c, kernel = params.conv_weight.shape
     xm = reference_unroll(x, kernel)
@@ -183,7 +186,7 @@ def reference_forward(params, x, mode="eval", rng=None, dropout_rate=DROPOUT_RAT
     relu_mask = pre > 0
     h = pre * relu_mask
     if mode == "train" and dropout_rate > 0:
-        dropout_mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        dropout_mask = (dropout >= dropout_rate) / (1.0 - dropout_rate)
     else:
         dropout_mask = np.ones_like(h)
     h = h * dropout_mask
@@ -223,6 +226,47 @@ def reference_adam_step(m, v, t, params, grads, learning_rate):
         v_hat = new_v[name] / (1 - ADAM_BETA2**t)
         new_p[name] = params[name] - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_m, new_v, new_p
+
+
+def reference_train(data, config, model_config):
+    """The training loop as written for one process: (history rows,
+    best_epoch, best checkpoint) from drawing each example's dropout
+    uniform from the stream as its forward runs, in batch order, and summing
+    the batch's gradients left to right. train() must give the same bits
+    however many processes share its mini-batches."""
+    params = init_params(config.seed, model_config)
+    state = init_adam(params)
+    rng = np.random.default_rng([config.seed, 1])
+    labels = np.array([ep.label for ep in data.validation])
+    history, best, n = [], None, len(data.train)
+    with np.errstate(all="ignore"):
+        for epoch_idx in range(config.epochs):
+            perm = rng.permutation(n)
+            losses = []
+            for start in range(0, n, config.batch_size):
+                batch = [data.train[i] for i in perm[start : start + config.batch_size]]
+                grad_sum = None
+                for item in batch:
+                    draw = rng.random((model_config.out_channels, item.data.shape[-1]))
+                    cache = forward(params, item.data, mode="train", dropout=draw)
+                    loss, grad_logits = cross_entropy(cache.logits, item.label)
+                    if not np.isfinite(loss):
+                        raise TrainingDivergedError(f"non-finite loss at epoch {epoch_idx}, "
+                                                    f"batch {start // config.batch_size}")
+                    losses.append(loss)
+                    g = backward(cache, params, grad_logits).flat
+                    grad_sum = g if grad_sum is None else grad_sum + g
+                grads = ModelParams(params.config, grad_sum / len(batch))
+                state, params = adam_step(state, params, grads, config)
+            logits = predict(params, data.validation)
+            val_loss = float(np.mean(cross_entropy(logits, labels)[0]))
+            val_acc = np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels)
+            history.append({"train_loss": float(np.mean(losses)), "val_loss": val_loss,
+                            "val_accuracy": val_acc})
+            key = (val_acc, -val_loss, -epoch_idx)
+            if best is None or key > best[0]:
+                best = (key, epoch_idx, params)
+    return history, best[1], best[2]
 
 
 def softmax(logits):

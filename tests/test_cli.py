@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import multiprocessing
@@ -41,6 +42,8 @@ from conftest import (DEEP_NESTING, OVER_LONG_INT, edited_json, make_epoch, make
 
 FS = 100.0
 CHANNELS = 3
+# the package binds the name ``train`` to the function, so fetch the module
+train_module = importlib.import_module("eegcnn.train")
 
 
 def write_cohort(root, n_epochs):
@@ -400,6 +403,30 @@ class TestTrain:
     def test_missing_split(self, tmp_path):
         rc = main(["train", "--split", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    @needs_fork
+    @needs_openblas
+    def test_dead_worker_exits_2(self, prepared, tmp_path, capsys, monkeypatch, cpus):
+        parent, backward = os.getpid(), train_module.backward
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return backward(*args)
+
+        monkeypatch.setattr(train_module, "backward", die_in_worker)
+        monkeypatch.setattr(train_module, "TRAIN_POOL_MIN_WORK", 0)
+        pools = cpus(2)
+        out = tmp_path / "t"
+        rc = main(["train", "--split", str(prepared), "--out", str(out), "--epochs", "1",
+                   "--in-channels", str(CHANNELS)])
+        assert pools == [1]
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory in train: a worker process died before epoch 0, batch 0 was "
+            "trained\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("key", [
         "partitions", "seed", "fs", "subject_assignment", "partitions.validation",

@@ -219,7 +219,8 @@ class TestEvaluate:
         epochs = self._fixed_logits(monkeypatch, logits)
         params = self._zero_model()
         report = evaluate(params, epochs)
-        _, val_accuracy = train_module._eval_pass(params, epochs)
+        labels = np.array([ep.label for ep in epochs])
+        _, val_accuracy = train_module._eval_pass(train_module.predict(params, epochs), labels)
         assert report.accuracy == val_accuracy == 1.0
         assert report.confusion == ConfusionMatrix(tp=1, fp=0, tn=2, fn=0)
 

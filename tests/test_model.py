@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegcnn.model import (
+    DROPOUT_RATE,
     ModelConfig,
     ModelParams,
     backward,
@@ -208,10 +209,19 @@ class TestForward:
         np.testing.assert_array_equal(a.grad_mask, relu_mask)
         np.testing.assert_array_equal(b.grad_mask, relu_mask)
 
-    def test_train_mode_needs_rng(self, rng):
+    def test_train_mode_needs_a_draw(self, rng):
         p = init_params(1, ModelConfig(2, 2, 3))
-        with pytest.raises(ValueError, match="RNG"):
+        with pytest.raises(ValueError, match="draw"):
             forward(p, rng.standard_normal((2, 10)), mode="train")
+
+    def test_dropout_draw_sets_the_mask(self):
+        # a draw below DROPOUT_RATE drops its output; the others are scaled
+        p = identity_params(channels=1, kernel=1)
+        x = np.ones((1, 4))
+        draw = np.array([[0.0, np.nextafter(DROPOUT_RATE, 0), DROPOUT_RATE, 0.99]])
+        keep = 1.0 / (1.0 - DROPOUT_RATE)
+        np.testing.assert_array_equal(forward(p, x, mode="train", dropout=draw).grad_mask,
+                                      [[0.0, 0.0, keep, keep]])
 
     def test_non_finite_input_rejected(self):
         p = identity_params()
@@ -228,7 +238,7 @@ class TestForward:
         assert forward(p, x, mode="eval").grad_mask.all()
         total = np.zeros((1, 100))
         for _ in range(10_000):
-            total += forward(p, x, mode="train", rng=rng).grad_mask
+            total += forward(p, x, mode="train", dropout=rng.random((1, 100))).grad_mask
         np.testing.assert_allclose(total / 10_000, 1.0, atol=0.02)
 
     def test_pool_of_constant_channel_is_exact(self):
@@ -292,11 +302,11 @@ class TestBackward:
         # example's own input again
         p = init_params(4, ModelConfig(3, 4, kernel))
         data = np.random.default_rng(kernel)
-        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(3):
             x = data.standard_normal((3, 25))
-            cache = forward(p, x, mode=mode, rng=rng)
-            ref = reference_forward(p, x, mode=mode, rng=ref_rng)
+            draw = data.random((4, 25))
+            cache = forward(p, x, mode=mode, dropout=draw)
+            ref = reference_forward(p, x, mode=mode, dropout=draw)
             np.testing.assert_array_equal(cache.unrolled, reference_unroll(x, kernel))
             np.testing.assert_array_equal(cache.grad_mask, ref.dropout_mask * ref.relu_mask)
             np.testing.assert_array_equal(cache.pooled, ref.pooled)

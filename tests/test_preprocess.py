@@ -11,8 +11,9 @@ from scipy import signal as sps
 from eegcnn.data import ConfigError, CsvFormatError, Manifest, ManifestEntry, write_subject_csv
 from eegcnn.model import MAX_FLOATS
 import eegcnn.preprocess
-from eegcnn.preprocess import (apply_zero_phase, blas_threads, design_highpass, fork_map,
-                               load_filtered, one_blas_thread, welch_psd_batch, welch_segments)
+from eegcnn.preprocess import (WorkerTraceback, apply_zero_phase, blas_threads, design_highpass,
+                               fork_map, load_filtered, one_blas_thread, welch_psd_batch,
+                               welch_segments)
 
 from conftest import (gain_db, make_recording, needs_fork, needs_openblas,
                       reference_load_filtered)
@@ -306,6 +307,33 @@ class TestForkMap:
         assert multiprocessing.active_children() == []
 
 
+def _blas_threads_started(item):
+    """How many threads this process gained in a one_blas_thread block that ran a GEMM."""
+    before = len(os.listdir("/proc/self/task"))
+    with one_blas_thread():
+        np.ones((64, 64)) @ np.ones((64, 64))
+    return len(os.listdir("/proc/self/task")) - before
+
+
+def _fail_in_worker(item):
+    if item == 1:
+        raise ValueError(f"item {item}")
+    return item
+
+
+class TestForkPool:
+    @needs_fork
+    def test_error_in_a_worker_carries_its_traceback(self, cpus):
+        """A bug in a worker shows the worker's frames, as the cause of the
+        error re-raised here."""
+        cpus(2)
+        with pytest.raises(ValueError, match="^item 1$") as info:
+            fork_map(_fail_in_worker, [0, 1], (), str)
+        assert isinstance(info.value.__cause__, WorkerTraceback)
+        assert "in _fail_in_worker" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+
 class TestOneBlasThread:
     @needs_openblas
     def test_one_thread_inside_and_the_callers_count_after(self):
@@ -315,6 +343,24 @@ class TestOneBlasThread:
                 assert caller == before and blas_threads() == 1
                 raise RuntimeError("inside")
         assert blas_threads() == before
+
+    def test_count_of_one_is_left_alone(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(eegcnn.preprocess, "_openblas", lambda: (lambda: 1, calls.append))
+        with one_blas_thread() as caller:
+            assert caller == 1
+        assert calls == []
+
+    @needs_fork
+    @needs_openblas
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_worker_of_a_one_thread_parent_starts_no_blas_thread(self, cpus):
+        """A ``train`` inside a sweep's worker runs in one_blas_thread: set
+        there, the count would restart OpenBLAS's thread pool in the child."""
+        cpus(2)
+        with one_blas_thread():
+            assert fork_map(_blas_threads_started, [0, 1], (), str) == [0, 0]
+        assert multiprocessing.active_children() == []
 
     def test_without_openblas_sets_nothing(self, monkeypatch):
         monkeypatch.setattr(eegcnn.preprocess, "_openblas", lambda: None)

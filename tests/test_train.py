@@ -1,4 +1,9 @@
 import importlib
+import multiprocessing
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from eegcnn.data import DatasetSplit, split_dataset
 from eegcnn.checkpoint import load_checkpoint, save_checkpoint
 from eegcnn.metrics import evaluate
 from eegcnn.model import ModelConfig, init_params
+from eegcnn.preprocess import fork_map
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import (
     TrainConfig,
@@ -23,10 +29,13 @@ from conftest import (
     finite_diff_check,
     make_epoch,
     make_params,
+    needs_fork,
+    needs_openblas,
     reference_adam_step,
     reference_backward,
     reference_cross_entropy,
     reference_forward,
+    reference_train,
     softmax,
 )
 
@@ -326,15 +335,122 @@ class TestTrainMatchesReference:
         # some sample must be dropped (0) whose ReLU is on in eval mode
         dropped, real_forward = [], train_module.forward
 
-        def spy(params, x, mode, rng):
-            cache = real_forward(params, x, mode, rng)
-            relu_on = real_forward(params, x, "eval", None).grad_mask
+        def spy(params, x, mode, dropout):
+            cache = real_forward(params, x, mode, dropout)
+            relu_on = real_forward(params, x, "eval").grad_mask
             dropped.append(np.any((cache.grad_mask == 0) & relu_on))
             return cache
 
         monkeypatch.setattr(train_module, "forward", spy)
         train(labelled_split(7, 3), TrainConfig(epochs=1), ModelConfig(3, 4, 3))
         assert len(dropped) == 7 and any(dropped)
+
+
+def _train_in_worker(pools, split, config, model_config, seed):
+    """The pools a ``fork_map`` worker has seen once it trained, and its bytes."""
+    history = train(split, replace(config, seed=seed), model_config)
+    return list(pools), history.best_checkpoint.flat.tobytes()
+
+
+@needs_fork
+@needs_openblas
+class TestTrainWorkers:
+    """From TRAIN_POOL_MIN_WORK up, ``train`` runs each round of a mini-batch
+    on this process and one forked worker per further CPU. The history and
+    checkpoint are the bytes of the loop in one process
+    (``conftest.reference_train``) whatever the CPU count."""
+
+    MODEL = ModelConfig(3, 4, 3)
+
+    @pytest.fixture(autouse=True)
+    def pool_every_shape(self, monkeypatch):
+        monkeypatch.setattr(train_module, "TRAIN_POOL_MIN_WORK", 0)
+
+    @pytest.mark.parametrize("batch_size", [2, 3, 50], ids=["batch2", "batch3", "beyond-train"])
+    def test_pooled_equals_one_process(self, cpus, batch_size):
+        split = labelled_split(n_train=7, n_val=5)  # the last batch of 2 or 3 is ragged
+        config = TrainConfig(batch_size=batch_size, learning_rate=3e-3, epochs=3, seed=4)
+        want_rows, want_best, want = reference_train(split, config, self.MODEL)
+        for n_cpus in (1, 2, 3, 4):  # 4: more processes than this host may have cores
+            pools = cpus(n_cpus)
+            started = len(pools)
+            got = train(split, config, self.MODEL)
+            # one worker per further CPU, and no more processes than a round's examples
+            assert pools[started:] == ([min(n_cpus, batch_size) - 1] if n_cpus > 1 else [])
+            assert multiprocessing.active_children() == []
+            assert (got.epochs, got.best_epoch) == (want_rows, want_best)
+            assert got.best_checkpoint.flat.tobytes() == want.flat.tobytes()
+
+    def test_epochs_of_different_lengths(self, cpus):
+        # each example's draw is the first out * T values of its slot's row,
+        # and one validation epoch leaves the worker without a block
+        epochs = [make_epoch(3, 30 + 7 * i, label=i % 2, seed=i, subject_id=f"S{i}")
+                  for i in range(7)]
+        split = DatasetSplit(train=epochs[:6], validation=epochs[6:], test=[], seed=0)
+        config = TrainConfig(batch_size=3, learning_rate=3e-3, epochs=2, seed=1)
+        want_rows, want_best, want = reference_train(split, config, self.MODEL)
+        pools = cpus(2)
+        got = train(split, config, self.MODEL)
+        assert pools == [1]
+        assert (got.epochs, got.best_epoch) == (want_rows, want_best)
+        assert got.best_checkpoint.flat.tobytes() == want.flat.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_non_finite_loss_in_a_worker_names_its_batch(self, cpus, monkeypatch):
+        split = labelled_split(n_train=7, n_val=3)
+        config = TrainConfig(batch_size=2, epochs=2, seed=5)
+        # the example in the worker's slot of epoch 0's second batch
+        planted = split.train[np.random.default_rng([config.seed, 1]).permutation(7)[3]].data
+        real_forward = train_module.forward
+
+        def forward(params, x, mode="eval", dropout=None):
+            cache = real_forward(params, x, mode, dropout)
+            return replace(cache, logits=np.full(2, np.nan)) if x is planted else cache
+
+        monkeypatch.setattr(train_module, "forward", forward)
+        errors = []
+        for n_cpus in (1, 2):
+            pools = cpus(n_cpus)
+            with pytest.raises(TrainingDivergedError) as info:
+                train(split, config, self.MODEL)
+            errors.append(str(info.value))
+            assert multiprocessing.active_children() == []
+        assert pools == [1]
+        assert errors == ["non-finite loss at epoch 0, batch 1"] * 2
+
+    def test_inside_a_fork_map_worker_trains_in_process(self, cpus):
+        pools = cpus(2)
+        split, config = labelled_split(7, 3), TrainConfig(epochs=2)
+        results = fork_map(_train_in_worker, [0, 1], (pools, split, config, self.MODEL), str)
+        assert pools == [2]
+        for seed, (seen, flat) in zip([0, 1], results):
+            assert seen == [2]  # the worker started no pool of its own
+            want = reference_train(split, replace(config, seed=seed), self.MODEL)[2]
+            assert flat == want.flat.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_callers_count_kept_when_numpy_loads_first(self):
+        """Imported after numpy, eegcnn's one-thread default does not apply
+        (OpenBLAS starts a thread per CPU); train runs on one thread and
+        then gives the caller its own count back."""
+        code = (
+            "import numpy\n"
+            "import eegcnn.train as tr\n"
+            "from eegcnn.model import ModelConfig\n"
+            "from eegcnn.preprocess import blas_threads\n"
+            "from test_train import labelled_split\n"
+            "tr.TRAIN_POOL_MIN_WORK = 0\n"
+            "before, during = blas_threads(), []\n"
+            "tr.train(labelled_split(7, 3), tr.TrainConfig(epochs=2), ModelConfig(3, 4, 3),\n"
+            "         on_epoch=lambda i, row: during.append(blas_threads()))\n"
+            "print(before, blas_threads(), during)\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split(maxsplit=2)
+        assert out[0] == out[1] and out[2].strip() == "[1, 1]"
 
 
 class TestOnEpoch:
