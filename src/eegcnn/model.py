@@ -146,8 +146,8 @@ def forward(
     draw: uniform values in [0, 1), one per conv output [out, T]. An output
     whose draw is below DROPOUT_RATE is dropped and the others are scaled by
     1 / (1 - DROPOUT_RATE), so the pass is a function of its arguments alone
-    and the caller owns the random stream (``train`` draws it in batch
-    order)."""
+    and the caller owns the random stream (``train`` draws each example's
+    from a stream of its own)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)

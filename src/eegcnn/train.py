@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import math
 from dataclasses import dataclass
 from multiprocessing.sharedctypes import RawArray
 from pathlib import Path
@@ -113,38 +112,25 @@ def training_work(epochs: int, examples: int, samples: int, parameters: int) -> 
     return epochs * examples * (samples * parameters + EXAMPLE_WORK)
 
 
-def _shared_zeros(shape: tuple[int, ...], shared: bool) -> np.ndarray:
-    """Float64 zeros, if ``shared`` in memory that processes forked later share."""
-    if not shared:
-        return np.zeros(shape)
-    return np.frombuffer(RawArray(ctypes.c_double, math.prod(shape))).reshape(shape)
-
-
-def _dropout_draw(draws: np.ndarray, slot: int, shape: tuple[int, int]) -> np.ndarray:
-    """The [out, T] dropout draw of the example in round slot ``slot``: the
-    first out * T values of the slot's row, so epochs of any length fit."""
-    return draws[slot, : shape[0] * shape[1]].reshape(shape)
-
-
-def _example_gradient(data: DatasetSplit, params: ModelParams, draws: np.ndarray,
-                      grads: np.ndarray, item: tuple[int, int, str]) -> float:
-    """The loss of the training example (slot, index, where) names, from a
-    train-mode forward with the dropout draw of round slot ``slot``; its
-    gradient goes to ``grads[slot]``. A non-finite loss raises
+def _example_gradient(data: DatasetSplit, params: ModelParams, seed: int,
+                      item: tuple[int, int, str]) -> tuple[float, np.ndarray]:
+    """(loss, flat gradient) of the training example (epoch, index, where)
+    names, from a train-mode forward whose dropout draw is a function of
+    (seed, epoch, index) alone. A non-finite loss raises
     TrainingDivergedError at ``where`` ("epoch e, batch b")."""
-    slot, index, where = item
+    epoch, index, where = item
     x, label = data.train[index].data, data.train[index].label
-    draw = _dropout_draw(draws, slot, (params.config.out_channels, x.shape[-1]))
+    draw = np.random.default_rng([seed, 2, epoch, index]).random(
+        (params.config.out_channels, x.shape[-1]))
     cache = forward(params, x, mode="train", dropout=draw)
     loss, grad_logits = cross_entropy(cache.logits, label)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss at {where}")
-    grads[slot] = backward(cache, params, grad_logits).flat
-    return loss
+    return loss, backward(cache, params, grad_logits).flat
 
 
-def _validation_logits(data: DatasetSplit, params: ModelParams, draws: np.ndarray,
-                       grads: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _validation_logits(data: DatasetSplit, params: ModelParams, seed: int,
+                       block: np.ndarray) -> np.ndarray:
     """Eval-mode logits of the validation epochs in ``block``."""
     return predict(params, [data.validation[i] for i in block])
 
@@ -166,7 +152,10 @@ def train(
     """Mini-batch Adam training with validation-accuracy checkpoint selection.
 
     Deterministic given (data, config, model_config): all shuffling, dropout
-    and initialization derive from config.seed. ``on_epoch(index, row)``, if
+    and initialization derive from config.seed. The ``[seed, 1]`` stream
+    shuffles each epoch; an example's dropout draw comes from its own
+    ``[seed, 2, epoch, index]`` stream (``index`` its place in
+    ``data.train``), so any process can make it. ``on_epoch(index, row)``, if
     given, is called as each epoch ends with the row ``history.epochs`` keeps.
 
     The whole call runs on one BLAS thread (``one_blas_thread``), and each
@@ -174,23 +163,22 @@ def train(
     this one alone, unless two or more CPUs are usable, one example holds
     TRAIN_POOL_MIN_WORK (``training_work``), the BLAS thread count can be set
     and this is no pool worker: then a ``ForkPool`` of one worker per further
-    CPU, up to the batch size, serves the whole call. This process draws each
-    example's dropout into shared memory in the one-process loop's stream
-    order and computes each round's first example; each gradient lands in
-    shared memory, and this process sums them in batch order before each
-    Adam step. The validation pass runs in contiguous blocks on the same
-    processes. The bytes are those of one process; a worker that dies raises
-    BrokenProcessPool.
+    CPU, up to the batch size, serves the whole call, reading the parameters
+    from memory it shares with this process. This process computes each
+    round's first example and sums the batch's gradients left to right in
+    batch order before each Adam step. The validation pass runs in contiguous
+    blocks on the same processes. The bytes are those of one process; a
+    worker that dies raises BrokenProcessPool.
     """
     if not data.train or not data.validation:
         raise ValueError("train and validation partitions must be non-empty")
     params = init_params(config.seed, model_config)
     state = init_adam(params)
-    rng = np.random.default_rng([config.seed, 1])  # dropout + shuffle stream
+    rng = np.random.default_rng([config.seed, 1])  # shuffle stream
 
     history: list[dict] = []
     best = None  # (val_acc, -val_loss, -epoch, params)
-    n, out = len(data.train), model_config.out_channels
+    n = len(data.train)
     longest = max(ep.data.shape[-1] for ep in data.train)
     labels = np.array([ep.label for ep in data.validation])
     # every loss, gradient and validation loss is checked below, so numpy's
@@ -200,11 +188,10 @@ def train(
         pooled = (caller is not None and can_fork() and usable_cpus() >= 2
                   and training_work(1, 1, longest, model_config.size) >= TRAIN_POOL_MIN_WORK)
         procs = min(usable_cpus(), config.batch_size, n) if pooled else 1
-        live = ModelParams(model_config, _shared_zeros((model_config.size,), procs > 1))
-        draws = _shared_zeros((procs, out * longest), procs > 1)
-        grads = _shared_zeros((procs, model_config.size), procs > 1)
+        live = ModelParams(model_config, np.frombuffer(RawArray(ctypes.c_double, model_config.size))
+                           if procs > 1 else np.zeros(model_config.size))
         blocks = np.array_split(np.arange(len(labels)), min(procs, len(labels)))
-        with ForkPool(procs - 1, (data, live, draws, grads)) as pool:
+        with ForkPool(procs - 1, (data, live, config.seed)) as pool:
             for epoch_idx in range(config.epochs):
                 perm = rng.permutation(n).tolist()
                 epoch_losses = []
@@ -214,17 +201,11 @@ def train(
                     where = f"epoch {epoch_idx}, batch {start // config.batch_size}"
                     grad_sum = None
                     for first in range(0, len(batch), procs):
-                        shares = [(slot, i, where)
-                                  for slot, i in enumerate(batch[first : first + procs])]
-                        for slot, i, _ in shares:
-                            shape = (out, data.train[i].data.shape[-1])
-                            rng.random(out=_dropout_draw(draws, slot, shape))
-                        epoch_losses += pool.map(_example_gradient, shares,
-                                                 lambda share: f"{share[2]} was trained",
-                                                 here=True)
-                        for slot in range(len(shares)):
-                            g = grads[slot]
-                            grad_sum = g.copy() if grad_sum is None else grad_sum + g
+                        shares = [(epoch_idx, i, where) for i in batch[first : first + procs]]
+                        for loss, g in pool.map(_example_gradient, shares,
+                                                lambda share: f"{share[2]} was trained", here=True):
+                            epoch_losses.append(loss)
+                            grad_sum = g if grad_sum is None else grad_sum + g
                     mean = ModelParams(params.config, grad_sum / len(batch))
                     state, params = adam_step(state, params, mean, config)
                 live.flat[...] = params.flat

@@ -230,9 +230,10 @@ def reference_adam_step(m, v, t, params, grads, learning_rate):
 
 def reference_train(data, config, model_config):
     """The training loop as written for one process: (history rows,
-    best_epoch, best checkpoint) from drawing each example's dropout
-    uniform from the stream as its forward runs, in batch order, and summing
-    the batch's gradients left to right. train() must give the same bits
+    best_epoch, best checkpoint) from shuffling each epoch with the
+    [seed, 1] stream, drawing each example's dropout uniform from its own
+    [seed, 2, epoch, index] stream as its forward runs, and summing the
+    batch's gradients left to right. train() must give the same bits
     however many processes share its mini-batches."""
     params = init_params(config.seed, model_config)
     state = init_adam(params)
@@ -244,10 +245,12 @@ def reference_train(data, config, model_config):
             perm = rng.permutation(n)
             losses = []
             for start in range(0, n, config.batch_size):
-                batch = [data.train[i] for i in perm[start : start + config.batch_size]]
+                batch = perm[start : start + config.batch_size]
                 grad_sum = None
-                for item in batch:
-                    draw = rng.random((model_config.out_channels, item.data.shape[-1]))
+                for i in batch:
+                    item = data.train[i]
+                    draw = np.random.default_rng([config.seed, 2, epoch_idx, i]).random(
+                        (model_config.out_channels, item.data.shape[-1]))
                     cache = forward(params, item.data, mode="train", dropout=draw)
                     loss, grad_logits = cross_entropy(cache.logits, item.label)
                     if not np.isfinite(loss):

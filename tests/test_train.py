@@ -345,6 +345,31 @@ class TestTrainMatchesReference:
         train(labelled_split(7, 3), TrainConfig(epochs=1), ModelConfig(3, 4, 3))
         assert len(dropped) == 7 and any(dropped)
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_each_example_draws_from_its_own_stream(self, cpus, monkeypatch, batch_size):
+        # an example's dropout draw is the [seed, 2, epoch, index] stream's,
+        # index its place in the training partition, whatever batch it is in
+        split, model = labelled_split(7, 3), ModelConfig(3, 4, 3)
+        config = TrainConfig(batch_size=batch_size, epochs=3, seed=6)
+        calls, real_forward = [], train_module.forward
+
+        def spy(params, x, mode="eval", dropout=None):
+            if mode == "train":
+                index = next(i for i, ep in enumerate(split.train) if ep.data is x)
+                calls.append((index, dropout.copy()))
+            return real_forward(params, x, mode, dropout)
+
+        monkeypatch.setattr(train_module, "forward", spy)
+        cpus(1)
+        train(split, config, model)
+        assert len(calls) == 3 * 7
+        for call, (index, dropout) in enumerate(calls):
+            epoch = call // 7
+            if call % 7 == 0:  # each epoch trains on every example once
+                assert sorted(i for i, _ in calls[call : call + 7]) == list(range(7))
+            want = np.random.default_rng([config.seed, 2, epoch, index]).random((4, 40))
+            assert dropout.tobytes() == want.tobytes(), (epoch, index)
+
 
 def _train_in_worker(pools, split, config, model_config, seed):
     """The pools a ``fork_map`` worker has seen once it trained, and its bytes."""
@@ -356,7 +381,8 @@ def _train_in_worker(pools, split, config, model_config, seed):
 @needs_openblas
 class TestTrainWorkers:
     """From TRAIN_POOL_MIN_WORK up, ``train`` runs each round of a mini-batch
-    on this process and one forked worker per further CPU. The history and
+    on this process and one forked worker per further CPU; each process
+    makes the dropout draws of the examples it computes. The history and
     checkpoint are the bytes of the loop in one process
     (``conftest.reference_train``) whatever the CPU count."""
 
@@ -382,8 +408,8 @@ class TestTrainWorkers:
             assert got.best_checkpoint.flat.tobytes() == want.flat.tobytes()
 
     def test_epochs_of_different_lengths(self, cpus):
-        # each example's draw is the first out * T values of its slot's row,
-        # and one validation epoch leaves the worker without a block
+        # each example's draw has its own epoch's length, whichever process
+        # makes it, and one validation epoch leaves the worker without a block
         epochs = [make_epoch(3, 30 + 7 * i, label=i % 2, seed=i, subject_id=f"S{i}")
                   for i in range(7)]
         split = DatasetSplit(train=epochs[:6], validation=epochs[6:], test=[], seed=0)
