@@ -368,12 +368,13 @@ def check_seed(seed: int) -> None:
 
 
 def epoch_recording(rec: SubjectRecording, epoch_seconds: float = 5.0) -> list[Epoch]:
-    """Segment a recording into non-overlapping epochs; trailing remainder is dropped."""
+    """Segment a recording into non-overlapping epochs; trailing remainder is
+    dropped. Each epoch's data is a view of ``rec.samples``, not a copy."""
     epoch_len = epoch_length(epoch_seconds, rec.fs)
     n_epochs = rec.n_samples // epoch_len
     return [
         Epoch(
-            data=rec.samples[:, i * epoch_len : (i + 1) * epoch_len].copy(),
+            data=rec.samples[:, i * epoch_len : (i + 1) * epoch_len],
             label=rec.label,
             subject_id=rec.subject_id,
             epoch_index=i,
@@ -446,7 +447,9 @@ _EPOCH_VALUES = {
 def save_split(out_dir: str | Path, split: DatasetSplit, fs: float) -> None:
     """Write ``split`` to ``out_dir``: ``split.json`` (seed, fs, subject
     assignment and each epoch's subject id, epoch index and label) and one
-    ``<partition>_data.npy`` [epochs, channels, samples] stack per partition."""
+    ``<partition>_data.npy`` [epochs, channels, samples] stack per partition,
+    the bytes ``np.save`` writes for ``np.stack`` of its epochs. Each file is
+    written epoch by epoch, so no stack is ever held in memory."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = {
@@ -463,7 +466,24 @@ def save_split(out_dir: str | Path, split: DatasetSplit, fs: float) -> None:
     }
     (out_dir / "split.json").write_text(json.dumps(index, indent=2, sort_keys=True))
     for name in PARTITIONS:
-        np.save(out_dir / f"{name}_data.npy", np.stack([ep.data for ep in split.partition(name)]))
+        _save_stack(out_dir / f"{name}_data.npy", [ep.data for ep in split.partition(name)])
+
+
+def _save_stack(path: Path, arrays: list[np.ndarray]) -> None:
+    """``np.save(path, np.stack(arrays))`` for ``arrays`` of float64 values,
+    written as numpy's 1.0 header and then each array's C-order bytes. The
+    shapes are checked before the file is opened, and a mismatch raises
+    ``np.stack``'s ValueError, so no header misstates its data."""
+    if not arrays:
+        raise ValueError("need at least one array to stack")
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
+        raise ValueError("all input arrays must have the same shape")
+    header = {"descr": "<f8", "fortran_order": False, "shape": (len(arrays), *shape)}
+    with path.open("wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for a in arrays:  # a view into a recording is rarely C-contiguous: one copy at a time
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:

@@ -129,7 +129,10 @@ def group_psd(epochs: list[Epoch], fs: float) -> GroupPsd:
     freqs = None
     mean, sem = {}, {}
     for lb in labels:
-        stack = np.stack([ep.data.mean(axis=0) for ep in epochs if ep.label == lb])
+        # numpy sums a contiguous axis pairwise, so the channels of an epoch that
+        # is a view of an F-ordered recording are averaged as a C-order copy
+        stack = np.stack([np.ascontiguousarray(ep.data).mean(axis=0)
+                          for ep in epochs if ep.label == lb])
         freqs, power = welch_psd_batch(stack, fs)
         mean[lb] = power.mean(axis=0)
         n = power.shape[0]

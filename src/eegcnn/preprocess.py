@@ -3,7 +3,8 @@
 The high-pass is a Butterworth filter designed once as second-order sections
 (SOS) and run forward and backward, so it has zero phase and works at every
 order from 1 to MAX_FLOATS // 2; no polynomial (b, a) form is ever built. The Welch PSD is plain
-numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal.
+numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal: an
+import of about 1 s that raises a fresh interpreter's peak RSS from 27 to 103 MB.
 ``ForkPool`` is the one pool of forked worker processes: ``train`` keeps one
 for its mini-batches, and ``fork_map`` maps once on a fresh one (the subjects
 of ``load_filtered``, the tone probe's arc sums and the points of a sweep).
@@ -48,7 +49,7 @@ def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
     too_low = f"cutoff_hz {cutoff_hz} is too low for filter_order {order} at fs {fs} Hz"
     if 2 * cutoff_hz / fs == 0:  # scipy's normalized cutoff underflows
         raise ConfigError(f"{too_low}: cutoff_hz / (fs / 2) rounds to 0")
-    from scipy import signal as sps  # here: a 1.3-1.5 s, 49 MB import only prepare needs
+    from scipy import signal as sps  # here: a ~1 s, +76 MB peak RSS import only prepare needs
 
     sos = sps.butter(order, cutoff_hz, btype="highpass", fs=fs, output="sos")
     try:

@@ -13,7 +13,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 import eegcnn.preprocess
-from eegcnn.data import Epoch, SubjectRecording, TrainingDivergedError, load_subject_csv
+from eegcnn.data import (PARTITIONS, Epoch, SubjectRecording, TrainingDivergedError,
+                         load_subject_csv)
 from eegcnn.model import (DROPOUT_RATE, ModelConfig, ModelParams, _conv_unrolled, backward,
                           forward, init_params, predict)
 from eegcnn.preprocess import apply_zero_phase, blas_threads, design_highpass, welch_psd_batch
@@ -157,6 +158,14 @@ def reference_load_filtered(manifest, cutoff_hz, order):
         rec = load_subject_csv(entry.file, entry, manifest)
         subjects.append(replace(rec, samples=apply_zero_phase(sos, rec.samples)))
     return subjects
+
+
+def reference_save_split(out_dir, split):
+    """Each partition's ``<partition>_data.npy`` as ``np.save`` of
+    ``np.stack`` of its epochs. data.save_split writes the same bytes one
+    epoch at a time, with no stack in memory."""
+    for name in PARTITIONS:
+        np.save(out_dir / f"{name}_data.npy", np.stack([ep.data for ep in split.partition(name)]))
 
 
 def gain_db(sos, freq_hz, fs, zero_phase=False):

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,10 @@ from eegcnn.data import (
     write_csv,
     write_subject_csv,
 )
+from eegcnn.synth import synthetic_dataset
 
-from conftest import DEEP_NESTING, JSON_VALUES, OVER_LONG_INT, make_recording
+from conftest import (DEEP_NESTING, JSON_VALUES, OVER_LONG_INT, make_recording,
+                      reference_save_split)
 
 
 def _manifest(channels, fs=500.0, names=None):
@@ -449,6 +453,10 @@ class TestEpochRecording:
         eps = epoch_recording(rec, 5.0)
         np.testing.assert_array_equal(eps[2].data, rec.samples[:, 5000:7500])
 
+    def test_epochs_are_views_of_the_recording(self):
+        rec = make_recording(n_samples=7500)
+        assert all(np.shares_memory(ep.data, rec.samples) for ep in epoch_recording(rec, 5.0))
+
 
 def _subjects(n, n_samples=5000):
     return [
@@ -541,6 +549,49 @@ class TestSplitDirectory:
 
     def test_cli_reader_is_the_library_reader(self):
         assert eegcnn.cli._read_split is eegcnn.data.load_split
+
+    @pytest.mark.parametrize("layout, n_samples", [(np.ascontiguousarray, 5000),
+                                                   (np.asfortranarray, 5000),
+                                                   (np.ascontiguousarray, 2500)])
+    def test_partition_files_are_np_save_of_the_stack(self, tmp_path, layout, n_samples):
+        # np.asfortranarray is the layout of load_subject_csv's samples; 2500
+        # samples is one epoch per subject, so validation and test hold one each
+        subjects = [replace(s, samples=layout(s.samples)) for s in _subjects(5, n_samples)]
+        split = split_dataset(subjects, seed=3)
+        (tmp_path / "want").mkdir()
+        reference_save_split(tmp_path / "want", split)
+        save_split(tmp_path / "got", split, 500.0)
+        for name in PARTITIONS:
+            got = (tmp_path / "got" / f"{name}_data.npy").read_bytes()
+            assert got == (tmp_path / "want" / f"{name}_data.npy").read_bytes()
+        if n_samples == 2500:
+            assert len(split.validation) == len(split.test) == 1
+
+    @pytest.mark.parametrize("short_epoch, message", [
+        (True, "all input arrays must have the same shape"),
+        (False, "need at least one array to stack"),
+    ])
+    def test_partition_that_np_stack_rejects_is_not_written(self, tmp_path, short_epoch,
+                                                            message):
+        split = split_dataset(_subjects(5), seed=3)
+        first = split.validation[0]
+        eps = [*split.validation, replace(first, data=first.data[:, :-1])] if short_epoch else []
+        with pytest.raises(ValueError, match=message):
+            save_split(tmp_path, replace(split, validation=eps), 500.0)
+        assert not (tmp_path / "validation_data.npy").exists()
+
+    def test_save_holds_no_copy_of_the_cohort(self, tmp_path):
+        # numpy reports its buffers to tracemalloc, so this does not depend on
+        # how the C heap lays them out; one copy would be the cohort's bytes
+        subjects = synthetic_dataset(n_subjects=10, channels=8, fs=100.0, n_epochs=6, seed=0)
+        cohort = sum(s.samples.nbytes for s in subjects)
+        tracemalloc.start()
+        try:
+            save_split(tmp_path, split_dataset(subjects, seed=0), 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cohort / 4, (peak, cohort)
 
 
 class TestSubjectRecordingInvariants:

@@ -141,6 +141,22 @@ class TestRunSweep:
             run_sweep(tiny_split(), TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
         assert blas_threads() == before
 
+    def test_epoch_layout_does_not_change_bytes(self):
+        # an epoch of an F-ordered recording is an F-ordered view, along whose
+        # 8 contiguous channels numpy would sum pairwise
+        from eegcnn.data import epoch_recording
+
+        rng = np.random.default_rng(5)
+        eps = []
+        for label, tone in ((0, 10.0), (1, 20.0)):
+            rec = synthetic_subject(f"S{label}", label, tone, rng, channels=8, fs=100.0, n_epochs=3)
+            eps += epoch_recording(replace(rec, samples=np.asfortranarray(rec.samples)))
+        got = group_psd(eps, fs=100.0)
+        want = group_psd([replace(ep, data=ep.data.copy()) for ep in eps], fs=100.0)
+        for lb in (0, 1):
+            assert got.mean[lb].tobytes() == want.mean[lb].tobytes()
+            assert got.sem[lb].tobytes() == want.sem[lb].tobytes()
+
     def test_csv_export(self, tmp_path):
         split = tiny_split()
         report = run_sweep(split, TINY_TRAIN, tiny_sweep("kernel_size", (3, 5)))
@@ -294,6 +310,22 @@ class TestGroupPsd:
         a = synthetic_subject("A", 0, 10.0, rng, channels=2, fs=100.0, n_epochs=2)
         with pytest.raises(ValueError, match="both"):
             group_psd(epoch_recording(a), fs=100.0)
+
+    def test_epoch_layout_does_not_change_bytes(self):
+        # an epoch of an F-ordered recording is an F-ordered view, along whose
+        # 8 contiguous channels numpy would sum pairwise
+        from eegcnn.data import epoch_recording
+
+        rng = np.random.default_rng(5)
+        eps = []
+        for label, tone in ((0, 10.0), (1, 20.0)):
+            rec = synthetic_subject(f"S{label}", label, tone, rng, channels=8, fs=100.0, n_epochs=3)
+            eps += epoch_recording(replace(rec, samples=np.asfortranarray(rec.samples)))
+        got = group_psd(eps, fs=100.0)
+        want = group_psd([replace(ep, data=ep.data.copy()) for ep in eps], fs=100.0)
+        for lb in (0, 1):
+            assert got.mean[lb].tobytes() == want.mean[lb].tobytes()
+            assert got.sem[lb].tobytes() == want.sem[lb].tobytes()
 
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(4)
