@@ -11,6 +11,7 @@ import os
 import sys
 import tokenize
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,14 +119,59 @@ PARTITIONS = ("train", "validation", "test")
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: list[Epoch]
-    validation: list[Epoch]
-    test: list[Epoch]
+    """Three partitions of epochs. ``split_dataset`` gives lists of epochs
+    held in memory; ``load_split`` gives ``StoredEpochs``, read from their
+    files one epoch at a time. ``train``, ``evaluate``, ``run_sweep`` and
+    ``group_psd`` take either and make at most one pass over a partition per
+    use, so on a loaded split a process holds one epoch per read, plus the
+    model's working set, never a partition. (``prepare`` still holds every
+    filtered recording.)"""
+    train: Sequence[Epoch]
+    validation: Sequence[Epoch]
+    test: Sequence[Epoch]
     seed: int
     subject_assignment: dict[str, str] = field(default_factory=dict)
 
-    def partition(self, name: str) -> list[Epoch]:
+    def partition(self, name: str) -> Sequence[Epoch]:
         return getattr(self, name)
+
+
+class StoredEpochs(Sequence):
+    """A read-only sequence of the epochs of ``.npy`` partition files, which
+    ``load_split`` checked. Indexing reads that one epoch into a fresh array:
+    one read at its byte offset, through a file opened for that read alone,
+    so forked processes read the same file without sharing an offset. A file
+    changed since, so that the read comes back short or holds a non-finite
+    value, raises SplitError naming it. ``a + b`` is the epochs of ``a`` and
+    then those of ``b``, still unread."""
+
+    def __init__(self, items: list[tuple[Path, int, tuple[int, int], int, str, int]]):
+        self._items = items  # (path, byte offset, shape, label, subject_id, epoch_index)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i) -> Epoch | StoredEpochs:
+        if isinstance(i, slice):
+            return StoredEpochs(self._items[i])
+        path, offset, shape, label, subject_id, epoch_index = self._items[i]
+        data = np.empty(shape)
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            got = fh.readinto(memoryview(data).cast("B"))
+        if got != data.nbytes:
+            raise SplitError(f"{path}: epoch {epoch_index} of {subject_id} reads {got} of its "
+                             f"{data.nbytes} bytes at offset {offset}; the file changed after "
+                             f"the split was loaded")
+        try:
+            return Epoch(data=data, label=label, subject_id=subject_id, epoch_index=epoch_index)
+        except ValueError as exc:  # a non-finite sample
+            raise SplitError(f"{path}: {exc}") from None
+
+    def __add__(self, other):
+        if not isinstance(other, StoredEpochs):
+            return NotImplemented
+        return StoredEpochs(self._items + other._items)
 
 
 def is_int(v) -> bool:
@@ -487,9 +533,16 @@ def _save_stack(path: Path, arrays: list[np.ndarray]) -> None:
 
 
 def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
-    """The split that ``save_split`` wrote to ``split_dir``, and its sampling
-    rate. A malformed or inconsistent directory raises SplitError naming the
-    file and the key, and so do partitions whose epochs differ in shape."""
+    """The split that ``save_split`` wrote to ``split_dir``, as ``StoredEpochs``
+    that read each epoch from its partition file when it is used, and its
+    sampling rate. ``train``, ``evaluate``, ``sweep`` and ``psd`` thus hold one
+    epoch per read, plus the model's working set; ``prepare`` still holds
+    every filtered recording.
+
+    A malformed or inconsistent directory raises SplitError naming the file
+    and the key, and so do partitions whose epochs differ in shape and a
+    non-finite sample, which one pass over each file finds, reading one epoch
+    at a time."""
     split_dir = Path(split_dir)
     index_path = split_dir / "split.json"
     index = parse_json(index_path, index_path.read_bytes(), SplitError)
@@ -506,9 +559,9 @@ def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
         if not entries:
             raise SplitError(f"{index_path}: partition '{name}' holds no epochs")
         data_path = split_dir / f"{name}_data.npy"
-        stack = _load_stack(data_path)
-        shapes[name] = stack.shape[1:]
-        if len(entries) != stack.shape[0]:
+        offset, shape = _stack_header(data_path)
+        shapes[name] = shape[1:]
+        if len(entries) != shape[0]:
             raise SplitError(f"{split_dir}: {name} index/data length mismatch")
         for i, e in enumerate(entries):
             check_object(index_path, e, f"partitions.{name}[{i}].", _EPOCH_VALUES, SplitError)
@@ -516,14 +569,14 @@ def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
             if owner != name:
                 raise SplitError(f"{index_path}: partitions.{name}[{i}].subject_id "
                                  f"{e['subject_id']!r} is assigned to {owner!r}")
-        try:
-            parts[name] = [
-                Epoch(data=stack[i], label=e["label"], subject_id=e["subject_id"],
-                      epoch_index=e["epoch_index"])
-                for i, e in enumerate(entries)
-            ]
-        except ValueError as exc:  # a non-finite sample
-            raise SplitError(f"{data_path}: {exc}") from None
+        step = 8 * math.prod(shape[1:])
+        parts[name] = StoredEpochs([
+            (data_path, offset + i * step, shape[1:], e["label"], e["subject_id"],
+             e["epoch_index"])
+            for i, e in enumerate(entries)
+        ])
+        for _ in parts[name]:  # each read checks that every sample is finite
+            pass
     if len(set(shapes.values())) > 1:
         raise SplitError(f"{split_dir}: the partitions' epochs differ in shape (channels, "
                          f"samples): {', '.join(f'{k} {v}' for k, v in shapes.items())}")
@@ -531,24 +584,28 @@ def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
     return split, float(index["fs"])
 
 
-def _load_stack(path: Path) -> np.ndarray:
-    """One partition's [epochs, channels, samples] float64 stack. The .npy
-    header is checked against the file size first, so numpy never allocates
-    for more data than the file holds."""
+def _stack_header(path: Path) -> tuple[int, tuple[int, int, int]]:
+    """The byte offset of the data of one partition's .npy file and its
+    [epochs, channels, samples] shape. The header must declare C-ordered
+    float64 data of that many bytes, all the file holds after it, so no read
+    goes past the data or misreads its order."""
     fmt = np.lib.format
     try:
         with path.open("rb") as fh:
             version = fmt.read_magic(fh)
             read_header = (fmt.read_array_header_1_0 if version == (1, 0)
                            else fmt.read_array_header_2_0)
-            shape, _, dtype = read_header(fh)
-            data_bytes = path.stat().st_size - fh.tell()
+            shape, fortran_order, dtype = read_header(fh)
+            offset = fh.tell()
+        data_bytes = path.stat().st_size - offset
         if len(shape) != 3 or dtype != np.float64:
             raise ValueError(f"got a {len(shape)}-D {dtype} array")
+        if fortran_order:
+            raise ValueError("its data is in Fortran order")
         if data_bytes != 8 * math.prod(shape):
             raise ValueError(f"shape {shape} needs {8 * math.prod(shape)} bytes of data, "
                              f"the file holds {data_bytes}")
-        return np.load(path)
+        return offset, shape
     # numpy's .npy header parser raises any of these on a damaged header
     except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
         raise SplitError(f"{path}: not a readable 3-D float64 array ({exc})") from None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +20,10 @@ SWEPT_FIELDS = {"kernel_size": "kernel", "out_channels": "out_channels"}
 # 2e8; the bar sits above the tests' tiny sweeps (3.5e8), which stay
 # in-process (the measurements are in CHANGES.md)
 SWEEP_POOL_MIN_WORK = 5 * 10**8
+# ``group_psd`` runs Welch on this many epochs' channel means at once: enough
+# to spread its per-call cost (about 0.1 ms, against 0.06 ms per epoch of a
+# 500 Hz, 5 s batch), few enough that the means it keeps stay small
+PSD_BLOCK = 16
 
 
 def sweep_configs(
@@ -121,20 +126,35 @@ class GroupPsd:
         write_csv(path, header, np.stack(columns, axis=1).tolist())
 
 
-def group_psd(epochs: list[Epoch], fs: float) -> GroupPsd:
-    """Channel-average each epoch, Welch PSD per epoch, then mean +- SEM per label."""
-    labels = sorted({ep.label for ep in epochs})
-    if len(labels) < 2:
-        raise ConfigError("group PSD needs epochs from both classes")
+def group_psd(epochs: Iterable[Epoch], fs: float) -> GroupPsd:
+    """Channel-average each epoch, Welch PSD per epoch, then mean +- SEM per
+    label. One pass over ``epochs`` holds each epoch's PSD and at most
+    PSD_BLOCK channel means per label, which go through Welch together;
+    Welch treats each row alone, so the blocks do not change the bytes."""
+    means: dict[int, list[np.ndarray]] = {}  # label -> channel means awaiting Welch
+    power: dict[int, list[np.ndarray]] = {}  # label -> blocks of PSD rows
     freqs = None
-    mean, sem = {}, {}
-    for lb in labels:
+
+    def welch(label: int) -> None:
+        nonlocal freqs
+        freqs, rows = welch_psd_batch(np.stack(means.pop(label)), fs)
+        power.setdefault(label, []).append(rows)
+
+    for ep in epochs:
         # numpy sums a contiguous axis pairwise, so the channels of an epoch that
         # is a view of an F-ordered recording are averaged as a C-order copy
-        stack = np.stack([np.ascontiguousarray(ep.data).mean(axis=0)
-                          for ep in epochs if ep.label == lb])
-        freqs, power = welch_psd_batch(stack, fs)
-        mean[lb] = power.mean(axis=0)
-        n = power.shape[0]
-        sem[lb] = power.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(power.shape[1])
+        means.setdefault(ep.label, []).append(np.ascontiguousarray(ep.data).mean(axis=0))
+        if len(means[ep.label]) == PSD_BLOCK:
+            welch(ep.label)
+    for label in list(means):
+        welch(label)
+    labels = sorted(power)
+    if len(labels) < 2:
+        raise ConfigError("group PSD needs epochs from both classes")
+    mean, sem = {}, {}
+    for lb in labels:
+        rows = np.concatenate(power[lb])
+        mean[lb] = rows.mean(axis=0)
+        n = rows.shape[0]
+        sem[lb] = rows.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(rows.shape[1])
     return GroupPsd(freqs=freqs, mean=mean, sem=sem)

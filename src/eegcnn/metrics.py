@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -112,18 +113,18 @@ def roc_auc(scores: list[float], labels: list[int]) -> float | None:
     return float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
 
 
-def evaluate(checkpoint: ModelParams, epochs: list[Epoch]) -> MetricsReport:
-    """Eval-mode inference per epoch, each one classification instance. The class is
-    the argmax of the logits (ties to class 0), as in validation; AUC ranks by their margin."""
+def evaluate(checkpoint: ModelParams, epochs: Sequence[Epoch]) -> MetricsReport:
+    """Eval-mode inference per epoch, each one classification instance, in one
+    pass over ``epochs``. The class is the argmax of the logits (ties to class
+    0), as in validation; AUC ranks by their margin."""
     if not epochs:
         raise ValueError("need at least one epoch to evaluate")
     with np.errstate(all="ignore"):  # the logits are checked next
-        logits = predict(checkpoint, epochs)
+        logits, labels = predict(checkpoint, epochs)
         margin = logits[:, 1] - logits[:, 0]
     bad = int((~np.isfinite(logits)).any(axis=1).sum())
     if bad:
         raise TrainingDivergedError(f"non-finite logits for {bad} of {len(epochs)} epochs")
-    labels = [ep.label for ep in epochs]
     cm = confusion(logits.argmax(axis=1), labels)
     scalars = scalar_metrics(cm)
     auc = roc_auc(margin, labels)

@@ -8,6 +8,7 @@ All math is float64. The backward pass is hand-derived; there is no autodiff.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,10 +165,14 @@ def forward(
     return ForwardCache(unrolled=unrolled, grad_mask=mask, pooled=pooled, logits=logits)
 
 
-def predict(params: ModelParams, epochs: list[Epoch]) -> np.ndarray:
-    """Eval-mode logits [N, CLASSES], one forward per epoch."""
-    logits = [forward(params, ep.data, mode="eval").logits for ep in epochs]
-    return np.array(logits).reshape(len(epochs), CLASSES)
+def predict(params: ModelParams, epochs: Iterable[Epoch]) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode logits [N, CLASSES] and labels [N] of ``epochs``, from one
+    pass that runs one forward per epoch and holds no epoch after it."""
+    logits, labels = [], []
+    for ep in epochs:
+        logits.append(forward(params, ep.data, mode="eval").logits)
+        labels.append(ep.label)
+    return np.array(logits).reshape(len(labels), CLASSES), np.array(labels, dtype=np.int64)
 
 
 def backward(cache: ForwardCache, params: ModelParams, grad_logits: np.ndarray) -> ModelParams:

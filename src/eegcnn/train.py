@@ -119,20 +119,20 @@ def _example_gradient(data: DatasetSplit, params: ModelParams, seed: int,
     (seed, epoch, index) alone. A non-finite loss raises
     TrainingDivergedError at ``where`` ("epoch e, batch b")."""
     epoch, index, where = item
-    x, label = data.train[index].data, data.train[index].label
+    example = data.train[index]
     draw = np.random.default_rng([seed, 2, epoch, index]).random(
-        (params.config.out_channels, x.shape[-1]))
-    cache = forward(params, x, mode="train", dropout=draw)
-    loss, grad_logits = cross_entropy(cache.logits, label)
+        (params.config.out_channels, example.data.shape[-1]))
+    cache = forward(params, example.data, mode="train", dropout=draw)
+    loss, grad_logits = cross_entropy(cache.logits, example.label)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss at {where}")
     return loss, backward(cache, params, grad_logits).flat
 
 
 def _validation_logits(data: DatasetSplit, params: ModelParams, seed: int,
-                       block: np.ndarray) -> np.ndarray:
-    """Eval-mode logits of the validation epochs in ``block``."""
-    return predict(params, [data.validation[i] for i in block])
+                       block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode logits and labels of the validation epochs in ``block``."""
+    return predict(params, (data.validation[i] for i in block))
 
 
 def _eval_pass(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -160,15 +160,20 @@ def train(
 
     The whole call runs on one BLAS thread (``one_blas_thread``), and each
     mini-batch runs in rounds of one example per process. The processes are
-    this one alone, unless two or more CPUs are usable, one example holds
-    TRAIN_POOL_MIN_WORK (``training_work``), the BLAS thread count can be set
-    and this is no pool worker: then a ``ForkPool`` of one worker per further
-    CPU, up to the batch size, serves the whole call, reading the parameters
-    from memory it shares with this process. This process computes each
-    round's first example and sums the batch's gradients left to right in
-    batch order before each Adam step. The validation pass runs in contiguous
-    blocks on the same processes. The bytes are those of one process; a
-    worker that dies raises BrokenProcessPool.
+    this one alone, unless two or more CPUs are usable, the first training
+    example holds TRAIN_POOL_MIN_WORK (``training_work``), the BLAS thread
+    count can be set and this is no pool worker: then a ``ForkPool`` of one
+    worker per further CPU, up to the batch size, serves the whole call,
+    reading the parameters from memory it shares with this process. This
+    process computes each round's first example and sums the batch's
+    gradients left to right in batch order before each Adam step. The
+    validation pass runs in contiguous blocks on the same processes. The
+    bytes are those of one process; a worker that dies raises
+    BrokenProcessPool.
+
+    Each process reads an example when it computes it, and a validation
+    block one epoch at a time, so on ``StoredEpochs`` no process holds a
+    partition.
     """
     if not data.train or not data.validation:
         raise ValueError("train and validation partitions must be non-empty")
@@ -179,18 +184,17 @@ def train(
     history: list[dict] = []
     best = None  # (val_acc, -val_loss, -epoch, params)
     n = len(data.train)
-    longest = max(ep.data.shape[-1] for ep in data.train)
-    labels = np.array([ep.label for ep in data.validation])
+    samples = data.train[0].data.shape[-1]
     # every loss, gradient and validation loss is checked below, so numpy's
     # overflow warnings would only come before the error that names the epoch;
     # forked workers inherit both scopes
     with one_blas_thread() as caller, np.errstate(all="ignore"):
         pooled = (caller is not None and can_fork() and usable_cpus() >= 2
-                  and training_work(1, 1, longest, model_config.size) >= TRAIN_POOL_MIN_WORK)
+                  and training_work(1, 1, samples, model_config.size) >= TRAIN_POOL_MIN_WORK)
         procs = min(usable_cpus(), config.batch_size, n) if pooled else 1
         live = ModelParams(model_config, np.frombuffer(RawArray(ctypes.c_double, model_config.size))
                            if procs > 1 else np.zeros(model_config.size))
-        blocks = np.array_split(np.arange(len(labels)), min(procs, len(labels)))
+        blocks = np.array_split(np.arange(len(data.validation)), min(procs, len(data.validation)))
         with ForkPool(procs - 1, (data, live, config.seed)) as pool:
             for epoch_idx in range(config.epochs):
                 perm = rng.permutation(n).tolist()
@@ -209,10 +213,10 @@ def train(
                     mean = ModelParams(params.config, grad_sum / len(batch))
                     state, params = adam_step(state, params, mean, config)
                 live.flat[...] = params.flat
-                logits = np.concatenate(pool.map(
+                scored = pool.map(
                     _validation_logits, blocks,
-                    lambda block: f"the validation pass of epoch {epoch_idx} was done", here=True))
-                val_loss, val_acc = _eval_pass(logits, labels)
+                    lambda block: f"the validation pass of epoch {epoch_idx} was done", here=True)
+                val_loss, val_acc = _eval_pass(*map(np.concatenate, zip(*scored)))
                 if not np.isfinite(val_loss):
                     raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch_idx}")
                 row = {

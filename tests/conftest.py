@@ -270,7 +270,7 @@ def reference_train(data, config, model_config):
                     grad_sum = g if grad_sum is None else grad_sum + g
                 grads = ModelParams(params.config, grad_sum / len(batch))
                 state, params = adam_step(state, params, grads, config)
-            logits = predict(params, data.validation)
+            logits, _ = predict(params, data.validation)
             val_loss = float(np.mean(cross_entropy(logits, labels)[0]))
             val_acc = np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels)
             history.append({"train_loss": float(np.mean(losses)), "val_loss": val_loss,

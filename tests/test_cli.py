@@ -477,6 +477,7 @@ class TestTrain:
     @pytest.mark.parametrize("name, damage", [
         ("train", "truncate"), ("validation", "garbage"), ("test", "empty"),
         ("train", "2-D"), ("validation", "float32"), ("test", "huge shape"), ("train", "nan"),
+        ("test", "Fortran order"),
     ])
     def test_bad_data_array(self, prepared, tmp_path, capsys, name, damage):
         split_dir = tmp_path / "split"
@@ -500,6 +501,8 @@ class TestTrain:
         elif damage == "nan":
             stack[-1, 0, 0] = np.nan
             np.save(path, stack)
+        elif damage == "Fortran order":  # np.load reads it; a read of one epoch would not
+            np.save(path, np.asfortranarray(stack))
         else:
             np.save(path, stack.astype(np.float32))
         rc = main(["train", "--split", str(split_dir), "--out", str(tmp_path / "o")])
@@ -515,6 +518,58 @@ class TestTrain:
         assert rc == 0
         history = json.loads((tmp_path / "cfg_out" / "history.json").read_text())
         assert len(history["epochs"]) == 2  # flag wins over file
+
+
+@pytest.mark.parametrize("damage", ["truncate", "nan"])
+@pytest.mark.parametrize("command", [
+    "train", pytest.param("pooled train", marks=[needs_fork, needs_openblas]), "evaluate", "psd",
+])
+def test_partition_changed_after_load_exits_3(prepared, trained, tmp_path, capsys, monkeypatch,
+                                              cpus, command, damage):
+    """A partition file that changes once load_split has checked it: the read
+    of the changed epoch, short or with a NaN, exits 3 in one line naming the
+    file, also from a train worker, and no --out is created."""
+    split_dir = tmp_path / "split"
+    shutil.copytree(prepared, split_dir)
+    name = "train" if "train" in command else "test"
+    path = split_dir / f"{name}_data.npy"
+    n, channels, samples = np.load(path, mmap_mode="r").shape
+    step = 8 * channels * samples
+    args = {
+        "evaluate": ["--checkpoint", str(trained / "checkpoint.bin")],
+        "psd": [],
+    }.get(command, ["--epochs", "1", "--in-channels", str(CHANNELS)])
+    if command == "pooled train":
+        # the last epoch's place in the first epoch's shuffle is the worker's
+        # slot of its batch of 2
+        seed = next(s for s in range(100)
+                    if np.random.default_rng([s, 1]).permutation(n).tolist().index(n - 1) % 2)
+        args += ["--seed", str(seed)]
+        monkeypatch.setattr(train_module, "TRAIN_POOL_MIN_WORK", 0)
+        pools = cpus(2)
+    load_split = eegcnn.data.load_split
+
+    def load_then_damage(split_dir):
+        loaded = load_split(split_dir)
+        with path.open("r+b") as fh:  # the last epoch
+            if damage == "truncate":
+                fh.truncate(path.stat().st_size - step // 2)
+            else:
+                fh.seek(path.stat().st_size - step)
+                fh.write(np.array(np.nan).tobytes())
+        return loaded
+
+    monkeypatch.setattr(eegcnn.data, "load_split", load_then_damage)
+    out = tmp_path / "o"
+    rc = main([command.split()[-1], "--split", str(split_dir), "--out", str(out), *args])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert ("reads " if damage == "truncate" else "non-finite values in epoch ") in err
+    assert not out.exists()
+    if command == "pooled train":
+        assert pools == [1]
+    assert multiprocessing.active_children() == []
 
 
 class TestEvaluate:

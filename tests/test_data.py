@@ -1,6 +1,8 @@
 import csv
+import importlib
 import io
 import json
+import os
 import re
 import tracemalloc
 import warnings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import eegcnn.cli
 import eegcnn.data
+import eegcnn.experiments
 
 from eegcnn.data import (
     PARTITIONS,
@@ -32,10 +35,14 @@ from eegcnn.data import (
     write_csv,
     write_subject_csv,
 )
+from eegcnn.experiments import group_psd, run_sweep, sweep_configs
+from eegcnn.metrics import evaluate
+from eegcnn.model import ModelConfig
 from eegcnn.synth import synthetic_dataset
+from eegcnn.train import TrainConfig, train
 
-from conftest import (DEEP_NESTING, JSON_VALUES, OVER_LONG_INT, make_recording,
-                      reference_save_split)
+from conftest import (DEEP_NESTING, JSON_VALUES, OVER_LONG_INT, make_recording, needs_fork,
+                      needs_openblas, reference_save_split)
 
 
 def _manifest(channels, fs=500.0, names=None):
@@ -592,6 +599,123 @@ class TestSplitDirectory:
         finally:
             tracemalloc.stop()
         assert peak < cohort / 4, (peak, cohort)
+
+
+    @pytest.mark.parametrize("use", ["read every partition", "psd"])
+    def test_reading_holds_no_copy_of_the_split(self, tmp_path, use):
+        # the acceptance cohort (20 subjects x 12 epochs, 8 channels) at 100 Hz:
+        # psd keeps one channel mean per epoch (1/8 of the split) only for the
+        # PSD_BLOCK epochs that go through Welch together, and each epoch's PSD
+        subjects = synthetic_dataset(n_subjects=20, channels=8, fs=100.0, n_epochs=12, seed=0)
+        split_bytes = sum(s.samples.nbytes for s in subjects)  # 12 whole epochs each
+        save_split(tmp_path / "split", split_dataset(subjects, seed=0), 100.0)
+        tracemalloc.start()
+        try:
+            if use == "psd":
+                out = tmp_path / "psd"
+                assert eegcnn.cli.main(["psd", "--split", str(tmp_path / "split"),
+                                        "--out", str(out)]) == 0
+            else:
+                split, _ = load_split(tmp_path / "split")
+                for name in PARTITIONS:
+                    for _ in split.partition(name):
+                        pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < split_bytes / 4, (peak, split_bytes)
+
+
+class TestStoredEpochs:
+    """``load_split``'s partitions read each epoch from its file when used."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """(the split save_split wrote, the split load_split reads back)."""
+        split = split_dataset(_subjects(6), seed=3)
+        save_split(tmp_path, split, 500.0)
+        return split, load_split(tmp_path)[0]
+
+    def test_indexing_slicing_and_joining(self, saved):
+        split, loaded = saved
+        want = [*split.train, *split.validation, *split.test]
+        joined = loaded.train + loaded.validation + loaded.test
+        assert isinstance(joined, eegcnn.data.StoredEpochs)
+        for got, picked in ((joined, want), (joined[::-2], want[::-2])):
+            assert len(got) == len(picked)
+            assert ([(g.data.tobytes(), g.subject_id, g.epoch_index, g.label) for g in got]
+                    == [(w.data.tobytes(), w.subject_id, w.epoch_index, w.label)
+                        for w in picked])
+        assert joined[-1].data.tobytes() == want[-1].data.tobytes()
+        with pytest.raises(IndexError):
+            joined[len(joined)]
+
+    @pytest.mark.parametrize("n_cpus", [1, pytest.param(2, marks=[needs_fork, needs_openblas])])
+    def test_consumers_give_the_bytes_of_the_split_in_memory(self, tmp_path, cpus, monkeypatch,
+                                                             n_cpus):
+        # the split that save_split wrote is the oracle; with two CPUs train and
+        # run_sweep read the files in forked workers too
+        monkeypatch.setattr(importlib.import_module("eegcnn.train"), "TRAIN_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(eegcnn.experiments, "SWEEP_POOL_MIN_WORK", 0)
+        split = split_dataset(synthetic_dataset(n_subjects=10, channels=3, fs=100.0, n_epochs=2,
+                                                seed=1), seed=0)
+        save_split(tmp_path, split, 100.0)
+        loaded, fs = load_split(tmp_path)
+        config = TrainConfig(batch_size=3, learning_rate=3e-3, epochs=2, seed=4)
+        model = ModelConfig(3, 4, 3)
+        pools = cpus(n_cpus)
+        results = []
+        for data in (split, loaded):
+            history = train(data, config, model)
+            psd = group_psd(data.train + data.validation + data.test, fs)
+            results.append((
+                history.epochs, history.best_epoch, history.best_checkpoint.flat.tobytes(),
+                evaluate(history.best_checkpoint, data.test),
+                run_sweep(data, config, sweep_configs(model, "kernel_size", (1, 3))),
+                psd.freqs.tobytes(), *(psd.mean[lb].tobytes() for lb in (0, 1)),
+                *(psd.sem[lb].tobytes() for lb in (0, 1)),
+            ))
+        assert results[1] == results[0]
+        assert pools == ([1, 2] * 2 if n_cpus == 2 else [])
+
+    def test_each_read_is_a_fresh_array(self, saved):
+        _, loaded = saved
+        first = loaded.test[0]
+        first.data[...] = 0.0
+        assert loaded.test[0].data.any()
+
+    @pytest.mark.parametrize("damage", ["truncate", "nan", "remove"])
+    def test_file_changed_after_load(self, tmp_path, saved, damage):
+        _, loaded = saved
+        path = tmp_path / "test_data.npy"
+        last = loaded.test[-1]
+        step = last.data.nbytes
+        if damage == "truncate":  # the last epoch's read comes back short
+            os.truncate(path, path.stat().st_size - step // 2)
+            match = (f"{path}: epoch {last.epoch_index} of {last.subject_id} reads "
+                     f"{step - step // 2} of its {step} bytes at offset ")
+        elif damage == "nan":
+            with path.open("r+b") as fh:
+                fh.seek(path.stat().st_size - step)
+                fh.write(np.array(np.nan).tobytes())
+            match = (f"{path}: non-finite values in epoch {last.epoch_index} of "
+                     f"{last.subject_id}")
+        else:
+            path.unlink()
+            with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+                loaded.test[-1]
+            return
+        with pytest.raises(SplitError, match=re.escape(match)):
+            loaded.test[-1]
+        assert loaded.test[0].data.shape == last.data.shape  # the epochs before it still read
+
+    def test_fortran_order_rejected(self, tmp_path, saved):
+        # np.load reads such a file, but one epoch's bytes would not be one epoch
+        path = tmp_path / "train_data.npy"
+        np.save(path, np.asfortranarray(np.load(path)))
+        with pytest.raises(SplitError, match=re.escape(
+                f"{path}: not a readable 3-D float64 array (its data is in Fortran order)")):
+            load_split(tmp_path)
 
 
 class TestSubjectRecordingInvariants:

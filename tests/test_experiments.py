@@ -10,13 +10,14 @@ import pytest
 import eegcnn.experiments
 import eegcnn.preprocess
 from eegcnn.data import TrainingDivergedError, split_dataset
-from eegcnn.experiments import GroupPsd, group_psd, normalize_metric, run_sweep, sweep_configs
+from eegcnn.experiments import (PSD_BLOCK, GroupPsd, group_psd, normalize_metric, run_sweep,
+                                sweep_configs)
 from eegcnn.model import ModelConfig
-from eegcnn.preprocess import blas_threads
+from eegcnn.preprocess import blas_threads, welch_psd_batch
 from eegcnn.synth import synthetic_dataset, synthetic_subject
 from eegcnn.train import TrainConfig
 
-from conftest import needs_fork, needs_openblas
+from conftest import make_epoch, needs_fork, needs_openblas
 
 
 def tiny_split(channels=4, fs=100.0, seed=3):
@@ -326,6 +327,19 @@ class TestGroupPsd:
         for lb in (0, 1):
             assert got.mean[lb].tobytes() == want.mean[lb].tobytes()
             assert got.sem[lb].tobytes() == want.sem[lb].tobytes()
+
+    def test_blocks_give_the_bytes_of_one_batch(self):
+        # each label spans two full PSD_BLOCKs and a ragged third; the oracle
+        # runs Welch on all of a label's channel means at once
+        eps = [make_epoch(3, 200, label=i % 2, seed=i) for i in range(2 * (2 * PSD_BLOCK + 3))]
+        got = group_psd(iter(eps), fs=50.0)
+        for lb in (0, 1):
+            freqs, power = welch_psd_batch(
+                np.stack([ep.data.mean(axis=0) for ep in eps if ep.label == lb]), 50.0)
+            assert got.freqs.tobytes() == freqs.tobytes()
+            assert got.mean[lb].tobytes() == power.mean(axis=0).tobytes()
+            sem = power.std(axis=0, ddof=1) / np.sqrt(power.shape[0])
+            assert got.sem[lb].tobytes() == sem.tobytes()
 
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(4)

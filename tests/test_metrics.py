@@ -208,9 +208,11 @@ class TestEvaluate:
 
     def _fixed_logits(self, monkeypatch, logits):
         """Epochs labelled Control, Control, PD, ... for which both modules'
-        ``predict`` returns ``logits``."""
-        monkeypatch.setattr(metrics_module, "predict", lambda params, epochs: logits)
-        monkeypatch.setattr(train_module, "predict", lambda params, epochs: logits)
+        ``predict`` returns ``logits`` and the epochs' labels."""
+        def predict(params, epochs):
+            return logits, np.array([ep.label for ep in epochs])
+        monkeypatch.setattr(metrics_module, "predict", predict)
+        monkeypatch.setattr(train_module, "predict", predict)
         return [make_epoch(label=y, seed=i) for i, y in enumerate([0, 0, 1, 1][:len(logits)])]
 
     def test_same_class_rule_as_validation(self, monkeypatch):
@@ -219,8 +221,7 @@ class TestEvaluate:
         epochs = self._fixed_logits(monkeypatch, logits)
         params = self._zero_model()
         report = evaluate(params, epochs)
-        labels = np.array([ep.label for ep in epochs])
-        _, val_accuracy = train_module._eval_pass(train_module.predict(params, epochs), labels)
+        _, val_accuracy = train_module._eval_pass(*train_module.predict(params, epochs))
         assert report.accuracy == val_accuracy == 1.0
         assert report.confusion == ConfusionMatrix(tp=1, fp=0, tn=2, fn=0)
 

@@ -261,11 +261,12 @@ class TestPredict:
     def test_rows_are_eval_forward_probs(self):
         p = init_params(4, ModelConfig(2, 3, 3))
         epochs = [make_epoch(seed=i) for i in range(3)]
-        logits = predict(p, epochs)
+        logits, labels = predict(p, iter(epochs))
         assert logits.shape == (3, 2)
         for row, ep in zip(logits, epochs):
             np.testing.assert_array_equal(row, forward(p, ep.data, mode="eval").logits)
-        assert predict(p, []).shape == (0, 2)
+        assert labels.tolist() == [ep.label for ep in epochs]
+        assert [a.shape for a in predict(p, [])] == [(0, 2), (0,)]
 
 
 class TestSoftmax:
