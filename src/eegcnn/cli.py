@@ -149,15 +149,9 @@ def _shown(path: Path) -> str:
 
 def cmd_prepare(s: dict) -> None:
     manifest = dat.load_manifest(s["manifest"])
-    # the split settings are checked before any CSV is read
-    dat.check_seed(s["seed"])
-    dat.epoch_length(s["epoch_seconds"], manifest.fs)
-    subjects = pre.load_filtered(manifest, s["cutoff_hz"], s["filter_order"])
-    split = dat.split_dataset(subjects, seed=s["seed"], epoch_seconds=s["epoch_seconds"])
-    dat.save_split(s["out"], split, manifest.fs)
-    counts = {n: list(split.subject_assignment.values()).count(n) for n in dat.PARTITIONS}
-    print(f"prepared split: subjects {counts}, epochs "
-          f"{ {n: len(split.partition(n)) for n in counts} }")
+    subjects, epochs = pre.prepare_split(manifest, s["out"], s["seed"], s["cutoff_hz"],
+                                         s["filter_order"], s["epoch_seconds"])
+    print(f"prepared split: subjects {subjects}, epochs {epochs}")
 
 
 def _print_epoch(i: int, row: dict) -> None:
@@ -213,10 +207,9 @@ def cmd_probe(s: dict) -> None:
         if bad.any():
             raise TrainingDivergedError(f"{name} has {bad.sum()} non-finite cells, the first "
                                         f"at {freqs[bad.any(axis=0)][0]:g} Hz")
-    out_dir = Path(s["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sens.to_csv(out_dir / "sensitivity.csv")
-    resp.to_csv_dir(out_dir)
+    with dat.staged_output(s["out"], ("sensitivity.csv", "filter_response_ch*.csv")) as staging:
+        sens.to_csv(staging / "sensitivity.csv")
+        resp.to_csv_dir(staging)
     print(f"wrote sensitivity map ({sens.activation.shape[0]} outputs x "
           f"{sens.freqs.size} frequencies) and {resp.power.shape[0]} filter responses")
 

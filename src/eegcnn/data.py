@@ -1,6 +1,7 @@
-"""Subject CSV loading, epoch segmentation, subject-level dataset splits, and
-the split directory (``split.json`` plus one ``.npy`` stack per partition)
-that ``save_split`` writes and ``load_split`` reads."""
+"""Subject CSV loading, epoch segmentation, subject-level dataset splits, the
+split directory (``split.json`` plus one ``.npy`` stack per partition) that
+``save_split`` writes and ``load_split`` reads, and ``staged_output``, which
+moves a command's finished files into its output directory."""
 
 from __future__ import annotations
 
@@ -8,10 +9,13 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import tokenize
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,6 +119,9 @@ class Epoch:
 
 
 PARTITIONS = ("train", "validation", "test")
+SPLIT_INDEX = "split.json"
+# the files of a split directory: its index and one stack per partition
+SPLIT_FILES = (SPLIT_INDEX, *(f"{name}_data.npy" for name in PARTITIONS))
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,7 @@ class DatasetSplit:
     files one epoch at a time. ``train``, ``evaluate``, ``run_sweep`` and
     ``group_psd`` take either and make at most one pass over a partition per
     use, so on a loaded split a process holds one epoch per read, plus the
-    model's working set, never a partition. (``prepare`` still holds every
-    filtered recording.)"""
+    model's working set, never a partition."""
     train: Sequence[Epoch]
     validation: Sequence[Epoch]
     test: Sequence[Epoch]
@@ -429,20 +435,18 @@ def epoch_recording(rec: SubjectRecording, epoch_seconds: float = 5.0) -> list[E
     ]
 
 
-def split_dataset(
-    subjects: list[SubjectRecording], seed: int = 0, epoch_seconds: float = 5.0
-) -> DatasetSplit:
-    """Subject-level 60/20/20 train/validation/test split.
+def assign_partitions(subject_ids: Sequence[str], seed: int = 0) -> dict[str, list[int]]:
+    """Subject-level 60/20/20 train/validation/test split: each partition's
+    positions in ``subject_ids``, in the order its epochs are stored.
 
     Subjects are sorted by id before the seeded shuffle so the split does not
     depend on manifest order. Train and validation sizes use round(); the
     remainder goes to test. A split that leaves a partition without subjects
-    or without epochs is rejected.
+    raises ConfigError.
     """
     check_seed(seed)
-    ordered = sorted(subjects, key=lambda s: s.subject_id)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ordered))
+    ordered = sorted(range(len(subject_ids)), key=subject_ids.__getitem__)
+    perm = np.random.default_rng(seed).permutation(len(ordered))
     shuffled = [ordered[i] for i in perm]
 
     n = len(shuffled)
@@ -456,21 +460,40 @@ def split_dataset(
             f"split of {n} subjects leaves a partition empty: "
             f"train/validation/test = {sizes} subjects"
         )
+    return groups
+
+
+def no_epochs_error(empty: list[str], epoch_seconds: float,
+                    recordings: Sequence[tuple[str, int, float]]) -> ConfigError:
+    """The error for a split whose ``empty`` partitions hold no epoch, naming
+    the shortest of ``recordings`` ((subject_id, samples, fs) each), the first
+    by id among equals."""
+    subject_id, n_samples, fs = min(recordings, key=lambda r: (r[1], r[0]))
+    return ConfigError(
+        f"epoch_seconds {epoch_seconds:g} leaves the {'/'.join(empty)} partition(s) "
+        f"without epochs; the shortest recording, {subject_id}, is {n_samples / fs:g} s"
+    )
+
+
+def split_dataset(
+    subjects: list[SubjectRecording], seed: int = 0, epoch_seconds: float = 5.0
+) -> DatasetSplit:
+    """The epochs of ``subjects`` in the partitions ``assign_partitions``
+    gives their ids. A split that leaves a partition without subjects or
+    without epochs is rejected.
+    """
+    groups = assign_partitions([s.subject_id for s in subjects], seed)
     assignment = {}
     parts: dict[str, list[Epoch]] = {}
-    for name, subs in groups.items():
+    for name, positions in groups.items():
         parts[name] = []
-        for sub in subs:
-            assignment[sub.subject_id] = name
-            parts[name].extend(epoch_recording(sub, epoch_seconds))
+        for i in positions:
+            assignment[subjects[i].subject_id] = name
+            parts[name].extend(epoch_recording(subjects[i], epoch_seconds))
     empty = [name for name, eps in parts.items() if not eps]
     if empty:
-        shortest = min(ordered, key=lambda s: s.n_samples)
-        raise ConfigError(
-            f"epoch_seconds {epoch_seconds:g} leaves the {'/'.join(empty)} partition(s) "
-            f"without epochs; the shortest recording, {shortest.subject_id}, is "
-            f"{shortest.n_samples / shortest.fs:g} s"
-        )
+        raise no_epochs_error(empty, epoch_seconds,
+                              [(s.subject_id, s.n_samples, s.fs) for s in subjects])
     return DatasetSplit(**parts, seed=seed, subject_assignment=assignment)
 
 
@@ -491,33 +514,48 @@ _EPOCH_VALUES = {
 
 
 def save_split(out_dir: str | Path, split: DatasetSplit, fs: float) -> None:
-    """Write ``split`` to ``out_dir``: ``split.json`` (seed, fs, subject
-    assignment and each epoch's subject id, epoch index and label) and one
-    ``<partition>_data.npy`` [epochs, channels, samples] stack per partition,
-    the bytes ``np.save`` writes for ``np.stack`` of its epochs. Each file is
-    written epoch by epoch, so no stack is ever held in memory."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write ``split`` to ``out_dir`` through ``staged_output``: ``split.json``
+    (seed, fs, subject assignment and each epoch's subject id, epoch index and
+    label) and one ``<partition>_data.npy`` [epochs, channels, samples] stack
+    per partition, the bytes ``np.save`` writes for ``np.stack`` of its
+    epochs. Each file is written epoch by epoch, so no stack is ever held in
+    memory."""
+    with staged_output(out_dir, SPLIT_FILES, marker=SPLIT_INDEX) as staging:
+        write_index(staging / SPLIT_INDEX, split.seed, fs, split.subject_assignment, {
+            name: [(ep.subject_id, ep.epoch_index, ep.label) for ep in split.partition(name)]
+            for name in PARTITIONS
+        })
+        for name in PARTITIONS:
+            _save_stack(staging / f"{name}_data.npy", [ep.data for ep in split.partition(name)])
+
+
+def write_index(path: Path, seed: int, fs: float, assignment: dict[str, str],
+                partitions: dict[str, list[tuple[str, int, int]]]) -> None:
+    """A split's ``split.json``: ``partitions`` gives each partition's
+    (subject_id, epoch_index, label) per epoch, in stored order."""
     index = {
-        "seed": split.seed,
+        "seed": seed,
         "fs": fs,
-        "subject_assignment": dict(sorted(split.subject_assignment.items())),
+        "subject_assignment": dict(sorted(assignment.items())),
         "partitions": {
-            name: [
-                {"subject_id": ep.subject_id, "epoch_index": ep.epoch_index, "label": ep.label}
-                for ep in split.partition(name)
-            ]
+            name: [{"subject_id": subject_id, "epoch_index": epoch_index, "label": label}
+                   for subject_id, epoch_index, label in partitions[name]]
             for name in PARTITIONS
         },
     }
-    (out_dir / "split.json").write_text(json.dumps(index, indent=2, sort_keys=True))
-    for name in PARTITIONS:
-        _save_stack(out_dir / f"{name}_data.npy", [ep.data for ep in split.partition(name)])
+    path.write_text(json.dumps(index, indent=2, sort_keys=True))
+
+
+def write_stack_header(fh, shape: tuple[int, ...]) -> None:
+    """The numpy 1.0 header that ``np.save`` writes for a C-ordered float64
+    array of ``shape``; the data's C-order bytes follow it."""
+    np.lib.format.write_array_header_1_0(
+        fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
 
 
 def _save_stack(path: Path, arrays: list[np.ndarray]) -> None:
     """``np.save(path, np.stack(arrays))`` for ``arrays`` of float64 values,
-    written as numpy's 1.0 header and then each array's C-order bytes. The
+    written as ``write_stack_header`` and then each array's C-order bytes. The
     shapes are checked before the file is opened, and a mismatch raises
     ``np.stack``'s ValueError, so no header misstates its data."""
     if not arrays:
@@ -525,27 +563,70 @@ def _save_stack(path: Path, arrays: list[np.ndarray]) -> None:
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
         raise ValueError("all input arrays must have the same shape")
-    header = {"descr": "<f8", "fortran_order": False, "shape": (len(arrays), *shape)}
     with path.open("wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
+        write_stack_header(fh, (len(arrays), *shape))
         for a in arrays:  # a view into a recording is rarely C-contiguous: one copy at a time
             fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+
+
+@contextmanager
+def staged_output(out_dir: str | Path, own: tuple[str, ...],
+                  marker: str | None = None) -> Iterator[Path]:
+    """A fresh temporary directory beside ``out_dir`` (in the nearest of its
+    ancestors that exists) for a command to write its files into. When the
+    block ends without an error they move into ``out_dir``, which is made,
+    with its parents, if missing, and each file of ``out_dir`` that
+    matches a glob pattern of ``own`` (the command's file set) and that the
+    block did not write is deleted, so ``out_dir`` holds one run's set.
+
+    With ``marker``, the name of the set's commit marker, ``out_dir/marker``
+    is deleted before any file moves in, and the new one moves in last: where
+    the marker is, the whole set is. The temporary directory is removed
+    however the block ends, so a block that fails leaves ``out_dir`` as it
+    was. Each move is an ``os.replace`` within one file system."""
+    out_dir = Path(out_dir)
+    beside = out_dir.resolve().parent  # where a symbolic link points, not where it is
+    while not beside.is_dir():  # a directory made under it later is on its file system
+        beside = beside.parent
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=beside))
+    try:
+        yield staging
+        written = sorted(p.name for p in staging.iterdir())
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if marker is not None:
+            (out_dir / marker).unlink(missing_ok=True)
+        for name in written:
+            if name != marker:
+                os.replace(staging / name, out_dir / name)
+        for pattern in own:
+            for stale in out_dir.glob(pattern):
+                if stale.name not in written:
+                    stale.unlink()
+        if marker in written:
+            os.replace(staging / marker, out_dir / marker)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
     """The split that ``save_split`` wrote to ``split_dir``, as ``StoredEpochs``
     that read each epoch from its partition file when it is used, and its
     sampling rate. ``train``, ``evaluate``, ``sweep`` and ``psd`` thus hold one
-    epoch per read, plus the model's working set; ``prepare`` still holds
-    every filtered recording.
+    epoch per read, plus the model's working set.
 
     A malformed or inconsistent directory raises SplitError naming the file
     and the key, and so do partitions whose epochs differ in shape and a
     non-finite sample, which one pass over each file finds, reading one epoch
-    at a time."""
+    at a time. So does a missing ``split.json``, the commit marker that a
+    split's writer moves in last (see ``staged_output``)."""
     split_dir = Path(split_dir)
-    index_path = split_dir / "split.json"
-    index = parse_json(index_path, index_path.read_bytes(), SplitError)
+    index_path = split_dir / SPLIT_INDEX
+    try:
+        blob = index_path.read_bytes()
+    except FileNotFoundError:
+        raise SplitError(f"{index_path}: no such file, so {split_dir} holds no complete "
+                         f"split") from None
+    index = parse_json(index_path, blob, SplitError)
     check_object(index_path, index, "", _INDEX_VALUES, SplitError)
     check_object(index_path, index["partitions"], "partitions.", _PARTITION_VALUES, SplitError)
     assignment = index["subject_assignment"]

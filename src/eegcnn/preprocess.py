@@ -1,13 +1,17 @@
-"""High-pass filtering, Welch PSD estimation, and the ordered fork pool.
+"""High-pass filtering, the streamed ``prepare`` of a split directory, Welch
+PSD estimation, and the ordered fork pool.
 
 The high-pass is a Butterworth filter designed once as second-order sections
 (SOS) and run forward and backward, so it has zero phase and works at every
 order from 1 to MAX_FLOATS // 2; no polynomial (b, a) form is ever built. The Welch PSD is plain
 numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal: an
 import of about 1 s that raises a fresh interpreter's peak RSS from 27 to 103 MB.
+``prepare_split`` writes a split directory with one filtered subject per
+worker process in memory, never the cohort.
 ``ForkPool`` is the one pool of forked worker processes: ``train`` keeps one
 for its mini-batches, and ``fork_map`` maps once on a fresh one (the subjects
-of ``load_filtered``, the tone probe's arc sums and the points of a sweep).
+of ``prepare_split`` and ``load_filtered``, the tone probe's arc sums and the
+points of a sweep).
 ``one_blas_thread`` runs a block on one BLAS thread.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import multiprocessing
 import os
+import shutil
 import traceback
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures.process import BrokenProcessPool
@@ -28,8 +33,10 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import (ConfigError, Manifest, ManifestEntry, SubjectRecording,
-                   TrainingDivergedError, load_subject_csv)
+from .data import (PARTITIONS, SPLIT_FILES, SPLIT_INDEX, ConfigError, Manifest, ManifestEntry,
+                   SubjectRecording, TrainingDivergedError, assign_partitions, check_seed,
+                   epoch_length, load_subject_csv, no_epochs_error, staged_output,
+                   write_index, write_stack_header)
 from .model import MAX_FLOATS
 
 
@@ -100,6 +107,67 @@ def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[Subj
     sos = design_highpass(cutoff_hz, order, manifest.fs)
     return fork_map(_load_filtered_subject, manifest.entries, (sos, manifest),
                     lambda entry: f"{entry.file} was loaded")
+
+
+def _stage_subject(sos: np.ndarray, manifest: Manifest, epoch_len: int, staging: Path,
+                   item: tuple[int, ManifestEntry]) -> int:
+    """``prepare_split``'s work on one subject: the recording that
+    ``_load_filtered_subject`` gives, its whole epochs written one after
+    another in C order to ``staging/<manifest position>.subject``. Returns
+    only the subject's sample count."""
+    position, entry = item
+    samples = _load_filtered_subject(sos, manifest, entry).samples
+    with open(staging / f"{position}.subject", "wb") as fh:
+        for start in range(0, samples.shape[1] - epoch_len + 1, epoch_len):
+            fh.write(np.ascontiguousarray(samples[:, start:start + epoch_len], dtype="<f8").data)
+    return samples.shape[1]
+
+
+def prepare_split(manifest: Manifest, out_dir: str | Path, seed: int = 0, cutoff_hz: float = 1.0,
+                  order: int = 4, epoch_seconds: float = 5.0
+                  ) -> tuple[dict[str, int], dict[str, int]]:
+    """Write the split directory that ``save_split(out_dir, split_dataset(
+    load_filtered(manifest, cutoff_hz, order), seed, epoch_seconds),
+    manifest.fs)`` writes, byte for byte, without holding the cohort.
+
+    The partitions come from the manifest's ids and ``seed`` alone, so a
+    split that leaves a partition without subjects raises before any CSV is
+    read. Each subject is loaded, filtered and written to its own file of the
+    ``staged_output`` directory in a ``fork_map`` worker, with
+    ``load_filtered``'s errors and their order. Each partition file is then
+    the stack's header and its subjects' files appended in partition order,
+    each deleted once appended, so the directory holds at most the cohort
+    plus one subject. Returns the subjects and the epochs of each partition.
+    """
+    check_seed(seed)
+    epoch_len = epoch_length(epoch_seconds, manifest.fs)
+    ids = [entry.subject_id for entry in manifest.entries]
+    groups = assign_partitions(ids, seed)
+    sos = design_highpass(cutoff_hz, order, manifest.fs)
+    with staged_output(out_dir, SPLIT_FILES, marker=SPLIT_INDEX) as staging:
+        n_samples = fork_map(_stage_subject, list(enumerate(manifest.entries)),
+                             (sos, manifest, epoch_len, staging),
+                             lambda item: f"{item[1].file} was loaded")
+        n_epochs = [n // epoch_len for n in n_samples]
+        counts = {name: sum(n_epochs[i] for i in groups[name]) for name in PARTITIONS}
+        empty = [name for name, count in counts.items() if not count]
+        if empty:
+            raise no_epochs_error(empty, epoch_seconds,
+                                  [(i, n, manifest.fs) for i, n in zip(ids, n_samples)])
+        write_index(staging / SPLIT_INDEX, seed, manifest.fs,
+                    {ids[i]: name for name in PARTITIONS for i in groups[name]},
+                    {name: [(ids[i], e, manifest.entries[i].label)
+                            for i in groups[name] for e in range(n_epochs[i])]
+                     for name in PARTITIONS})
+        for name in PARTITIONS:
+            with open(staging / f"{name}_data.npy", "wb") as stack:
+                write_stack_header(stack, (counts[name], len(manifest.channel_names), epoch_len))
+                for i in groups[name]:
+                    subject = staging / f"{i}.subject"
+                    with open(subject, "rb") as fh:
+                        shutil.copyfileobj(fh, stack, 1 << 20)  # through a 1 MiB buffer
+                    subject.unlink()
+    return {name: len(groups[name]) for name in PARTITIONS}, counts
 
 
 def usable_cpus() -> int:

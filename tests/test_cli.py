@@ -1,3 +1,4 @@
+import errno
 import importlib
 import io
 import json
@@ -193,7 +194,7 @@ class TestPrepare:
         def no_load(*args):
             raise AssertionError("prepare loaded the subjects")
 
-        monkeypatch.setattr(eegcnn.cli.pre, "load_filtered", no_load)
+        monkeypatch.setattr(eegcnn.preprocess, "load_subject_csv", no_load)
         out = tmp_path / "out"
         rc = main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
                    "--out", str(out), flag, value])
@@ -287,6 +288,95 @@ class TestPrepare:
             f"{dataset_dir / first} was loaded\n")
         assert not out.exists()
         assert multiprocessing.active_children() == []
+
+    def test_bad_last_subject_leaves_nothing(self, dataset_dir, tmp_path, capsys):
+        """The last subject's CSV fails after the others were written to the
+        staging directory beside --out, which is removed; the missing parent
+        of --out is not made."""
+        cohort = tmp_path / "cohort"
+        shutil.copytree(dataset_dir, cohort)
+        manifest = json.loads((cohort / "manifest.json").read_text())
+        last = cohort / manifest["subjects"][-1]["file"]
+        last.write_bytes(last.read_bytes() + b"\xff\n")
+        parent = tmp_path / "parent"
+        parent.mkdir()
+        rc = main(["prepare", "--manifest", str(cohort / "manifest.json"),
+                   "--out", str(parent / "missing" / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {last}: not UTF-8 text")
+        assert list(parent.iterdir()) == []
+
+    @staticmethod
+    def _prepare_seeds_1_then_2(dataset_dir, tmp_path):
+        """--out holding a seed-1 split (its files' bytes), and prepare's exit
+        code rerun into it with seed 2."""
+        out = tmp_path / "parent" / "out"
+        argv = ["prepare", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        return out, before, lambda: main([*argv, "--seed", "2"])
+
+    def test_failed_partition_write_leaves_the_old_split(self, dataset_dir, tmp_path, capsys,
+                                                         monkeypatch):
+        """The rerun's test_data.npy write fails (no space left): --out keeps
+        the seed-1 split, byte for byte. It used to hold seed 2's split.json
+        beside seed 1's test partition, which load_split accepted."""
+        out, before, rerun = self._prepare_seeds_1_then_2(dataset_dir, tmp_path)
+
+        class Full(io.FileIO):
+            def write(self, b):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        real_open = io.open
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            if str(file).endswith("test_data.npy") and "w" in mode:
+                return Full(file, "w")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", full_disk_open)
+        monkeypatch.setattr("builtins.open", full_disk_open)
+        assert rerun() == 3
+        monkeypatch.undo()
+        assert capsys.readouterr().err.endswith("No space left on device\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert list(out.parent.iterdir()) == [out]
+
+    def test_failed_move_leaves_no_split_index(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        """A move into --out fails after the first: split.json, the commit
+        marker, is gone, so the directory is no split at all (exit 3, named)
+        rather than a mix of two."""
+        out, _, rerun = self._prepare_seeds_1_then_2(dataset_dir, tmp_path)
+        moves, real_replace = [], os.replace
+
+        def second_move_fails(src, dst):
+            moves.append(dst)
+            if len(moves) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_move_fails)
+        assert rerun() == 3
+        monkeypatch.undo()
+        assert not (out / "split.json").exists()
+        assert list(out.parent.iterdir()) == [out]
+        capsys.readouterr()
+        assert main(["train", "--split", str(out), "--out", str(tmp_path / "t"),
+                     "--epochs", "1", "--in-channels", str(CHANNELS)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {out / 'split.json'}: no such file, so {out} holds no complete split\n")
+
+    def test_rerun_replaces_the_split(self, dataset_dir, tmp_path):
+        """A rerun into an existing --out leaves the bytes a fresh --out gets,
+        and nothing beside it."""
+        out, _, rerun = self._prepare_seeds_1_then_2(dataset_dir, tmp_path)
+        assert rerun() == 0
+        fresh = tmp_path / "fresh"
+        assert main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(fresh), "--seed", "2"]) == 0
+        assert ({p.name: p.read_bytes() for p in out.iterdir()}
+                == {p.name: p.read_bytes() for p in fresh.iterdir()})
+        assert list(out.parent.iterdir()) == [out]
 
     @pytest.mark.parametrize("key, value", [
         ("top level", []), ("fs", None), ("fs", "nan"), ("fs", "500"), ("fs", True),
@@ -775,6 +865,27 @@ class TestProbe:
         assert len(lines[0].split(",")) == 52  # label column + 0..50 Hz grid
         responses = sorted(out.glob("filter_response_ch*.csv"))
         assert len(responses) == CHANNELS
+
+    def test_rerun_leaves_no_stale_files(self, tmp_path):
+        """A 2-filter probe into the --out of a 6-filter one leaves its own
+        files alone, as in a fresh --out (it used to leave
+        filter_response_ch02.csv to ch05.csv beside a 2-row sensitivity.csv),
+        and a file of another name as it was."""
+        out = tmp_path / "parent" / "probe"
+        for filters in (6, 2):
+            path = tmp_path / f"filters{filters}.bin"
+            save_checkpoint(path, init_params(0, ModelConfig(CHANNELS, filters, 3)), 0)
+            argv = ["probe", "--checkpoint", str(path), "--repeats-sine", "1",
+                    "--fs", str(FS), "--epoch-len", "500"]
+            assert main([*argv, "--out", str(out)]) == 0
+            if filters == 6:
+                (out / "notes.txt").write_text("kept")
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+        fresh = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+        assert sorted(fresh) == ["filter_response_ch00.csv", "filter_response_ch01.csv",
+                                 "sensitivity.csv"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {**fresh, "notes.txt": b"kept"}
+        assert list(out.parent.iterdir()) == [out]
 
     @pytest.mark.parametrize("extra", [
         ["--epoch-len", "50"],  # shorter than one 1 s Welch window

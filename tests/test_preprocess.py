@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from eegcnn.data import ConfigError, CsvFormatError, Manifest, ManifestEntry, write_subject_csv
+from eegcnn.data import (ConfigError, CsvFormatError, Manifest, ManifestEntry, save_split,
+                         split_dataset, write_subject_csv)
 from eegcnn.model import MAX_FLOATS
 import eegcnn.preprocess
 from eegcnn.preprocess import (WorkerTraceback, apply_zero_phase, blas_threads, design_highpass,
-                               fork_map, load_filtered, one_blas_thread, welch_psd_batch,
-                               welch_segments)
+                               fork_map, load_filtered, one_blas_thread, prepare_split,
+                               welch_psd_batch, welch_segments)
+from eegcnn.synth import synthetic_dataset
 
 from conftest import (gain_db, make_recording, needs_fork, needs_openblas,
                       reference_load_filtered)
@@ -281,6 +285,144 @@ class TestLoadFiltered:
             load_filtered(manifest, 1.0, 4)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{manifest.entries[1].file}: non-numeric cell 'x'")
+        assert multiprocessing.active_children() == []
+
+
+def write_manifest(root, recordings):
+    """The manifest of ``recordings``, each written as a CSV under ``root``."""
+    names = [f"ch{i}" for i in range(recordings[0].channels)]
+    entries = []
+    for rec in recordings:
+        path = root / f"{rec.subject_id}.csv"
+        write_subject_csv(path, rec, names)
+        entries.append(ManifestEntry(rec.subject_id, str(path), rec.label))
+    return Manifest(entries=entries, fs=recordings[0].fs, channel_names=names)
+
+
+def split_files(split_dir):
+    return {p.name: p.read_bytes() for p in sorted(split_dir.iterdir())}
+
+
+def prepared_or_error(manifest, out, seed, epoch_seconds, streamed):
+    """The files of the split directory that ``prepare_split`` (``streamed``)
+    or ``save_split`` of ``split_dataset`` of the serial load writes, or the
+    text of the ConfigError that stops it."""
+    try:
+        if streamed:
+            prepare_split(manifest, out, seed, 1.0, 4, epoch_seconds)
+        else:
+            subjects = reference_load_filtered(manifest, 1.0, 4)
+            save_split(out, split_dataset(subjects, seed, epoch_seconds), manifest.fs)
+    except ConfigError as exc:
+        assert not out.exists()
+        return str(exc)
+    return split_files(out)
+
+
+def assert_streamed_is_saved(root, manifest, seed=0, epoch_seconds=5.0):
+    want = prepared_or_error(manifest, root / "saved", seed, epoch_seconds, streamed=False)
+    got = prepared_or_error(manifest, root / "streamed", seed, epoch_seconds, streamed=True)
+    assert got == want
+    assert [p.name for p in root.iterdir() if p.name.startswith(".")] == []  # no staging left
+    return got
+
+
+class TestPrepareSplit:
+    """``prepare_split`` writes the bytes of ``save_split(split_dataset(...))``
+    of the serially loaded cohort, from one subject per worker."""
+
+    # unequal lengths, each one to three 5 s epochs and a few samples
+    UNEQUAL = [make_recording(f"S{i:03d}", label=i % 2, fs=FS, n_samples=2500 * (1 + i % 3) + i,
+                              seed=i) for i in range(7)]
+
+    @needs_fork
+    @settings(max_examples=20, deadline=None)
+    @given(lengths=st.lists(st.integers(20, 450), min_size=3, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_cohort_gives_the_saved_split(self, lengths, seed):
+        """3-12 subjects of unequal lengths, not whole numbers of the 100-sample
+        epochs, some shorter than one, on two CPUs; a split that leaves a
+        partition without subjects or epochs raises the same error."""
+        recordings = [make_recording(f"S{i:03d}", label=i % 2, fs=100.0, channels=2,
+                                     n_samples=n, seed=i) for i, n in enumerate(lengths)]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "csv").mkdir()
+            manifest = write_manifest(root / "csv", recordings)
+            assert_streamed_is_saved(root, manifest, seed, epoch_seconds=1.0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_cpu(self, tmp_path):
+        """Pinned to one CPU, the subjects load in this process."""
+        (tmp_path / "csv").mkdir()
+        manifest = write_manifest(tmp_path / "csv", self.UNEQUAL)
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            assert eegcnn.preprocess.usable_cpus() == 1
+            assert_streamed_is_saved(tmp_path, manifest, seed=4)
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    @needs_fork
+    def test_pooled(self, tmp_path, cpus):
+        pools = cpus(2)
+        (tmp_path / "csv").mkdir()
+        manifest = write_manifest(tmp_path / "csv", self.UNEQUAL)
+        assert_streamed_is_saved(tmp_path, manifest, seed=4)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("shape", ["paper", "accept", "ci-16-channel"])
+    def test_bench_and_ci_shapes(self, tmp_path, shape):
+        """The channels, rate and epochs of the benchmark's paper (59 channels)
+        and accept (8 channels) cohorts at 500 Hz, with fewer subjects, and the
+        16-channel cohort of the CI step "Default output bytes do not depend on
+        the CPU count"."""
+        channels, fs, n_subjects, n_epochs, seed = {
+            "paper": (59, 500.0, 5, 2, 0), "accept": (8, 500.0, 6, 3, 0),
+            "ci-16-channel": (16, 100.0, 6, 2, 3)}[shape]
+        (tmp_path / "csv").mkdir()
+        manifest = write_manifest(tmp_path / "csv", synthetic_dataset(
+            n_subjects=n_subjects, channels=channels, fs=fs, n_epochs=n_epochs, seed=seed))
+        assert set(assert_streamed_is_saved(tmp_path, manifest)) == {
+            "split.json", "train_data.npy", "validation_data.npy", "test_data.npy"}
+
+    def test_empty_partition_error_before_any_csv_is_read(self, tmp_path, monkeypatch):
+        """The partitions come from the manifest's ids, so three subjects are
+        rejected with split_dataset's text before a CSV is read (they used to
+        be rejected after every CSV was loaded and filtered)."""
+        manifest = write_cohort(tmp_path, 3)
+        with pytest.raises(ConfigError) as want:
+            split_dataset(reference_load_filtered(manifest, 1.0, 4))
+
+        def no_read(*args):
+            raise AssertionError("prepare_split read a CSV")
+
+        monkeypatch.setattr(eegcnn.preprocess, "load_subject_csv", no_read)
+        with pytest.raises(ConfigError) as got:
+            prepare_split(manifest, tmp_path / "out")
+        assert str(got.value) == str(want.value) == (
+            "split of 3 subjects leaves a partition empty: train/validation/test = 2/1/0 "
+            "subjects")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_cpus", [1, pytest.param(2, marks=needs_fork)])
+    def test_first_bad_subject_in_manifest_order_raises(self, tmp_path, cpus, n_cpus):
+        """Two bad CSVs, S001 failing late and S003 at once: the error is
+        S001's, as load_filtered raises it, and nothing is left beside --out."""
+        cpus(n_cpus)
+        (tmp_path / "csv").mkdir()
+        manifest = write_cohort(tmp_path / "csv", 5, n_samples=20000)
+        with open(manifest.entries[1].file, "a") as fh:
+            fh.write("1.0,x,2.0\n")
+        open(manifest.entries[3].file, "w").close()
+        with pytest.raises(CsvFormatError) as want:
+            load_filtered(manifest, 1.0, 4)
+        with pytest.raises(CsvFormatError) as got:
+            prepare_split(manifest, tmp_path / "out")
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{manifest.entries[1].file}: non-numeric cell 'x'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["csv"]
         assert multiprocessing.active_children() == []
 
 
