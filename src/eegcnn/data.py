@@ -514,19 +514,19 @@ _EPOCH_VALUES = {
 
 
 def save_split(out_dir: str | Path, split: DatasetSplit, fs: float) -> None:
-    """Write ``split`` to ``out_dir`` through ``staged_output``: ``split.json``
-    (seed, fs, subject assignment and each epoch's subject id, epoch index and
-    label) and one ``<partition>_data.npy`` [epochs, channels, samples] stack
-    per partition, the bytes ``np.save`` writes for ``np.stack`` of its
-    epochs. Each file is written epoch by epoch, so no stack is ever held in
-    memory."""
-    with staged_output(out_dir, SPLIT_FILES, marker=SPLIT_INDEX) as staging:
-        write_index(staging / SPLIT_INDEX, split.seed, fs, split.subject_assignment, {
-            name: [(ep.subject_id, ep.epoch_index, ep.label) for ep in split.partition(name)]
-            for name in PARTITIONS
-        })
-        for name in PARTITIONS:
-            _save_stack(staging / f"{name}_data.npy", [ep.data for ep in split.partition(name)])
+    """Write ``split`` to ``out_dir``: ``split.json`` (seed, fs, subject
+    assignment and each epoch's subject id, epoch index and label) and one
+    ``<partition>_data.npy`` [epochs, channels, samples] stack per partition,
+    the bytes ``np.save`` writes for ``np.stack`` of its epochs. Each file is
+    written epoch by epoch, so no stack is ever held in memory."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_index(out_dir / SPLIT_INDEX, split.seed, fs, split.subject_assignment, {
+        name: [(ep.subject_id, ep.epoch_index, ep.label) for ep in split.partition(name)]
+        for name in PARTITIONS
+    })
+    for name in PARTITIONS:
+        _save_stack(out_dir / f"{name}_data.npy", [ep.data for ep in split.partition(name)])
 
 
 def write_index(path: Path, seed: int, fs: float, assignment: dict[str, str],
@@ -572,23 +572,29 @@ def _save_stack(path: Path, arrays: list[np.ndarray]) -> None:
 @contextmanager
 def staged_output(out_dir: str | Path, own: tuple[str, ...],
                   marker: str | None = None) -> Iterator[Path]:
-    """A fresh temporary directory beside ``out_dir`` (in the nearest of its
-    ancestors that exists) for a command to write its files into. When the
-    block ends without an error they move into ``out_dir``, which is made,
-    with its parents, if missing, and each file of ``out_dir`` that
-    matches a glob pattern of ``own`` (the command's file set) and that the
-    block did not write is deleted, so ``out_dir`` holds one run's set.
+    """A fresh temporary directory for a command to write its files into:
+    a hidden one inside ``out_dir`` when that exists, else one beside it (in
+    the nearest of its ancestors that exists). When the block ends without
+    an error the files move into ``out_dir``, which is made, with its
+    parents, if missing, and each file of ``out_dir`` that matches a glob
+    pattern of ``own`` (the command's file set) and that the block did not
+    write is deleted, so ``out_dir`` holds one run's set.
 
     With ``marker``, the name of the set's commit marker, ``out_dir/marker``
     is deleted before any file moves in, and the new one moves in last: where
     the marker is, the whole set is. The temporary directory is removed
     however the block ends, so a block that fails leaves ``out_dir`` as it
-    was. Each move is an ``os.replace`` within one file system."""
+    was. Each move is an ``os.replace`` within one file system, also where
+    ``out_dir`` is a mount point, and an existing ``out_dir`` needs no write
+    permission on its parent."""
     out_dir = Path(out_dir)
-    beside = out_dir.resolve().parent  # where a symbolic link points, not where it is
-    while not beside.is_dir():  # a directory made under it later is on its file system
-        beside = beside.parent
-    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=beside))
+    if out_dir.is_dir():
+        staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=out_dir))
+    else:
+        beside = out_dir.resolve().parent  # where a symbolic link points, not where it is
+        while not beside.is_dir():  # a directory made under it later is on its file system
+            beside = beside.parent
+        staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=beside))
     try:
         yield staging
         written = sorted(p.name for p in staging.iterdir())

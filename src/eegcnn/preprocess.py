@@ -10,8 +10,7 @@ import of about 1 s that raises a fresh interpreter's peak RSS from 27 to 103 MB
 worker process in memory, never the cohort.
 ``ForkPool`` is the one pool of forked worker processes: ``train`` keeps one
 for its mini-batches, and ``fork_map`` maps once on a fresh one (the subjects
-of ``prepare_split`` and ``load_filtered``, the tone probe's arc sums and the
-points of a sweep).
+of ``prepare_split``, the tone probe's arc sums and the points of a sweep).
 ``one_blas_thread`` runs a block on one BLAS thread.
 """
 
@@ -96,19 +95,6 @@ def _load_filtered_subject(
     return replace(rec, samples=samples)
 
 
-def load_filtered(manifest: Manifest, cutoff_hz: float, order: int) -> list[SubjectRecording]:
-    """Every subject the manifest lists, loaded and zero-phase high-pass
-    filtered channel by channel, in manifest order, through ``fork_map``: the
-    first subject in manifest order that fails raises its own error, and a
-    worker that dies raises BrokenProcessPool naming the first subject not yet
-    loaded. Pooled or not, the same function runs on the same bytes, so the
-    results are identical.
-    """
-    sos = design_highpass(cutoff_hz, order, manifest.fs)
-    return fork_map(_load_filtered_subject, manifest.entries, (sos, manifest),
-                    lambda entry: f"{entry.file} was loaded")
-
-
 def _stage_subject(sos: np.ndarray, manifest: Manifest, epoch_len: int, staging: Path,
                    item: tuple[int, ManifestEntry]) -> int:
     """``prepare_split``'s work on one subject: the recording that
@@ -127,17 +113,22 @@ def prepare_split(manifest: Manifest, out_dir: str | Path, seed: int = 0, cutoff
                   order: int = 4, epoch_seconds: float = 5.0
                   ) -> tuple[dict[str, int], dict[str, int]]:
     """Write the split directory that ``save_split(out_dir, split_dataset(
-    load_filtered(manifest, cutoff_hz, order), seed, epoch_seconds),
-    manifest.fs)`` writes, byte for byte, without holding the cohort.
+    subjects, seed, epoch_seconds), manifest.fs)`` writes, byte for byte,
+    where ``subjects`` is every subject of the manifest, loaded and zero-phase
+    high-pass filtered channel by channel, in manifest order; but without
+    holding the cohort.
 
     The partitions come from the manifest's ids and ``seed`` alone, so a
     split that leaves a partition without subjects raises before any CSV is
     read. Each subject is loaded, filtered and written to its own file of the
-    ``staged_output`` directory in a ``fork_map`` worker, with
-    ``load_filtered``'s errors and their order. Each partition file is then
-    the stack's header and its subjects' files appended in partition order,
-    each deleted once appended, so the directory holds at most the cohort
-    plus one subject. Returns the subjects and the epochs of each partition.
+    ``staged_output`` directory in a ``fork_map`` worker: the first subject in
+    manifest order that fails raises its own error, and a worker that dies
+    raises BrokenProcessPool naming the first subject not yet loaded. Pooled
+    or not, the same function runs on the same bytes, so the files are
+    identical. Each partition file is then the stack's header and its
+    subjects' files appended in partition order, each deleted once appended,
+    so the staging directory holds at most the cohort plus one subject.
+    Returns the subjects and the epochs of each partition.
     """
     check_seed(seed)
     epoch_len = epoch_length(epoch_seconds, manifest.fs)

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI step "Console script".
+# Check "Console script"; CI also runs it as a step, on the installed
+# entry point.
 set -e
 eegcnn --help
 for command in prepare train evaluate probe sweep psd; do

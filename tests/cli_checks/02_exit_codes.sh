@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Exit codes".
+# Check "Exit codes".
 # A checkpoint header with a 5000-digit seed, or with "classes" other
 # than 2, is an I/O error (3), an unknown config-file key a config
 # error (2). A subject CSV whose header does not name the manifest's

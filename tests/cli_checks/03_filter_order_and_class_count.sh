@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Filter order and class count".
+# Check "Filter order and class count".
 # The SOS high-pass is stable at every order (the polynomial design
 # exited 2 on order 8 at 0.5 Hz), and the labels are binary, so
 # --classes is no flag (exit 2).

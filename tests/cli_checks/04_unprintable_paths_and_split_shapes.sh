@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Unprintable paths and split shapes".
+# Check "Unprintable paths and split shapes".
 # Under a strict UTF-8 stdout, psd prints an --out path with a byte
 # that is not UTF-8 in backslash escapes after writing it (exit 0). A
 # split whose test epochs are 100 samples shorter than the others is

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Truncated partition".
+# Check "Truncated partition".
 # A train_data.npy cut one epoch's bytes short of what its header
 # declares is an I/O error (3) for each command that reads the split:
 # one stderr line that names the file, and no --out.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Serial and parallel prepare agree".
+# Check "Serial and parallel prepare agree".
 # prepare loads the subjects in one worker process per CPU; pinned to
 # one CPU it loads them in-process. Both must write the same bytes.
 set -e

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Partition files are np.save's bytes".
+# Check "Partition files are np.save's bytes".
 # prepare writes each <partition>_data.npy as a hand-written .npy
 # 1.0 header and then each subject's epochs, with no stack in memory.
 # Saving the loaded array again with this numpy must give the same

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Default output bytes do not depend on the CPU count".
+# Check "Default output bytes do not depend on the CPU count".
 # The package runs BLAS on one thread unless a BLAS thread variable is
 # set. A 16-channel, kernel-11 model is large enough for OpenBLAS to
 # split its GEMMs over threads, which changes the last bits. Training

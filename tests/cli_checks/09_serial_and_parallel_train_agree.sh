@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Serial and parallel train agree".
+# Check "Serial and parallel train agree".
 # From TRAIN_POOL_MIN_WORK of training_work per example up, train runs
 # each mini-batch in rounds of one example per process: this process
 # and one forked worker per further CPU; pinned to one CPU it trains

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Sweep".
+# Check "Sweep".
 # A sweep point is any valid model, kernel 1 included; the seed
 # policy is no setting, so --seed-policy exits 2. Every point
 # replaces the swept setting, so an even --kernel in a kernel_size

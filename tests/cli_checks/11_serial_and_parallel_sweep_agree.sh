@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Serial and parallel sweep agree".
+# Check "Serial and parallel sweep agree".
 # Above a break-even size the sweep's points train in one forked worker
 # per CPU, largest first; pinned to one CPU they train in-process.
 # Every point runs on one BLAS thread whatever the caller set, so the

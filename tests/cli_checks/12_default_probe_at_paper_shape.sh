@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Default probe at paper shape".
+# Check "Default probe at paper shape".
 # Guards both closed forms: on a 2-vCPU host this takes about 1 s with
 # the exact white-noise response and the arc sums, took about 4 s
 # with a 300-draw white-noise loop, 8-17 s with a dense ReLU per tone,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI step "Serial and parallel probe agree".
+# Check "Serial and parallel probe agree".
 # Above a break-even size the tone sweep's arc sums run in one forked
 # worker per CPU; pinned to one CPU they run in-process. At the
 # defaults and at the benchmark's shape (--repeats-sine 1) both must

@@ -150,8 +150,8 @@ def make_epoch(channels=2, epoch_len=8, label=0, seed=0, subject_id="S000"):
 
 def reference_load_filtered(manifest, cutoff_hz, order):
     """The serial load -> filter loop, one subject after another in this
-    process. preprocess.load_filtered spreads the same work over worker
-    processes and must return the same arrays in the same order."""
+    process. preprocess.prepare_split spreads the same work over worker
+    processes and must write the same arrays in the same order."""
     sos = design_highpass(cutoff_hz, order, manifest.fs)
     subjects = []
     for entry in manifest.entries:

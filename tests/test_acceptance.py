@@ -206,12 +206,13 @@ class TestAcceptance:
         reason="real dataset not available; set EEGCNN_DATA_MANIFEST to run",
     )
     def test_real_data_replication(self, tmp_path):
-        from eegcnn.data import load_manifest
-        from eegcnn.preprocess import load_filtered
+        from eegcnn.data import load_manifest, load_split
+        from eegcnn.preprocess import prepare_split
 
         t0 = time.time()
         manifest = load_manifest(os.environ["EEGCNN_DATA_MANIFEST"])
-        split = split_dataset(load_filtered(manifest, 1.0, 4), seed=0)
+        prepare_split(manifest, tmp_path / "split", seed=0)
+        split, _ = load_split(tmp_path / "split")
         history = train(split, TrainConfig(), ModelConfig())
         rep = evaluate(history.best_checkpoint, split.test)
         elapsed = time.time() - t0

@@ -8,6 +8,8 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,31 @@ def write_cohort(root, n_epochs):
     manifest = {"fs": FS, "channels": names, "subjects": entries}
     (root / "manifest.json").write_text(json.dumps(manifest))
     return root
+
+
+def as_mount_point(monkeypatch, out):
+    """Make the directory ``out`` act as a mount point whose parent takes no
+    writes: an ``os.replace`` from one side of it to the other fails with
+    EXDEV, as it does across file systems, and ``tempfile.mkdtemp`` outside
+    it fails with EACCES."""
+    out.mkdir(parents=True)
+    real_replace, real_mkdtemp = os.replace, tempfile.mkdtemp
+
+    def inside(path):
+        return Path(path).resolve().is_relative_to(out.resolve())
+
+    def replace(src, dst):
+        if inside(src) != inside(dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+        real_replace(src, dst)
+
+    def mkdtemp(*args, dir=None, **kwargs):
+        if dir is None or not inside(dir):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), dir)
+        return real_mkdtemp(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +398,24 @@ class TestPrepare:
         and nothing beside it."""
         out, _, rerun = self._prepare_seeds_1_then_2(dataset_dir, tmp_path)
         assert rerun() == 0
+        fresh = tmp_path / "fresh"
+        assert main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(fresh), "--seed", "2"]) == 0
+        assert ({p.name: p.read_bytes() for p in out.iterdir()}
+                == {p.name: p.read_bytes() for p in fresh.iterdir()})
+        assert list(out.parent.iterdir()) == [out]
+
+    def test_rerun_into_a_mount_point(self, dataset_dir, tmp_path, monkeypatch):
+        """--out is a mount point in a parent that takes no writes: prepare
+        writes a split into it and a rerun replaces that split. (Staged in
+        the parent, the first move into --out failed with EXDEV, after the
+        old split.json was deleted.)"""
+        out = tmp_path / "parent" / "out"
+        as_mount_point(monkeypatch, out)
+        argv = ["prepare", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        assert main([*argv, "--seed", "2"]) == 0
+        monkeypatch.undo()
         fresh = tmp_path / "fresh"
         assert main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(fresh), "--seed", "2"]) == 0
@@ -865,6 +910,20 @@ class TestProbe:
         assert len(lines[0].split(",")) == 52  # label column + 0..50 Hz grid
         responses = sorted(out.glob("filter_response_ch*.csv"))
         assert len(responses) == CHANNELS
+
+    def test_into_a_mount_point(self, trained, tmp_path, monkeypatch):
+        """--out is a mount point in a parent that takes no writes: probe
+        writes the files it writes into a fresh --out."""
+        out = tmp_path / "parent" / "probe"
+        argv = ["probe", "--checkpoint", str(trained / "checkpoint.bin"), "--repeats-sine", "1",
+                "--fs", str(FS), "--epoch-len", "500"]
+        as_mount_point(monkeypatch, out)
+        assert main([*argv, "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+        assert ({p.name: p.read_bytes() for p in out.iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()})
+        assert list(out.parent.iterdir()) == [out]
 
     def test_rerun_leaves_no_stale_files(self, tmp_path):
         """A 2-filter probe into the --out of a 6-filter one leaves its own

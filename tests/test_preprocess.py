@@ -15,8 +15,8 @@ from eegcnn.data import (ConfigError, CsvFormatError, Manifest, ManifestEntry, s
 from eegcnn.model import MAX_FLOATS
 import eegcnn.preprocess
 from eegcnn.preprocess import (WorkerTraceback, apply_zero_phase, blas_threads, design_highpass,
-                               fork_map, load_filtered, one_blas_thread, prepare_split,
-                               welch_psd_batch, welch_segments)
+                               fork_map, one_blas_thread, prepare_split, welch_psd_batch,
+                               welch_segments)
 from eegcnn.synth import synthetic_dataset
 
 from conftest import (gain_db, make_recording, needs_fork, needs_openblas,
@@ -247,47 +247,6 @@ def write_cohort(root, n_subjects, channels=3, n_samples=3000):
     return Manifest(entries=entries, fs=FS, channel_names=names)
 
 
-class TestLoadFiltered:
-    @needs_fork
-    def test_pool_matches_serial_loop(self, tmp_path, cpus):
-        pools = cpus(2)
-        manifest = write_cohort(tmp_path, 5)  # more subjects than workers
-        got = load_filtered(manifest, 1.0, 4)
-        assert pools == [2]
-        want = reference_load_filtered(manifest, 1.0, 4)
-        assert [r.subject_id for r in got] == [e.subject_id for e in manifest.entries]
-        for g, w in zip(got, want, strict=True):
-            assert (g.subject_id, g.label, g.fs) == (w.subject_id, w.label, w.fs)
-            assert g.samples.dtype == w.samples.dtype and g.samples.shape == w.samples.shape
-            assert g.samples.tobytes() == w.samples.tobytes()
-
-    def test_one_cpu_runs_in_process(self, tmp_path, cpus):
-        pools = cpus(1)
-        manifest = write_cohort(tmp_path, 3)
-        got = load_filtered(manifest, 1.0, 4)
-        assert pools == []
-        for g, w in zip(got, reference_load_filtered(manifest, 1.0, 4), strict=True):
-            assert g.samples.tobytes() == w.samples.tobytes()
-
-    @needs_fork
-    def test_first_bad_subject_in_manifest_order_raises(self, tmp_path, cpus):
-        """S001 fails late (a bad cell in its last row sends the parse through
-        the row-by-row scan), S003 fails at once (empty file); the error is
-        S001's, as in the serial loop."""
-        cpus(2)
-        manifest = write_cohort(tmp_path, 4, n_samples=20000)
-        with open(manifest.entries[1].file, "a") as fh:
-            fh.write("1.0,x,2.0\n")
-        open(manifest.entries[3].file, "w").close()
-        with pytest.raises(CsvFormatError) as want:
-            reference_load_filtered(manifest, 1.0, 4)
-        with pytest.raises(CsvFormatError) as got:
-            load_filtered(manifest, 1.0, 4)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith(f"{manifest.entries[1].file}: non-numeric cell 'x'")
-        assert multiprocessing.active_children() == []
-
-
 def write_manifest(root, recordings):
     """The manifest of ``recordings``, each written as a CSV under ``root``."""
     names = [f"ch{i}" for i in range(recordings[0].channels)]
@@ -364,13 +323,15 @@ class TestPrepareSplit:
         finally:
             os.sched_setaffinity(0, mask)
 
-    @needs_fork
-    def test_pooled(self, tmp_path, cpus):
-        pools = cpus(2)
+    @pytest.mark.parametrize("n_cpus", [1, pytest.param(2, marks=needs_fork)])
+    def test_pooled_or_in_process(self, tmp_path, cpus, n_cpus):
+        """Seven subjects, more than the workers: two CPUs fork a pool of
+        two, one loads them in this process."""
+        pools = cpus(n_cpus)
         (tmp_path / "csv").mkdir()
         manifest = write_manifest(tmp_path / "csv", self.UNEQUAL)
         assert_streamed_is_saved(tmp_path, manifest, seed=4)
-        assert pools == [2]
+        assert pools == ([2] if n_cpus == 2 else [])
 
     @pytest.mark.parametrize("shape", ["paper", "accept", "ci-16-channel"])
     def test_bench_and_ci_shapes(self, tmp_path, shape):
@@ -409,7 +370,7 @@ class TestPrepareSplit:
     @pytest.mark.parametrize("n_cpus", [1, pytest.param(2, marks=needs_fork)])
     def test_first_bad_subject_in_manifest_order_raises(self, tmp_path, cpus, n_cpus):
         """Two bad CSVs, S001 failing late and S003 at once: the error is
-        S001's, as load_filtered raises it, and nothing is left beside --out."""
+        S001's, as the serial load raises it, and nothing is left beside --out."""
         cpus(n_cpus)
         (tmp_path / "csv").mkdir()
         manifest = write_cohort(tmp_path / "csv", 5, n_samples=20000)
@@ -417,7 +378,7 @@ class TestPrepareSplit:
             fh.write("1.0,x,2.0\n")
         open(manifest.entries[3].file, "w").close()
         with pytest.raises(CsvFormatError) as want:
-            load_filtered(manifest, 1.0, 4)
+            reference_load_filtered(manifest, 1.0, 4)
         with pytest.raises(CsvFormatError) as got:
             prepare_split(manifest, tmp_path / "out")
         assert str(got.value) == str(want.value)
