@@ -8,8 +8,8 @@ An integer setting must fit int64. A failure prints one ``error:`` line and
 exits with its ``eegcnn.data`` error class's ``exit_code`` (2 config, 3 I/O, 4
 numerical); an OSError exits 3, running out of memory 2. Any other exception
 is a bug, and ends in Python's traceback and exit 1.
-BLAS runs one thread unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or
-MKL_NUM_THREADS is set (see the package's __init__).
+BLAS runs one thread in ``train`` and ``sweep``; elsewhere, unless
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is set (``__init__``).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import tokenize
 import warnings
+import weakref
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -142,17 +143,25 @@ class DatasetSplit:
         return getattr(self, name)
 
 
+class _OpenFile:
+    """A file opened for reading, closed with the last reference to this object."""
+
+    def __init__(self, path: Path):
+        self.path, self.raw = path, open(path, "rb", buffering=0)  # an OSError names the path
+        weakref.finalize(self, self.raw.close)
+
+
 class StoredEpochs(Sequence):
     """A read-only sequence of the epochs of ``.npy`` partition files, which
-    ``load_split`` checked. Indexing reads that one epoch into a fresh array:
-    one read at its byte offset, through a file opened for that read alone,
-    so forked processes read the same file without sharing an offset. A file
-    changed since, so that the read comes back short or holds a non-finite
-    value, raises SplitError naming it. ``a + b`` is the epochs of ``a`` and
-    then those of ``b``, still unread."""
+    ``load_split`` opened and checked. Indexing reads that one epoch into a
+    fresh array with one ``os.preadv`` at its byte offset, which moves no
+    shared offset, so forked processes read a file at once. A file changed
+    since, so that the read comes back short or holds a non-finite value,
+    raises SplitError naming it. ``a + b`` is the epochs of ``a`` and then
+    those of ``b``, still unread."""
 
-    def __init__(self, items: list[tuple[Path, int, tuple[int, int], int, str, int]]):
-        self._items = items  # (path, byte offset, shape, label, subject_id, epoch_index)
+    def __init__(self, items: list[tuple[_OpenFile, int, tuple[int, int], int, str, int]]):
+        self._items = items  # (file, byte offset, shape, label, subject_id, epoch_index)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -160,19 +169,17 @@ class StoredEpochs(Sequence):
     def __getitem__(self, i) -> Epoch | StoredEpochs:
         if isinstance(i, slice):
             return StoredEpochs(self._items[i])
-        path, offset, shape, label, subject_id, epoch_index = self._items[i]
+        file, offset, shape, label, subject_id, epoch_index = self._items[i]
         data = np.empty(shape)
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            got = fh.readinto(memoryview(data).cast("B"))
+        got = os.preadv(file.raw.fileno(), [memoryview(data).cast("B")], offset)
         if got != data.nbytes:
-            raise SplitError(f"{path}: epoch {epoch_index} of {subject_id} reads {got} of its "
-                             f"{data.nbytes} bytes at offset {offset}; the file changed after "
-                             f"the split was loaded")
+            raise SplitError(f"{file.path}: epoch {epoch_index} of {subject_id} reads {got} of "
+                             f"its {data.nbytes} bytes at offset {offset}; the file changed "
+                             f"after the split was loaded")
         try:
             return Epoch(data=data, label=label, subject_id=subject_id, epoch_index=epoch_index)
         except ValueError as exc:  # a non-finite sample
-            raise SplitError(f"{path}: {exc}") from None
+            raise SplitError(f"{file.path}: {exc}") from None
 
     def __add__(self, other):
         if not isinstance(other, StoredEpochs):
@@ -616,9 +623,9 @@ def staged_output(out_dir: str | Path, own: tuple[str, ...],
 
 def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
     """The split that ``save_split`` wrote to ``split_dir``, as ``StoredEpochs``
-    that read each epoch from its partition file when it is used, and its
-    sampling rate. ``train``, ``evaluate``, ``sweep`` and ``psd`` thus hold one
-    epoch per read, plus the model's working set.
+    that read each epoch when it is used from its partition file, opened here
+    once (so a file that replaces it by name is never read), and its sampling
+    rate. Each process thus holds one epoch per read, plus the model's working set.
 
     A malformed or inconsistent directory raises SplitError naming the file
     and the key, and so do partitions whose epochs differ in shape and a
@@ -645,8 +652,8 @@ def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
         entries = index["partitions"][name]
         if not entries:
             raise SplitError(f"{index_path}: partition '{name}' holds no epochs")
-        data_path = split_dir / f"{name}_data.npy"
-        offset, shape = _stack_header(data_path)
+        data_file = _OpenFile(split_dir / f"{name}_data.npy")
+        offset, shape = _stack_header(data_file)
         shapes[name] = shape[1:]
         if len(entries) != shape[0]:
             raise SplitError(f"{split_dir}: {name} index/data length mismatch")
@@ -658,7 +665,7 @@ def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
                                  f"{e['subject_id']!r} is assigned to {owner!r}")
         step = 8 * math.prod(shape[1:])
         parts[name] = StoredEpochs([
-            (data_path, offset + i * step, shape[1:], e["label"], e["subject_id"],
+            (data_file, offset + i * step, shape[1:], e["label"], e["subject_id"],
              e["epoch_index"])
             for i, e in enumerate(entries)
         ])
@@ -671,20 +678,19 @@ def load_split(split_dir: str | Path) -> tuple[DatasetSplit, float]:
     return split, float(index["fs"])
 
 
-def _stack_header(path: Path) -> tuple[int, tuple[int, int, int]]:
+def _stack_header(file: _OpenFile) -> tuple[int, tuple[int, int, int]]:
     """The byte offset of the data of one partition's .npy file and its
     [epochs, channels, samples] shape. The header must declare C-ordered
     float64 data of that many bytes, all the file holds after it, so no read
     goes past the data or misreads its order."""
-    fmt = np.lib.format
+    fmt, fh = np.lib.format, file.raw
     try:
-        with path.open("rb") as fh:
-            version = fmt.read_magic(fh)
-            read_header = (fmt.read_array_header_1_0 if version == (1, 0)
-                           else fmt.read_array_header_2_0)
-            shape, fortran_order, dtype = read_header(fh)
-            offset = fh.tell()
-        data_bytes = path.stat().st_size - offset
+        version = fmt.read_magic(fh)
+        read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                       else fmt.read_array_header_2_0)
+        shape, fortran_order, dtype = read_header(fh)
+        offset = fh.tell()
+        data_bytes = os.fstat(fh.fileno()).st_size - offset
         if len(shape) != 3 or dtype != np.float64:
             raise ValueError(f"got a {len(shape)}-D {dtype} array")
         if fortran_order:
@@ -695,4 +701,4 @@ def _stack_header(path: Path) -> tuple[int, tuple[int, int, int]]:
         return offset, shape
     # numpy's .npy header parser raises any of these on a damaged header
     except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
-        raise SplitError(f"{path}: not a readable 3-D float64 array ({exc})") from None
+        raise SplitError(f"{file.path}: not a readable 3-D float64 array ({exc})") from None

@@ -88,26 +88,20 @@ def run_sweep(
     sweep.
 
     Every point trains on one BLAS thread (``one_blas_thread``), whatever the
-    caller runs, so its bytes do not depend on where it runs. From
-    ``SWEEP_POOL_MIN_WORK`` up, the points go through ``fork_map``, one
-    worker per CPU, largest model first: the longest point must not start
-    last. Where no BLAS thread count can be set, they run in this process,
-    since workers on several BLAS threads each would crowd the cores."""
+    caller runs, so its bytes do not depend on where it runs. The points go
+    through ``fork_map`` largest model first, so the longest does not start
+    last, and the first in that order to raise another error raises it."""
     if not data.train or not data.validation or not data.test:
         raise ValueError("all three partitions must be non-empty for a sweep")
-    values = list(model_configs)
-    shared = (data, train_config, model_configs)
+    order = sorted(model_configs, key=lambda v: model_configs[v].size, reverse=True)
     work = sum(training_work(train_config.epochs, len(data.train), data.train[0].data.shape[-1],
                              c.size) for c in model_configs.values())
-    with one_blas_thread() as caller:
-        if caller is not None and work >= SWEEP_POOL_MIN_WORK:
-            order = sorted(values, key=lambda v: model_configs[v].size, reverse=True)
-            done = dict(zip(order, fork_map(_sweep_point, order, shared,
-                                            lambda v: f"sweep value {v} was trained")))
-        else:
-            done = {v: _sweep_point(*shared, v) for v in values}
-    reports = {v: done[v] for v in values if isinstance(done[v], MetricsReport)}
-    errors = {v: done[v] for v in values if isinstance(done[v], str)}
+    with one_blas_thread():
+        done = dict(zip(order, fork_map(_sweep_point, order, (data, train_config, model_configs),
+                                        lambda v: f"sweep value {v} was trained",
+                                        work, SWEEP_POOL_MIN_WORK, blas=True)))
+    reports = {v: done[v] for v in model_configs if isinstance(done[v], MetricsReport)}
+    errors = {v: done[v] for v in model_configs if isinstance(done[v], str)}
     normalized = {m: normalize_metric([getattr(r, m) for r in reports.values()])
                   for m in MetricsReport.COLUMNS}
     return AblationReport(reports=reports, errors=errors, normalized=normalized)

@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import ConfigError, check_seed, write_csv
 from .model import MAX_FLOATS, ModelParams
-from .preprocess import fork_map, usable_cpus, welch_segments
+from .preprocess import fork_map, pool_processes, welch_segments
 
 # The tone sweep's arc sums go to worker processes from this many elements
 # (frequencies x (interior samples + repeats_sine * out_channels)) up
@@ -156,11 +156,10 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
     forward per repeat up to rounding.
 
     This process draws the phases and runs the GEMMs and the edge sums for
-    every frequency, storing P, Q and the edge totals; the arc sums, which
-    call no BLAS, then run in contiguous blocks of frequencies through
-    ``fork_map``, one worker per CPU once the sweep holds ``POOL_MIN_WORK``
-    elements. Each frequency's sums are the same calls on the same bytes
-    either way, so the map is identical.
+    every frequency, storing P, Q and the edge totals. The arc sums, which
+    call no BLAS, then run through ``fork_map`` in contiguous blocks of
+    frequencies, one per process that ``pool_processes`` gives; each
+    frequency's are the same calls on the same bytes either way.
     """
     rng = np.random.default_rng(spec.seed)
     freqs = spec.freq_grid
@@ -204,10 +203,8 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
         pre = g.reshape(-1, 2 * kernel) @ basis  # [R * out, 2 + E]
         p[j], q[j] = pre[:, 0], pre[:, 1]
         total[j] = np.maximum(pre[:, 2:] + bias[:, None], 0.0).sum(axis=1)
-    # workers that ran the GEMMs too would compete with BLAS's threads for the
-    # cores; below POOL_MIN_WORK elements the pool costs more than it saves
-    pooled = freqs.size * (interior.size + bias.size) >= POOL_MIN_WORK
-    blocks = np.array_split(np.arange(freqs.size), min(freqs.size, usable_cpus()) if pooled else 1)
+    blocks = np.array_split(np.arange(freqs.size), pool_processes(
+        freqs.size, freqs.size * (interior.size + bias.size), POOL_MIN_WORK))
     arcs = fork_map(_arc_sums_block, blocks, (p, q, bias, omegas, interior),
                     lambda block: f"the arc sums from {freqs[block[0]]:g} Hz were done")
     for block, sums in zip(blocks, arcs):

@@ -8,10 +8,10 @@ numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal: a
 import of about 1 s that raises a fresh interpreter's peak RSS from 27 to 103 MB.
 ``prepare_split`` writes a split directory with one filtered subject per
 worker process in memory, never the cohort.
-``ForkPool`` is the one pool of forked worker processes: ``train`` keeps one
-for its mini-batches, and ``fork_map`` maps once on a fresh one (the subjects
-of ``prepare_split``, the tone probe's arc sums and the points of a sweep).
-``one_blas_thread`` runs a block on one BLAS thread.
+``ForkPool`` is the one pool of forked worker processes, as wide as
+``pool_processes`` says: ``train`` keeps one for its mini-batches, ``fork_map``
+maps once on a fresh one (``prepare_split``'s subjects, the tone probe's arc
+sums, a sweep's points). ``one_blas_thread`` runs a block on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -171,10 +171,19 @@ def usable_cpus() -> int:
 _in_worker = False  # True in a ``ForkPool`` worker, whose own pools run in-process
 
 
-def can_fork() -> bool:
-    """Whether this process may start a ``ForkPool``: the platform forks, and
-    this is no pool's worker (whose pool already has one process per CPU)."""
-    return not _in_worker and "fork" in multiprocessing.get_all_start_methods()
+def pool_processes(items: int, work: int = 0, min_work: int = 0, blas: bool = False) -> int:
+    """How many processes a map of ``items`` items runs on: one per CPU of the
+    affinity mask, at most one per item; but 1, this process alone, where that
+    is below 2, where ``work`` is below the caller's break-even ``min_work``,
+    where the platform cannot fork, in a pool's worker (whose pool already has
+    one process per CPU) and, where the work calls BLAS, unless it runs on one
+    BLAS thread (``one_blas_thread``): several threads per worker crowd the cores."""
+    processes = min(items, usable_cpus())
+    if (processes < 2 or work < min_work or _in_worker
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or blas and blas_threads() != 1):
+        return 1
+    return processes
 
 
 class WorkerTraceback(Exception):
@@ -315,15 +324,12 @@ class ForkPool:
         return [results[i] for i in range(len(items))]
 
 
-def fork_map(fn: Callable, items: Sequence, shared: tuple,
-             unfinished: Callable[[object], str]) -> list:
-    """``[fn(*shared, item) for item in items]``, in input order, on a fresh
-    ``ForkPool`` of one worker per CPU of the affinity mask, at most one per
-    item, with its error rules. With fewer than two workers, or where
-    ``can_fork`` is false, it runs in this process.
-    """
-    workers = min(len(items), usable_cpus())
-    with ForkPool(workers if workers >= 2 and can_fork() else 0, shared) as pool:
+def fork_map(fn: Callable, items: Sequence, shared: tuple, unfinished: Callable[[object], str],
+             work: int = 0, min_work: int = 0, blas: bool = False) -> list:
+    """``[fn(*shared, item) for item in items]``, in input order, with
+    ``ForkPool``'s error rules, on the processes ``pool_processes`` gives."""
+    processes = pool_processes(len(items), work, min_work, blas)
+    with ForkPool(processes if processes > 1 else 0, shared) as pool:
         return pool.map(fn, items, unfinished)
 
 
@@ -359,27 +365,23 @@ def blas_threads() -> int | None:
 
 
 @contextmanager
-def one_blas_thread() -> Iterator[int | None]:
+def one_blas_thread() -> Iterator[None]:
     """Run the block on one BLAS thread, then give the caller back its own
-    count, also when the block raises. Yields the caller's count, or None
-    where there is no known OpenBLAS to set, and then sets nothing.
+    count, also when the block raises. Where there is no known OpenBLAS, it
+    sets nothing.
 
     Use it in the parent, before any fork: forked workers inherit the count.
     Setting the count in a forked child restarts OpenBLAS's thread pool
     there, whose spinning threads then slow the work, so a count that is
     already 1 (a ``train`` inside a sweep's worker) is left untouched."""
-    found = _openblas()
-    if found is None:
-        yield None
+    caller = blas_threads()
+    if caller in (None, 1):
+        yield
         return
-    get, put = found
-    caller = get()
-    if caller == 1:
-        yield caller
-        return
+    put = _openblas()[1]
     put(1)
     try:
-        yield caller
+        yield
     finally:
         put(caller)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import ConfigError, DatasetSplit, TrainingDivergedError, check_seed
 from .model import ModelConfig, ModelParams, backward, forward, init_params, predict
-from .preprocess import ForkPool, can_fork, one_blas_thread, usable_cpus
+from .preprocess import ForkPool, one_blas_thread, pool_processes
 
 # Adam's decay rates and epsilon, Kingma & Ba's defaults (arXiv:1412.6980)
 ADAM_BETA1 = 0.9
@@ -158,18 +158,14 @@ def train(
     ``data.train``), so any process can make it. ``on_epoch(index, row)``, if
     given, is called as each epoch ends with the row ``history.epochs`` keeps.
 
-    The whole call runs on one BLAS thread (``one_blas_thread``), and each
-    mini-batch runs in rounds of one example per process. The processes are
-    this one alone, unless two or more CPUs are usable, the first training
-    example holds TRAIN_POOL_MIN_WORK (``training_work``), the BLAS thread
-    count can be set and this is no pool worker: then a ``ForkPool`` of one
-    worker per further CPU, up to the batch size, serves the whole call,
-    reading the parameters from memory it shares with this process. This
-    process computes each round's first example and sums the batch's
-    gradients left to right in batch order before each Adam step. The
-    validation pass runs in contiguous blocks on the same processes. The
-    bytes are those of one process; a worker that dies raises
-    BrokenProcessPool.
+    The whole call runs on one BLAS thread (``one_blas_thread``). Each
+    mini-batch runs in rounds of one example per process on the processes
+    that ``pool_processes`` gives a batch: this one, which computes each
+    round's first example and sums the gradients in batch order before each
+    Adam step, and a ``ForkPool`` that serves the whole call, reading the
+    parameters from memory it shares with this process. The validation pass
+    runs in contiguous blocks on the same processes. The bytes are those of
+    one process; a worker that dies raises BrokenProcessPool.
 
     Each process reads an example when it computes it, and a validation
     block one epoch at a time, so on ``StoredEpochs`` no process holds a
@@ -188,10 +184,10 @@ def train(
     # every loss, gradient and validation loss is checked below, so numpy's
     # overflow warnings would only come before the error that names the epoch;
     # forked workers inherit both scopes
-    with one_blas_thread() as caller, np.errstate(all="ignore"):
-        pooled = (caller is not None and can_fork() and usable_cpus() >= 2
-                  and training_work(1, 1, samples, model_config.size) >= TRAIN_POOL_MIN_WORK)
-        procs = min(usable_cpus(), config.batch_size, n) if pooled else 1
+    with one_blas_thread(), np.errstate(all="ignore"):
+        procs = pool_processes(min(n, config.batch_size),
+                               training_work(1, 1, samples, model_config.size),
+                               TRAIN_POOL_MIN_WORK, blas=True)
         live = ModelParams(model_config, np.frombuffer(RawArray(ctypes.c_double, model_config.size))
                            if procs > 1 else np.zeros(model_config.size))
         blocks = np.array_split(np.arange(len(data.validation)), min(procs, len(data.validation)))

@@ -29,9 +29,9 @@ def rng():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set how many CPUs the package's pools (``fork_map``, ``train``) see;
-    returns the worker count of each ``preprocess.ForkPool`` that forks
-    workers, a list that later calls extend."""
+    """Set how many CPUs ``preprocess.pool_processes``, and so every pool of
+    the package, sees; returns the worker count of each ``preprocess.ForkPool``
+    that forks workers, a list that later calls extend."""
     pools = []
     start = eegcnn.preprocess.ForkPool.__init__
 

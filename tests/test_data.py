@@ -700,14 +700,53 @@ class TestStoredEpochs:
                 fh.write(np.array(np.nan).tobytes())
             match = (f"{path}: non-finite values in epoch {last.epoch_index} of "
                      f"{last.subject_id}")
-        else:
+        else:  # the file that was loaded stays open, so its epochs still read
             path.unlink()
-            with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
-                loaded.test[-1]
+            assert loaded.test[-1].data.tobytes() == last.data.tobytes()
             return
         with pytest.raises(SplitError, match=re.escape(match)):
             loaded.test[-1]
         assert loaded.test[0].data.shape == last.data.shape  # the epochs before it still read
+
+    def test_file_replaced_after_load(self, tmp_path, saved):
+        """A file that replaces a partition by name, as a later ``prepare``
+        into the same directory does, does not reach a split loaded before."""
+        _, loaded = saved
+        path = tmp_path / "train_data.npy"
+        want = [ep.data.tobytes() for ep in loaded.train]
+        np.save(tmp_path / "reversed.npy", np.load(path)[::-1])
+        os.replace(tmp_path / "reversed.npy", path)
+        assert np.load(path)[0].tobytes() == want[-1]
+        assert loaded.train[0].data.tobytes() == want[0]
+        assert [ep.data.tobytes() for ep in loaded.train] == want
+
+    @pytest.mark.parametrize("damage", ["missing", "directory"])
+    def test_partition_file_that_cannot_be_opened_is_named(self, tmp_path, damage):
+        save_split(tmp_path, split_dataset(_subjects(6), seed=3), 500.0)
+        path = tmp_path / "validation_data.npy"
+        path.unlink()
+        if damage == "directory":
+            path.mkdir()
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            load_split(tmp_path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+    def test_each_file_closes_with_the_last_sequence_that_reads_it(self, tmp_path):
+        save_split(tmp_path, split_dataset(_subjects(6), seed=3), 500.0)
+        before = len(os.listdir("/proc/self/fd"))
+        split = load_split(tmp_path)[0]
+        assert len(os.listdir("/proc/self/fd")) == before + 3
+        kept = split.test[1:]
+        del split
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        del kept
+        assert len(os.listdir("/proc/self/fd")) == before
+        (tmp_path / "test_data.npy").write_bytes(b"junk")  # fails after two files are open
+        try:
+            load_split(tmp_path)
+        except SplitError:
+            pass
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_fortran_order_rejected(self, tmp_path, saved):
         # np.load reads such a file, but one epoch's bytes would not be one epoch

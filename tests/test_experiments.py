@@ -244,6 +244,25 @@ class TestSweepWorkers:
         assert blas_threads() == before
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("min_work, want_pools", [
+        pytest.param(0, [2], marks=[needs_fork, needs_openblas]), (None, [])],
+        ids=["pooled", "in-process"])
+    def test_first_bare_error_in_size_order_ends_the_sweep(self, cpus, monkeypatch, min_work,
+                                                           want_pools):
+        """Kernel 11's model is the larger, so its point starts first and its
+        error is raised, pooled or not."""
+        def train(data, train_config, model_config):
+            raise RuntimeError(f"kernel {model_config.kernel}")
+
+        monkeypatch.setattr(eegcnn.experiments, "train", train)
+        if min_work is not None:
+            monkeypatch.setattr(eegcnn.experiments, "SWEEP_POOL_MIN_WORK", min_work)
+        pools = cpus(2)
+        with pytest.raises(RuntimeError, match="^kernel 11$"):
+            run_sweep(tiny_split(), TINY_TRAIN, tiny_sweep("kernel_size", (3, 11)))
+        assert pools == want_pools
+        assert multiprocessing.active_children() == []
+
     @needs_fork
     @needs_openblas
     def test_callers_count_kept_when_numpy_loads_first(self):

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from eegcnn.data import (ConfigError, CsvFormatError, Manifest, ManifestEntry, s
 from eegcnn.model import MAX_FLOATS
 import eegcnn.preprocess
 from eegcnn.preprocess import (WorkerTraceback, apply_zero_phase, blas_threads, design_highpass,
-                               fork_map, one_blas_thread, prepare_split, welch_psd_batch,
-                               welch_segments)
+                               fork_map, one_blas_thread, pool_processes, prepare_split,
+                               welch_psd_batch, welch_segments)
 from eegcnn.synth import synthetic_dataset
 
 from conftest import (gain_db, make_recording, needs_fork, needs_openblas,
@@ -397,6 +398,47 @@ def _pids_of_nested_call(n, item):
     return os.getpid(), fork_map(_pid, range(n), (), str)
 
 
+# (CPUs, pool_processes arguments, eegcnn.preprocess or multiprocessing attributes set
+# with monkeypatch, the count it must give)
+_POLICY = {
+    "one-per-cpu": (2, (5,), {}, 2),
+    "one-per-item": (8, (3,), {}, 3),
+    "one-cpu": (1, (5,), {}, 1),
+    "one-item": (2, (1,), {}, 1),
+    "work-below-min-work": (2, (5, 9, 10), {}, 1),
+    "work-at-min-work": (2, (5, 10, 10), {}, 2),
+    "inside-a-fork-map-worker": (2, (5,), {"_in_worker": True}, 1),
+    "no-fork-start-method": (2, (5,), {"get_all_start_methods": lambda: ["spawn"]}, 1),
+    "blas-on-one-thread": (2, (5, 0, 0, True), {"_openblas": lambda: (lambda: 1, None)}, 2),
+    "blas-on-two-threads": (2, (5, 0, 0, True), {"_openblas": lambda: (lambda: 2, None)}, 1),
+    "blas-not-openblas": (2, (5, 0, 0, True), {"_openblas": lambda: None}, 1),
+    "blas-ignored-without-blas": (2, (5,), {"_openblas": lambda: (lambda: 2, None)}, 2),
+}
+
+
+class TestPoolProcesses:
+    @pytest.mark.parametrize("case", _POLICY.values(), ids=_POLICY.keys())
+    def test_policy(self, cpus, monkeypatch, case):
+        n_cpus, args, patches, want = case
+        cpus(n_cpus)
+        for name, value in patches.items():
+            owner = multiprocessing if name == "get_all_start_methods" else eegcnn.preprocess
+            monkeypatch.setattr(owner, name, value)
+        assert pool_processes(*args) == want
+
+    def test_no_other_module_applies_the_rules(self):
+        """The fork, CPU, nesting and BLAS rules live in ``pool_processes``
+        alone: no other module of the package reads what they read."""
+        rules = re.compile(r"usable_cpus\(|blas_threads\(|multiprocessing\.get_all_start_methods"
+                           r"|\b_in_worker\b")
+        package = Path(eegcnn.preprocess.__file__).parent
+        found = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(package.glob("*.py")) if path.name != "preprocess.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if rules.search(line)]
+        assert found == []
+
+
 class TestForkMap:
     @needs_fork
     def test_call_inside_a_worker_runs_in_that_worker(self, cpus):
@@ -442,16 +484,16 @@ class TestOneBlasThread:
     def test_one_thread_inside_and_the_callers_count_after(self):
         before = blas_threads()
         with pytest.raises(RuntimeError, match="^inside$"):
-            with one_blas_thread() as caller:
-                assert caller == before and blas_threads() == 1
+            with one_blas_thread():
+                assert blas_threads() == 1
                 raise RuntimeError("inside")
         assert blas_threads() == before
 
     def test_count_of_one_is_left_alone(self, monkeypatch):
         calls = []
         monkeypatch.setattr(eegcnn.preprocess, "_openblas", lambda: (lambda: 1, calls.append))
-        with one_blas_thread() as caller:
-            assert caller == 1
+        with one_blas_thread():
+            assert blas_threads() == 1
         assert calls == []
 
     @needs_fork
@@ -467,6 +509,5 @@ class TestOneBlasThread:
 
     def test_without_openblas_sets_nothing(self, monkeypatch):
         monkeypatch.setattr(eegcnn.preprocess, "_openblas", lambda: None)
-        assert blas_threads() is None
-        with one_blas_thread() as caller:
-            assert caller is None
+        with one_blas_thread():
+            assert blas_threads() is None
