@@ -389,16 +389,21 @@ def _scan_body(path: Path, reader, header: list[str]) -> np.ndarray:
 
 
 def write_csv(path: str | Path, header: list, rows) -> None:
-    """A CSV file of ``header`` and then ``rows``, each line ended by ``\\n``.
-    A float cell, numpy's included, is written as ``repr(float(x))``, which
-    reads back to the same value, and None as an empty cell."""
+    """A CSV file of ``header`` and then ``rows`` (lists or tuples), each line
+    ended by ``\\n``. A float cell, numpy's included, is written as
+    ``repr(float(x))``, which reads back to the same value, and None as an
+    empty cell."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        # csv writes a Python float as its repr, but a numpy scalar's repr is
-        # "np.float64(...)", so numpy scalars become Python ones first
-        writer.writerows([x.item() if isinstance(x, np.generic) else x for x in row]
-                         for row in rows)
+        for row in rows:
+            # csv writes an int as its str and a float as its repr, neither
+            # quoted, so a row of only those is joined directly
+            if set(map(type, row)) <= {int, float}:
+                fh.write(",".join(map(repr, row)) + "\n")
+            else:
+                # a numpy scalar's repr is "np.float64(...)": it becomes a Python one
+                writer.writerow([x.item() if isinstance(x, np.generic) else x for x in row])
 
 
 def write_subject_csv(path: str | Path, rec: SubjectRecording, channel_names: list[str]) -> None:

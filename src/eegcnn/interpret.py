@@ -3,7 +3,10 @@
 Two probes: a single-tone sinusoid sweep that maps the pooling layer's
 sensitivity across frequencies, and the expected Welch PSD of the
 convolutional layer's outputs under white-noise input, each output channel's
-filtering profile, worked out exactly rather than sampled.
+filtering profile, worked out exactly rather than sampled. The tone sweep
+runs in blocks of frequencies on forked worker processes, each on one BLAS
+thread, so its bytes depend on neither the CPU count nor the caller's BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import ConfigError, check_seed, write_csv
 from .model import MAX_FLOATS, ModelParams
-from .preprocess import fork_map, pool_processes, welch_segments
+from .preprocess import fork_map, one_blas_thread, pool_processes, welch_segments
 
-# The tone sweep's arc sums go to worker processes from this many elements
+# The tone sweep goes to worker processes from this many elements
 # (frequencies x (interior samples + repeats_sine * out_channels)) up
 POOL_MIN_WORK = 200_000
 
@@ -155,20 +158,21 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
     the order that one draw per repeat would give, so the result equals a
     forward per repeat up to rounding.
 
-    This process draws the phases and runs the GEMMs and the edge sums for
-    every frequency, storing P, Q and the edge totals. The arc sums, which
-    call no BLAS, then run through ``fork_map`` in contiguous blocks of
-    frequencies, one per process that ``pool_processes`` gives; each
-    frequency's are the same calls on the same bytes either way.
+    This process draws every frequency's phases in one call and averages the
+    totals. The rest, each frequency's two small GEMMs, edge sums and arc
+    sums, runs through ``fork_map`` in contiguous blocks of frequencies, one
+    per process that ``pool_processes`` gives, on one BLAS thread whatever the
+    caller's count (which is given back after), so each frequency's bytes are
+    the same pooled or not and on any CPU or BLAS thread count.
     """
     rng = np.random.default_rng(spec.seed)
     freqs = spec.freq_grid
     w, b = checkpoint.conv_weight, checkpoint.conv_bias
     out_c, in_c, kernel = w.shape
     repeats = spec.repeats_sine
-    # the largest arrays: trig [2R, in] and g [R * out, 2K] per frequency,
-    # then P, Q, the edge sums and the arc sums, each [n_freqs, R * out]
-    if repeats * max(2 * in_c, out_c * max(2 * kernel, freqs.size)) > MAX_FLOATS:
+    # the largest arrays: the phases [n_freqs, R, in] and the totals
+    # [n_freqs, R * out], and per frequency trig [2R, in] and g [R * out, 2K]
+    if repeats * max(max(2, freqs.size) * in_c, out_c * max(2 * kernel, freqs.size)) > MAX_FLOATS:
         raise ConfigError(f"repeats_sine {repeats} is too large for a checkpoint of "
                           f"in_channels {in_c}, out_channels {out_c} and kernel {kernel} with "
                           f"{freqs.size} probe frequencies (fs {spec.fs:g}): the tone probe's "
@@ -184,39 +188,47 @@ def pooling_sensitivity(checkpoint: ModelParams, spec: ProbeSpec) -> Sensitivity
     # output reads, and where that sample lies inside the epoch
     reads = np.column_stack([d, taps.T])
     inside = np.column_stack([np.ones(kernel), ((taps >= 0) & (taps < spec.epoch_len)).T])
-    basis = np.empty((2 * kernel, 2 + edge.size))
     w_in = w.transpose(1, 0, 2).reshape(in_c, out_c * kernel)
     bias = np.tile(b, repeats)
     omegas = 2.0 * np.pi * freqs / spec.fs
-    p, q, total = (np.empty((freqs.size, bias.size)) for _ in range(3))
-    for j, omega in enumerate(omegas):
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(repeats, in_c))
-        trig = spec.amplitude * np.concatenate([np.cos(phases), np.sin(phases)])  # [2R, in]
-        # [R * out, 2K]: the row of repeat r and output o holds Gc, then Gs
-        g = (trig @ w_in).reshape(2, repeats * out_c, kernel).transpose(1, 0, 2)
-        # basis [2K, 2 + E] takes a row's Gc and Gs to P, Q and each edge
-        # output's sum over the taps that read inside the epoch (the tone at
-        # sample u is A (cos(phi) sin(omega u) + sin(phi) cos(omega u)))
-        sin, cos = np.sin(omega * reads) * inside, np.cos(omega * reads) * inside
-        basis[:kernel, 0], basis[:kernel, 1:] = cos[:, 0], sin
-        basis[kernel:, 0], basis[kernel:, 1:] = -sin[:, 0], cos
-        pre = g.reshape(-1, 2 * kernel) @ basis  # [R * out, 2 + E]
-        p[j], q[j] = pre[:, 0], pre[:, 1]
-        total[j] = np.maximum(pre[:, 2:] + bias[:, None], 0.0).sum(axis=1)
-    blocks = np.array_split(np.arange(freqs.size), pool_processes(
-        freqs.size, freqs.size * (interior.size + bias.size), POOL_MIN_WORK))
-    arcs = fork_map(_arc_sums_block, blocks, (p, q, bias, omegas, interior),
-                    lambda block: f"the arc sums from {freqs[block[0]]:g} Hz were done")
-    for block, sums in zip(blocks, arcs):
-        total[block] += sums
-    activation = (total.reshape(freqs.size, repeats, out_c) / spec.epoch_len).mean(axis=1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(freqs.size, repeats, in_c))
+    with one_blas_thread():
+        blocks = np.array_split(np.arange(freqs.size), pool_processes(
+            freqs.size, freqs.size * (interior.size + bias.size), POOL_MIN_WORK, blas=True))
+        totals = fork_map(_sweep_block, blocks,
+                          (phases, spec.amplitude, w_in, bias, omegas, reads, inside, interior),
+                          lambda block: f"the arc sums from {freqs[block[0]]:g} Hz were done",
+                          blas=True)
+    activation = np.concatenate([(sums.reshape(-1, repeats, out_c) / spec.epoch_len).mean(axis=1)
+                                 for sums in totals])
     return SensitivityMap(freqs=freqs, activation=activation.T)
 
 
-def _arc_sums_block(p: np.ndarray, q: np.ndarray, bias: np.ndarray, omegas: np.ndarray,
-                    interior: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """[block size, R * out]: the interior ReLU sums of the frequencies in ``block``."""
-    return np.stack([relu_arc_sums(p[j], q[j], bias, omegas[j] * interior) for j in block])
+def _sweep_block(phases: np.ndarray, amplitude: float, w_in: np.ndarray, bias: np.ndarray,
+                 omegas: np.ndarray, reads: np.ndarray, inside: np.ndarray,
+                 interior: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """[block size, R * out]: each repeat's ReLU sum over the epoch of each
+    conv output, for the frequencies in ``block``."""
+    kernel = reads.shape[0]
+    basis = np.empty((2 * kernel, 1 + reads.shape[1]))
+    totals = np.empty((block.size, bias.size))
+    for i, j in enumerate(block):
+        trig = amplitude * np.concatenate([np.cos(phases[j]), np.sin(phases[j])])  # [2R, in]
+        # [R * out, 2K]: the row of repeat r and output o holds Gc, then Gs
+        g = (trig @ w_in).reshape(2, bias.size, kernel).transpose(1, 0, 2)
+        # basis [2K, 2 + E] takes a row's Gc and Gs to P, Q and each edge
+        # output's sum over the taps that read inside the epoch (the tone at
+        # sample u is A (cos(phi) sin(omega u) + sin(phi) cos(omega u)))
+        sin, cos = np.sin(omegas[j] * reads) * inside, np.cos(omegas[j] * reads) * inside
+        basis[:kernel, 0], basis[:kernel, 1:] = cos[:, 0], sin
+        basis[kernel:, 0], basis[kernel:, 1:] = -sin[:, 0], cos
+        pre = g.reshape(-1, 2 * kernel) @ basis  # [R * out, 2 + E]
+        # contiguous copies: numpy's SIMD loops of some ufuncs take only
+        # contiguous input, and may round differently from the strided ones
+        p, q = pre[:, :2].T.copy()
+        totals[i] = (np.maximum(pre[:, 2:] + bias[:, None], 0.0).sum(axis=1)
+                     + relu_arc_sums(p, q, bias, omegas[j] * interior))
+    return totals
 
 
 def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResponseMap:
@@ -230,7 +242,8 @@ def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResp
     matrix of filter o's taps over the input channels, and
     C[k, l] = sum_j count[j] win[j - k] win[j - l] / P, where count[j] is how
     many of the P segments read padded sample j inside the epoch (zero
-    padding adds nothing). No array of length T is built.
+    padding adds nothing). No array of length T is built. The GEMMs run on
+    one BLAS thread, so the bytes do not depend on the caller's count.
     """
     n, win, hop, segments, freqs, weight = welch_segments(spec.fs, spec.epoch_len)
     w, b = checkpoint.conv_weight, checkpoint.conv_bias
@@ -241,10 +254,11 @@ def conv_filter_response(checkpoint: ModelParams, spec: ProbeSpec) -> FilterResp
              - np.clip(-(d // hop), 0, segments))
     # a[k, j] = win[j - k], zero outside the window
     a = sliding_window_view(np.pad(win, kernel - 1), kernel)[:, ::-1].T
-    gc = (w.transpose(0, 2, 1) @ w) * ((a * count) @ a.T)  # [out, K, K], symmetric
     # cos(x (k - l)) = cos(x k) cos(x l) + sin(x k) sin(x l), x = 2 pi f / n
     angle = 2.0 * np.pi * np.outer(np.arange(kernel), np.arange(freqs.size)) / n
     cos, sin = np.cos(angle), np.sin(angle)
-    noise = ((gc @ cos) * cos + (gc @ sin) * sin).sum(axis=1)
+    with one_blas_thread():
+        gc = (w.transpose(0, 2, 1) @ w) * ((a * count) @ a.T)  # [out, K, K], symmetric
+        noise = ((gc @ cos) * cos + (gc @ sin) * sin).sum(axis=1)
     power = noise / segments + b[:, None] ** 2 * np.abs(np.fft.rfft(win)) ** 2
     return FilterResponseMap(freqs=freqs, power=power * weight)

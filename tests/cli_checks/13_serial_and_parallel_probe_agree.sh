@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Check "Serial and parallel probe agree".
-# Above a break-even size the tone sweep's arc sums run in one forked
-# worker per CPU; pinned to one CPU they run in-process. At the
+# Above a break-even size the tone sweep runs in one forked worker per
+# CPU, on one BLAS thread; pinned to one CPU it runs in-process. At the
 # defaults and at the benchmark's shape (--repeats-sine 1) both must
-# write the same bytes. A map that overflows in the workers exits 4
-# in one stderr line: they run under the command's numpy error state.
+# write the same bytes, and so must a default run whose caller asks for
+# 2 BLAS threads. A map that overflows in the workers exits 4 in one
+# stderr line: they run under the command's numpy error state.
 set -e
 taskset -c 0 eegcnn probe --checkpoint "$RUNNER_TEMP/paper.bin" --out "$RUNNER_TEMP/probe_serial"
 taskset -c 0 eegcnn probe --checkpoint "$RUNNER_TEMP/paper.bin" --out "$RUNNER_TEMP/probe_serial_r1" --repeats-sine 1
 eegcnn probe --checkpoint "$RUNNER_TEMP/paper.bin" --out "$RUNNER_TEMP/probe_r1" --repeats-sine 1
-for pair in probe_serial:probe probe_serial_r1:probe_r1; do
+OPENBLAS_NUM_THREADS=2 eegcnn probe --checkpoint "$RUNNER_TEMP/paper.bin" --out "$RUNNER_TEMP/probe_two_threads"
+for pair in probe_serial:probe probe_serial_r1:probe_r1 probe:probe_two_threads; do
   serial="$RUNNER_TEMP/${pair%%:*}" pooled="$RUNNER_TEMP/${pair#*:}"
   test "$(ls "$serial")" = "$(ls "$pooled")"
   for f in "$serial"/*; do

@@ -1,9 +1,11 @@
 import copy
+import csv
 import functools
 import multiprocessing
 import operator
 import os
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,6 +168,17 @@ def reference_save_split(out_dir, split):
     epoch at a time, with no stack in memory."""
     for name in PARTITIONS:
         np.save(out_dir / f"{name}_data.npy", np.stack([ep.data for ep in split.partition(name)]))
+
+
+def reference_write_csv(path, header, rows):
+    """Every row through ``csv.writer``, numpy scalars as Python ones first:
+    data.write_csv joins a row of only ints and floats itself, and must write
+    the same bytes."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([x.item() if isinstance(x, np.generic) else x for x in row]
+                         for row in rows)
 
 
 def gain_db(sos, freq_hz, fs, zero_phase=False):

@@ -988,10 +988,11 @@ class TestProbe:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    # an epoch long enough that the 51-frequency sweep's arc sums run in workers
+    # an epoch long enough that the 51-frequency sweep runs in workers
     POOLED_EPOCH_LEN = str(2 * POOL_MIN_WORK // 51)
 
     @needs_fork
+    @needs_openblas
     @pytest.mark.filterwarnings("error")
     def test_non_finite_map_from_workers_exits_4(self, trained, tmp_path, capsys, cpus):
         """The workers run under the command's np.errstate: a warning in one
@@ -1009,6 +1010,7 @@ class TestProbe:
         assert multiprocessing.active_children() == []
 
     @needs_fork
+    @needs_openblas
     def test_dead_worker_exits_2(self, trained, tmp_path, capsys, monkeypatch, cpus):
         parent, arc_sums = os.getpid(), eegcnn.interpret.relu_arc_sums
 

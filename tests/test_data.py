@@ -42,7 +42,7 @@ from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainConfig, train
 
 from conftest import (DEEP_NESTING, JSON_VALUES, OVER_LONG_INT, make_recording, needs_fork,
-                      needs_openblas, reference_save_split)
+                      needs_openblas, reference_save_split, reference_write_csv)
 
 
 def _manifest(channels, fs=500.0, names=None):
@@ -184,6 +184,25 @@ def test_write_csv_cells(tmp_path):
     write_csv(path, ["n", "float", "numpy", "none"],
               [[1, 0.1, np.float64(1e-05), None], [2, 1e16, np.float32(0.5), "x,y"]])
     assert path.read_bytes() == b'n,float,numpy,none\n1,0.1,1e-05,\n2,1e+16,0.5,"x,y"\n'
+
+
+_NUMBERS = st.integers() | st.floats(allow_subnormal=True) | st.sampled_from([-0.0, 5e-324])
+_CELLS = (_NUMBERS | st.booleans() | st.none() | st.floats().map(np.float64)
+          | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+          | st.text(alphabet=' ,"\n\ra1.-e'))
+# rows of only ints and floats, which write_csv joins itself, and rows of any cells
+_ROWS = st.lists(_NUMBERS) | st.lists(_CELLS)
+
+
+@given(rows=st.lists(_ROWS | _ROWS.map(tuple), max_size=4))
+@example(rows=[[0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 2**70], [], ()])
+@example(rows=[[True, 1], [np.float64(0.5), 0.5], [None, 1.0], [1.0, "x,y"], [""]])
+@settings(max_examples=300, deadline=None)
+def test_write_csv_matches_the_csv_writer(tmp_path_factory, rows):
+    base = tmp_path_factory.getbasetemp()
+    write_csv(base / "got.csv", ["a", "b,c"], rows)
+    reference_write_csv(base / "want.csv", ["a", "b,c"], rows)
+    assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
 
 
 def reference_load_subject_csv(path, entry, manifest):

@@ -1,4 +1,5 @@
 import multiprocessing
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     gen_sinusoid_probe,
     make_params,
     needs_fork,
+    needs_openblas,
     reference_filter_response,
     reference_pooling_sensitivity,
     sampled_filter_response,
@@ -19,7 +21,7 @@ from eegcnn.data import ConfigError
 from eegcnn.interpret import (POOL_MIN_WORK, ProbeSpec, conv_filter_response,
                               pooling_sensitivity, relu_arc_sums)
 from eegcnn.model import MAX_FLOATS
-from eegcnn.preprocess import welch_segments
+from eegcnn.preprocess import _openblas, welch_segments
 
 FS = 500.0
 
@@ -130,13 +132,15 @@ class TestGenSinusoidProbe:
 
 
 def test_one_phase_draw_equals_sequential_draws():
-    """pooling_sensitivity draws a frequency's R phase vectors in one call;
+    """pooling_sensitivity draws every frequency's R phase vectors in one call;
     the per-repeat oracle draws them one repeat at a time."""
-    for repeats, channels in [(1, 1), (5, 3), (100, 59)]:
-        at_once = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(repeats, channels))
+    for freqs, repeats, channels in [(1, 1, 1), (3, 5, 3), (4, 100, 59)]:
+        at_once = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi,
+                                                   size=(freqs, repeats, channels))
         gen = np.random.default_rng(7)
-        one_by_one = [gen.uniform(0.0, 2.0 * np.pi, size=channels) for _ in range(repeats)]
-        np.testing.assert_array_equal(at_once, np.stack(one_by_one))
+        one_by_one = [[gen.uniform(0.0, 2.0 * np.pi, size=channels) for _ in range(repeats)]
+                      for _ in range(freqs)]
+        np.testing.assert_array_equal(at_once, np.array(one_by_one))
 
 
 class TestReluArcSums:
@@ -267,7 +271,7 @@ class TestPoolingSensitivity:
 
     def test_repeats_beyond_the_stored_sweep_rejected(self):
         """A 1x1x1 checkpoint at 500 001 frequencies: the per-frequency arrays
-        fit, but P, Q and the edge and arc sums of the whole sweep do not. The
+        fit, but the phases and totals of the whole sweep do not. The
         sweep used to reach numpy's bare "array is too big"."""
         model = single_filter_model([1.0])
         repeats = 2**42
@@ -277,6 +281,20 @@ class TestPoolingSensitivity:
                                               f"checkpoint of in_channels 1, out_channels 1 "
                                               f"and kernel 1 with 500001 probe frequencies "
                                               f"\\(fs 1e\\+06\\)"):
+            pooling_sensitivity(model, spec)
+
+    def test_repeats_beyond_the_stored_phases_rejected(self):
+        """2**20 input channels and one output: the per-frequency arrays and
+        the totals fit, but the phases of 51 frequencies, [51, R, 2**20],
+        do not."""
+        in_c, repeats = 2**20, 2**38
+        model = make_params(conv_weight=np.ones((1, in_c, 1)), conv_bias=np.zeros(1),
+                            fc_weight=np.ones((2, 1)), fc_bias=np.zeros(2))
+        spec = small_spec(fs=100.0, epoch_len=500, repeats_sine=repeats)
+        assert repeats * 2 * in_c <= MAX_FLOATS < 51 * repeats * in_c
+        with pytest.raises(ConfigError, match=f"^repeats_sine {repeats} is too large for a "
+                                              f"checkpoint of in_channels {in_c}, out_channels "
+                                              f"1 and kernel 1 with 51 probe frequencies"):
             pooling_sensitivity(model, spec)
 
     def test_deterministic_given_seed(self):
@@ -407,6 +425,17 @@ class TestConvFilterResponse:
         resp = conv_filter_response(model, spec)
         assert resp.freqs[0] == 0.0 and resp.freqs[-1] == pytest.approx(FS / 2)
 
+    @needs_openblas
+    def test_bytes_do_not_depend_on_the_callers_blas_threads(self):
+        """At kernel 51 and fs 500, 2 BLAS threads split the tap GEMMs
+        differently: the response runs on 1 whatever the caller's count."""
+        gen = np.random.default_rng(0)
+        model = make_params(gen.standard_normal((8, 8, 51)), gen.standard_normal(8),
+                            np.ones((2, 8)), np.zeros(2))
+        one, two = at_one_and_two_blas_threads(
+            lambda: conv_filter_response(model, small_spec()).power)
+        assert one.tobytes() == two.tobytes()
+
     def test_csv_per_channel(self, tmp_path):
         model = identity_model(channels=2)
         spec = small_spec()
@@ -422,6 +451,33 @@ class TestConvFilterResponse:
             assert cells.tobytes() == expected.tobytes()
 
 
+def at_one_and_two_blas_threads(call):
+    """call() with OpenBLAS on 1 thread, then on 2; each call must give the
+    count it found back."""
+    get, put = _openblas()
+    before = get()
+    try:
+        put(1)
+        one = call()
+        assert get() == 1
+        put(2)
+        two = call()
+        assert get() == 2
+    finally:
+        put(before)
+    return one, two
+
+
+def paper_case():
+    """A random 59-channel, kernel-11 model and a 20-repeat sweep of the
+    default grid, above the break-even size."""
+    gen = np.random.default_rng(1)
+    model = make_params(conv_weight=0.3 * gen.standard_normal((59, 59, 11)),
+                        conv_bias=0.2 * gen.standard_normal(59),
+                        fc_weight=np.ones((2, 59)), fc_bias=np.zeros(2))
+    return model, ProbeSpec(repeats_sine=20, seed=1)
+
+
 def pool_case(size):
     """A 4-channel, kernel-5 model with random weights and biases, and a
     51-frequency sweep whose arc sums hold about twice (``above``) or half
@@ -435,10 +491,11 @@ def pool_case(size):
 
 
 class TestArcSumWorkers:
-    """The tone sweep's arc sums run in forked workers above the break-even
-    size; the map keeps every byte of the in-process one."""
+    """The tone sweep runs in forked workers, on one BLAS thread, above the
+    break-even size; the map keeps every byte of the in-process one."""
 
     @needs_fork
+    @needs_openblas
     def test_pooled_sweep_equals_in_process(self, cpus):
         model, spec = pool_case("above")
         pools = cpus(2)
@@ -462,3 +519,34 @@ class TestArcSumWorkers:
         assert multiprocessing.active_children() == []
         want = reference_pooling_sensitivity(model, spec)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @needs_openblas
+    @pytest.mark.parametrize("n_cpus", [1, pytest.param(2, marks=needs_fork)],
+                             ids=["in-process", "pooled"])
+    def test_bytes_do_not_depend_on_the_callers_blas_threads(self, cpus, n_cpus):
+        """At paper shape, 2 BLAS threads split the [2R, in] x [in, out * K]
+        GEMM differently: the sweep runs on 1 whatever the caller's count,
+        which it gives back."""
+        model, spec = paper_case()
+        cpus(n_cpus)
+        one, two = at_one_and_two_blas_threads(lambda: pooling_sensitivity(model, spec).activation)
+        assert one.tobytes() == two.tobytes()
+
+    @needs_fork
+    @needs_openblas
+    def test_calling_process_holds_no_stored_sweep(self, cpus):
+        """A pooled sweep holds the phases and the workers' totals, each
+        [n_freqs, R * out] here (in = out), in the calling process: a peak of
+        about 2.7 such arrays. Keeping each repeat's P, Q and edge sum there
+        as well peaked at 5.4."""
+        model, spec = paper_case()
+        cpus(2)
+        pooling_sensitivity(model, spec)  # numpy and the pool's first-use costs
+        tracemalloc.start()
+        try:
+            pooling_sensitivity(model, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = spec.freq_grid.size * spec.repeats_sine * model.conv_weight.shape[0] * 8
+        assert peak < 4 * stored
