@@ -3,9 +3,11 @@ PSD estimation, and the ordered fork pool.
 
 The high-pass is a Butterworth filter designed once as second-order sections
 (SOS) and run forward and backward, so it has zero phase and works at every
-order from 1 to MAX_FLOATS // 2; no polynomial (b, a) form is ever built. The Welch PSD is plain
-numpy, so only the filter (that is, only `eegcnn prepare`) loads scipy.signal: an
-import of about 1 s that raises a fresh interpreter's peak RSS from 27 to 103 MB.
+order from 1 to MAX_FLOATS // 2; no polynomial (b, a) form is ever built.
+``eegcnn.iir`` designs it in numpy, with scipy 1.17's bits, and runs it in
+scipy's compiled ``_sosfilt`` kernel, loaded on its own. The Welch PSD is plain
+numpy, so no command loads scipy.signal: an import of about 0.85 s that raises
+a fresh interpreter's peak RSS from 27 to 103 MB.
 ``prepare_split`` writes a split directory with one filtered subject per
 worker process in memory, never the cohort.
 ``ForkPool`` is the one pool of forked worker processes, as wide as
@@ -36,6 +38,7 @@ from .data import (PARTITIONS, SPLIT_FILES, SPLIT_INDEX, ConfigError, Manifest, 
                    SubjectRecording, TrainingDivergedError, assign_partitions, check_seed,
                    epoch_length, load_subject_csv, no_epochs_error, staged_output,
                    write_index, write_stack_header)
+from .iir import butter_highpass, sosfilt_kernel, sosfilt_zi, sosfiltfilt_even
 from .model import MAX_FLOATS
 
 
@@ -45,22 +48,22 @@ def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
     taken straight from the filter's poles and zeros, stable at every order.
     An order whose ``order`` complex poles one numpy array cannot hold, or a
     cutoff too low for ``sosfiltfilt``'s initial state, raises ConfigError."""
+    if order != int(order):  # the design would build a filter of no order at all
+        raise ConfigError(f"filter_order must be an integer, got {order}")
     if order < 1:
         raise ConfigError(f"filter_order must be >= 1, got {order}")
-    if order > MAX_FLOATS // 2:  # scipy would fail unnamed, or overflow to a pass-all filter
+    if order > MAX_FLOATS // 2:  # the design would fail unnamed, or overflow to a pass-all filter
         raise ConfigError(f"filter_order {order} is too high: its {order} complex poles hold "
                           f"more float64 values than one numpy array can ({MAX_FLOATS})")
     if not 0 < cutoff_hz < fs / 2:
         raise ConfigError(f"cutoff_hz must lie in (0, fs/2) = (0, {fs / 2}), got {cutoff_hz}")
     too_low = f"cutoff_hz {cutoff_hz} is too low for filter_order {order} at fs {fs} Hz"
-    if 2 * cutoff_hz / fs == 0:  # scipy's normalized cutoff underflows
+    if 2 * cutoff_hz / fs == 0:  # the normalized cutoff underflows
         raise ConfigError(f"{too_low}: cutoff_hz / (fs / 2) rounds to 0")
-    from scipy import signal as sps  # here: a ~1 s, +76 MB peak RSS import only prepare needs
-
-    sos = sps.butter(order, cutoff_hz, btype="highpass", fs=fs, output="sos")
+    sos = butter_highpass(order, cutoff_hz, fs)  # scipy's butter in numpy, without scipy.signal
     try:
-        with np.errstate(all="ignore"):  # scipy divides 0 by 0 before the singular solve
-            sps.sosfilt_zi(sos)
+        with np.errstate(all="ignore"):  # a 0 / 0 can come before the singular solve
+            sosfilt_zi(sos)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(f"{too_low}: solving for its initial state fails ({exc})") from None
     return sos
@@ -68,8 +71,6 @@ def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
 
 def apply_zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Forward-backward filtering with reflective edge padding; zero net phase."""
-    from scipy import signal as sps  # see design_highpass
-
     x = np.asarray(x, dtype=np.float64)
     # the pad is 3 * (order + 1) samples; an odd order ends in a first-order
     # section, the one whose a2 is 0
@@ -78,7 +79,7 @@ def apply_zero_phase(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] <= padlen:
         raise ConfigError(f"signal length {x.shape[-1]} too short for the edge padding of "
                           f"filter_order {order} (needs > {padlen})")
-    return sps.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+    return sosfiltfilt_even(sos, x, padlen)
 
 
 def _load_filtered_subject(
@@ -135,6 +136,7 @@ def prepare_split(manifest: Manifest, out_dir: str | Path, seed: int = 0, cutoff
     ids = [entry.subject_id for entry in manifest.entries]
     groups = assign_partitions(ids, seed)
     sos = design_highpass(cutoff_hz, order, manifest.fs)
+    sosfilt_kernel()  # loaded once, here: every worker inherits it
     with staged_output(out_dir, SPLIT_FILES, marker=SPLIT_INDEX) as staging:
         n_samples = fork_map(_stage_subject, list(enumerate(manifest.entries)),
                              (sos, manifest, epoch_len, staging),

@@ -1,5 +1,6 @@
 import errno
 import importlib
+import importlib.machinery
 import io
 import json
 import multiprocessing
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import eegcnn.cli
 import eegcnn.experiments
+import eegcnn.iir
 import eegcnn.interpret
 import eegcnn.preprocess
 from eegcnn.cli import SETTINGS, build_parser, main, resolve_settings
@@ -1723,8 +1725,14 @@ def test_default_threads_independent_of_cpu_count(tmp_path):
     assert checkpoints[0] == checkpoints[1]
 
 
-def test_only_prepare_loads_scipy_signal(dataset_dir, prepared, trained, tmp_path):
-    # in a fresh interpreter, since this one imported scipy.signal in conftest
+def _tree_bytes(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_no_command_loads_scipy_signal(dataset_dir, prepared, trained, tmp_path):
+    # in a fresh interpreter, since this one imported scipy.signal in conftest:
+    # prepare's filter loads scipy's compiled kernel from its file there, and
+    # takes the module that scipy.signal loaded here, with the same bytes
     ckpt = str(trained / "checkpoint.bin")
     runs = [
         ["train", "--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS)],
@@ -1750,5 +1758,24 @@ def test_only_prepare_loads_scipy_signal(dataset_dir, prepared, trained, tmp_pat
                          check=True).stdout
     assert out.splitlines() == [
         "train 0 False", "evaluate 0 False", "sweep 0 False", "psd 0 False", "probe 0 False",
-        "prepare 0 True",
+        "prepare 0 False",
     ]
+    assert main([*runs[-1][:-1], str(tmp_path / "in_process")]) == 0
+    assert _tree_bytes(tmp_path / "prepare") == _tree_bytes(tmp_path / "in_process")
+
+
+def test_prepare_without_the_kernel_file_writes_the_same_split(dataset_dir, prepared, tmp_path,
+                                                              monkeypatch):
+    # where scipy's compiled _sosfilt is not found by its file, the filter
+    # runs through the public scipy.signal.sosfilt, which wraps the same kernel
+    eegcnn.iir.sosfilt_kernel.cache_clear()
+    monkeypatch.delitem(sys.modules, "scipy.signal._sosfilt")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, *args, **kwargs: None))
+    try:
+        assert main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "public"), "--seed", "7"]) == 0
+        assert eegcnn.iir.sosfilt_kernel() is eegcnn.iir._public_sosfilt
+    finally:
+        eegcnn.iir.sosfilt_kernel.cache_clear()
+    assert _tree_bytes(tmp_path / "public") == _tree_bytes(prepared)

@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from scipy import signal as sps
 from eegcnn.data import (ConfigError, CsvFormatError, Manifest, ManifestEntry, save_split,
                          split_dataset, write_subject_csv)
 from eegcnn.model import MAX_FLOATS
+import eegcnn.iir
 import eegcnn.preprocess
 from eegcnn.preprocess import (WorkerTraceback, apply_zero_phase, blas_threads, design_highpass,
                                fork_map, one_blas_thread, pool_processes, prepare_split,
@@ -38,6 +41,13 @@ class TestDesignHighpass:
     def test_non_positive_order_rejected(self):
         with pytest.raises(ValueError):
             design_highpass(1.0, 0, FS)
+
+    @pytest.mark.parametrize("order", [2.5, 0.5])
+    def test_fractional_order_rejected(self, order):
+        # scipy's butter rejected it unnamed; the numpy design would build a
+        # filter from the poles of no Butterworth order
+        with pytest.raises(ConfigError, match=f"^filter_order must be an integer, got {order}$"):
+            design_highpass(1.0, order, FS)
 
     # at 7.9e-8 Hz and fs 100 Hz scipy divides 0 by 0 before the solve
     # fails; a numpy warning fails the test
@@ -153,6 +163,69 @@ class TestApplyZeroPhase:
     def test_length_preserved(self, rng):
         x = rng.standard_normal(777)
         assert apply_zero_phase(self.sos, x).shape == x.shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(1, 30), fraction=st.floats(1e-4, 0.49), fs=st.floats(1.0, 10_000.0),
+       layout=st.sampled_from(["1-D", "C", "F"]), extra=st.integers(0, 200),
+       seed=st.integers(0, 2**32 - 1))
+@example(order=4, fraction=1.0 / FS, fs=FS, layout="C", extra=0, seed=0)  # prepare's default
+@example(order=1, fraction=0.25, fs=FS, layout="1-D", extra=0, seed=0)  # a real pole at 0
+@example(order=29, fraction=1e-4, fs=1.0, layout="F", extra=5, seed=1)
+def test_filter_matches_scipy(order, fraction, fs, layout, extra, seed):
+    # oracle: scipy.signal's own design, initial state and zero-phase pass,
+    # which the numpy port and the kernel loaded on its own replace. Bitwise
+    # equal with scipy 1.17; a tolerance, since other versions may round the
+    # design differently.
+    def same(got, want, rtol):
+        if scipy.__version__.startswith("1.17."):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+    cutoff = fraction * fs
+    sos = eegcnn.iir.butter_highpass(order, cutoff, fs)
+    same(sos, sps.butter(order, cutoff, btype="highpass", fs=fs, output="sos"), 1e-12)
+    try:
+        with np.errstate(all="ignore"):
+            want_zi = sps.sosfilt_zi(sos)
+    except np.linalg.LinAlgError:
+        with pytest.raises(ConfigError, match="solving for its initial state fails"):
+            design_highpass(cutoff, order, fs)
+        return
+    assert design_highpass(cutoff, order, fs).tobytes() == sos.tobytes()
+    same(eegcnn.iir.sosfilt_zi(sos), want_zi, 1e-10)
+    padlen = 3 * (order + 1)
+    x = np.random.default_rng(seed).standard_normal((3, padlen + 1 + extra))
+    x = {"1-D": x[0], "C": x, "F": np.asfortranarray(x)}[layout]
+    same(apply_zero_phase(sos, x), sps.sosfiltfilt(sos, x, padtype="even", padlen=padlen), 1e-9)
+
+
+class TestKernel:
+    """``eegcnn.iir.sosfilt_kernel``: scipy's compiled ``_sosfilt``, however it is found."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_kernel(self):
+        eegcnn.iir.sosfilt_kernel.cache_clear()
+        yield
+        eegcnn.iir.sosfilt_kernel.cache_clear()
+
+    def test_reuses_the_module_scipy_signal_loaded(self):
+        from scipy.signal._sosfilt import _sosfilt
+        assert eegcnn.iir.sosfilt_kernel() is _sosfilt
+
+    def test_loaded_from_its_file_without_scipy_signal(self):
+        # in a fresh interpreter, since this one imported scipy.signal in conftest
+        code = ("import sys\n"
+                "from eegcnn.iir import sosfilt_kernel\n"
+                "kernel = sosfilt_kernel()\n"
+                "print('scipy.signal' in sys.modules)\n"
+                "from scipy.signal._signaltools import _sosfilt\n"
+                "print(_sosfilt is kernel)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False", "True"]
 
 
 class TestWelchPsd:
