@@ -152,14 +152,6 @@ def sosfilt_zi(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def _public_sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> None:
-    """The kernel's call through the public ``scipy.signal.sosfilt``, which
-    wraps it: filters each row of ``x`` in place from its state in ``zi``."""
-    from scipy.signal import sosfilt  # the whole package: only where the kernel's file is not found
-
-    x[...] = sosfilt(sos, x, zi=zi.transpose(1, 0, 2))[0]
-
-
 @cache
 def sosfilt_kernel() -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
     """scipy's compiled ``_sosfilt(sos, x, zi)``, which filters each row of a
@@ -167,14 +159,15 @@ def sosfilt_kernel() -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
     state. It is loaded from its file, the way the import system would, but
     without running ``scipy/signal/__init__.py``; it registers itself as
     ``scipy.signal._sosfilt``, so a later ``import scipy.signal`` uses the
-    same module. Where the file is not found, the public ``sosfilt``."""
+    same module."""
     module = sys.modules.get("scipy.signal._sosfilt")
     if module is None:
         scipy_spec = importlib.util.find_spec("scipy")  # finds, but does not run, scipy
         dirs = [os.path.join(d, "signal") for d in scipy_spec.submodule_search_locations or ()]
         spec = importlib.machinery.PathFinder.find_spec("scipy.signal._sosfilt", dirs)
         if spec is None:
-            return _public_sosfilt
+            raise ModuleNotFoundError(f"scipy's compiled scipy.signal._sosfilt is not in {dirs}",
+                                      name="scipy.signal._sosfilt")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return module._sosfilt

@@ -48,7 +48,7 @@ def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
     taken straight from the filter's poles and zeros, stable at every order.
     An order whose ``order`` complex poles one numpy array cannot hold, or a
     cutoff too low for ``sosfiltfilt``'s initial state, raises ConfigError."""
-    if order != int(order):  # the design would build a filter of no order at all
+    if order % 1:  # the design would build a filter of no order at all; nan and inf too
         raise ConfigError(f"filter_order must be an integer, got {order}")
     if order < 1:
         raise ConfigError(f"filter_order must be >= 1, got {order}")
@@ -60,7 +60,7 @@ def design_highpass(cutoff_hz: float, order: int, fs: float) -> np.ndarray:
     too_low = f"cutoff_hz {cutoff_hz} is too low for filter_order {order} at fs {fs} Hz"
     if 2 * cutoff_hz / fs == 0:  # the normalized cutoff underflows
         raise ConfigError(f"{too_low}: cutoff_hz / (fs / 2) rounds to 0")
-    sos = butter_highpass(order, cutoff_hz, fs)  # scipy's butter in numpy, without scipy.signal
+    sos = butter_highpass(int(order), cutoff_hz, fs)  # scipy's butter, without scipy.signal
     try:
         with np.errstate(all="ignore"):  # a 0 / 0 can come before the singular solve
             sosfilt_zi(sos)

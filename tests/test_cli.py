@@ -1,6 +1,5 @@
 import errno
 import importlib
-import importlib.machinery
 import io
 import json
 import multiprocessing
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 import eegcnn.cli
 import eegcnn.experiments
-import eegcnn.iir
 import eegcnn.interpret
 import eegcnn.preprocess
 from eegcnn.cli import SETTINGS, build_parser, main, resolve_settings
@@ -1762,20 +1760,3 @@ def test_no_command_loads_scipy_signal(dataset_dir, prepared, trained, tmp_path)
     ]
     assert main([*runs[-1][:-1], str(tmp_path / "in_process")]) == 0
     assert _tree_bytes(tmp_path / "prepare") == _tree_bytes(tmp_path / "in_process")
-
-
-def test_prepare_without_the_kernel_file_writes_the_same_split(dataset_dir, prepared, tmp_path,
-                                                              monkeypatch):
-    # where scipy's compiled _sosfilt is not found by its file, the filter
-    # runs through the public scipy.signal.sosfilt, which wraps the same kernel
-    eegcnn.iir.sosfilt_kernel.cache_clear()
-    monkeypatch.delitem(sys.modules, "scipy.signal._sosfilt")
-    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                        classmethod(lambda cls, *args, **kwargs: None))
-    try:
-        assert main(["prepare", "--manifest", str(dataset_dir / "manifest.json"),
-                     "--out", str(tmp_path / "public"), "--seed", "7"]) == 0
-        assert eegcnn.iir.sosfilt_kernel() is eegcnn.iir._public_sosfilt
-    finally:
-        eegcnn.iir.sosfilt_kernel.cache_clear()
-    assert _tree_bytes(tmp_path / "public") == _tree_bytes(prepared)

@@ -1,3 +1,4 @@
+import importlib.machinery
 import multiprocessing
 import os
 import re
@@ -42,7 +43,11 @@ class TestDesignHighpass:
         with pytest.raises(ValueError):
             design_highpass(1.0, 0, FS)
 
-    @pytest.mark.parametrize("order", [2.5, 0.5])
+    def test_whole_number_float_order_is_that_order(self):
+        # scipy's butter built the order-4 filter from 4.0
+        assert design_highpass(1.0, 4.0, FS).tobytes() == design_highpass(1.0, 4, FS).tobytes()
+
+    @pytest.mark.parametrize("order", [2.5, 0.5, float("nan"), float("inf")])
     def test_fractional_order_rejected(self, order):
         # scipy's butter rejected it unnamed; the numpy design would build a
         # filter from the poles of no Butterworth order
@@ -213,6 +218,15 @@ class TestKernel:
     def test_reuses_the_module_scipy_signal_loaded(self):
         from scipy.signal._sosfilt import _sosfilt
         assert eegcnn.iir.sosfilt_kernel() is _sosfilt
+
+    def test_missing_file_is_named(self, monkeypatch):
+        find_spec = importlib.machinery.PathFinder.find_spec
+        monkeypatch.delitem(sys.modules, "scipy.signal._sosfilt")
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(
+            lambda cls, name, *args: None if name == "scipy.signal._sosfilt"
+            else find_spec(name, *args)))
+        with pytest.raises(ModuleNotFoundError, match="scipy.signal._sosfilt is not in"):
+            eegcnn.iir.sosfilt_kernel()
 
     def test_loaded_from_its_file_without_scipy_signal(self):
         # in a fresh interpreter, since this one imported scipy.signal in conftest
