@@ -8,9 +8,8 @@ An integer setting must fit int64. A failure prints one ``error:`` line and
 exits with its ``eegcnn.data`` error class's ``exit_code`` (2 config, 3 I/O, 4
 numerical); an OSError exits 3, running out of memory 2. Any other exception
 is a bug, and ends in Python's traceback and exit 1.
-BLAS runs one thread in ``train``, ``sweep`` and ``probe`` (its tone sweep and
-filter response); elsewhere, unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or
-MKL_NUM_THREADS is set (``__init__``).
+Every command runs BLAS on one thread (``preprocess.one_blas_thread``), where
+numpy's BLAS is an OpenBLAS whose count can be set.
 """
 
 from __future__ import annotations
@@ -271,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command][0](resolve_settings(args))
+        with pre.one_blas_thread():
+            _COMMANDS[args.command][0](resolve_settings(args))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

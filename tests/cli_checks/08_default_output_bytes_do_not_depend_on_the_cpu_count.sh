@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Check "Default output bytes do not depend on the CPU count".
-# The package runs BLAS on one thread unless a BLAS thread variable is
-# set. A 16-channel, kernel-11 model is large enough for OpenBLAS to
-# split its GEMMs over threads, which changes the last bits. Training
-# and both probes with no variable set, with OPENBLAS_NUM_THREADS=1 and
-# pinned to one CPU must write the same bytes.
+# Every command runs BLAS on one thread, whatever BLAS thread variable
+# is set. A 16-channel, kernel-11 model is large enough for OpenBLAS to
+# split its GEMMs over threads, which changes the last bits. Training,
+# evaluating and both probes with no variable set, with
+# OPENBLAS_NUM_THREADS=1, with OPENBLAS_NUM_THREADS=2 and pinned to one
+# CPU must write the same bytes.
 set -e
 unset OMP_NUM_THREADS OPENBLAS_NUM_THREADS MKL_NUM_THREADS
 python -c "
@@ -23,17 +24,19 @@ manifest = {'fs': 100.0, 'channels': names, 'subjects': entries}
 (root / 'manifest.json').write_text(json.dumps(manifest))
 " "$RUNNER_TEMP/wide"
 eegcnn prepare --manifest "$RUNNER_TEMP/wide/manifest.json" --out "$RUNNER_TEMP/wide_split"
-for run in default one_thread one_cpu; do
+for run in default one_thread two_threads one_cpu; do
   case "$run" in
     default) launch="" ;;
     one_thread) launch="env OPENBLAS_NUM_THREADS=1" ;;
+    two_threads) launch="env OPENBLAS_NUM_THREADS=2" ;;
     one_cpu) launch="taskset -c 0" ;;
   esac
   $launch eegcnn train --split "$RUNNER_TEMP/wide_split" --out "$RUNNER_TEMP/wide_$run/train" --epochs 2 --in-channels 16 --out-channels 16 --kernel 11
+  $launch eegcnn evaluate --checkpoint "$RUNNER_TEMP/wide_$run/train/checkpoint.bin" --split "$RUNNER_TEMP/wide_split" --out "$RUNNER_TEMP/wide_$run/evaluate"
   $launch eegcnn probe --checkpoint "$RUNNER_TEMP/wide_$run/train/checkpoint.bin" --out "$RUNNER_TEMP/wide_$run/probe" --repeats-sine 2
 done
 test "$(ls "$RUNNER_TEMP"/wide_default/probe/filter_response_ch*.csv | wc -l)" -eq 16
-for run in one_thread one_cpu; do
+for run in one_thread two_threads one_cpu; do
   test "$(cd "$RUNNER_TEMP/wide_default" && ls -R)" = "$(cd "$RUNNER_TEMP/wide_$run" && ls -R)"
   for f in "$RUNNER_TEMP"/wide_default/*/*; do
     cmp "$f" "$RUNNER_TEMP/wide_$run/${f#"$RUNNER_TEMP/wide_default/"}" || exit 1

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import eegcnn.cli
 import eegcnn.experiments
 import eegcnn.interpret
+import eegcnn.metrics
 import eegcnn.preprocess
 from eegcnn.cli import SETTINGS, build_parser, main, resolve_settings
 from eegcnn.checkpoint import CheckpointError, save_checkpoint
@@ -36,7 +37,7 @@ from eegcnn.data import (
 )
 from eegcnn.interpret import POOL_MIN_WORK
 from eegcnn.model import ModelConfig, init_params
-from eegcnn.preprocess import usable_cpus
+from eegcnn.preprocess import blas_threads, usable_cpus
 from eegcnn.synth import synthetic_dataset
 from eegcnn.train import TrainingDivergedError
 
@@ -1673,33 +1674,28 @@ BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _fresh_env(**blas):
     """This environment with only the given BLAS thread variables set, for a
-    fresh interpreter that imports this eegcnn (importing it here set all
-    three)."""
+    fresh interpreter that imports this eegcnn (the caller's environment may
+    set any of the three)."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     return {**env, **blas, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
 
 
-def test_threads_env_set_before_numpy_loads():
-    # BLAS reads its thread counts when numpy loads, so the package's default
-    # must be in the environment by then: record them at the moment numpy is
-    # imported. A caller's own count is left alone, and OpenBLAS reads
-    # OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so that one stays unset.
+@pytest.mark.parametrize("blas", [{}, {"OMP_NUM_THREADS": "2"}, dict.fromkeys(BLAS_THREADS, "3")],
+                         ids=["unset", "one-set", "all-set"])
+def test_import_writes_no_environment_variable(blas):
+    # importing the package, every module of it, before numpy must leave the
+    # environment, and so every library loaded after it, as the caller set it
     code = (
-        "import importlib.abc, os, sys\n"
-        "seen = []\n"
-        "class Spy(importlib.abc.MetaPathFinder):\n"
-        "    def find_spec(self, name, path, target=None):\n"
-        "        if name == 'numpy':\n"
-        f"            seen.extend(os.environ.get(v) for v in {BLAS_THREADS!r})\n"
-        "sys.meta_path.insert(0, Spy())\n"
+        "import importlib, os, pkgutil\n"
+        "before = dict(os.environ)\n"
         "import eegcnn.cli\n"
-        "print(seen)\n"
+        "for module in pkgutil.iter_modules(eegcnn.__path__):\n"
+        "    importlib.import_module(f'eegcnn.{module.name}')\n"
+        f"print([os.environ.get(v) for v in {BLAS_THREADS!r}], dict(os.environ) == before)\n"
     )
-    for blas, seen in [({}, ["1", "1", "1"]),
-                       ({"OMP_NUM_THREADS": "2"}, ["2", None, None])]:
-        out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**blas),
-                             capture_output=True, text=True, check=True).stdout
-        assert out.strip() == repr(seen)
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**blas),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == f"{[blas.get(v) for v in BLAS_THREADS]!r} True"
 
 
 def test_default_threads_independent_of_cpu_count(tmp_path):
@@ -1727,10 +1723,9 @@ def _tree_bytes(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-def test_no_command_loads_scipy_signal(dataset_dir, prepared, trained, tmp_path):
-    # in a fresh interpreter, since this one imported scipy.signal in conftest:
-    # prepare's filter loads scipy's compiled kernel from its file there, and
-    # takes the module that scipy.signal loaded here, with the same bytes
+def _one_run_each(dataset_dir, prepared, trained, out_root) -> list[list[str]]:
+    """A short argv of each command, ``prepare`` last, each writing to
+    ``out_root / <command>``."""
     ckpt = str(trained / "checkpoint.bin")
     runs = [
         ["train", "--split", str(prepared), "--epochs", "1", "--in-channels", str(CHANNELS)],
@@ -1742,7 +1737,54 @@ def test_no_command_loads_scipy_signal(dataset_dir, prepared, trained, tmp_path)
          "--repeats-sine", "1"],
         ["prepare", "--manifest", str(dataset_dir / "manifest.json")],
     ]
-    runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+    return [[*argv, "--out", str(out_root / argv[0])] for argv in runs]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS on 2 threads for the test, then on the count it had."""
+    get, put = eegcnn.preprocess._openblas()
+    before = get()
+    put(2)
+    yield
+    put(before)
+
+
+# command -> (module, name) of the library call the command makes
+LIBRARY_CALLS = {
+    "train": (eegcnn.cli, "run_training"), "evaluate": (eegcnn.metrics, "evaluate"),
+    "sweep": (eegcnn.experiments, "run_sweep"), "psd": (eegcnn.experiments, "group_psd"),
+    "probe": (eegcnn.interpret, "conv_filter_response"),
+    "prepare": (eegcnn.preprocess, "prepare_split"),
+}
+
+
+@needs_openblas
+@pytest.mark.parametrize("fails", [False, True], ids=["exit-0", "exit-4"])
+@pytest.mark.parametrize("command", LIBRARY_CALLS)
+def test_every_command_runs_on_one_blas_thread(dataset_dir, prepared, trained, tmp_path,
+                                               monkeypatch, two_blas_threads, command, fails):
+    # numpy loaded before eegcnn here, so OpenBLAS runs the caller's count,
+    # 2: the command's library call reads 1, and the caller gets its 2 back
+    module, name = LIBRARY_CALLS[command]
+    call, seen = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads())
+        if fails:
+            raise TrainingDivergedError("planted")
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    argv = {run[0]: run for run in _one_run_each(dataset_dir, prepared, trained, tmp_path)}
+    assert (main(argv[command]), seen, blas_threads()) == (4 if fails else 0, [1], 2)
+
+
+def test_no_command_loads_scipy_signal(dataset_dir, prepared, trained, tmp_path):
+    # in a fresh interpreter, since this one imported scipy.signal in conftest:
+    # prepare's filter loads scipy's compiled kernel from its file there, and
+    # takes the module that scipy.signal loaded here, with the same bytes
+    runs = _one_run_each(dataset_dir, prepared, trained, tmp_path)
     code = (
         "import contextlib, io, sys\n"
         "from eegcnn.cli import main\n"

@@ -25,7 +25,7 @@ CHECKS = ROOT / "tests" / "cli_checks"
 SCRIPTS = sorted(p.name for p in CHECKS.glob("*.sh"))
 # the programs outside Python that the scripts call
 TOOLS = ("bash", "taskset", "cmp", "timeout", "sed", "grep", "wc", "seq")
-# importing eegcnn sets these in this process when none is set; CI's runner sets none
+# scrubbed so that each script starts, as on CI's runner, with none of them set
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
